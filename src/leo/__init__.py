@@ -63,7 +63,6 @@ from .local_lti import (
 )
 from .learning import (
     AdamState,
-    Gradients,
     LearnableParams,
     LossBreakdown,
     TrainConfig,

@@ -11,6 +11,7 @@ Wilcoxon signed-rank p-values per dimension triple.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -215,11 +216,17 @@ def execute_trial(
     sub-seed (counted in the flags). Training failures do not raise: the
     enhanced errors fall back to the nominal ones with a zero reduction, so
     failed trials count as non-successes instead of disappearing from the
-    statistics.
+    statistics. A horizon too short for the training window is a
+    configuration error and raises ``ValueError`` before any work.
     """
     cfg = train_cfg or TrainConfig()
     n, p, q = spec.dims
     T = spec.horizon
+    if T < cfg.window_start + cfg.window_len:
+        raise ValueError(
+            f"trial horizon {T} ends before the training window's last step"
+            f" {cfg.window_start + cfg.window_len} (window_start + window_len)"
+        )
     flags: dict = {"regenerations": 0, "divergence": False, "placement_fallback": False}
 
     base = RngStream(spec.seed, (n, p, q, spec.trial_index))
@@ -465,27 +472,32 @@ def run_monte_carlo(
 
     Each trial draws its own random stream from (master_seed, dims, trial
     index), so the summaries depend only on the seed and configuration, not
-    on execution order or the number of workers.
+    on execution order or the number of workers. ``parallel`` worker
+    processes (at most the CPU count) share one pool for the whole run.
     """
     if trials < 10:
         raise ValueError("need at least 10 trials for meaningful statistics")
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
+    workers = min(parallel, os.cpu_count() or 1)
     cfg = train_cfg or TrainConfig()
     base_spec = trial_spec or TrialSpec(dims=(2, 1, 1))
+    dims_list = [tuple(int(d) for d in dims) for dims in dims_list]
+    specs = [
+        replace(base_spec, dims=dims, seed=master_seed, trial_index=t)
+        for dims in dims_list
+        for t in range(trials)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            all_results = list(
+                pool.map(_run_trial_guarded, specs, [cfg] * len(specs), chunksize=4)
+            )
+    else:
+        all_results = [_run_trial_guarded(s, cfg) for s in specs]
     summaries: list[McSummary] = []
-    all_results: list[TrialResult] = []
-    for dims in dims_list:
-        dims = tuple(int(d) for d in dims)
-        specs = [
-            replace(base_spec, dims=dims, seed=master_seed, trial_index=t)
-            for t in range(trials)
-        ]
-        if parallel > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                results = list(
-                    pool.map(_run_trial_guarded, specs, [cfg] * trials, chunksize=4)
-                )
-        else:
-            results = [_run_trial_guarded(s, cfg) for s in specs]
+    for i, dims in enumerate(dims_list):
+        results = all_results[i * trials : (i + 1) * trials]
         e_no = [r.e_nominal_open for r in results]
         e_eo = [r.e_enhanced_open for r in results]
         e_nc = [r.e_nominal_closed for r in results]
@@ -504,5 +516,4 @@ def run_monte_carlo(
                 failures=sum(1 for r in results if r.flags.get("divergence")),
             )
         )
-        all_results.extend(results)
     return summaries, all_results

@@ -27,10 +27,11 @@ from .lti_core import (
     is_observable,
     matrix_to_json,
     observability_matrix,
+    _affine_adjoint,
+    _affine_rollout,
 )
 from .observer import (
     CoordinateTransform,
-    ObserverGain,
     PolePlacementInfeasible,
     SynthesisFailureError,
     apply_transform,
@@ -38,6 +39,7 @@ from .observer import (
     default_observer_poles,
     invert_transform,
     place_observer_poles,
+    _gain_matrix,
 )
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "LossBreakdown",
-    "Gradients",
     "TrainResult",
     "elementwise_mean_abs",
     "lambda_coefficients",
@@ -185,16 +186,6 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Same shapes as the learnable parameters."""
-
-    A_hat: np.ndarray
-    B_hat: np.ndarray
-    C_hat: np.ndarray
-    x0_hat: np.ndarray
-
-
 def _tensors(obj) -> dict:
     return {
         "A": obj.A_hat,
@@ -223,58 +214,6 @@ def lambda_coefficients(n: int, p: int, q: int) -> tuple[float, float, float]:
     return (1e-3 * n * n / denom, 1e-3 * n * p / denom, 1e-3 * n * q / denom)
 
 
-def _gain_matrix(gain, n: int, q: int) -> np.ndarray:
-    if gain is None:
-        return np.zeros((n, q))
-    if isinstance(gain, ObserverGain):
-        return np.asarray(gain.L, dtype=float)
-    return np.asarray(gain, dtype=float)
-
-
-def _rollout_states(
-    params: LearnableParams,
-    L: np.ndarray | None,
-    inputs: np.ndarray,
-    measured: np.ndarray,
-) -> np.ndarray:
-    """Observer states over the full horizon; raises on non-finite values."""
-    A, B, C, x0 = params.A_hat, params.B_hat, params.C_hat, params.x0_hat
-    T = inputs.shape[0]
-    if L is None:
-        M = A
-        forcing = inputs @ B.T
-    else:
-        M = A - L @ C
-        forcing = inputs @ B.T + measured[:T] @ L.T
-    states = np.empty((T + 1, A.shape[0]))
-    states[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
-            states[k + 1] = M @ states[k] + forcing[k]
-    if not np.all(np.isfinite(states)):
-        bad = int(np.argmax(~np.all(np.isfinite(states), axis=1)))
-        raise DivergedRollout(bad)
-    return states
-
-
-def _prepare(params, gain, inputs, measured_outputs, cfg):
-    n, p, q = params.dims
-    inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
-    measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
-    T = inputs.shape[0]
-    k_end = cfg.window_start + cfg.window_len
-    if measured.shape[0] < min(T, k_end) + 1:
-        raise ShapeError("not enough measured outputs for the horizon")
-    if k_end > T:
-        raise ShapeError(
-            f"steady-state window [{cfg.window_start}, {k_end}] exceeds horizon {T}"
-        )
-    L = None if cfg.rollout_mode == "open_loop" else _gain_matrix(gain, n, q)
-    if L is not None and L.shape != (n, q):
-        raise ShapeError(f"gain must be {n}x{q}, got {L.shape}")
-    return inputs, measured, L
-
-
 def _loss_and_gradient(
     params: LearnableParams,
     gain,
@@ -283,15 +222,33 @@ def _loss_and_gradient(
     cfg: TrainConfig,
     init: LearnableParams | None,
     want_gradient: bool,
-) -> tuple[LossBreakdown, Gradients | None]:
-    inputs, measured, L = _prepare(params, gain, inputs, measured_outputs, cfg)
+) -> tuple[LossBreakdown, LearnableParams | None]:
     n, p, q = params.dims
-    T = inputs.shape[0]
     k0, K = cfg.window_start, cfg.window_len
+    inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
+    measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
+    T = inputs.shape[0]
+    if k0 + K > T:
+        raise ShapeError(f"steady-state window [{k0}, {k0 + K}] exceeds horizon {T}")
+    if measured.shape[0] <= k0 + K:
+        raise ShapeError("not enough measured outputs for the window")
+    # Nothing after the window's last state reaches the loss, so the rollout
+    # and its adjoint stop there.
+    inputs, measured = inputs[: k0 + K], measured[: k0 + K + 1]
+    L = None if cfg.rollout_mode == "open_loop" else _gain_matrix(gain, n, q)
     anchor = init if init is not None else params
     lam_A, lam_B, lam_C = cfg.resolved_lambdas(n, p, q)
 
-    states = _rollout_states(params, L, inputs, measured)
+    # The observer is the affine recursion x_{k+1} = M x_k + f_k.
+    M = params.A_hat if L is None else params.A_hat - L @ params.C_hat
+    forcing = inputs @ params.B_hat.T
+    if L is not None:
+        forcing += measured[:-1] @ L.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _affine_rollout(M, params.x0_hat, forcing)
+    finite = np.all(np.isfinite(states), axis=1)
+    if not finite.all():
+        raise DivergedRollout(int(np.argmax(~finite)))
     window = slice(k0, k0 + K + 1)
     residuals = measured[window] - states[window] @ params.C_hat.T
     data_term = float(np.abs(residuals).mean(axis=1).sum() / K)
@@ -313,18 +270,11 @@ def _loss_and_gradient(
         return breakdown, None
 
     # Residual sensitivities: d(data)/d(residual_k) has entries sign/(K q).
-    S = np.zeros((T + 1, q))
+    S = np.zeros_like(measured)
     S[window] = np.sign(residuals) / (K * q)
-    # Adjoint of the affine recursion x_{k+1} = M x_k + f_k.
-    M = params.A_hat if L is None else params.A_hat - L @ params.C_hat
-    Mt = M.T
-    direct = -S @ params.C_hat  # d(data)/d(state_k), direct part
-    adj = np.empty_like(states)
-    adj[T] = direct[T]
-    for k in range(T - 1, -1, -1):
-        adj[k] = direct[k] + Mt @ adj[k + 1]
+    adj = _affine_adjoint(M, -S @ params.C_hat)
 
-    gA = adj[1:].T @ states[:T]
+    gA = adj[1:].T @ states[:-1]
     gB = adj[1:].T @ inputs
     gC = -(S.T @ states)
     if L is not None:
@@ -334,7 +284,7 @@ def _loss_and_gradient(
     gA += lam_A * np.sign(dA) / dA.size
     gB += lam_B * np.sign(dB) / dB.size
     gC += lam_C * np.sign(dC) / dC.size
-    return breakdown, Gradients(A_hat=gA, B_hat=gB, C_hat=gC, x0_hat=gx0)
+    return breakdown, LearnableParams(A_hat=gA, B_hat=gB, C_hat=gC, x0_hat=gx0)
 
 
 def loss(
@@ -365,9 +315,11 @@ def gradient(
     measured_outputs,
     cfg: TrainConfig,
     init: LearnableParams | None = None,
-) -> Gradients:
+) -> LearnableParams:
     """Exact reverse-mode gradient of ``loss(...).total``.
 
+    The result has the shape of the parameters: each field holds the
+    derivative with respect to the matching parameter field.
     The observer gain is held constant (no differentiation through its
     synthesis), matching how the training loop treats it.
     """
@@ -380,7 +332,7 @@ def gradient(
 def adam_step(
     state: AdamState,
     params: LearnableParams,
-    grads: Gradients,
+    grads: LearnableParams,
     lr: float,
     weight_decay: float = 0.0,
     decoupled: bool = True,

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-10
+# Random perturbations tried by make_invertible before it gives up.
+_MAX_NUDGE_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,10 @@ def make_invertible(A: np.ndarray, delta: float) -> np.ndarray:
 
     Already-invertible input is returned unchanged. The deterministic
     first choice is A + eps I with eps = delta / (2n); if that accidentally
-    hits an eigenvalue, small random perturbations (1-norm < delta / 2)
-    are tried instead.
+    hits an eigenvalue, up to ``_MAX_NUDGE_ATTEMPTS`` small random
+    perturbations (1-norm < delta / 2) are tried instead, and
+    ``SingularMatrixError`` is raised if none is invertible (as when
+    ``delta`` is below the singularity tolerance).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -161,12 +165,15 @@ def make_invertible(A: np.ndarray, delta: float) -> np.ndarray:
     if _invertible(candidate) and one_norm(candidate - A) < delta:
         return candidate
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(271828)))
-    while True:
+    for _ in range(_MAX_NUDGE_ATTEMPTS):
         P = gen.standard_normal((n, n))
         P *= (delta / 2) / max(one_norm(P), 1e-300) * 0.99
         candidate = A + P
         if _invertible(candidate) and one_norm(candidate - A) < delta:
             return candidate
+    raise SingularMatrixError(
+        f"no invertible matrix within 1-norm {delta:g} of A in {_MAX_NUDGE_ATTEMPTS} attempts"
+    )
 
 
 def stacked_operators(params: LtiParams, N: int) -> StackedOperators:

@@ -273,6 +273,32 @@ def simulate_true(
     return Trajectory(inputs=inputs[:T], states=states, outputs=outputs)
 
 
+def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    """Rows x_0..x_K of x_{k+1} = M x_k + f_k, for forcing rows f_0..f_{K-1}.
+
+    Non-finite values propagate; callers decide what they mean.
+    """
+    states = np.empty((forcing.shape[0] + 1, M.shape[0]))
+    states[0] = x0
+    for k in range(forcing.shape[0]):
+        states[k + 1] = M @ states[k] + forcing[k]
+    return states
+
+
+def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_affine_rollout``: lambda_k = d_k + M^T lambda_{k+1}.
+
+    For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
+    its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
+    """
+    Mt = M.T
+    adj = np.empty_like(direct)
+    adj[-1] = direct[-1]
+    for k in range(direct.shape[0] - 2, -1, -1):
+        adj[k] = direct[k] + Mt @ adj[k + 1]
+    return adj
+
+
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
     """Vertical stack of C A^j for j = 0..N-1 (shape Nq x n)."""
     A = _as_matrix(A, name="A")

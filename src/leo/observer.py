@@ -33,6 +33,7 @@ from .lti_core import (
     matrix_to_json,
     observability_matrix,
     one_norm,
+    _affine_rollout,
 )
 
 __all__ = [
@@ -262,10 +263,14 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     )
 
 
-def _gain_matrix(gain) -> np.ndarray:
-    if isinstance(gain, ObserverGain):
-        return gain.L
-    return np.asarray(gain, dtype=float)
+def _gain_matrix(gain, n: int, q: int) -> np.ndarray:
+    """The n x q matrix of an ``ObserverGain`` or array; None is the zero gain."""
+    if gain is None:
+        return np.zeros((n, q))
+    L = gain.L if isinstance(gain, ObserverGain) else np.asarray(gain, dtype=float)
+    if L.shape != (n, q):
+        raise ShapeError(f"gain must be {n}x{q}, got {L.shape}")
+    return L
 
 
 def run_luenberger(
@@ -278,13 +283,12 @@ def run_luenberger(
 ) -> Trajectory:
     """Closed-loop observer rollout x^_{k+1} = A x^_k + B u_k + L (y_k - C x^_k).
 
+    The recursion runs as x^_{k+1} = (A - LC) x^_k + (B u_k + L y_k).
     ``measured_outputs`` are the true system's measurements; the returned
     trajectory's outputs are the observer's own C x^_k.
     """
     n, p, q = params.dims
-    L = _gain_matrix(gain)
-    if L.shape != (n, q):
-        raise ShapeError(f"gain must be {n}x{q}, got {L.shape}")
+    L = _gain_matrix(gain, n, q)
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
     T = inputs.shape[0] if horizon is None else int(horizon)
@@ -293,13 +297,9 @@ def run_luenberger(
     x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
 
     A, B, C = params.A, params.B, params.C
-    states = np.empty((T + 1, n))
-    states[0] = x0_hat
-    for k in range(T):
-        innovation = measured[k] - C @ states[k]
-        states[k + 1] = A @ states[k] + B @ inputs[k] + L @ innovation
-    outputs = states @ C.T
-    return Trajectory(inputs=inputs[:T], states=states, outputs=outputs)
+    forcing = inputs[:T] @ B.T + measured[:T] @ L.T
+    states = _affine_rollout(A - L @ C, x0_hat, forcing)
+    return Trajectory(inputs=inputs[:T], states=states, outputs=states @ C.T)
 
 
 def run_open_loop(
@@ -308,12 +308,15 @@ def run_open_loop(
     x0_hat: np.ndarray,
     horizon: int | None = None,
 ) -> Trajectory:
-    """Pure predictor rollout (a Luenberger observer with zero gain)."""
+    """Pure predictor rollout x^_{k+1} = A x^_k + B u_k (zero observer gain)."""
     n, p, q = params.dims
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     T = inputs.shape[0] if horizon is None else int(horizon)
-    dummy = np.zeros((T, q))
-    return run_luenberger(params, np.zeros((n, q)), inputs, dummy, x0_hat, T)
+    if inputs.shape[0] < T:
+        raise ShapeError("inputs shorter than the horizon")
+    x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
+    states = _affine_rollout(params.A, x0_hat, inputs[:T] @ params.B.T)
+    return Trajectory(inputs=inputs[:T], states=states, outputs=states @ params.C.T)
 
 
 def apply_transform(t: CoordinateTransform, params: LtiParams) -> LtiParams:

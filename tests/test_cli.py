@@ -97,6 +97,12 @@ class TestMonteCarlo:
             "montecarlo", "--dims", "2,1,1", "--trials", "5", "--out-dir", str(tmp_path)
         ) == 2
 
+    def test_zero_parallel_rejected(self, tmp_path):
+        assert run_cli(
+            "montecarlo", "--dims", "2,1,1", "--trials", "10", "--parallel", "0",
+            "--out-dir", str(tmp_path),
+        ) == 2
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "mc"
         assert run_cli(

@@ -204,6 +204,11 @@ class TestRunTrial:
         )
         assert r.reduction_closed_pct > 0.0
 
+    def test_horizon_shorter_than_window_rejected(self):
+        # a configuration error, reported before any simulation or training
+        with pytest.raises(ValueError, match=r"horizon 100 .* step 251"):
+            run_trial(TrialSpec(dims=(2, 1, 1), horizon=100))
+
     def test_errors_are_finite_and_nonnegative(self):
         r = run_trial(TrialSpec(dims=(3, 2, 2), seed=11), FAST_CFG)
         for value in (
@@ -237,6 +242,13 @@ class TestRunMonteCarlo:
         a, _ = run_monte_carlo([(2, 1, 1)], trials=10, master_seed=9, train_cfg=FAST_CFG)
         b, _ = run_monte_carlo([(2, 1, 1)], trials=10, master_seed=9, train_cfg=FAST_CFG)
         assert a[0].to_json() == b[0].to_json()
+
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_parallel_below_one_rejected(self, parallel):
+        with pytest.raises(ValueError, match="parallel"):
+            run_monte_carlo(
+                [(2, 1, 1)], trials=10, master_seed=0, train_cfg=FAST_CFG, parallel=parallel
+            )
 
     def test_parallel_matches_serial(self):
         serial, r1 = run_monte_carlo(

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from leo.exceptions import DivergedRollout
 from leo.learning import (
     AdamState,
-    Gradients,
     LearnableParams,
     TrainConfig,
     adam_step,
@@ -232,7 +231,7 @@ class TestAdamStep:
 
     def test_zero_gradient_no_decay(self):
         params = self.scalar_params(0.7)
-        grads = Gradients(
+        grads = LearnableParams(
             A_hat=np.zeros((1, 1)), B_hat=np.zeros((1, 1)),
             C_hat=np.zeros((1, 1)), x0_hat=np.zeros(1),
         )
@@ -246,7 +245,7 @@ class TestAdamStep:
         # constant unit gradient: bias corrections cancel, update ~ -lr
         lr = 1e-3
         params = self.scalar_params(0.0)
-        grads = Gradients(
+        grads = LearnableParams(
             A_hat=np.ones((1, 1)), B_hat=np.ones((1, 1)),
             C_hat=np.ones((1, 1)), x0_hat=np.ones(1),
         )
@@ -257,7 +256,7 @@ class TestAdamStep:
 
     def test_deterministic(self):
         params = self.scalar_params(0.3)
-        grads = Gradients(
+        grads = LearnableParams(
             A_hat=np.full((1, 1), 0.2), B_hat=np.full((1, 1), -0.4),
             C_hat=np.full((1, 1), 0.1), x0_hat=np.full(1, 0.7),
         )
@@ -268,7 +267,7 @@ class TestAdamStep:
 
     def test_decoupled_decay_shrinks_params(self):
         params = self.scalar_params(1.0)
-        grads = Gradients(
+        grads = LearnableParams(
             A_hat=np.zeros((1, 1)), B_hat=np.zeros((1, 1)),
             C_hat=np.zeros((1, 1)), x0_hat=np.zeros(1),
         )
@@ -280,13 +279,13 @@ class TestTrain:
     def test_fixed_point_without_weight_decay(self):
         # exact model and measurements generated by the same rollout code:
         # residuals stay bitwise zero, so with weight decay off nothing moves
-        from leo.learning import _rollout_states
+        from leo.lti_core import _affine_rollout
 
         gen = RngStream(4).generator()
         sys = random_system(2, 1, 1, gen)
         exact = LearnableParams.from_lti(sys.real, sys.x0_real)
         inputs = gen.normal(0, 1, (260, 1))
-        states = _rollout_states(exact, None, inputs, np.zeros((261, 1)))
+        states = _affine_rollout(exact.A_hat, exact.x0_hat, inputs @ exact.B_hat.T)
         measured = states @ exact.C_hat.T
         cfg = TrainConfig(epochs=50, weight_decay=0.0, rollout_mode="open_loop")
         res = train(exact, inputs, measured, cfg)

@@ -145,6 +145,11 @@ class TestMakeInvertible:
         assert np.linalg.svd(out, compute_uv=False)[-1] > 1e-10
         assert one_norm(out - A) < 1e-3
 
+    def test_too_small_delta_raises(self):
+        # every nudge below the singularity tolerance leaves the matrix singular
+        with pytest.raises(SingularMatrixError):
+            make_invertible(np.zeros((2, 2)), 1e-13)
+
     def test_property_over_singular_inputs(self):
         worst, threshold = check_make_invertible(cases=10_000, seed=5)
         assert worst <= threshold
