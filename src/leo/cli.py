@@ -105,6 +105,14 @@ def _version_string() -> str:
     return f"leo-observer-{__version__}"
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that runs ``git describe`` only when the flag is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_version_string())
+        parser.exit()
+
+
 def _parse_config_file(path: str) -> dict:
     values: dict[str, str] = {}
     with open(path) as fh:
@@ -368,7 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="leo",
         description="Learning-enhanced Luenberger observers for uncertain LTI systems.",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument(
+        "--version", action=_VersionAction, nargs=0, default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)

@@ -63,6 +63,9 @@ DEFAULT_DIMENSION_GRID: tuple[tuple[int, int, int], ...] = (
 # normalized error (the componentwise quotient is undefined at zero).
 ZERO_REFERENCE_TOL = 1e-8
 
+# Most non-zero pairs for which method="auto" uses the exact null distribution.
+WILCOXON_EXACT_CUTOFF = 12
+
 
 @dataclass(frozen=True)
 class TrialSpec:
@@ -396,13 +399,20 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def _wilcoxon_exact_tail(ranks: np.ndarray, w_obs: float) -> tuple[float, float]:
-    """(P[W+ >= w_obs], P[W+ <= w_obs]) by enumerating all sign patterns."""
-    sums = np.zeros(1)
-    for r in ranks:
-        sums = np.concatenate([sums, sums + r])
-    ge = float((sums >= w_obs - 1e-9).mean())
-    le = float((sums <= w_obs + 1e-9).mean())
-    return ge, le
+    """(P[W+ >= w_obs], P[W+ <= w_obs]) under the exact sign-flip null.
+
+    Doubled midranks are integers, so counting the sign patterns per doubled
+    sum is a subset-sum DP in O(m * sum(ranks)) time instead of 2^m patterns.
+    Counts are exact integers in float64 up to m = 52.
+    """
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    counts = np.zeros(int(doubled.sum()) + 1)
+    counts[0] = 1.0
+    for r in doubled:
+        counts[r:] = counts[r:] + counts[:-r]
+    w2 = int(round(2.0 * w_obs))
+    patterns = 2.0**ranks.size
+    return float(counts[w2:].sum() / patterns), float(counts[: w2 + 1].sum() / patterns)
 
 
 def _wilcoxon_normal_tail(ranks: np.ndarray, w_obs: float) -> tuple[float, float]:
@@ -426,15 +436,15 @@ def wilcoxon_signed_rank(
     e_enhanced,
     two_sided: bool = False,
     method: str = "auto",
-    exact_cutoff: int = 12,
 ) -> float:
     """Paired signed-rank p-value for "enhanced < nominal".
 
     Differences d = e_nominal - e_enhanced are ranked by magnitude with
-    midrank ties; W+ sums the ranks of positive differences. Up to
-    ``exact_cutoff`` non-zero pairs the null distribution is enumerated
-    exactly over all sign patterns; beyond that a tie-corrected normal
-    approximation with continuity correction is used. All-zero differences
+    midrank ties; W+ sums the ranks of positive differences. With
+    ``method="auto"``, up to ``WILCOXON_EXACT_CUTOFF`` non-zero pairs use
+    the exact null distribution over all sign patterns; beyond that a
+    tie-corrected normal approximation with continuity correction is used.
+    ``"exact"`` and ``"approx"`` force one of the two. All-zero differences
     give p = 1.0 by convention.
     """
     a = np.asarray(e_nominal, dtype=float)
@@ -449,7 +459,7 @@ def wilcoxon_signed_rank(
         raise ValueError("method must be auto, exact or approx")
     ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
-    use_exact = method == "exact" or (method == "auto" and d.size <= exact_cutoff)
+    use_exact = method == "exact" or (method == "auto" and d.size <= WILCOXON_EXACT_CUTOFF)
     if use_exact:
         upper, lower = _wilcoxon_exact_tail(ranks, w_plus)
     else:

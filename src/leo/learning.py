@@ -20,13 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DivergedRollout, ShapeError
+from .exceptions import DivergedRollout, RankDeficientError, ShapeError
 from .lti_core import (
     LtiParams,
-    condition_number,
-    is_observable,
     matrix_to_json,
-    observability_matrix,
     _affine_adjoint,
     _affine_rollout,
 )
@@ -59,6 +56,11 @@ __all__ = [
 
 ROLLOUT_MODES = ("luenberger", "open_loop")
 
+# Adam moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LearnableParams:
@@ -89,14 +91,6 @@ class LearnableParams:
     def as_lti(self) -> LtiParams:
         return LtiParams(A=self.A_hat, B=self.B_hat, C=self.C_hat)
 
-    def copy(self) -> "LearnableParams":
-        return LearnableParams(
-            A_hat=self.A_hat.copy(),
-            B_hat=self.B_hat.copy(),
-            C_hat=self.C_hat.copy(),
-            x0_hat=self.x0_hat.copy(),
-        )
-
     @staticmethod
     def from_lti(params: LtiParams, x0_hat: np.ndarray) -> "LearnableParams":
         return LearnableParams(A_hat=params.A, B_hat=params.B, C_hat=params.C, x0_hat=x0_hat)
@@ -117,9 +111,8 @@ class TrainConfig:
     The learning rate follows lr0 / decay_factor^floor(epoch / decay_every);
     with the defaults exactly one tenfold reduction fires at epoch 200.
     ``lambda_*`` of None means the dimension-based coefficients of
-    ``lambda_coefficients`` are used. Weight decay is decoupled (applied
-    directly to the parameters) unless ``decoupled_weight_decay`` is False,
-    in which case it is folded into the gradient as a classic L2 term.
+    ``lambda_coefficients`` are used. Weight decay is decoupled: it shrinks
+    the parameters directly instead of entering the gradient.
     """
 
     lr0: float = 1e-4
@@ -134,7 +127,6 @@ class TrainConfig:
     lambda_C: float | None = None
     rollout_mode: str = "luenberger"
     conditioning_threshold: float = 1e8
-    decoupled_weight_decay: bool = True
 
     def __post_init__(self):
         if self.lr0 <= 0 or self.decay_factor <= 0 or self.decay_every <= 0:
@@ -167,9 +159,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params: LearnableParams) -> "AdamState":
@@ -335,29 +324,25 @@ def adam_step(
     grads: LearnableParams,
     lr: float,
     weight_decay: float = 0.0,
-    decoupled: bool = True,
 ) -> tuple[AdamState, LearnableParams]:
-    """One Adam update with bias correction.
+    """One Adam update with bias correction and decoupled weight decay.
 
-    Decoupled weight decay shrinks the parameters directly before the Adam
-    increment; the coupled variant adds ``weight_decay * p`` to the gradient
-    instead.
+    Weight decay shrinks the parameters directly, by the factor
+    ``1 - lr * weight_decay``, before the Adam increment; it never enters
+    the gradient or the moments.
     """
     t = state.step + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_m, new_v, new_p = {}, {}, {}
     p_tensors = _tensors(params)
     g_tensors = _tensors(grads)
     for key, p in p_tensors.items():
         g = g_tensors[key]
-        if not decoupled and weight_decay:
-            g = g + weight_decay * p
         m = b1 * state.m[key] + (1 - b1) * g
         v = b2 * state.v[key] + (1 - b2) * np.square(g)
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        base = p * (1 - lr * weight_decay) if (decoupled and weight_decay) else p
-        new_p[key] = base - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_p[key] = p * (1 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[key], new_v[key] = m, v
     out_params = LearnableParams(
         A_hat=new_p["A"], B_hat=new_p["B"], C_hat=new_p["C"], x0_hat=new_p["x0"]
@@ -393,8 +378,10 @@ def train(
 ) -> TrainResult:
     """Run the full refinement loop (conditioning, gain refresh, Adam).
 
-    Per epoch: (a) if the observability stack of the current matrices is
-    worse-conditioned than ``cfg.conditioning_threshold``, switch to better
+    Per epoch: (a) ``conditioning_transform`` decides, from one SVD of the
+    current matrices' observability stack, whether the pair is observable
+    and whether the stack is worse-conditioned than
+    ``cfg.conditioning_threshold``; in that case training switches to better
     coordinates (parameters, anchors, initial state and previous gain all
     move together, and the Adam moments are reset since they live in the
     old coordinates); (b) re-synthesize the observer gain from the current
@@ -412,8 +399,8 @@ def train(
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
 
-    current = init.copy()
-    anchor = init.copy()
+    current = init
+    anchor = init
     total_tf = CoordinateTransform.identity(n)
     adam = AdamState.for_params(current)
     poles = default_observer_poles(n)
@@ -440,26 +427,25 @@ def train(
         lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
 
         current_lti = current.as_lti()
-        observable = is_observable(current_lti.A, current_lti.C)
-        if observable:
+        try:
+            tf, transformed = conditioning_transform(current_lti, cfg.conditioning_threshold)
+        except RankDeficientError:
+            observable = False
+        else:
+            observable = True
             diagnostics["observable_epochs"] += 1
-            cond = condition_number(observability_matrix(current_lti.A, current_lti.C, n))
-            if cond > cfg.conditioning_threshold:
-                tf, transformed = conditioning_transform(
-                    current_lti, cfg.conditioning_threshold
+            if not tf.is_identity():
+                current = LearnableParams.from_lti(transformed, tf.T @ current.x0_hat)
+                anchor = LearnableParams.from_lti(
+                    apply_transform(tf, anchor.as_lti()), tf.T @ anchor.x0_hat
                 )
-                if not tf.is_identity():
-                    current = LearnableParams.from_lti(transformed, tf.T @ current.x0_hat)
-                    anchor = LearnableParams.from_lti(
-                        apply_transform(tf, anchor.as_lti()), tf.T @ anchor.x0_hat
-                    )
-                    if L is not None:
-                        L = tf.T @ L
-                    total_tf = tf.compose(total_tf)
-                    adam = AdamState.for_params(current)
-                    prev_snapshot = None
-                    diagnostics["transforms_applied"] += 1
-                    current_lti = current.as_lti()
+                if L is not None:
+                    L = tf.T @ L
+                total_tf = tf.compose(total_tf)
+                adam = AdamState.for_params(current)
+                prev_snapshot = None
+                diagnostics["transforms_applied"] += 1
+                current_lti = transformed
 
         refreshed = False
         if luenberger:
@@ -505,14 +491,7 @@ def train(
             }
         )
         prev_snapshot = (current, adam)
-        adam, current = adam_step(
-            adam,
-            current,
-            grads,
-            lr,
-            weight_decay=cfg.weight_decay,
-            decoupled=cfg.decoupled_weight_decay,
-        )
+        adam, current = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
         epoch += 1
 
     diagnostics["never_observable"] = bool(

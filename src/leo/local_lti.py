@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import RankDeficientError, ShapeError, SingularMatrixError
-from .lti_core import LtiParams, one_norm, pinv
+from .lti_core import LtiParams, observability_matrix, one_norm, pinv
 
 __all__ = [
     "TrajectoryWindow",
@@ -178,19 +178,14 @@ def make_invertible(A: np.ndarray, delta: float) -> np.ndarray:
 
 def stacked_operators(params: LtiParams, N: int) -> StackedOperators:
     """Build the N-step output-stack operators for a model."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    n, p, q = params.dims
-    A, B, C = params.A, params.B, params.C
-    # C A^j and C A^j B for j = 0..N-1
-    CA = [C]
-    for _ in range(N - 1):
-        CA.append(CA[-1] @ A)
-    O = np.vstack(CA)
+    _, p, q = params.dims
+    O = observability_matrix(params.A, params.C, N)
+    # Block (i, j) of Gamma is C A^(i-j-1) B: row block i-j-1 of O times B.
+    OB = [O[k * q : (k + 1) * q] @ params.B for k in range(N - 1)]
     Gamma = np.zeros((N * q, N * p))
     for i in range(1, N):
         for j in range(i):
-            Gamma[i * q : (i + 1) * q, j * p : (j + 1) * p] = CA[i - j - 1] @ B
+            Gamma[i * q : (i + 1) * q, j * p : (j + 1) * p] = OB[i - j - 1]
     return StackedOperators(O=O, Gamma=Gamma)
 
 

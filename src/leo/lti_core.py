@@ -305,12 +305,23 @@ def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
     C = _as_matrix(C, cols=A.shape[0], name="C")
     if N < 1:
         raise ValueError("N must be >= 1")
-    blocks = []
-    block = C
-    for _ in range(N):
-        blocks.append(block)
-        block = block @ A
+    blocks = [C]
+    for _ in range(N - 1):
+        blocks.append(blocks[-1] @ A)
     return np.vstack(blocks)
+
+
+def _observability_condition(A: np.ndarray, C: np.ndarray) -> float:
+    """sigma_max / sigma_min of the N = n observability stack, from one SVD.
+
+    +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff), so one
+    value is both the rank decision and the condition number.
+    """
+    A = _as_matrix(A, name="A")
+    s = np.linalg.svd(observability_matrix(A, C, A.shape[0]), compute_uv=False)
+    if s[-1] <= RANK_RTOL * s[0]:  # also the zero stack
+        return math.inf
+    return float(s[0] / s[-1])
 
 
 def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
@@ -318,13 +329,7 @@ def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
 
     Rank uses the singular-value cutoff ``RANK_RTOL * sigma_max``.
     """
-    A = _as_matrix(A, name="A")
-    n = A.shape[0]
-    O = observability_matrix(A, C, n)
-    s = np.linalg.svd(O, compute_uv=False)
-    if s[0] == 0.0:
-        return False
-    return bool(np.sum(s > RANK_RTOL * s[0]) == n)
+    return math.isfinite(_observability_condition(A, C))
 
 
 def spectral_radius(A: np.ndarray) -> float:

@@ -27,13 +27,13 @@ from .exceptions import (
 from .lti_core import (
     LtiParams,
     Trajectory,
-    condition_number,
     is_observable,
     matrix_from_json,
     matrix_to_json,
     observability_matrix,
     one_norm,
     _affine_rollout,
+    _observability_condition,
 )
 
 __all__ = [
@@ -337,31 +337,28 @@ def invert_transform(t: CoordinateTransform, params: LtiParams) -> LtiParams:
     )
 
 
-def _obs_condition(params: LtiParams) -> tuple[np.ndarray, float]:
-    n = params.dims[0]
-    O = observability_matrix(params.A, params.C, n)
-    return O, condition_number(O)
-
-
 def conditioning_transform(
     params: LtiParams, threshold: float = 1e8
 ) -> tuple[CoordinateTransform, LtiParams]:
     """Change coordinates so the observability stack is better conditioned.
 
-    Below the threshold the identity transform is returned unchanged. Above
-    it, the primary candidate is the R factor of O = QR with rows scaled to
-    unit norm (which maps the stack close to an orthonormal one); a plain R
-    and a diagonal column equilibration serve as fallbacks. The selected
-    transform is guaranteed not to increase the condition number.
+    This is where each training epoch decides observability (an
+    unobservable pair raises ``RankDeficientError``) and conditioning, from
+    one SVD of the stack. Below the threshold the identity transform is
+    returned unchanged. Above it, the primary candidate is the R factor of
+    O = QR with rows scaled to unit norm (which maps the stack close to an
+    orthonormal one); a plain R and a diagonal column equilibration serve as
+    fallbacks. The selected transform never increases the condition number.
     """
     n = params.dims[0]
-    if not is_observable(params.A, params.C):
+    cond0 = _observability_condition(params.A, params.C)
+    if not np.isfinite(cond0):
         raise RankDeficientError("cannot condition an unobservable realization")
-    O, cond0 = _obs_condition(params)
     identity = CoordinateTransform.identity(n)
     if cond0 <= threshold:
         return identity, params
 
+    O = observability_matrix(params.A, params.C, n)
     candidates: list[np.ndarray] = []
     R = np.linalg.qr(O, mode="r")[:n, :n]
     r_diag = np.abs(np.diag(R))
@@ -379,8 +376,8 @@ def conditioning_transform(
         try:
             tf = CoordinateTransform.from_matrix(T)
             transformed = apply_transform(tf, params)
-            cond = _obs_condition(transformed)[1]
-        except (np.linalg.LinAlgError, ShapeError, ValueError):
+            cond = _observability_condition(transformed.A, transformed.C)
+        except (np.linalg.LinAlgError, ShapeError):
             continue
         if cond < cond0 and (best is None or cond < best[0]):
             best = (cond, tf, transformed)

@@ -1,7 +1,7 @@
 import csv
 import json
 
-from leo.cli import main
+from leo.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -182,3 +182,19 @@ class TestConfigFile:
         run_cli("trial", "--dims", "2,1,1", "--epochs", "3")
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 11
+
+
+class TestVersion:
+    def test_build_parser_starts_no_subprocess(self, monkeypatch):
+        import subprocess
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_parser started a subprocess")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
+        build_parser()
+
+    def test_version_flag_prints_and_exits_zero(self, capsys):
+        assert run_cli("--version") == 0
+        out = capsys.readouterr().out.strip()
+        assert out and "\n" not in out

@@ -5,6 +5,8 @@ from scipy import stats
 from leo.exceptions import DegenerateReferenceError
 from leo.experiments import (
     DEFAULT_DIMENSION_GRID,
+    _midranks,
+    _wilcoxon_exact_tail,
     TrialSpec,
     execute_trial,
     normalized_error,
@@ -96,7 +98,38 @@ class TestSuccessRate:
             success_rate([1.0], [1.0, 2.0])
 
 
+def enumerated_tail(ranks, w_obs):
+    """Reference (P[W+ >= w_obs], P[W+ <= w_obs]) over all 2^m sign patterns."""
+    sums = np.zeros(1)
+    for r in ranks:
+        sums = np.concatenate([sums, sums + r])
+    return float((sums >= w_obs - 1e-9).mean()), float((sums <= w_obs + 1e-9).mean())
+
+
 class TestWilcoxon:
+    def test_exact_tail_matches_enumeration(self):
+        gen = np.random.default_rng(8)
+        for case in range(200):
+            m = int(gen.integers(1, 13))
+            if case % 2:
+                # heavy ties: magnitudes drawn from a few values
+                mags = gen.integers(1, 4, m).astype(float)
+            else:
+                mags = gen.uniform(0.1, 2.0, m)
+            ranks = _midranks(mags)
+            positive = gen.random(m) < 0.5
+            w_plus = float(ranks[positive].sum())
+            assert _wilcoxon_exact_tail(ranks, w_plus) == enumerated_tail(ranks, w_plus)
+
+    def test_exact_method_is_bounded_at_m40(self):
+        # enumeration would need 2^40 sign patterns
+        gen = np.random.default_rng(9)
+        a = gen.normal(1.0, 0.5, 40)
+        b = a - gen.normal(0.2, 0.5, 40)
+        p = wilcoxon_signed_rank(a, b, method="exact")
+        ref = stats.wilcoxon(a, b, alternative="greater", method="exact").pvalue
+        assert p == pytest.approx(ref, rel=1e-9)
+
     def test_all_positive_n10_exact(self):
         nominal = np.arange(1.0, 11.0) + 1.0
         enhanced = np.arange(1.0, 11.0)

@@ -416,6 +416,32 @@ class TestTrain:
         assert res.diagnostics["gain_reuses"] >= 1
         assert res.log[0]["L_refreshed"] is False
         assert not res.diagnostics["never_observable"]
+        # here every epoch that reuses the gain is an unobservable one
+        assert res.diagnostics["observable_epochs"] == 5 - res.diagnostics["gain_reuses"]
+
+    @pytest.mark.parametrize("mode, per_epoch", [("luenberger", 2), ("open_loop", 1)])
+    def test_observability_stacks_per_epoch(self, monkeypatch, mode, per_epoch):
+        # one stack decides observability and conditioning; only gain
+        # synthesis builds a second one
+        import leo.learning
+        import leo.lti_core
+        import leo.observer
+
+        sys, inputs, traj, init = make_instance(3, (3, 2, 1))
+        calls = []
+        original = leo.lti_core.observability_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # every module that binds the name, so no call path escapes the count
+        for module in (leo.lti_core, leo.observer, leo.learning):
+            if hasattr(module, "observability_matrix"):
+                monkeypatch.setattr(module, "observability_matrix", counted)
+        res = train(init, inputs, traj.outputs, TrainConfig(epochs=5, rollout_mode=mode))
+        assert len(res.log) == 5
+        assert len(calls) <= per_epoch * 5
 
     def test_open_loop_mode_trains(self):
         sys, inputs, traj, init = make_instance(10, (2, 1, 1))

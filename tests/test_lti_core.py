@@ -133,6 +133,19 @@ class TestIsObservable:
     def test_distinct_diagonal_observable(self):
         assert is_observable(np.diag([0.5, 0.3]), [[1.0, 1.0]])
 
+    def test_condition_is_the_stack_condition_number(self):
+        # one SVD gives both the rank decision and condition_number's value
+        from leo.lti_core import _observability_condition
+
+        gen = RngStream(6).generator()
+        for n, q in ((2, 1), (3, 2), (4, 1), (4, 3)):
+            for _ in range(5):
+                A, C = gen.standard_normal((n, n)), gen.standard_normal((q, n))
+                O = observability_matrix(A, C, n)
+                assert _observability_condition(A, C) == condition_number(O)
+        assert _observability_condition(np.eye(2), [[1.0, 0.0]]) == np.inf
+        assert _observability_condition(np.eye(2), [[0.0, 0.0]]) == np.inf
+
 
 class TestSpectralRadius:
     def test_diagonal(self):
