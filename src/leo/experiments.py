@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DegenerateReferenceError, LeoError
-from .learning import LearnableParams, TrainConfig, train
+from .learning import LearnableParams, TrainConfig, _lockstep, _run, _train_steps
 from .lti_core import (
     NoiseRealization,
     RngStream,
@@ -220,9 +220,26 @@ def execute_trial(
     enhanced errors fall back to the nominal ones with a zero reduction, so
     failed trials count as non-successes instead of disappearing from the
     statistics. A horizon too short for the training window is a
-    configuration error and raises ``ValueError`` before any work.
+    configuration error and raises ``ValueError`` before any work. The trial
+    runs as a lockstep batch of one, and gives bitwise what it gives inside
+    a Monte Carlo batch.
     """
     cfg = train_cfg or TrainConfig()
+    return _run(_trial_steps(spec, cfg, system_override, x0_hat_override))
+
+
+def _trial_steps(
+    spec: TrialSpec,
+    cfg: TrainConfig,
+    system_override: TrueSystem | None = None,
+    x0_hat_override: np.ndarray | None = None,
+):
+    """Step generator of ``execute_trial`` for ``learning._lockstep``.
+
+    It draws, simulates and places the nominal gain, then yields its
+    training's kernel requests, then places the enhanced gain and scores the
+    four observers, and returns the ``TrialExecution``.
+    """
     n, p, q = spec.dims
     T = spec.horizon
     if T < cfg.window_start + cfg.window_len:
@@ -272,7 +289,7 @@ def execute_trial(
     enhanced = init
     gain_enhanced = gain_nominal
     try:
-        result = train(init, inputs, traj.outputs, cfg)
+        result = yield from _train_steps(init, inputs, traj.outputs, cfg)
         if result.diagnostics.get("aborted"):
             flags["divergence"] = True
         else:
@@ -341,26 +358,38 @@ def run_trial(
     return execute_trial(spec, train_cfg, system_override, x0_hat_override).result()
 
 
-def _run_trial_guarded(spec: TrialSpec, cfg: TrainConfig) -> TrialResult:
-    """Trial wrapper for the harness: failures become zero-reduction results.
+def _run_trials_guarded(specs: list[TrialSpec], cfg: TrainConfig) -> list[TrialResult]:
+    """A batch of trials for the harness, trained in lockstep."""
+    outcomes = _lockstep([_trial_result_steps(spec, cfg) for spec in specs])
+    return [_guarded_result(spec, outcome) for spec, outcome in zip(specs, outcomes)]
+
+
+def _trial_result_steps(spec: TrialSpec, cfg: TrainConfig):
+    """``_trial_steps`` reduced to its result, so a batch keeps no trajectories."""
+    return (yield from _trial_steps(spec, cfg)).result()
+
+
+def _guarded_result(spec: TrialSpec, outcome) -> TrialResult:
+    """A trial's result, or a zero-reduction result for a trial that failed.
 
     A trial that cannot be scored at all records matching zero errors so it
     counts as a non-success everywhere (and as a dropped zero difference in
     the signed-rank test) instead of aborting the whole run.
     """
-    try:
-        return run_trial(spec, cfg)
-    except (LeoError, np.linalg.LinAlgError) as exc:
-        return TrialResult(
-            spec=spec,
-            e_nominal_open=0.0,
-            e_enhanced_open=0.0,
-            e_nominal_closed=0.0,
-            e_enhanced_closed=0.0,
-            reduction_open_pct=0.0,
-            reduction_closed_pct=0.0,
-            flags={"divergence": True, "error": f"{type(exc).__name__}: {exc}"},
-        )
+    if not isinstance(outcome, Exception):
+        return outcome
+    if not isinstance(outcome, (LeoError, np.linalg.LinAlgError)):
+        raise outcome
+    return TrialResult(
+        spec=spec,
+        e_nominal_open=0.0,
+        e_enhanced_open=0.0,
+        e_nominal_closed=0.0,
+        e_enhanced_closed=0.0,
+        reduction_open_pct=0.0,
+        reduction_closed_pct=0.0,
+        flags={"divergence": True, "error": f"{type(outcome).__name__}: {outcome}"},
+    )
 
 
 def trimmed_mean_reduction(values, trim_frac: float = 0.10) -> float:
@@ -482,8 +511,10 @@ def run_monte_carlo(
 
     Each trial draws its own random stream from (master_seed, dims, trial
     index), so the summaries depend only on the seed and configuration, not
-    on execution order or the number of workers. ``parallel`` worker
-    processes (at most the CPU count) share one pool for the whole run.
+    on execution order, batch grouping or the number of workers. The trials
+    of one triple train in lockstep as one batch; with ``parallel`` worker
+    processes (at most the CPU count, one pool for the whole run) each
+    triple's trials are split into that many contiguous batches.
     """
     if trials < 10:
         raise ValueError("need at least 10 trials for meaningful statistics")
@@ -493,18 +524,21 @@ def run_monte_carlo(
     cfg = train_cfg or TrainConfig()
     base_spec = trial_spec or TrialSpec(dims=(2, 1, 1))
     dims_list = [tuple(int(d) for d in dims) for dims in dims_list]
-    specs = [
-        replace(base_spec, dims=dims, seed=master_seed, trial_index=t)
+    size = math.ceil(trials / workers)
+    batches = [
+        [
+            replace(base_spec, dims=dims, seed=master_seed, trial_index=t)
+            for t in range(start, min(start + size, trials))
+        ]
         for dims in dims_list
-        for t in range(trials)
+        for start in range(0, trials, size)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_results = list(
-                pool.map(_run_trial_guarded, specs, [cfg] * len(specs), chunksize=4)
-            )
+            batch_results = list(pool.map(_run_trials_guarded, batches, [cfg] * len(batches)))
     else:
-        all_results = [_run_trial_guarded(s, cfg) for s in specs]
+        batch_results = [_run_trials_guarded(batch, cfg) for batch in batches]
+    all_results = [r for results in batch_results for r in results]
     summaries: list[McSummary] = []
     for i, dims in enumerate(dims_list):
         results = all_results[i * trials : (i + 1) * trials]

@@ -10,17 +10,24 @@ matrices between epochs and treated as a constant inside the gradient: the
 rollout is then an affine recursion, so its adjoint is the matching
 backward affine recursion.
 
+The loss/gradient and the training loop are step generators: they yield
+their rollout and adjoint requests to ``_lockstep``, which serves the
+requests of many runs (the trials of a Monte Carlo batch) with one stacked
+kernel call per time step. ``train``, ``loss`` and ``gradient`` run it on
+one run; a run's results are bitwise the same alone or batched.
+
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DivergedRollout, RankDeficientError, ShapeError
+from .exceptions import DivergedRollout, RankDeficientError, ShapeError, SynthesisFailureError
 from .lti_core import (
     LtiParams,
     matrix_to_json,
@@ -29,14 +36,13 @@ from .lti_core import (
 )
 from .observer import (
     CoordinateTransform,
-    PolePlacementInfeasible,
-    SynthesisFailureError,
     apply_transform,
     conditioning_transform,
     default_observer_poles,
     invert_transform,
-    place_observer_poles,
+    _checked_poles,
     _gain_matrix,
+    _place_poles,
 )
 
 __all__ = [
@@ -211,7 +217,12 @@ def _loss_and_gradient(
     cfg: TrainConfig,
     init: LearnableParams | None,
     want_gradient: bool,
-) -> tuple[LossBreakdown, LearnableParams | None]:
+):
+    """Step generator of the loss and, with ``want_gradient``, its gradient.
+
+    Yields ``("rollout", M, x0, forcing)`` and ``("adjoint", M, direct)``
+    for ``_lockstep`` to serve, and returns ``(breakdown, grads or None)``.
+    """
     n, p, q = params.dims
     k0, K = cfg.window_start, cfg.window_len
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
@@ -233,8 +244,7 @@ def _loss_and_gradient(
     forcing = inputs @ params.B_hat.T
     if L is not None:
         forcing += measured[:-1] @ L.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = _affine_rollout(M, params.x0_hat, forcing)
+    states = yield ("rollout", M, params.x0_hat, forcing)
     finite = np.all(np.isfinite(states), axis=1)
     if not finite.all():
         raise DivergedRollout(int(np.argmax(~finite)))
@@ -261,7 +271,7 @@ def _loss_and_gradient(
     # Residual sensitivities: d(data)/d(residual_k) has entries sign/(K q).
     S = np.zeros_like(measured)
     S[window] = np.sign(residuals) / (K * q)
-    adj = _affine_adjoint(M, -S @ params.C_hat)
+    adj = yield ("adjoint", M, -S @ params.C_hat)
 
     gA = adj[1:].T @ states[:-1]
     gB = adj[1:].T @ inputs
@@ -274,6 +284,57 @@ def _loss_and_gradient(
     gB += lam_B * np.sign(dB) / dB.size
     gC += lam_C * np.sign(dC) / dC.size
     return breakdown, LearnableParams(A_hat=gA, B_hat=gB, C_hat=gC, x0_hat=gx0)
+
+
+def _lockstep(steps: list) -> list:
+    """Run step generators together, one stacked kernel call per request group.
+
+    A step generator yields kernel requests, ``("rollout", M, x0, forcing)``
+    or ``("adjoint", M, direct)``, and is sent the kernel's result for its
+    own arrays. Each round serves the largest group of pending requests of
+    one kind and shape with one batched ``_affine_rollout`` or
+    ``_affine_adjoint`` call, so a generator that falls out of phase (a
+    rollback repeats its rollout) rejoins the others a round later. The
+    stacked kernels compute every row as its own call would, so no outcome
+    depends on the grouping. Returns each generator's return value, or the
+    exception it raised: one generator's failure never reaches the others.
+    """
+    outcomes: list = [None] * len(steps)
+    pending: dict[int, tuple] = {}
+
+    def advance(i: int, value) -> None:
+        try:
+            pending[i] = steps[i].send(value)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:
+            outcomes[i] = exc
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        groups: dict[tuple, list[int]] = defaultdict(list)
+        for i, (kind, *arrays) in pending.items():
+            groups[(kind, *(a.shape for a in arrays))].append(i)
+        (kind, *_), members = max(groups.items(), key=lambda group: len(group[1]))
+        batch = [np.stack(arrays) for arrays in zip(*(pending.pop(i)[1:] for i in members))]
+        if kind == "rollout":
+            # Overflow is reported by the caller's finiteness check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = _affine_rollout(*batch)
+        else:
+            rows = _affine_adjoint(*batch)
+        for i, row in zip(members, rows):
+            advance(i, row)
+    return outcomes
+
+
+def _run(step):
+    """The return value of one step generator; what it raises is raised."""
+    (outcome,) = _lockstep([step])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def loss(
@@ -291,8 +352,8 @@ def loss(
     the mean absolute deviation of a matrix from its value in ``init``
     (zero when ``init`` is omitted or equals ``params``).
     """
-    breakdown, _ = _loss_and_gradient(
-        params, gain, inputs, measured_outputs, cfg, init, want_gradient=False
+    breakdown, _ = _run(
+        _loss_and_gradient(params, gain, inputs, measured_outputs, cfg, init, want_gradient=False)
     )
     return breakdown
 
@@ -312,8 +373,8 @@ def gradient(
     The observer gain is held constant (no differentiation through its
     synthesis), matching how the training loop treats it.
     """
-    _, grads = _loss_and_gradient(
-        params, gain, inputs, measured_outputs, cfg, init, want_gradient=True
+    _, grads = _run(
+        _loss_and_gradient(params, gain, inputs, measured_outputs, cfg, init, want_gradient=True)
     )
     return grads
 
@@ -395,6 +456,11 @@ def train(
     partial log survives. The returned parameters are always expressed in
     the original coordinates.
     """
+    return _run(_train_steps(init, inputs, measured_outputs, cfg))
+
+
+def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConfig):
+    """Step generator of ``train``: yields kernel requests, returns the result."""
     n, p, q = init.dims
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
@@ -403,7 +469,7 @@ def train(
     anchor = init
     total_tf = CoordinateTransform.identity(n)
     adam = AdamState.for_params(current)
-    poles = default_observer_poles(n)
+    poles = _checked_poles(default_observer_poles(n), n)
     L: np.ndarray | None = None
     luenberger = cfg.rollout_mode == "luenberger"
 
@@ -451,9 +517,9 @@ def train(
         if luenberger:
             if observable:
                 try:
-                    L = place_observer_poles(current_lti.A, current_lti.C, poles).L
+                    L = _place_poles(current_lti.A, current_lti.C, poles).L
                     refreshed = True
-                except (PolePlacementInfeasible, SynthesisFailureError):
+                except SynthesisFailureError:
                     pass
             if not refreshed:
                 diagnostics["gain_reuses"] += 1
@@ -463,7 +529,7 @@ def train(
                 diagnostics["gain_refreshes"] += 1
 
         try:
-            breakdown, grads = _loss_and_gradient(
+            breakdown, grads = yield from _loss_and_gradient(
                 current, L, inputs, measured, cfg, anchor, want_gradient=True
             )
         except DivergedRollout:

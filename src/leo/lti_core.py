@@ -276,13 +276,25 @@ def simulate_true(
 def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """Rows x_0..x_K of x_{k+1} = M x_k + f_k, for forcing rows f_0..f_{K-1}.
 
-    Non-finite values propagate; callers decide what they mean.
+    Batched over a leading trial axis: M (B, n, n), x0 (B, n) and forcing
+    (B, K, n) give states (B, K + 1, n), and each time step is one stacked
+    ``np.matmul``, which runs the same matrix-vector product per trial as
+    ``M[b] @ x``, so every trial's rows are bitwise those of its own run. A
+    2-D M, 1-D x0 and 2-D forcing are a batch of one. Non-finite values
+    propagate; callers decide what they mean.
     """
-    states = np.empty((forcing.shape[0] + 1, M.shape[0]))
-    states[0] = x0
-    for k in range(forcing.shape[0]):
-        states[k + 1] = M @ states[k] + forcing[k]
-    return states
+    if M.ndim == 2:
+        return _affine_rollout(M[None], x0[None], forcing[None])[0]
+    B, K, n = forcing.shape
+    # Time-major buffer: the steps' rows never share memory, and for B = 1
+    # it already has the batch-major layout of the result.
+    states = np.empty((K + 1, B, n, 1))
+    states[0, :, :, 0] = x0
+    matmul, add = np.matmul, np.add  # positional out: the cheapest ufunc calls
+    for x, x_next, f in zip(states[:-1], states[1:], forcing.transpose(1, 0, 2)[..., None]):
+        matmul(M, x, x_next)
+        add(x_next, f, x_next)
+    return np.ascontiguousarray(states[..., 0].transpose(1, 0, 2))
 
 
 def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
@@ -290,13 +302,20 @@ def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
 
     For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
     its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
+    Batched like the rollout: M (B, n, n) and direct (B, K + 1, n) give
+    (B, K + 1, n); a 2-D M and direct are a batch of one.
     """
-    Mt = M.T
-    adj = np.empty_like(direct)
-    adj[-1] = direct[-1]
-    for k in range(direct.shape[0] - 2, -1, -1):
-        adj[k] = direct[k] + Mt @ adj[k + 1]
-    return adj
+    if M.ndim == 2:
+        return _affine_adjoint(M[None], direct[None])[0]
+    Mt = M.transpose(0, 2, 1)
+    d = direct.transpose(1, 0, 2)[..., None]
+    adj = np.empty(d.shape)
+    adj[-1] = d[-1]
+    matmul, add = np.matmul, np.add
+    for lam, lam_next, d_k in zip(adj[-2::-1], adj[:0:-1], d[-2::-1]):
+        matmul(Mt, lam_next, lam)
+        add(lam, d_k, lam)
+    return np.ascontiguousarray(adj[..., 0].transpose(1, 0, 2))
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
@@ -305,6 +324,11 @@ def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
     C = _as_matrix(C, cols=A.shape[0], name="C")
     if N < 1:
         raise ValueError("N must be >= 1")
+    return _observability_stack(A, C, N)
+
+
+def _observability_stack(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
+    """``observability_matrix`` for matrices that are already validated."""
     blocks = [C]
     for _ in range(N - 1):
         blocks.append(blocks[-1] @ A)
@@ -315,10 +339,10 @@ def _observability_condition(A: np.ndarray, C: np.ndarray) -> float:
     """sigma_max / sigma_min of the N = n observability stack, from one SVD.
 
     +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff), so one
-    value is both the rank decision and the condition number.
+    value is both the rank decision and the condition number. A and C must
+    already be validated, as an ``LtiParams``' matrices are.
     """
-    A = _as_matrix(A, name="A")
-    s = np.linalg.svd(observability_matrix(A, C, A.shape[0]), compute_uv=False)
+    s = np.linalg.svd(_observability_stack(A, C, A.shape[0]), compute_uv=False)
     if s[-1] <= RANK_RTOL * s[0]:  # also the zero stack
         return math.inf
     return float(s[0] / s[-1])
@@ -329,6 +353,8 @@ def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
 
     Rank uses the singular-value cutoff ``RANK_RTOL * sigma_max``.
     """
+    A = _as_matrix(A, name="A")
+    C = _as_matrix(C, cols=A.shape[0], name="C")
     return math.isfinite(_observability_condition(A, C))
 
 

@@ -30,10 +30,10 @@ from .lti_core import (
     is_observable,
     matrix_from_json,
     matrix_to_json,
-    observability_matrix,
     one_norm,
     _affine_rollout,
     _observability_condition,
+    _observability_stack,
 )
 
 __all__ = [
@@ -218,15 +218,26 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
-    n = A.shape[0]
+    desired = _checked_poles(desired, A.shape[0])
+    if not is_observable(A, C):
+        raise PolePlacementInfeasible("pair (A, C) is not observable")
+    return _place_poles(A, C, desired)
+
+
+def _checked_poles(desired, n: int) -> np.ndarray:
+    """The n requested poles as a complex array, checked to lie in the unit disk."""
     desired = np.asarray([complex(z) for z in desired])
     if desired.size != n:
         raise ShapeError(f"need exactly {n} desired poles, got {desired.size}")
     if np.any(np.abs(desired) >= 1.0):
         raise ValueError("all desired poles must lie strictly inside the unit disk")
-    if not is_observable(A, C):
-        raise PolePlacementInfeasible("pair (A, C) is not observable")
+    return desired
 
+
+def _place_poles(A: np.ndarray, C: np.ndarray, desired: np.ndarray) -> ObserverGain:
+    """``place_observer_poles`` for a pair already known to be observable and
+    poles from ``_checked_poles``: the synthesis without the rank check."""
+    n = A.shape[0]
     eig_A = np.linalg.eigvals(A)
     if max_spectrum_deviation(eig_A, desired) < 1e-9:
         # The spectrum is already in place; the zero gain realizes it exactly.
@@ -358,7 +369,7 @@ def conditioning_transform(
     if cond0 <= threshold:
         return identity, params
 
-    O = observability_matrix(params.A, params.C, n)
+    O = _observability_stack(params.A, params.C, n)
     candidates: list[np.ndarray] = []
     R = np.linalg.qr(O, mode="r")[:n, :n]
     r_diag = np.abs(np.diag(R))

@@ -218,3 +218,72 @@ class TestKernelProperties:
         open_ = run_open_loop(lti, inputs, x0)
         assert np.array_equal(closed.states, open_.states)
         assert np.array_equal(closed.outputs, open_.outputs)
+
+
+def plain_rollout(M, x0, forcing):
+    """The per-trial loop the stacked kernel replaced."""
+    states = np.empty((forcing.shape[0] + 1, M.shape[0]))
+    states[0] = x0
+    for k in range(forcing.shape[0]):
+        states[k + 1] = M @ states[k] + forcing[k]
+    return states
+
+
+def plain_adjoint(M, direct):
+    adj = np.empty_like(direct)
+    adj[-1] = direct[-1]
+    for k in range(direct.shape[0] - 2, -1, -1):
+        adj[k] = direct[k] + M.T @ adj[k + 1]
+    return adj
+
+
+class TestStackedKernel:
+    # Training amplifies last-bit differences, so batching must be exact.
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 8),
+        n=st.integers(1, 4),
+        steps=st.integers(1, 40),
+    )
+    def test_rows_equal_per_row_calls(self, seed, batch, n, steps):
+        gen = np.random.default_rng(seed)
+        M = 0.6 * gen.standard_normal((batch, n, n))
+        x0 = gen.standard_normal((batch, n))
+        forcing = gen.standard_normal((batch, steps, n))
+        direct = gen.standard_normal((batch, steps + 1, n))
+        states = _affine_rollout(M, x0, forcing)
+        adj = _affine_adjoint(M, direct)
+        assert states.shape == adj.shape == (batch, steps + 1, n)
+        for b in range(batch):
+            assert states[b].flags.c_contiguous and adj[b].flags.c_contiguous
+            assert np.array_equal(states[b], _affine_rollout(M[b], x0[b], forcing[b]))
+            assert np.array_equal(states[b], plain_rollout(M[b], x0[b], forcing[b]))
+            assert np.array_equal(adj[b], _affine_adjoint(M[b], direct[b]))
+            assert np.array_equal(adj[b], plain_adjoint(M[b], direct[b]))
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(2, 8),
+        n=st.integers(1, 4),
+        steps=st.integers(5, 40),
+        data=st.data(),
+    )
+    def test_overflowing_row_leaves_the_others_unchanged(self, seed, batch, n, steps, data):
+        bad = data.draw(st.integers(0, batch - 1))
+        gen = np.random.default_rng(seed)
+        M = 0.6 * gen.standard_normal((batch, n, n))
+        M[bad] = 1e200 * gen.standard_normal((n, n))
+        x0 = gen.standard_normal((batch, n))
+        forcing = gen.standard_normal((batch, steps, n))
+        direct = gen.standard_normal((batch, steps + 1, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = _affine_rollout(M, x0, forcing)
+            adj = _affine_adjoint(M, direct)
+        assert not np.isfinite(states[bad]).all()
+        assert not np.isfinite(adj[bad]).all()
+        for b in range(batch):
+            if b != bad:
+                assert np.array_equal(states[b], plain_rollout(M[b], x0[b], forcing[b]))
+                assert np.array_equal(adj[b], plain_adjoint(M[b], direct[b]))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from leo.exceptions import DegenerateReferenceError
+from leo import experiments
+from leo.exceptions import DegenerateReferenceError, DivergedRollout, GenerationError
 from leo.experiments import (
     DEFAULT_DIMENSION_GRID,
     _midranks,
@@ -284,14 +285,24 @@ class TestRunMonteCarlo:
             )
 
     def test_parallel_matches_serial(self):
+        # 11 trials per triple: two workers train unequal lockstep batches
+        dims = [(2, 1, 1), (3, 2, 1)]
         serial, r1 = run_monte_carlo(
-            [(2, 1, 1)], trials=10, master_seed=13, train_cfg=FAST_CFG, parallel=1
+            dims, trials=11, master_seed=13, train_cfg=FAST_CFG, parallel=1
         )
         parallel, r2 = run_monte_carlo(
-            [(2, 1, 1)], trials=10, master_seed=13, train_cfg=FAST_CFG, parallel=2
+            dims, trials=11, master_seed=13, train_cfg=FAST_CFG, parallel=2
         )
-        assert serial[0].to_json() == parallel[0].to_json()
+        assert [s.to_json() for s in serial] == [s.to_json() for s in parallel]
+        assert len(r1) == len(r2) == 22
         assert [r.to_json() for r in r1] == [r.to_json() for r in r2]
+
+    def test_batch_matches_single_trials(self):
+        _, results = run_monte_carlo(
+            [(3, 2, 1)], trials=10, master_seed=17, train_cfg=FAST_CFG
+        )
+        for r in results:
+            assert r.to_json() == run_trial(r.spec, FAST_CFG).to_json()
 
     def test_execution_carries_noise_and_rollouts(self):
         ex = execute_trial(TrialSpec(dims=(2, 1, 1), seed=2), FAST_CFG)
@@ -299,3 +310,65 @@ class TestRunMonteCarlo:
         assert ex.noise.v.shape == (261, 1)
         assert set(ex.rollouts) == {"nom_open", "enh_open", "nom_closed", "enh_closed"}
         assert ex.truth.states.shape == (261, 2)
+
+
+class TestFailingTrialInBatch:
+    """One trial of a Monte Carlo batch fails; its result is what it gets on
+    its own, and the other trials' results do not move."""
+
+    DIMS = (2, 1, 1)
+    SEED = 21
+    BAD = 4
+
+    def batch(self):
+        return run_monte_carlo([self.DIMS], trials=10, master_seed=self.SEED, train_cfg=FAST_CFG)[1]
+
+    def bad_spec(self):
+        return TrialSpec(dims=self.DIMS, seed=self.SEED, trial_index=self.BAD)
+
+    def check(self, clean, failing):
+        for i, (a, b) in enumerate(zip(clean, failing)):
+            if i != self.BAD:
+                assert a.to_json() == b.to_json()
+        alone = experiments._run_trials_guarded([self.bad_spec()], FAST_CFG)[0]
+        assert failing[self.BAD].to_json() == alone.to_json()
+        return failing[self.BAD]
+
+    def test_draw_failure(self, monkeypatch):
+        clean = self.batch()
+        original = experiments._trial_steps
+
+        def failing_draw(spec, *args):
+            if spec.trial_index == self.BAD:
+                raise GenerationError("injected")
+            return (yield from original(spec, *args))
+
+        monkeypatch.setattr(experiments, "_trial_steps", failing_draw)
+        bad = self.check(clean, self.batch())
+        assert bad.flags == {"divergence": True, "error": "GenerationError: injected"}
+        assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0
+
+    @pytest.mark.parametrize("exc", [DivergedRollout(3), np.linalg.LinAlgError("injected")])
+    def test_failure_inside_lockstep_training(self, monkeypatch, exc):
+        clean = self.batch()
+        bad_inputs = execute_trial(self.bad_spec(), FAST_CFG).truth.inputs
+        original = experiments._train_steps
+
+        def failing_training(init, inputs, *args):
+            steps = original(init, inputs, *args)
+            if not np.array_equal(inputs, bad_inputs):
+                return (yield from steps)
+            request = next(steps)
+            for _ in range(5):  # a few kernel rounds in step with the others
+                request = steps.send((yield request))
+            raise exc
+
+        monkeypatch.setattr(experiments, "_train_steps", failing_training)
+        bad = self.check(clean, self.batch())
+        if isinstance(exc, DivergedRollout):
+            # a training failure: the enhanced observer falls back to nominal
+            assert bad.flags["divergence"] and "error" not in bad.flags
+            assert bad.e_enhanced_open == bad.e_nominal_open
+            assert bad.to_json() == run_trial(self.bad_spec(), FAST_CFG).to_json()
+        else:
+            assert bad.flags == {"divergence": True, "error": "LinAlgError: injected"}

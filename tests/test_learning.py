@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from leo.exceptions import DivergedRollout
+from leo.exceptions import DivergedRollout, ShapeError
 from leo.learning import (
     AdamState,
     LearnableParams,
@@ -16,6 +16,8 @@ from leo.learning import (
     log_to_jsonl,
     loss,
     train,
+    _lockstep,
+    _train_steps,
 )
 from leo.lti_core import (
     LtiParams,
@@ -419,17 +421,19 @@ class TestTrain:
         # here every epoch that reuses the gain is an unobservable one
         assert res.diagnostics["observable_epochs"] == 5 - res.diagnostics["gain_reuses"]
 
-    @pytest.mark.parametrize("mode, per_epoch", [("luenberger", 2), ("open_loop", 1)])
+    @pytest.mark.parametrize("mode, per_epoch", [("luenberger", 1), ("open_loop", 1)])
     def test_observability_stacks_per_epoch(self, monkeypatch, mode, per_epoch):
-        # one stack decides observability and conditioning; only gain
-        # synthesis builds a second one
+        # one stack decides observability and conditioning; gain synthesis
+        # relies on that decision instead of building a second one
         import leo.learning
         import leo.lti_core
         import leo.observer
 
         sys, inputs, traj, init = make_instance(3, (3, 2, 1))
         calls = []
-        original = leo.lti_core.observability_matrix
+        # the one function that builds stacks; observability_matrix
+        # validates, then calls it
+        original = leo.lti_core._observability_stack
 
         def counted(*args, **kwargs):
             calls.append(1)
@@ -437,8 +441,8 @@ class TestTrain:
 
         # every module that binds the name, so no call path escapes the count
         for module in (leo.lti_core, leo.observer, leo.learning):
-            if hasattr(module, "observability_matrix"):
-                monkeypatch.setattr(module, "observability_matrix", counted)
+            if hasattr(module, "_observability_stack"):
+                monkeypatch.setattr(module, "_observability_stack", counted)
         res = train(init, inputs, traj.outputs, TrainConfig(epochs=5, rollout_mode=mode))
         assert len(res.log) == 5
         assert len(calls) <= per_epoch * 5
@@ -467,3 +471,76 @@ class TestTrain:
             dn = loss(LearnableParams(**kw), gain, inputs, traj.outputs, cfg, init=init).total
             fd = (up - dn) / (2 * h)
             assert abs(g.A_hat[idx] - fd) <= max(1e-4 * abs(fd), 1e-8)
+
+
+def assert_same_training(got, want):
+    """Bitwise-equal parameters, log and diagnostics of two train results."""
+    for field in FIELDS:
+        assert np.array_equal(getattr(got.params, field), getattr(want.params, field))
+    assert got.log == want.log
+    got_diag, want_diag = dict(got.diagnostics), dict(want.diagnostics)
+    got_gain, want_gain = got_diag.pop("final_gain"), want_diag.pop("final_gain")
+    assert got_diag == want_diag
+    assert (got_gain is None) == (want_gain is None)
+    if want_gain is not None:
+        assert np.array_equal(got_gain, want_gain)
+
+
+# The rollback run's accepted steps reach |A| ~ 10, whose 251-step gradient
+# overflows Adam's squared moment; training handles that, numpy warns.
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+class TestLockstepTraining:
+    def mixed_runs(self):
+        """Runs that abort, roll back, change coordinates, start unobservable,
+        fail outright, and use both rollout modes, at three state sizes."""
+        runs = []
+        # aborts at epoch 0 (test_divergence_aborts_with_diagnostics)
+        runs.append((
+            LearnableParams(A_hat=[[100.0]], B_hat=[[0.0]], C_hat=[[1.0]], x0_hat=[1.0]),
+            np.zeros((300, 1)), np.zeros((301, 1)),
+            TrainConfig(rollout_mode="open_loop", epochs=10),
+        ))
+        # the first Adam step (about lr0) makes the rollout overflow, so the
+        # run rolls back, halves the learning rate and goes on
+        gen = RngStream(21).generator()
+        runs.append((
+            LearnableParams(A_hat=[[1.0]], B_hat=[[1.0]], C_hat=[[1.0]], x0_hat=[1.0]),
+            gen.normal(0, 1, (260, 1)), gen.normal(0, 1, (261, 1)),
+            TrainConfig(rollout_mode="open_loop", epochs=6, lr0=40.0),
+        ))
+        # conditioning_threshold=1 forces coordinate transforms
+        _, inputs, traj, init = make_instance(3, (3, 2, 1))
+        runs.append((init, inputs, traj.outputs, TrainConfig(epochs=12, conditioning_threshold=1)))
+        # the unobservable start of test_unobservable_start_reuses_zero_gain
+        gen = RngStream(12).generator()
+        runs.append((
+            LearnableParams(
+                A_hat=np.eye(2), B_hat=[[1.0], [0.5]], C_hat=[[1.0, 0.0]], x0_hat=[0.0, 0.0],
+            ),
+            gen.normal(0, 1, (260, 1)), gen.normal(0, 1, (261, 1)), TrainConfig(epochs=5),
+        ))
+        # ordinary runs in both modes, sharing request shapes with the above
+        for seed, mode in ((4, "luenberger"), (5, "open_loop"), (6, "luenberger")):
+            _, inputs, traj, init = make_instance(seed, (3, 2, 1))
+            runs.append((init, inputs, traj.outputs, TrainConfig(epochs=12, rollout_mode=mode)))
+        _, inputs, traj, init = make_instance(7, (2, 1, 1))
+        runs.append((init, inputs, traj.outputs, TrainConfig(epochs=12, rollout_mode="open_loop")))
+        # a horizon shorter than the window: this run raises, the rest go on
+        runs.append((init, inputs[:100], traj.outputs[:101], TrainConfig(epochs=3)))
+        return runs
+
+    def test_lockstep_matches_one_run_at_a_time(self):
+        runs = self.mixed_runs()
+        together = _lockstep([_train_steps(*run) for run in runs])
+        assert len(together) == len(runs)
+        for run, got in zip(runs[:-1], together[:-1]):
+            assert_same_training(got, train(*run))
+        assert isinstance(together[-1], ShapeError)
+        with pytest.raises(ShapeError, match="exceeds horizon"):
+            train(*runs[-1])
+        # the batch really has every branch it is meant to cover
+        diags = [r.diagnostics for r in together[:-1]]
+        assert diags[0]["aborted"] and diags[0]["abort_epoch"] == 0
+        assert diags[1]["lr_halvings"] >= 1 and not diags[1]["aborted"]
+        assert diags[2]["transforms_applied"] >= 1
+        assert diags[3]["gain_reuses"] >= 1
