@@ -1,14 +1,14 @@
 """Gradient-based refinement of uncertain system matrices.
 
-The trainable object is the matrix triple plus the initial state estimate.
-Each epoch rolls a Luenberger observer (or a pure predictor) over the
-recorded input/output data, measures the mean absolute output discrepancy
-over a steady-state window, adds anchored regularization that keeps the
-matrices near their starting values, and takes one Adam step on the exact
-reverse-mode gradient. The observer gain is re-synthesized from the current
-matrices between epochs and treated as a constant inside the gradient: the
-rollout is then an affine recursion, so its adjoint is the matching
-backward affine recursion.
+The trainable object is the matrix triple plus the initial state estimate,
+held as one parameter vector θ. Each epoch rolls a Luenberger observer (or
+a pure predictor) over the recorded input/output data, measures the mean
+absolute output discrepancy over a steady-state window, adds anchored
+regularization that keeps the matrices near their starting values, and
+takes one Adam step on the exact reverse-mode gradient. The observer gain
+is re-synthesized from the current matrices between epochs and treated as a
+constant inside the gradient: the rollout is then an affine recursion, so
+its adjoint is the matching backward affine recursion.
 
 The loss/gradient and the training loop are step generators: they yield
 their rollout and adjoint requests to ``_lockstep``, which serves the
@@ -22,8 +22,9 @@ The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,29 +71,44 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class LearnableParams:
-    """The optimizable quantities: system matrices and initial state guess."""
+    """The optimizable quantities: system matrices and initial state guess.
+
+    One vector ``theta`` holds A, B and C row-major, then x0. The fields are
+    read-only views of it, so training's rollback snapshots cannot change.
+    """
 
     A_hat: np.ndarray
     B_hat: np.ndarray
     C_hat: np.ndarray
     x0_hat: np.ndarray
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    dims: tuple[int, int, int] = field(init=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A_hat, dtype=float)
         B = np.asarray(self.B_hat, dtype=float)
         C = np.asarray(self.C_hat, dtype=float)
         x0 = np.asarray(self.x0_hat, dtype=float).reshape(-1)
+        if A.ndim != 2 or B.ndim != 2 or C.ndim != 2:
+            raise ShapeError("learnable matrices must be 2-D")
         n = A.shape[0]
         if A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n or x0.size != n:
             raise ShapeError("inconsistent learnable parameter shapes")
-        for name, arr in (("A_hat", A), ("B_hat", B), ("C_hat", C), ("x0_hat", x0)):
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
+        self._bind(np.concatenate((A, B, C, x0), axis=None), (n, B.shape[1], C.shape[0]))
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.A_hat.shape[0], self.B_hat.shape[1], self.C_hat.shape[0]
+    @staticmethod
+    def _of(theta: np.ndarray, dims: tuple[int, int, int]) -> "LearnableParams":
+        """Parameters that take over θ; like the constructor, checks it finite once."""
+        return object.__new__(LearnableParams)._bind(theta, dims)
+
+    def _bind(self, theta: np.ndarray, dims: tuple[int, int, int]) -> "LearnableParams":
+        if not np.isfinite(theta).all():
+            raise ShapeError("learnable parameters contain non-finite entries")
+        theta.flags.writeable = False
+        names = ("theta", "dims", "A_hat", "B_hat", "C_hat", "x0_hat")
+        for name, value in zip(names, (theta, dims, *_blocks(theta, *dims))):
+            object.__setattr__(self, name, value)
+        return self
 
     def as_lti(self) -> LtiParams:
         return LtiParams(A=self.A_hat, B=self.B_hat, C=self.C_hat)
@@ -108,6 +124,12 @@ class LearnableParams:
             "C": matrix_to_json(self.C_hat),
             "x0": [float(x) for x in self.x0_hat],
         }
+
+
+def _blocks(theta: np.ndarray, n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """Views of the A, B, C and x0 blocks of a θ-shaped vector."""
+    b, c, x = n * n, n * (n + p), n * (n + p + q)
+    return theta[:b].reshape(n, n), theta[b:c].reshape(n, p), theta[c:x].reshape(q, n), theta[x:]
 
 
 @dataclass(frozen=True)
@@ -135,14 +157,21 @@ class TrainConfig:
     conditioning_threshold: float = 1e8
 
     def __post_init__(self):
-        if self.lr0 <= 0 or self.decay_factor <= 0 or self.decay_every <= 0:
-            raise ValueError("learning-rate schedule values must be positive")
+        # Every comparison is written so that NaN fails it.
+        for name in ("epochs", "decay_every", "window_start", "window_len"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        if not (0 < self.lr0 < np.inf and 0 < self.decay_factor < np.inf and self.decay_every > 0):
+            raise ValueError("learning-rate schedule values must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.window_start < 0 or self.window_len <= 0:
             raise ValueError("steady-state window must be non-degenerate")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
+        lambdas = [x for x in (self.lambda_A, self.lambda_B, self.lambda_C) if x is not None]
+        if not all(0 <= x < np.inf for x in (self.weight_decay, *lambdas)):
+            raise ValueError("weight_decay and lambda_* must be non-negative and finite")
+        if not self.conditioning_threshold > 0:
+            raise ValueError("conditioning_threshold must be positive")
         if self.rollout_mode not in ROLLOUT_MODES:
             raise ValueError(f"rollout_mode must be one of {ROLLOUT_MODES}")
 
@@ -160,16 +189,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators, one pair per learnable tensor."""
+    """First/second moment vectors, shaped like the parameter vector θ."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @staticmethod
     def for_params(params: LearnableParams) -> "AdamState":
-        zeros = {k: np.zeros_like(t) for k, t in _tensors(params).items()}
-        return AdamState(m=zeros, v={k: z.copy() for k, z in zeros.items()})
+        return AdamState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
 
 
 @dataclass(frozen=True)
@@ -179,15 +207,6 @@ class LossBreakdown:
     reg_B: float
     reg_C: float
     total: float
-
-
-def _tensors(obj) -> dict:
-    return {
-        "A": obj.A_hat,
-        "B": obj.B_hat,
-        "C": obj.C_hat,
-        "x0": obj.x0_hat,
-    }
 
 
 def elementwise_mean_abs(M) -> float:
@@ -252,9 +271,7 @@ def _loss_and_gradient(
     residuals = measured[window] - states[window] @ params.C_hat.T
     data_term = float(np.abs(residuals).mean(axis=1).sum() / K)
 
-    dA = params.A_hat - anchor.A_hat
-    dB = params.B_hat - anchor.B_hat
-    dC = params.C_hat - anchor.C_hat
+    dA, dB, dC, _ = _blocks(params.theta - anchor.theta, n, p, q)
     reg_A = elementwise_mean_abs(dA)
     reg_B = elementwise_mean_abs(dB)
     reg_C = elementwise_mean_abs(dC)
@@ -278,12 +295,12 @@ def _loss_and_gradient(
     gC = -(S.T @ states)
     if L is not None:
         gC -= L.T @ gA
-    gx0 = adj[0].copy()
 
     gA += lam_A * np.sign(dA) / dA.size
     gB += lam_B * np.sign(dB) / dB.size
     gC += lam_C * np.sign(dC) / dC.size
-    return breakdown, LearnableParams(A_hat=gA, B_hat=gB, C_hat=gC, x0_hat=gx0)
+    theta = np.concatenate((gA, gB, gC, adj[0]), axis=None)
+    return breakdown, LearnableParams._of(theta, (n, p, q))
 
 
 def _lockstep(steps: list) -> list:
@@ -394,21 +411,13 @@ def adam_step(
     """
     t = state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_m, new_v, new_p = {}, {}, {}
-    p_tensors = _tensors(params)
-    g_tensors = _tensors(grads)
-    for key, p in p_tensors.items():
-        g = g_tensors[key]
-        m = b1 * state.m[key] + (1 - b1) * g
-        v = b2 * state.v[key] + (1 - b2) * np.square(g)
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_p[key] = p * (1 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[key], new_v[key] = m, v
-    out_params = LearnableParams(
-        A_hat=new_p["A"], B_hat=new_p["B"], C_hat=new_p["C"], x0_hat=new_p["x0"]
-    )
-    return replace(state, m=new_m, v=new_v, step=t), out_params
+    g = grads.theta
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * np.square(g)
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    theta = params.theta * (1 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m=m, v=v, step=t), LearnableParams._of(theta, params.dims)
 
 
 @dataclass

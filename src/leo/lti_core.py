@@ -255,8 +255,8 @@ def simulate_true(
     n, p, q = sys.real.dims
     inputs = _as_matrix(inputs, cols=p, name="inputs")
     T = inputs.shape[0] if horizon is None else int(horizon)
-    if inputs.shape[0] < T:
-        raise ShapeError(f"need {T} inputs, got {inputs.shape[0]}")
+    if not 0 <= T <= inputs.shape[0]:
+        raise ShapeError(f"horizon {T} is negative or exceeds the {inputs.shape[0]} inputs")
     if noise.w.shape[0] < T or noise.v.shape[0] < T + 1:
         raise ShapeError("noise realization shorter than the simulation horizon")
     if noise.w.shape[1] != n or noise.v.shape[1] != q:

@@ -303,8 +303,8 @@ def run_luenberger(
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
     T = inputs.shape[0] if horizon is None else int(horizon)
-    if inputs.shape[0] < T or measured.shape[0] < T:
-        raise ShapeError("inputs/measured outputs shorter than the horizon")
+    if not 0 <= T <= min(inputs.shape[0], measured.shape[0]):
+        raise ShapeError(f"horizon {T} is negative or exceeds the inputs/measured outputs")
     x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
 
     A, B, C = params.A, params.B, params.C
@@ -323,8 +323,8 @@ def run_open_loop(
     n, p, q = params.dims
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     T = inputs.shape[0] if horizon is None else int(horizon)
-    if inputs.shape[0] < T:
-        raise ShapeError("inputs shorter than the horizon")
+    if not 0 <= T <= inputs.shape[0]:
+        raise ShapeError(f"horizon {T} is negative or exceeds the {inputs.shape[0]} inputs")
     x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
     states = _affine_rollout(params.A, x0_hat, inputs[:T] @ params.B.T)
     return Trajectory(inputs=inputs[:T], states=states, outputs=states @ params.C.T)

@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from leo.exceptions import DivergedRollout, ShapeError
 from leo.learning import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     LearnableParams,
     TrainConfig,
@@ -38,6 +43,41 @@ C_INIT = np.array([[1.1104, -0.0319]])
 X0_INIT = np.array([5.8107, 8.3609])
 
 FIELDS = ("A_hat", "B_hat", "C_hat", "x0_hat")
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def random_params(gen, dims, scale=1.0):
+    """Parameters with standard normal entries times ``scale``."""
+    n, p, q = dims
+    return LearnableParams(
+        A_hat=scale * gen.standard_normal((n, n)),
+        B_hat=scale * gen.standard_normal((n, p)),
+        C_hat=scale * gen.standard_normal((q, n)),
+        x0_hat=scale * gen.standard_normal(n),
+    )
+
+
+def adam_step_per_tensor(m, v, step, params, grads, lr, weight_decay):
+    """The per-tensor Adam loop over dict moments that the one vector update
+    replaced; kept as the reference it must equal bit for bit."""
+    t = step + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    new_m, new_v, new_p = {}, {}, {}
+    for key in FIELDS:
+        p, g = getattr(params, key), getattr(grads, key)
+        mk = b1 * m[key] + (1 - b1) * g
+        vk = b2 * v[key] + (1 - b2) * np.square(g)
+        m_hat = mk / (1 - b1**t)
+        v_hat = vk / (1 - b2**t)
+        new_p[key] = p * (1 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        new_m[key], new_v[key] = mk, vk
+    return new_m, new_v, new_p
+
+
+def flat(fields: dict) -> np.ndarray:
+    """The per-field arrays in parameter-vector order."""
+    return np.concatenate([fields[key] for key in FIELDS], axis=None)
 
 
 def make_instance(seed, dims, x0_offset=10.0, noise=0.1, T=260):
@@ -275,6 +315,118 @@ class TestAdamStep:
         )
         _, out = adam_step(AdamState.for_params(params), params, grads, lr=0.1, weight_decay=0.01)
         assert out.A_hat[0, 0] == pytest.approx(1.0 - 0.1 * 0.01)
+
+
+class TestAdamStepMatchesPerTensorLoop:
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        step=st.integers(0, 299),
+        lr=st.floats(1e-8, 10.0),
+        weight_decay=st.floats(0.0, 0.1),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+    )
+    def test_bitwise_equal(self, seed, dims, step, lr, weight_decay, scale):
+        gen = np.random.default_rng(seed)
+        params = random_params(gen, dims)
+        grads = random_params(gen, dims, scale)
+        m = random_params(gen, dims, scale)
+        v = random_params(gen, dims, scale**2)
+        v_abs = {key: np.abs(getattr(v, key)) for key in FIELDS}
+        state = AdamState(m=m.theta, v=flat(v_abs), step=step)
+        got_state, got = adam_step(state, params, grads, lr, weight_decay)
+        want_m, want_v, want_p = adam_step_per_tensor(
+            {key: getattr(m, key) for key in FIELDS}, v_abs, step, params, grads, lr, weight_decay
+        )
+        assert got_state.step == step + 1
+        assert np.array_equal(got_state.m, flat(want_m))
+        assert np.array_equal(got_state.v, flat(want_v))
+        for key in FIELDS:
+            assert np.array_equal(getattr(got, key), want_p[key])
+
+
+class TestLearnableParams:
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    )
+    def test_fields_are_read_only_views_of_theta(self, seed, dims):
+        params = random_params(np.random.default_rng(seed), dims)
+        assert params.dims == dims
+        assert np.array_equal(
+            params.theta, np.concatenate([getattr(params, key) for key in FIELDS], axis=None)
+        )
+        for key in FIELDS:
+            block = getattr(params, key)
+            assert np.shares_memory(block, params.theta)
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            params.theta[0] = 0.0
+
+    def test_training_outputs_are_read_only(self):
+        sys, inputs, traj, init = make_instance(1, (2, 1, 1))
+        gain = place_observer_poles(init.A_hat, init.C_hat, default_observer_poles(2))
+        grads = gradient(init, gain, inputs, traj.outputs, TrainConfig(), init=init)
+        _, stepped = adam_step(AdamState.for_params(init), init, grads, 1e-3)
+        trained = train(init, inputs, traj.outputs, TrainConfig(epochs=2)).params
+        for params in (grads, stepped, trained):
+            with pytest.raises(ValueError, match="read-only"):
+                params.A_hat[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("A_hat", [1.0, 0.0]),
+            ("B_hat", [1.0, 0.5]),
+            ("C_hat", [1.0, 0.0]),
+            ("C_hat", [[[1.0, 0.0]]]),
+            ("B_hat", [[1.0], [0.5], [0.2]]),
+            ("x0_hat", [0.0, 0.0, 0.0]),
+            ("x0_hat", [np.nan, 0.0]),
+            ("A_hat", [[1.0, np.inf], [0.0, 1.0]]),
+        ],
+    )
+    def test_malformed_fields_rejected(self, key, value):
+        kw = dict(A_hat=np.eye(2), B_hat=[[1.0], [0.5]], C_hat=[[1.0, 0.0]], x0_hat=[0.0, 0.0])
+        kw[key] = value
+        with pytest.raises(ShapeError):
+            LearnableParams(**kw)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"lr0": float("nan")},
+            {"lr0": float("inf")},
+            {"decay_factor": float("nan")},
+            {"decay_factor": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
+            {"lambda_A": float("nan")},
+            {"lambda_B": -1e-3},
+            {"lambda_C": float("inf")},
+            {"conditioning_threshold": float("nan")},
+            {"conditioning_threshold": 0.0},
+            {"conditioning_threshold": -1.0},
+            {"epochs": 3.0},
+            {"decay_every": 200.5},
+            {"window_start": 201.0},
+            {"window_len": 50.5},
+        ],
+    )
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
+    def test_boundary_values_accepted(self):
+        cfg = TrainConfig(
+            epochs=np.int64(0), weight_decay=0.0, lambda_A=0.0, conditioning_threshold=np.inf
+        )
+        assert cfg.resolved_lambdas(2, 1, 1)[0] == 0.0
 
 
 class TestTrain:

@@ -95,6 +95,13 @@ class TestSimulateTrue:
         with pytest.raises(ShapeError):
             simulate_true(sys, np.ones((5, 1)), NoiseRealization.zero(3, 2, 1), 5)
 
+    def test_negative_horizon_rejected(self):
+        sys = demo_true_system()
+        noise = NoiseRealization.zero(5, 2, 1)
+        with pytest.raises(ShapeError):
+            simulate_true(sys, np.ones((5, 1)), noise, -1)
+        assert simulate_true(sys, np.ones((5, 1)), noise, 0).states.shape == (1, 2)
+
 
 class TestObservabilityMatrix:
     def test_identity_powers(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from leo.exceptions import PolePlacementInfeasible
+from leo.exceptions import PolePlacementInfeasible, ShapeError
 from leo.lti_core import (
     LtiParams,
     RngStream,
@@ -110,6 +110,19 @@ class TestObserverRollouts:
         )
         open_ = run_open_loop(self.params, self.inputs, x0, self.T)
         assert_allclose(closed.states, open_.states, atol=0)
+
+    def test_open_loop_negative_horizon_rejected(self):
+        x0 = np.zeros(3)
+        with pytest.raises(ShapeError):
+            run_open_loop(self.params, self.inputs[:10], x0, horizon=-1)
+        assert run_open_loop(self.params, self.inputs[:10], x0, horizon=0).states.shape == (1, 3)
+
+    def test_luenberger_negative_horizon_rejected(self):
+        x0, L = np.zeros(3), np.zeros((3, 1))
+        with pytest.raises(ShapeError):
+            run_luenberger(self.params, L, self.inputs, self.measured, x0, horizon=-3)
+        roll = run_luenberger(self.params, L, self.inputs, self.measured, x0, horizon=0)
+        assert roll.states.shape == (1, 3)
 
     def test_exact_start_tracks_exactly(self):
         gain = place_observer_poles(self.params.A, self.params.C, default_observer_poles(3))
