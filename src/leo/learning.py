@@ -11,10 +11,11 @@ constant inside the gradient: the rollout is then an affine recursion, so
 its adjoint is the matching backward affine recursion.
 
 The loss/gradient and the training loop are step generators: they yield
-their rollout and adjoint requests to ``_lockstep``, which serves the
-requests of many runs (the trials of a Monte Carlo batch) with one stacked
-kernel call per time step. ``train``, ``loss`` and ``gradient`` run it on
-one run; a run's results are bitwise the same alone or batched.
+their rollout, adjoint and gain-placement requests to ``_lockstep``, which
+serves the requests of many runs (the trials of a Monte Carlo batch) with
+one stacked kernel call per time step or placement. ``train``, ``loss`` and
+``gradient`` run it on one run; a run's results are bitwise the same alone
+or batched.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -111,7 +112,7 @@ class LearnableParams:
         return self
 
     def as_lti(self) -> LtiParams:
-        return LtiParams(A=self.A_hat, B=self.B_hat, C=self.C_hat)
+        return LtiParams._of(self.A_hat, self.B_hat, self.C_hat)
 
     @staticmethod
     def from_lti(params: LtiParams, x0_hat: np.ndarray) -> "LearnableParams":
@@ -306,11 +307,13 @@ def _loss_and_gradient(
 def _lockstep(steps: list) -> list:
     """Run step generators together, one stacked kernel call per request group.
 
-    A step generator yields kernel requests, ``("rollout", M, x0, forcing)``
-    or ``("adjoint", M, direct)``, and is sent the kernel's result for its
-    own arrays. Each round serves the largest group of pending requests of
-    one kind and shape with one batched ``_affine_rollout`` or
-    ``_affine_adjoint`` call, so a generator that falls out of phase (a
+    A step generator yields kernel requests, ``("rollout", M, x0, forcing)``,
+    ``("adjoint", M, direct)`` or ``("place", A, C, poles)``, and is sent the
+    kernel's result for its own arrays; a placement that fails is thrown
+    into it as its ``SynthesisFailureError``. Each round serves the largest
+    group of pending requests of one kind and shape (and, for placements,
+    the same poles) with one batched ``_affine_rollout``, ``_affine_adjoint``
+    or ``_place_poles`` call, so a generator that falls out of phase (a
     rollback repeats its rollout) rejoins the others a round later. The
     stacked kernels compute every row as its own call would, so no outcome
     depends on the grouping. Returns each generator's return value, or the
@@ -321,7 +324,10 @@ def _lockstep(steps: list) -> list:
 
     def advance(i: int, value) -> None:
         try:
-            pending[i] = steps[i].send(value)
+            if isinstance(value, Exception):
+                pending[i] = steps[i].throw(value)
+            else:
+                pending[i] = steps[i].send(value)
         except StopIteration as stop:
             outcomes[i] = stop.value
         except Exception as exc:
@@ -332,18 +338,37 @@ def _lockstep(steps: list) -> list:
     while pending:
         groups: dict[tuple, list[int]] = defaultdict(list)
         for i, (kind, *arrays) in pending.items():
-            groups[(kind, *(a.shape for a in arrays))].append(i)
+            key = (kind, *(a.shape for a in arrays))
+            if kind == "place":
+                key += (arrays[2].tobytes(),)
+            groups[key].append(i)
         (kind, *_), members = max(groups.items(), key=lambda group: len(group[1]))
-        batch = [np.stack(arrays) for arrays in zip(*(pending.pop(i)[1:] for i in members))]
+        requests = [pending.pop(i)[1:] for i in members]
+        for i, row in zip(members, _serve(kind, requests)):
+            advance(i, row)
+    return outcomes
+
+
+def _serve(kind: str, requests: list) -> list:
+    """One stacked kernel call for same-shaped requests: a result per request.
+
+    If the stacked call raises, each request is served alone, so the
+    exception reaches only the requests whose own call raises it.
+    """
+    try:
+        if kind == "place":
+            A, C = (np.stack(arrays) for arrays in zip(*(r[:2] for r in requests)))
+            return _place_poles(A, C, requests[0][2])
+        batch = [np.stack(arrays) for arrays in zip(*requests)]
         if kind == "rollout":
             # Overflow is reported by the caller's finiteness check.
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = _affine_rollout(*batch)
-        else:
-            rows = _affine_adjoint(*batch)
-        for i, row in zip(members, rows):
-            advance(i, row)
-    return outcomes
+                return list(_affine_rollout(*batch))
+        return list(_affine_adjoint(*batch))
+    except Exception as exc:
+        if len(requests) == 1:
+            return [exc]
+        return [_serve(kind, [request])[0] for request in requests]
 
 
 def _run(step):
@@ -526,7 +551,7 @@ def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConf
         if luenberger:
             if observable:
                 try:
-                    L = _place_poles(current_lti.A, current_lti.C, poles).L
+                    L = (yield ("place", current_lti.A, current_lti.C, poles)).L
                     refreshed = True
                 except SynthesisFailureError:
                     pass

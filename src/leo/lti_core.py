@@ -96,15 +96,23 @@ class LtiParams:
         n = A.shape[0]
         if A.shape[1] != n:
             raise ShapeError(f"A must be square, got {A.shape}")
-        B = _as_matrix(self.B, rows=n, name="B")
-        C = _as_matrix(self.C, cols=n, name="C")
-        if B.shape[1] > n:
-            raise ShapeError(f"input dimension p={B.shape[1]} exceeds n={n}")
+        self._bind(A, _as_matrix(self.B, rows=n, name="B"), _as_matrix(self.C, cols=n, name="C"))
+
+    @staticmethod
+    def _of(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> "LtiParams":
+        """Parameters from finite float matrices whose shapes already agree
+        (n x n, n x p, q x n), such as ``LearnableParams``' views: like the
+        constructor, but without its per-entry checks."""
+        return object.__new__(LtiParams)._bind(A, B, C)
+
+    def _bind(self, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> "LtiParams":
+        if B.shape[1] > A.shape[0]:
+            raise ShapeError(f"input dimension p={B.shape[1]} exceeds n={A.shape[0]}")
         if C.shape[0] < 1:
             raise ShapeError("C must have at least one row")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        for name, M in (("A", A), ("B", B), ("C", C)):
+            object.__setattr__(self, name, M)
+        return self
 
     @property
     def dims(self) -> tuple[int, int, int]:

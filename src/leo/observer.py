@@ -8,12 +8,15 @@ and a random q x n matrix G, solve
 
 for X through the equivalent Kronecker linear system, and read off
 L = (G X^{-1})^T. This works for any output dimension, unlike
-single-output Ackermann-style formulas.
+single-output Ackermann-style formulas. Synthesis runs on a stack of pairs
+at once (the trials of a lockstep training batch), and what depends only on
+the requested poles (F, its Kronecker term and the G draws) is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -105,9 +108,12 @@ class CoordinateTransform:
         object.__setattr__(self, "T_inv", T_inv)
 
     @staticmethod
+    @lru_cache(maxsize=16)
     def identity(n: int) -> "CoordinateTransform":
+        """The identity on n states: one shared instance per n, read-only."""
         eye = np.eye(n)
-        return CoordinateTransform(T=eye, T_inv=eye.copy())
+        eye.flags.writeable = False
+        return CoordinateTransform(T=eye, T_inv=eye)
 
     @staticmethod
     def from_matrix(T: np.ndarray) -> "CoordinateTransform":
@@ -234,44 +240,107 @@ def _checked_poles(desired, n: int) -> np.ndarray:
     return desired
 
 
-def _place_poles(A: np.ndarray, C: np.ndarray, desired: np.ndarray) -> ObserverGain:
-    """``place_observer_poles`` for a pair already known to be observable and
-    poles from ``_checked_poles``: the synthesis without the rank check."""
-    n = A.shape[0]
-    eig_A = np.linalg.eigvals(A)
-    if max_spectrum_deviation(eig_A, desired) < 1e-9:
-        # The spectrum is already in place; the zero gain realizes it exactly.
-        return ObserverGain(L=np.zeros((n, C.shape[0])), desired_poles=tuple(desired))
+@lru_cache(maxsize=32)
+def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What placing ``poles`` with q outputs needs that no (A, C) changes.
 
-    F, targets = _spectrum_block_diag(desired)
-    # Kronecker form of A^T X - X F = C^T G, with column-stacked vec(X).
-    K = np.kron(np.eye(n), A.T) - np.kron(F.T, np.eye(n))
-    rhs_left = C.T
-    singular_operator = bool(np.linalg.matrix_rank(K) < n * n)
-
+    Returns -kron(F^T, I) for the spectrum matrix F, the spectrum F attains
+    and the ``_MAX_G_ATTEMPTS`` draws of G, all read-only: every caller
+    shares them.
+    """
+    n = len(poles)
+    F, targets = _spectrum_block_diag(np.asarray(poles))
+    neg_kron = -np.kron(F.T, np.eye(n))
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(889231)))
-    best: tuple[float, np.ndarray] | None = None
-    for _ in range(_MAX_G_ATTEMPTS):
-        G = gen.standard_normal((C.shape[0], n))
-        rhs = (rhs_left @ G).reshape(-1, order="F")
-        if singular_operator:
-            vecX = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    draws = np.stack([gen.standard_normal((q, n)) for _ in range(_MAX_G_ATTEMPTS)])
+    for constant in (neg_kron, targets, draws):
+        constant.flags.writeable = False
+    return neg_kron, targets, draws
+
+
+def _place_poles(A: np.ndarray, C: np.ndarray, desired: np.ndarray):
+    """``place_observer_poles`` for pairs already known to be observable and
+    poles from ``_checked_poles``: the synthesis without the rank check.
+
+    Batched over a leading trial axis: A (B, n, n) and C (B, q, n) give a
+    list with one ``ObserverGain``, or one ``SynthesisFailureError``, per
+    trial. Each step is one stacked call over the trials still without a
+    gain; a stacked LAPACK call or matmul computes every item as its own
+    call would, so each trial's outcome is bitwise that of its own call.
+    A 2-D A and C are a batch of one: the gain is returned, the failure
+    raised.
+    """
+    if A.ndim == 2:
+        (gain,) = _place_poles(A[None], C[None], desired)
+        if isinstance(gain, SynthesisFailureError):
+            raise gain
+        return gain
+    n, q = A.shape[1], C.shape[1]
+    poles = tuple(desired)
+    out: list = [None] * A.shape[0]
+    eig_A = np.linalg.eigvals(A)
+    rows = []
+    for b, eig in enumerate(eig_A):
+        if max_spectrum_deviation(eig, desired) < 1e-9:
+            # The spectrum is already in place; the zero gain realizes it exactly.
+            out[b] = ObserverGain(L=np.zeros((n, q)), desired_poles=poles)
+        else:
+            rows.append(b)
+    if not rows:
+        return out
+
+    neg_kron, targets, draws = _placement_constants(poles, q)
+    # The rows without a gain: their positions in the batch, and their
+    # arrays, which shrink only when a row is done before the others.
+    rows = np.asarray(rows)
+    if len(rows) < len(out):
+        A, C = A[rows], C[rows]
+    # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
+    # K = kron(I, A^T) - kron(F^T, I), whose diagonal blocks hold A^T.
+    K = np.repeat(neg_kron[None], len(rows), axis=0)
+    At = A.transpose(0, 2, 1)
+    for i in range(0, n * n, n):
+        K[:, i : i + n, i : i + n] += At
+    singular = np.linalg.matrix_rank(K) < n * n
+
+    best: dict[int, float] = {}
+    for G in draws:
+        rhs = (C.transpose(0, 2, 1) @ G).transpose(0, 2, 1).reshape(len(rows), n * n, 1)
+        if singular.any():
+            vecX = np.empty(rhs.shape)
+            regular = ~singular
+            vecX[regular] = np.linalg.solve(K[regular], rhs[regular])
+            for j in np.flatnonzero(singular):
+                vecX[j, :, 0] = np.linalg.lstsq(K[j], rhs[j, :, 0], rcond=None)[0]
         else:
             vecX = np.linalg.solve(K, rhs)
-        X = vecX.reshape(n, n, order="F")
-        sv = np.linalg.svd(X, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+        Xt = vecX.reshape(len(rows), n, n)  # each row's X^T
+        sv = np.linalg.svd(Xt.transpose(0, 2, 1), compute_uv=False)
+        solvable = ~((sv[:, 0] == 0.0) | (sv[:, -1] < 1e-10 * sv[:, 0]))
+        if not solvable.any():
             continue
-        L = np.linalg.solve(X.T, G.T)
-        deviation = max_spectrum_deviation(np.linalg.eigvals(A - L @ C), targets)
-        if deviation < _PLACEMENT_TOL:
-            return ObserverGain(L=L, desired_poles=tuple(desired))
-        if best is None or deviation < best[0]:
-            best = (deviation, L)
-    raise SynthesisFailureError(
-        f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
-        + (f" (best deviation {best[0]:.3e})" if best else "")
-    )
+        done = np.zeros(len(rows), dtype=bool)
+        tried = slice(None) if solvable.all() else solvable
+        L = np.linalg.solve(Xt[tried], G.T)
+        attained = np.linalg.eigvals(A[tried] - L @ C[tried])
+        for j, L_j, eig in zip(np.flatnonzero(solvable), L, attained):
+            deviation = max_spectrum_deviation(eig, targets)
+            if deviation < _PLACEMENT_TOL:
+                # A copy, so no trial's gain shares memory with another's.
+                out[rows[j]] = ObserverGain(L=L_j.copy(), desired_poles=poles)
+                done[j] = True
+            else:
+                best[rows[j]] = min(deviation, best.get(rows[j], np.inf))
+        if done.all():
+            return out
+        rows, A, C, K, singular = (a[~done] for a in (rows, A, C, K, singular))
+
+    for row in rows:
+        out[row] = SynthesisFailureError(
+            f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
+            + (f" (best deviation {best[row]:.3e})" if row in best else "")
+        )
+    return out
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:

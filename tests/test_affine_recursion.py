@@ -287,3 +287,42 @@ class TestStackedKernel:
             if b != bad:
                 assert np.array_equal(states[b], plain_rollout(M[b], x0[b], forcing[b]))
                 assert np.array_equal(adj[b], plain_adjoint(M[b], direct[b]))
+
+
+class TestStackedLinalg:
+    # Gain synthesis serves a lockstep batch with these stacked calls, so
+    # each item must equal its own call bitwise, as in the placement code.
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 10),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_items_equal_per_item_calls(self, seed, batch, n, data):
+        q = data.draw(st.integers(1, n))
+        m = n * n
+        gen = np.random.default_rng(seed)
+        M = gen.standard_normal((batch, n, n))
+        K = gen.standard_normal((batch, m, m))
+        if m > 1 and data.draw(st.booleans()):
+            K[0, :, -1] = K[0, :, 0]  # one rank-deficient item
+        rhs = gen.standard_normal((batch, m))
+        C = gen.standard_normal((batch, q, n))
+        G = gen.standard_normal((q, n))
+        eig = np.linalg.eigvals(M)
+        sv = np.linalg.svd(M, compute_uv=False)
+        rank = np.linalg.matrix_rank(K)
+        regular = rank == m
+        x = np.empty_like(rhs)
+        x[regular] = np.linalg.solve(K[regular], rhs[regular][..., None])[..., 0]
+        L = np.linalg.solve(M, G.T)
+        CtG = C.transpose(0, 2, 1) @ G
+        for b in range(batch):
+            assert np.array_equal(eig[b], np.linalg.eigvals(M[b]))
+            assert np.array_equal(sv[b], np.linalg.svd(M[b], compute_uv=False))
+            assert rank[b] == np.linalg.matrix_rank(K[b])
+            if regular[b]:
+                assert np.array_equal(x[b], np.linalg.solve(K[b], rhs[b]))
+            assert np.array_equal(L[b], np.linalg.solve(M[b], G.T))
+            assert np.array_equal(CtG[b], C[b].T @ G)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from leo.exceptions import DivergedRollout, ShapeError
+import leo.learning
+from leo.exceptions import DivergedRollout, ShapeError, SynthesisFailureError
 from leo.learning import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -696,3 +697,51 @@ class TestLockstepTraining:
         assert diags[1]["lr_halvings"] >= 1 and not diags[1]["aborted"]
         assert diags[2]["transforms_applied"] >= 1
         assert diags[3]["gain_reuses"] >= 1
+
+    def test_failed_placement_reuses_the_gain_of_that_run_only(self, monkeypatch):
+        # The run of seed 4 fails its first placement, as if no G had
+        # placed the poles; every other run's placement is the real one.
+        runs = self.mixed_runs()[:-1]
+        failing = 4
+        assert runs[failing][3].rollout_mode == "luenberger"
+        poisoned = runs[failing][0].A_hat
+        place = leo.learning._place_poles
+        batch_sizes = []
+
+        def first_placement_fails(A, C, desired):
+            batch_sizes.append(len(A))
+            return [
+                SynthesisFailureError("injected") if np.array_equal(a, poisoned) else row
+                for a, row in zip(A, place(A, C, desired))
+            ]
+
+        monkeypatch.setattr(leo.learning, "_place_poles", first_placement_fails)
+        together = _lockstep([_train_steps(*run) for run in runs])
+        assert max(batch_sizes) > 1
+        for run, got in zip(runs, together):
+            assert_same_training(got, train(*run))
+        diags = together[failing].diagnostics
+        assert diags["gain_reuses"] == 1
+        assert together[failing].log[0]["L_refreshed"] is False
+        assert all(entry["L_refreshed"] for entry in together[failing].log[1:])
+
+    def test_stacked_call_that_raises_fails_only_its_culprit(self, monkeypatch):
+        # A placement batch holding the run of seed 4 raises; the others are
+        # then served alone and train as they would one at a time.
+        runs = self.mixed_runs()[:-1]
+        failing = 4
+        poisoned = runs[failing][0].A_hat
+        place = leo.learning._place_poles
+
+        def raises_with_poisoned_row(A, C, desired):
+            if any(np.array_equal(a, poisoned) for a in A):
+                raise np.linalg.LinAlgError("injected")
+            return place(A, C, desired)
+
+        monkeypatch.setattr(leo.learning, "_place_poles", raises_with_poisoned_row)
+        together = _lockstep([_train_steps(*run) for run in runs])
+        assert isinstance(together[failing], np.linalg.LinAlgError)
+        monkeypatch.undo()
+        for i, (run, got) in enumerate(zip(runs, together)):
+            if i != failing:
+                assert_same_training(got, train(*run))

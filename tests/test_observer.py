@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from leo.exceptions import PolePlacementInfeasible, ShapeError
+import leo.observer
+from leo.exceptions import PolePlacementInfeasible, ShapeError, SynthesisFailureError
 from leo.lti_core import (
     LtiParams,
     RngStream,
@@ -24,6 +27,11 @@ from leo.observer import (
     place_observer_poles,
     run_luenberger,
     run_open_loop,
+    _MAX_G_ATTEMPTS,
+    _checked_poles,
+    _place_poles,
+    _placement_constants,
+    _spectrum_block_diag,
 )
 
 A_DEMO = np.array([[1.02, 0.68], [-0.68, 0.34]])
@@ -301,3 +309,160 @@ class TestObserverGainSerialization:
         base = run_luenberger(params, gain, inputs, measured, x0, 50)
         mapped = run_luenberger(moved, L2, inputs, measured, tf.T @ x0, 50)
         assert_allclose(mapped.states, base.states @ tf.T.T, atol=1e-8)
+
+
+def place_poles_reference(A, C, desired, draws=None):
+    """The per-trial placement the stacked ``_place_poles`` replaced.
+
+    ``draws``, when given, replaces the seeded sequence of G matrices.
+    """
+    n = A.shape[0]
+    eig_A = np.linalg.eigvals(A)
+    if max_spectrum_deviation(eig_A, desired) < 1e-9:
+        return ObserverGain(L=np.zeros((n, C.shape[0])), desired_poles=tuple(desired))
+
+    F, targets = _spectrum_block_diag(desired)
+    K = np.kron(np.eye(n), A.T) - np.kron(F.T, np.eye(n))
+    rhs_left = C.T
+    singular_operator = bool(np.linalg.matrix_rank(K) < n * n)
+
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(889231)))
+    best = None
+    for attempt in range(_MAX_G_ATTEMPTS):
+        G = gen.standard_normal((C.shape[0], n))
+        if draws is not None:
+            G = draws[attempt]
+        rhs = (rhs_left @ G).reshape(-1, order="F")
+        if singular_operator:
+            vecX = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        else:
+            vecX = np.linalg.solve(K, rhs)
+        X = vecX.reshape(n, n, order="F")
+        sv = np.linalg.svd(X, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
+            continue
+        L = np.linalg.solve(X.T, G.T)
+        deviation = max_spectrum_deviation(np.linalg.eigvals(A - L @ C), targets)
+        if deviation < leo.observer._PLACEMENT_TOL:
+            return ObserverGain(L=L, desired_poles=tuple(desired))
+        if best is None or deviation < best[0]:
+            best = (deviation, L)
+    raise SynthesisFailureError(
+        f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
+        + (f" (best deviation {best[0]:.3e})" if best else "")
+    )
+
+
+def assert_rows_match_reference(A, C, desired, draws=None):
+    """Each row of one stacked call equals its own reference call bitwise,
+    or fails with the same message; no two rows' gains share memory."""
+    got = _place_poles(A, C, desired)
+    assert len(got) == A.shape[0]
+    for b, row in enumerate(got):
+        try:
+            want = place_poles_reference(A[b], C[b], desired, draws)
+        except SynthesisFailureError as exc:
+            assert isinstance(row, SynthesisFailureError)
+            assert str(row) == str(exc)
+            continue
+        assert isinstance(row, ObserverGain)
+        assert row.L.flags.owndata  # never a view into another trial's memory
+        assert np.array_equal(row.L, want.L)
+        assert row.desired_poles == want.desired_poles
+    gains = [row.L for row in got if isinstance(row, ObserverGain)]
+    for i, L in enumerate(gains):
+        assert not any(np.shares_memory(L, other) for other in gains[i + 1:])
+    return got
+
+
+def rare_rows_batch(n=3, q=1, ordinary=3):
+    """Ordinary rows plus one of each rare kind: a spectrum already in place,
+    a singular Kronecker operator (the lstsq path) and C = 0, which no G
+    can place."""
+    poles = _checked_poles(default_observer_poles(n), n)
+    gen = np.random.default_rng(7)
+    A = [gen.standard_normal((n, n)) for _ in range(ordinary)]
+    C = [gen.standard_normal((q, n)) for _ in range(ordinary)]
+    A.append(np.diag(poles.real))
+    C.append(gen.standard_normal((q, n)))
+    # A triangular A sharing the eigenvalue poles[1] with F exactly.
+    A.append(np.triu(gen.standard_normal((n, n)), 1) + np.diag([0.8, poles[1].real, -0.2]))
+    C.append(gen.standard_normal((q, n)))
+    A.append(gen.standard_normal((n, n)))
+    C.append(np.zeros((q, n)))
+    return np.stack(A), np.stack(C), poles
+
+
+class TestStackedPlacement:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 10),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rows_equal_reference_calls(self, seed, batch, n, data):
+        q = data.draw(st.integers(1, n))
+        gen = np.random.default_rng(seed)
+        A = gen.standard_normal((batch, n, n)) * data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+        C = gen.standard_normal((batch, q, n))
+        poles = np.sort(gen.uniform(-0.9, 0.9, n)).astype(complex)
+        if n >= 2 and data.draw(st.booleans()):
+            radius, angle = gen.uniform(0.1, 0.9), gen.uniform(0.1, 3.0)
+            poles[:2] = radius * np.exp(1j * angle), radius * np.exp(-1j * angle)
+        assert_rows_match_reference(A, C, _checked_poles(poles, n))
+
+    def test_rare_rows_leave_the_others_unchanged(self):
+        A, C, poles = rare_rows_batch()
+        got = assert_rows_match_reference(A, C, poles)
+        in_place, _, unplaceable = got[-3:]
+        assert np.array_equal(in_place.L, np.zeros((3, 1)))
+        n = A.shape[1]
+        F, _ = _spectrum_block_diag(poles)
+        K = np.kron(np.eye(n), A[-2].T) - np.kron(F.T, np.eye(n))
+        assert np.linalg.matrix_rank(K) < n * n
+        assert isinstance(unplaceable, SynthesisFailureError)
+        assert "best deviation" not in str(unplaceable)
+        alone = _place_poles(A[:-3], C[:-3], poles)
+        for mixed, own in zip(got, alone):
+            assert np.array_equal(mixed.L, own.L)
+
+    # Column j of X scales with column j of G, as F is diagonal here: a zero
+    # first draw gives X = 0, a tiny last column a nearly singular X.
+    @pytest.mark.parametrize("first_draw_scale", [[0.0, 0.0, 0.0], [1.0, 1.0, 5e-7]])
+    def test_row_needing_a_second_draw(self, monkeypatch, first_draw_scale):
+        A, C, poles = rare_rows_batch()
+        neg_kron, targets, draws = _placement_constants(tuple(poles), C.shape[1])
+        patched = draws.copy()
+        patched[0] *= first_draw_scale  # so the first attempt is skipped
+        monkeypatch.setattr(
+            leo.observer, "_placement_constants", lambda *_: (neg_kron, targets, patched)
+        )
+        got = assert_rows_match_reference(A, C, poles, patched)
+        assert isinstance(got[0], ObserverGain)
+        with pytest.raises(AssertionError):
+            assert_rows_match_reference(A, C, poles)  # the unpatched draws differ
+
+    def test_inaccurate_rows_report_their_best_deviation(self, monkeypatch):
+        monkeypatch.setattr(leo.observer, "_PLACEMENT_TOL", 0.0)
+        A, C, poles = rare_rows_batch()
+        got = assert_rows_match_reference(A, C, poles)
+        assert "best deviation" in str(got[0])
+        assert "best deviation" not in str(got[-1])
+
+    def test_two_dimensional_call_is_a_batch_of_one(self):
+        A, C, poles = rare_rows_batch()
+        assert np.array_equal(_place_poles(A[0], C[0], poles).L, _place_poles(A, C, poles)[0].L)
+        with pytest.raises(SynthesisFailureError, match="did not converge"):
+            _place_poles(A[-1], C[-1], poles)
+
+    def test_shared_constants_are_read_only(self):
+        for constant in _placement_constants((0.1 + 0j, 0.3 + 0j, 0.5 + 0j), 2):
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError):
+                constant[0] = 1.0
+        identity = CoordinateTransform.identity(3)
+        assert CoordinateTransform.identity(3) is identity
+        assert not identity.T.flags.writeable and not identity.T_inv.flags.writeable
+        assert identity.is_identity()
+        assert CoordinateTransform.from_matrix(np.eye(3)).is_identity()
