@@ -10,12 +10,14 @@ is re-synthesized from the current matrices between epochs and treated as a
 constant inside the gradient: the rollout is then an affine recursion, so
 its adjoint is the matching backward affine recursion.
 
-The loss/gradient and the training loop are step generators: they yield
-their rollout, adjoint and gain-placement requests to ``_lockstep``, which
-serves the requests of many runs (the trials of a Monte Carlo batch) with
-one stacked kernel call per time step or placement. ``train``, ``loss`` and
-``gradient`` run it on one run; a run's results are bitwise the same alone
-or batched.
+The training loop is a step generator: each epoch it yields an
+observability-condition request, a gain-placement request and a loss
+request to ``_lockstep``, which serves the requests of many runs (the
+trials of a Monte Carlo batch) with one stacked call each. The loss request
+is served by ``_stacked_loss``, whose forward rollout and adjoint take one
+stacked matrix-vector product per time step for all the runs. ``loss`` and
+``gradient`` call it on one run, ``train`` runs the loop alone; a run's
+results are bitwise the same alone or batched.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -35,14 +37,15 @@ from .lti_core import (
     matrix_to_json,
     _affine_adjoint,
     _affine_rollout,
+    _observability_condition,
 )
 from .observer import (
     CoordinateTransform,
     apply_transform,
-    conditioning_transform,
     default_observer_poles,
     invert_transform,
     _checked_poles,
+    _conditioning_transform,
     _gain_matrix,
     _place_poles,
 )
@@ -128,9 +131,16 @@ class LearnableParams:
 
 
 def _blocks(theta: np.ndarray, n: int, p: int, q: int) -> tuple[np.ndarray, ...]:
-    """Views of the A, B, C and x0 blocks of a θ-shaped vector."""
+    """Views of the A, B, C and x0 blocks of a θ-shaped vector, or of each
+    row of a stack of them."""
+    lead = theta.shape[:-1]
     b, c, x = n * n, n * (n + p), n * (n + p + q)
-    return theta[:b].reshape(n, n), theta[b:c].reshape(n, p), theta[c:x].reshape(q, n), theta[x:]
+    return (
+        theta[..., :b].reshape(*lead, n, n),
+        theta[..., b:c].reshape(*lead, n, p),
+        theta[..., c:x].reshape(*lead, q, n),
+        theta[..., x:],
+    )
 
 
 @dataclass(frozen=True)
@@ -229,19 +239,21 @@ def lambda_coefficients(n: int, p: int, q: int) -> tuple[float, float, float]:
     return (1e-3 * n * n / denom, 1e-3 * n * p / denom, 1e-3 * n * q / denom)
 
 
-def _loss_and_gradient(
+def _loss_request(
     params: LearnableParams,
     gain,
-    inputs: np.ndarray,
-    measured_outputs: np.ndarray,
+    inputs,
+    measured_outputs,
     cfg: TrainConfig,
     init: LearnableParams | None,
     want_gradient: bool,
-):
-    """Step generator of the loss and, with ``want_gradient``, its gradient.
+) -> tuple:
+    """The ``("loss", static, θ, anchor θ, inputs, measured[, L])`` request of one run.
 
-    Yields ``("rollout", M, x0, forcing)`` and ``("adjoint", M, direct)``
-    for ``_lockstep`` to serve, and returns ``(breakdown, grads or None)``.
+    ``static`` is what runs must share to be stacked: dims, window, resolved
+    lambdas, rollout mode and ``want_gradient``. The data stop at the
+    window's last state, as nothing after it reaches the loss; L is there in
+    Luenberger mode only.
     """
     n, p, q = params.dims
     k0, K = cfg.window_start, cfg.window_len
@@ -252,72 +264,114 @@ def _loss_and_gradient(
         raise ShapeError(f"steady-state window [{k0}, {k0 + K}] exceeds horizon {T}")
     if measured.shape[0] <= k0 + K:
         raise ShapeError("not enough measured outputs for the window")
-    # Nothing after the window's last state reaches the loss, so the rollout
-    # and its adjoint stop there.
-    inputs, measured = inputs[: k0 + K], measured[: k0 + K + 1]
-    L = None if cfg.rollout_mode == "open_loop" else _gain_matrix(gain, n, q)
     anchor = init if init is not None else params
-    lam_A, lam_B, lam_C = cfg.resolved_lambdas(n, p, q)
+    static = (params.dims, k0, K, cfg.resolved_lambdas(n, p, q), cfg.rollout_mode, want_gradient)
+    request = ("loss", static, params.theta, anchor.theta, inputs[: k0 + K], measured[: k0 + K + 1])
+    if cfg.rollout_mode == "open_loop":
+        return request
+    return request + (_gain_matrix(gain, n, q),)
+
+
+def _stacked_loss(static: tuple, theta, anchor, inputs, measured, L=None) -> list:
+    """Loss and, if ``static`` asks for it, gradient of a stack of runs.
+
+    The runs share ``static`` (see ``_loss_request``); the rest has a
+    leading run axis: θ and anchor θ (B, P), inputs (B, k0 + K, p),
+    measured outputs (B, k0 + K + 1, q) and, in Luenberger mode, gains
+    L (B, n, q). Each step is one stacked call and each row's reductions run
+    along a contiguous axis, so every row is bitwise its own one-row call.
+    Returns per row a ``(LossBreakdown, grads or None)`` pair, or the row's
+    own ``DivergedRollout`` or ``ShapeError``. A 1-D θ is a batch of one:
+    the pair is returned, the error raised.
+    """
+    if theta.ndim == 1:
+        arrays = (theta, anchor, inputs, measured) + (() if L is None else (L,))
+        (row,) = _stacked_loss(static, *(a[None] for a in arrays))
+        if isinstance(row, Exception):
+            raise row
+        return row
+    (n, p, q), k0, K, (lam_A, lam_B, lam_C), mode, want_gradient = static
+    closed = mode == "luenberger"
+    A, B, C, x0 = _blocks(theta, n, p, q)
 
     # The observer is the affine recursion x_{k+1} = M x_k + f_k.
-    M = params.A_hat if L is None else params.A_hat - L @ params.C_hat
-    forcing = inputs @ params.B_hat.T
-    if L is not None:
-        forcing += measured[:-1] @ L.T
-    states = yield ("rollout", M, params.x0_hat, forcing)
-    finite = np.all(np.isfinite(states), axis=1)
-    if not finite.all():
-        raise DivergedRollout(int(np.argmax(~finite)))
+    M = A - L @ C if closed else A
+    forcing = inputs @ B.transpose(0, 2, 1)
+    if closed:
+        forcing += measured[:, :-1] @ L.transpose(0, 2, 1)
+    # Overflow is reported by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _affine_rollout(M, x0, forcing)
+    finite = np.isfinite(states).all(axis=2)
+    out: list = [None] * len(theta)
+    kept = finite.all(axis=1)
+    for row in np.flatnonzero(~kept):
+        out[row] = DivergedRollout(int(np.argmax(~finite[row])))
+    if not kept.any():
+        return out
+    if not kept.all():
+        # Nothing below sees a diverged row's non-finite states.
+        theta, anchor, inputs, measured, states, M, C = (
+            a[kept] for a in (theta, anchor, inputs, measured, states, M, C)
+        )
+        L = L[kept] if closed else None
     window = slice(k0, k0 + K + 1)
-    residuals = measured[window] - states[window] @ params.C_hat.T
-    data_term = float(np.abs(residuals).mean(axis=1).sum() / K)
+    residuals = measured[:, window] - states[:, window] @ C.transpose(0, 2, 1)
+    data_term = np.abs(residuals).mean(axis=2).sum(axis=1) / K
 
-    dA, dB, dC, _ = _blocks(params.theta - anchor.theta, n, p, q)
-    reg_A = elementwise_mean_abs(dA)
-    reg_B = elementwise_mean_abs(dB)
-    reg_C = elementwise_mean_abs(dC)
-    breakdown = LossBreakdown(
-        data_term=data_term,
-        reg_A=reg_A,
-        reg_B=reg_B,
-        reg_C=reg_C,
-        total=data_term + lam_A * reg_A + lam_B * reg_B + lam_C * reg_C,
-    )
+    dA, dB, dC, _ = _blocks(theta - anchor, n, p, q)
+    reg_A, reg_B, reg_C = (np.abs(d).mean(axis=(1, 2)) for d in (dA, dB, dC))
+    total = data_term + lam_A * reg_A + lam_B * reg_B + lam_C * reg_C
+    breakdowns = [
+        LossBreakdown(*terms)
+        for terms in zip(*(v.tolist() for v in (data_term, reg_A, reg_B, reg_C, total)))
+    ]
+    rows = np.flatnonzero(kept)
     if not want_gradient:
-        return breakdown, None
+        for row, breakdown in zip(rows, breakdowns):
+            out[row] = breakdown, None
+        return out
 
     # Residual sensitivities: d(data)/d(residual_k) has entries sign/(K q).
-    S = np.zeros_like(measured)
-    S[window] = np.sign(residuals) / (K * q)
-    adj = yield ("adjoint", M, -S @ params.C_hat)
+    S = np.zeros(measured.shape)
+    S[:, window] = np.sign(residuals) / (K * q)
+    adj = _affine_adjoint(M, -S @ C)
 
-    gA = adj[1:].T @ states[:-1]
-    gB = adj[1:].T @ inputs
-    gC = -(S.T @ states)
-    if L is not None:
-        gC -= L.T @ gA
+    adj_t = adj[:, 1:].transpose(0, 2, 1)
+    gA = adj_t @ states[:, :-1]
+    gB = adj_t @ inputs
+    gC = -(S.transpose(0, 2, 1) @ states)
+    if closed:
+        gC -= L.transpose(0, 2, 1) @ gA
 
-    gA += lam_A * np.sign(dA) / dA.size
-    gB += lam_B * np.sign(dB) / dB.size
-    gC += lam_C * np.sign(dC) / dC.size
-    theta = np.concatenate((gA, gB, gC, adj[0]), axis=None)
-    return breakdown, LearnableParams._of(theta, (n, p, q))
+    gA += lam_A * np.sign(dA) / (n * n)
+    gB += lam_B * np.sign(dB) / (n * p)
+    gC += lam_C * np.sign(dC) / (q * n)
+    grads = np.concatenate([g.reshape(len(g), -1) for g in (gA, gB, gC, adj[:, 0])], axis=1)
+    for row, breakdown, g in zip(rows, breakdowns, grads):
+        try:
+            out[row] = breakdown, LearnableParams._of(g, (n, p, q))
+        except ShapeError as exc:
+            out[row] = exc
+    return out
 
 
 def _lockstep(steps: list) -> list:
-    """Run step generators together, one stacked kernel call per request group.
+    """Run step generators together, one stacked call per request group.
 
-    A step generator yields kernel requests, ``("rollout", M, x0, forcing)``,
-    ``("adjoint", M, direct)`` or ``("place", A, C, poles)``, and is sent the
-    kernel's result for its own arrays; a placement that fails is thrown
-    into it as its ``SynthesisFailureError``. Each round serves the largest
-    group of pending requests of one kind and shape (and, for placements,
-    the same poles) with one batched ``_affine_rollout``, ``_affine_adjoint``
-    or ``_place_poles`` call, so a generator that falls out of phase (a
-    rollback repeats its rollout) rejoins the others a round later. The
-    stacked kernels compute every row as its own call would, so no outcome
-    depends on the grouping. Returns each generator's return value, or the
-    exception it raised: one generator's failure never reaches the others.
+    A step generator yields requests and is sent the result for its own
+    arrays: ``("condition", A, C)`` gets ``_observability_condition``,
+    ``("place", A, C, poles)`` an ``ObserverGain`` and ``("loss", static,
+    θ, anchor θ, inputs, measured[, L])`` a ``(LossBreakdown, grads)``
+    pair. A failure of its own (``SynthesisFailureError``,
+    ``DivergedRollout``, ``ShapeError``) is thrown into it instead. Each
+    round serves the largest group of pending requests that agree in kind,
+    array shapes and every other value (poles, ``static``) with one
+    ``_serve`` call, so a generator that falls out of phase (a rollback
+    repeats its epoch's loss) rejoins the others a round later. The stacked
+    calls compute every row as its own call would, so no outcome depends on
+    the grouping. Returns each generator's return value, or the exception
+    it raised: one generator's failure never reaches the others.
     """
     outcomes: list = [None] * len(steps)
     pending: dict[int, tuple] = {}
@@ -337,11 +391,8 @@ def _lockstep(steps: list) -> list:
         advance(i, None)
     while pending:
         groups: dict[tuple, list[int]] = defaultdict(list)
-        for i, (kind, *arrays) in pending.items():
-            key = (kind, *(a.shape for a in arrays))
-            if kind == "place":
-                key += (arrays[2].tobytes(),)
-            groups[key].append(i)
+        for i, request in pending.items():
+            groups[tuple(a.shape if isinstance(a, np.ndarray) else a for a in request)].append(i)
         (kind, *_), members = max(groups.items(), key=lambda group: len(group[1]))
         requests = [pending.pop(i)[1:] for i in members]
         for i, row in zip(members, _serve(kind, requests)):
@@ -350,25 +401,32 @@ def _lockstep(steps: list) -> list:
 
 
 def _serve(kind: str, requests: list) -> list:
-    """One stacked kernel call for same-shaped requests: a result per request.
+    """One stacked call for one group of requests: a result per request.
 
-    If the stacked call raises, each request is served alone, so the
-    exception reaches only the requests whose own call raises it.
+    ``"condition"`` is served by ``_observability_condition``, ``"place"``
+    by ``_place_poles`` and ``"loss"`` by ``_stacked_loss``, each on the
+    stack of the requests' arrays. If the stacked call raises, each request
+    is served alone, so the exception reaches only the requests whose own
+    call raises it.
     """
     try:
+        if kind == "loss":
+            arrays = (_stack(a) for a in zip(*(r[1:] for r in requests)))
+            return _stacked_loss(requests[0][0], *arrays)
         if kind == "place":
-            A, C = (np.stack(arrays) for arrays in zip(*(r[:2] for r in requests)))
-            return _place_poles(A, C, requests[0][2])
-        batch = [np.stack(arrays) for arrays in zip(*requests)]
-        if kind == "rollout":
-            # Overflow is reported by the caller's finiteness check.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return list(_affine_rollout(*batch))
-        return list(_affine_adjoint(*batch))
+            A, C = (_stack(a) for a in zip(*(r[:2] for r in requests)))
+            return _place_poles(A, C, np.asarray(requests[0][2]))
+        return _observability_condition(*(_stack(a) for a in zip(*requests)))
     except Exception as exc:
         if len(requests) == 1:
             return [exc]
         return [_serve(kind, [request])[0] for request in requests]
+
+
+def _stack(arrays: tuple) -> np.ndarray:
+    """One argument of a request group with a leading request axis; a lone
+    request's array becomes a view instead of a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _run(step):
@@ -394,9 +452,10 @@ def loss(
     the mean absolute deviation of a matrix from its value in ``init``
     (zero when ``init`` is omitted or equals ``params``).
     """
-    breakdown, _ = _run(
-        _loss_and_gradient(params, gain, inputs, measured_outputs, cfg, init, want_gradient=False)
+    _, static, *arrays = _loss_request(
+        params, gain, inputs, measured_outputs, cfg, init, want_gradient=False
     )
+    breakdown, _ = _stacked_loss(static, *arrays)
     return breakdown
 
 
@@ -415,9 +474,10 @@ def gradient(
     The observer gain is held constant (no differentiation through its
     synthesis), matching how the training loop treats it.
     """
-    _, grads = _run(
-        _loss_and_gradient(params, gain, inputs, measured_outputs, cfg, init, want_gradient=True)
+    _, static, *arrays = _loss_request(
+        params, gain, inputs, measured_outputs, cfg, init, want_gradient=True
     )
+    _, grads = _stacked_loss(static, *arrays)
     return grads
 
 
@@ -474,7 +534,8 @@ def train(
     """Run the full refinement loop (conditioning, gain refresh, Adam).
 
     Per epoch: (a) ``conditioning_transform`` decides, from one SVD of the
-    current matrices' observability stack, whether the pair is observable
+    current matrices' observability stack (stacked across a lockstep batch),
+    whether the pair is observable
     and whether the stack is worse-conditioned than
     ``cfg.conditioning_threshold``; in that case training switches to better
     coordinates (parameters, anchors, initial state and previous gain all
@@ -503,7 +564,7 @@ def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConf
     anchor = init
     total_tf = CoordinateTransform.identity(n)
     adam = AdamState.for_params(current)
-    poles = _checked_poles(default_observer_poles(n), n)
+    poles = tuple(_checked_poles(default_observer_poles(n), n))
     L: np.ndarray | None = None
     luenberger = cfg.rollout_mode == "luenberger"
 
@@ -527,8 +588,9 @@ def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConf
         lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
 
         current_lti = current.as_lti()
+        cond = yield ("condition", current.A_hat, current.C_hat)
         try:
-            tf, transformed = conditioning_transform(current_lti, cfg.conditioning_threshold)
+            tf, transformed = _conditioning_transform(current_lti, cfg.conditioning_threshold, cond)
         except RankDeficientError:
             observable = False
         else:
@@ -563,7 +625,7 @@ def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConf
                 diagnostics["gain_refreshes"] += 1
 
         try:
-            breakdown, grads = yield from _loss_and_gradient(
+            breakdown, grads = yield _loss_request(
                 current, L, inputs, measured, cfg, anchor, want_gradient=True
             )
         except DivergedRollout:

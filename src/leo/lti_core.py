@@ -336,24 +336,29 @@ def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
 
 
 def _observability_stack(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
-    """``observability_matrix`` for matrices that are already validated."""
+    """``observability_matrix`` for matrices that are already validated;
+    stacks of pairs, A (B, n, n) and C (B, q, n), give (B, Nq, n)."""
     blocks = [C]
     for _ in range(N - 1):
         blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    return np.concatenate(blocks, axis=-2)
 
 
-def _observability_condition(A: np.ndarray, C: np.ndarray) -> float:
+def _observability_condition(A: np.ndarray, C: np.ndarray):
     """sigma_max / sigma_min of the N = n observability stack, from one SVD.
 
-    +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff), so one
-    value is both the rank decision and the condition number. A and C must
-    already be validated, as an ``LtiParams``' matrices are.
+    +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff) or
+    its singular values are not finite, so one value is both the rank
+    decision and the condition number. A and C must
+    already be validated, as an ``LtiParams``' matrices are. Stacks of pairs,
+    A (B, n, n) and C (B, q, n), give a list of B values from one stacked
+    build and SVD, each bitwise that of its own call.
     """
-    s = np.linalg.svd(_observability_stack(A, C, A.shape[0]), compute_uv=False)
-    if s[-1] <= RANK_RTOL * s[0]:  # also the zero stack
-        return math.inf
-    return float(s[0] / s[-1])
+    n = A.shape[-1]
+    s = np.linalg.svd(_observability_stack(A, C, n), compute_uv=False).reshape(-1, n)
+    # The rank test comes first, so a zero stack never divides.
+    cond = [sv[0] / sv[-1] if sv[-1] > RANK_RTOL * sv[0] else math.inf for sv in s.tolist()]
+    return cond if A.ndim == 3 else cond[0]
 
 
 def is_observable(A: np.ndarray, C: np.ndarray) -> bool:

@@ -121,7 +121,8 @@ class CoordinateTransform:
         return CoordinateTransform(T=T, T_inv=np.linalg.solve(T, np.eye(T.shape[0])))
 
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.T, np.eye(self.T.shape[0])))
+        n = self.T.shape[0]
+        return self is CoordinateTransform.identity(n) or bool(np.array_equal(self.T, np.eye(n)))
 
     def compose(self, inner: "CoordinateTransform") -> "CoordinateTransform":
         """Transform equivalent to applying ``inner`` first, then ``self``."""
@@ -430,8 +431,15 @@ def conditioning_transform(
     orthonormal one); a plain R and a diagonal column equilibration serve as
     fallbacks. The selected transform never increases the condition number.
     """
+    return _conditioning_transform(params, threshold, _observability_condition(params.A, params.C))
+
+
+def _conditioning_transform(
+    params: LtiParams, threshold: float, cond0: float
+) -> tuple[CoordinateTransform, LtiParams]:
+    """``conditioning_transform`` given ``_observability_condition`` of the
+    pair, which a lockstep batch computes for all its runs at once."""
     n = params.dims[0]
-    cond0 = _observability_condition(params.A, params.C)
     if not np.isfinite(cond0):
         raise RankDeficientError("cannot condition an unobservable realization")
     identity = CoordinateTransform.identity(n)

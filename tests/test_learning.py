@@ -1,4 +1,6 @@
 import json
+import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import leo.learning
+import leo.lti_core
+import leo.observer
 from leo.exceptions import DivergedRollout, ShapeError, SynthesisFailureError
 from leo.learning import (
     ADAM_BETA1,
@@ -14,6 +18,7 @@ from leo.learning import (
     ADAM_EPS,
     AdamState,
     LearnableParams,
+    LossBreakdown,
     TrainConfig,
     adam_step,
     elementwise_mean_abs,
@@ -22,7 +27,10 @@ from leo.learning import (
     log_to_jsonl,
     loss,
     train,
+    _blocks,
     _lockstep,
+    _loss_request,
+    _stacked_loss,
     _train_steps,
 )
 from leo.lti_core import (
@@ -31,8 +39,10 @@ from leo.lti_core import (
     RngStream,
     random_system,
     simulate_true,
+    _affine_adjoint,
+    _affine_rollout,
 )
-from leo.observer import default_observer_poles, place_observer_poles
+from leo.observer import default_observer_poles, place_observer_poles, _gain_matrix
 
 A_REAL = np.array([[1.02, 0.68], [-0.68, 0.34]])
 B_REAL = np.array([[1.5], [0.7]])
@@ -74,6 +84,69 @@ def adam_step_per_tensor(m, v, step, params, grads, lr, weight_decay):
         new_p[key] = p * (1 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[key], new_v[key] = mk, vk
     return new_m, new_v, new_p
+
+
+def loss_and_gradient_reference(params, gain, inputs, measured_outputs, cfg, init, want_gradient):
+    """The per-run loss and gradient body that the stacked loss replaced,
+    with its rollout and adjoint as one-run kernel calls; kept as the
+    reference it must equal bit for bit. Returns ``(breakdown, grads or
+    None)`` or raises."""
+    n, p, q = params.dims
+    k0, K = cfg.window_start, cfg.window_len
+    inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
+    measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
+    T = inputs.shape[0]
+    if k0 + K > T:
+        raise ShapeError(f"steady-state window [{k0}, {k0 + K}] exceeds horizon {T}")
+    if measured.shape[0] <= k0 + K:
+        raise ShapeError("not enough measured outputs for the window")
+    inputs, measured = inputs[: k0 + K], measured[: k0 + K + 1]
+    L = None if cfg.rollout_mode == "open_loop" else _gain_matrix(gain, n, q)
+    anchor = init if init is not None else params
+    lam_A, lam_B, lam_C = cfg.resolved_lambdas(n, p, q)
+
+    M = params.A_hat if L is None else params.A_hat - L @ params.C_hat
+    forcing = inputs @ params.B_hat.T
+    if L is not None:
+        forcing += measured[:-1] @ L.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _affine_rollout(M, params.x0_hat, forcing)
+    finite = np.all(np.isfinite(states), axis=1)
+    if not finite.all():
+        raise DivergedRollout(int(np.argmax(~finite)))
+    window = slice(k0, k0 + K + 1)
+    residuals = measured[window] - states[window] @ params.C_hat.T
+    data_term = float(np.abs(residuals).mean(axis=1).sum() / K)
+
+    dA, dB, dC, _ = _blocks(params.theta - anchor.theta, n, p, q)
+    reg_A = elementwise_mean_abs(dA)
+    reg_B = elementwise_mean_abs(dB)
+    reg_C = elementwise_mean_abs(dC)
+    breakdown = LossBreakdown(
+        data_term=data_term,
+        reg_A=reg_A,
+        reg_B=reg_B,
+        reg_C=reg_C,
+        total=data_term + lam_A * reg_A + lam_B * reg_B + lam_C * reg_C,
+    )
+    if not want_gradient:
+        return breakdown, None
+
+    S = np.zeros_like(measured)
+    S[window] = np.sign(residuals) / (K * q)
+    adj = _affine_adjoint(M, -S @ params.C_hat)
+
+    gA = adj[1:].T @ states[:-1]
+    gB = adj[1:].T @ inputs
+    gC = -(S.T @ states)
+    if L is not None:
+        gC -= L.T @ gA
+
+    gA += lam_A * np.sign(dA) / dA.size
+    gB += lam_B * np.sign(dB) / dB.size
+    gC += lam_C * np.sign(dC) / dC.size
+    theta = np.concatenate((gA, gB, gC, adj[0]), axis=None)
+    return breakdown, LearnableParams._of(theta, (n, p, q))
 
 
 def flat(fields: dict) -> np.ndarray:
@@ -725,6 +798,40 @@ class TestLockstepTraining:
         assert together[failing].log[0]["L_refreshed"] is False
         assert all(entry["L_refreshed"] for entry in together[failing].log[1:])
 
+    def test_one_stacked_call_per_epoch_and_request(self, monkeypatch):
+        # ten runs of one problem: each epoch's conditioning, rollout and
+        # adjoint are one call over all ten
+        epochs = 4
+        runs = []
+        for seed in range(40, 50):
+            _, inputs, traj, init = make_instance(seed, (3, 2, 1))
+            runs.append((init, inputs, traj.outputs, TrainConfig(epochs=epochs)))
+        batches = defaultdict(list)
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def count(*args, **kwargs):
+                batches[name].append(len(args[0]))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        for module in (leo.lti_core, leo.observer, leo.learning):
+            for name in ("_affine_rollout", "_affine_adjoint", "_observability_stack"):
+                if hasattr(module, name):
+                    counted(module, name)
+        together = _lockstep([_train_steps(*run) for run in runs])
+        for got in together:
+            assert len(got.log) == epochs
+            assert got.diagnostics["lr_halvings"] == got.diagnostics["transforms_applied"] == 0
+        # each observability stack is factorized by exactly one SVD
+        assert batches == {
+            "_affine_rollout": [10] * epochs,
+            "_affine_adjoint": [10] * epochs,
+            "_observability_stack": [10] * epochs,
+        }
+
     def test_stacked_call_that_raises_fails_only_its_culprit(self, monkeypatch):
         # A placement batch holding the run of seed 4 raises; the others are
         # then served alone and train as they would one at a time.
@@ -745,3 +852,142 @@ class TestLockstepTraining:
         for i, (run, got) in enumerate(zip(runs, together)):
             if i != failing:
                 assert_same_training(got, train(*run))
+
+
+def stacked_loss_case(gen, batch, dims, k0, K, scale=1.0):
+    """Runs of one problem: stable matrices, anchors nearby, small gains."""
+    n, p, q = dims
+    T = k0 + K + int(gen.integers(0, 3))
+    runs = []
+    for _ in range(batch):
+        A = gen.standard_normal((n, n))
+        params = LearnableParams(
+            A_hat=0.9 * A / np.linalg.norm(A, 2),
+            B_hat=scale * gen.standard_normal((n, p)),
+            C_hat=scale * gen.standard_normal((q, n)),
+            x0_hat=scale * gen.standard_normal(n),
+        )
+        anchor = LearnableParams._of(params.theta + 0.01 * gen.standard_normal(params.theta.size), dims)
+        runs.append([
+            params, 0.1 * gen.standard_normal((n, q)),
+            scale * gen.standard_normal((T, p)), scale * gen.standard_normal((T + 1, q)), anchor,
+        ])
+    return runs
+
+
+def stacked_rows(runs, cfg, want_gradient):
+    """One ``_stacked_loss`` call over the runs, as ``_serve`` stacks them."""
+    requests = [_loss_request(*run[:4], cfg, run[4], want_gradient) for run in runs]
+    static = requests[0][1]
+    return _stacked_loss(static, *(np.stack(a) for a in zip(*(r[2:] for r in requests))))
+
+
+def assert_row_matches_reference(row, run, cfg, want_gradient):
+    """The row equals the reference body's result, or its exception, bitwise."""
+    try:
+        want = loss_and_gradient_reference(*run[:4], cfg, run[4], want_gradient)
+    except (DivergedRollout, ShapeError) as exc:
+        assert type(row) is type(exc) and row.args == exc.args
+        return
+    breakdown, grads = row
+    assert breakdown == want[0]
+    if want_gradient:
+        assert np.array_equal(grads.theta, want[1].theta)
+        assert not grads.theta.flags.writeable
+    else:
+        assert grads is None
+
+
+class TestStackedLoss:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 10),
+        n=st.integers(1, 4),
+        mode=st.sampled_from(["luenberger", "open_loop"]),
+        want_gradient=st.booleans(),
+        data=st.data(),
+    )
+    def test_rows_equal_reference_runs(self, seed, batch, n, mode, want_gradient, data):
+        p, q = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        # windows past 128 steps reach numpy's pairwise summation blocks
+        k0, K = data.draw(st.integers(0, 60)), data.draw(st.integers(1, 140))
+        gen = np.random.default_rng(seed)
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        runs = stacked_loss_case(gen, batch, (n, p, q), k0, K, scale)
+        cfg = TrainConfig(rollout_mode=mode, window_start=k0, window_len=K)
+        rows = stacked_rows(runs, cfg, want_gradient)
+        assert len(rows) == batch
+        for row, run in zip(rows, runs):
+            assert_row_matches_reference(row, run, cfg, want_gradient)
+        # the public one-run calls are batches of one
+        want = loss_and_gradient_reference(*runs[0][:4], cfg, runs[0][4], True)
+        assert loss(*runs[0][:4], cfg, runs[0][4]) == want[0]
+        assert np.array_equal(gradient(*runs[0][:4], cfg, runs[0][4]).theta, want[1].theta)
+
+    def test_diverging_row_leaves_the_others_unchanged(self):
+        gen = np.random.default_rng(7)
+        runs = stacked_loss_case(gen, 5, (2, 1, 1), 201, 50)
+        diverging = 2
+        unstable = runs[diverging][0]
+        runs[diverging][0] = LearnableParams(
+            A_hat=100 * np.eye(2), B_hat=unstable.B_hat, C_hat=unstable.C_hat,
+            x0_hat=unstable.x0_hat,
+        )
+        cfg = TrainConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = stacked_rows(runs, cfg, True)
+            alone = stacked_rows(runs[:diverging] + runs[diverging + 1 :], cfg, True)
+            for row, run in zip(rows, runs):
+                assert_row_matches_reference(row, run, cfg, True)
+        assert isinstance(rows[diverging], DivergedRollout)
+        assert 0 < rows[diverging].step <= 251
+        for got, own in zip(rows[:diverging] + rows[diverging + 1 :], alone):
+            assert got[0] == own[0] and np.array_equal(got[1].theta, own[1].theta)
+
+    # The rollout stays finite near 1e307, so its gradient overflows.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_with_a_non_finite_gradient_fails_alone(self):
+        gen = np.random.default_rng(8)
+        runs = stacked_loss_case(gen, 4, (1, 1, 1), 201, 50)
+        culprit = 1
+        huge = LearnableParams(A_hat=[[1.0]], B_hat=[[0.0]], C_hat=[[1.0]], x0_hat=[1e307])
+        runs[culprit][0] = runs[culprit][4] = huge
+        cfg = TrainConfig(rollout_mode="open_loop")
+        rows = stacked_rows(runs, cfg, True)
+        for row, run in zip(rows, runs):
+            assert_row_matches_reference(row, run, cfg, True)
+        assert isinstance(rows[culprit], ShapeError)
+        assert not any(isinstance(row, Exception) for i, row in enumerate(rows) if i != culprit)
+
+    def test_runs_of_other_modes_or_windows_never_share_a_call(self, monkeypatch):
+        runs = []
+        for mode in ("luenberger", "open_loop"):
+            # both windows end at step 251, so only the static part tells them apart
+            for k0, K in ((201, 50), (211, 40)):
+                for _ in range(2):
+                    _, inputs, traj, init = make_instance(30 + len(runs), (2, 1, 1))
+                    cfg = TrainConfig(epochs=3, rollout_mode=mode, window_start=k0, window_len=K)
+                    runs.append((init, inputs, traj.outputs, cfg))
+        stacked = leo.learning._stacked_loss
+        calls = []
+
+        def recorded(static, theta, anchor, inputs, measured, L=None):
+            calls.append((static, [
+                i for i, run in enumerate(runs)
+                if any(np.array_equal(m, run[2][: len(m)]) for m in measured)
+            ]))
+            return stacked(static, theta, anchor, inputs, measured, L)
+
+        monkeypatch.setattr(leo.learning, "_stacked_loss", recorded)
+        together = _lockstep([_train_steps(*run) for run in runs])
+        monkeypatch.undo()
+        assert len(calls) == 4 * 3
+        for static, members in calls:
+            assert len(members) == 2
+            (cfgs,) = {(runs[i][3].rollout_mode, runs[i][3].window_start, runs[i][3].window_len)
+                       for i in members}
+            assert (static[4], static[1], static[2]) == cfgs
+        for run, got in zip(runs, together):
+            assert_same_training(got, train(*run))

@@ -1,7 +1,11 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from leo.exceptions import ShapeError
@@ -23,6 +27,8 @@ from leo.lti_core import (
     random_system,
     simulate_true,
     spectral_radius,
+    RANK_RTOL,
+    _observability_condition,
 )
 
 A_DEMO = np.array([[1.02, 0.68], [-0.68, 0.34]])
@@ -152,6 +158,52 @@ class TestIsObservable:
                 assert _observability_condition(A, C) == condition_number(O)
         assert _observability_condition(np.eye(2), [[1.0, 0.0]]) == np.inf
         assert _observability_condition(np.eye(2), [[0.0, 0.0]]) == np.inf
+
+
+def observability_condition_reference(A, C):
+    """The one-pair body that the stacked condition replaced; kept as the
+    reference it must equal bit for bit."""
+    blocks = [C]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(blocks[-1] @ A)
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    if s[-1] <= RANK_RTOL * s[0]:
+        return math.inf
+    return float(s[0] / s[-1])
+
+
+class TestStackedObservabilityCondition:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 10),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rows_equal_one_pair_calls(self, seed, batch, n, data):
+        q = data.draw(st.integers(1, n))
+        gen = np.random.default_rng(seed)
+        A = gen.standard_normal((batch, n, n)) * data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        C = gen.standard_normal((batch, q, n))
+        # an unobservable pair (for n = 1 only C = 0 is) and a zero C
+        unobservable = data.draw(st.lists(st.integers(0, batch - 1), max_size=2, unique=True))
+        for k, b in enumerate(unobservable):
+            if k == 0 and n > 1:
+                A[b], C[b] = np.eye(n), 0.0
+                C[b, :, 0] = 1.0  # every output sees only the first state
+            else:
+                C[b] = 0.0
+        got = _observability_condition(A, C)
+        assert isinstance(got, list) and len(got) == batch
+        for b in range(batch):
+            assert got[b] == _observability_condition(A[b], C[b])
+            assert got[b] == observability_condition_reference(A[b], C[b])
+        for b in unobservable:
+            assert got[b] == math.inf
+
+    def test_one_pair_call_is_a_float(self):
+        value = _observability_condition(A_DEMO, C_DEMO)
+        assert type(value) is float and value == observability_condition_reference(A_DEMO, C_DEMO)
 
 
 class TestSpectralRadius:

@@ -466,3 +466,20 @@ class TestStackedPlacement:
         assert not identity.T.flags.writeable and not identity.T_inv.flags.writeable
         assert identity.is_identity()
         assert CoordinateTransform.from_matrix(np.eye(3)).is_identity()
+
+
+class TestIsIdentity:
+    def test_shared_identity_answers_without_building_eye(self, monkeypatch):
+        identity = CoordinateTransform.identity(3)
+
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye was built")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        assert identity.is_identity()
+
+    def test_other_instances_compare_with_the_identity(self):
+        T = np.eye(3)
+        assert CoordinateTransform(T=T, T_inv=T.copy()) is not CoordinateTransform.identity(3)
+        assert CoordinateTransform(T=T, T_inv=T.copy()).is_identity()
+        assert not CoordinateTransform.from_matrix(np.diag([1.0, 2.0, 1.0])).is_identity()
