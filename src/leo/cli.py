@@ -6,8 +6,9 @@ full statistical comparison), ``theory-check`` (constructive-theory oracle
 suites). Exit codes: 0 success, 1 check failure, 2 usage/config error.
 
 Options may come from a flat ``key = value`` config file (``--config``);
-explicit flags win. Unknown config keys are rejected. ``LEO_SEED`` is the
-seed fallback when neither source sets one.
+explicit flags win. Unknown config keys, and boolean values other than
+1/0/true/false/yes/no/on/off, are rejected. ``LEO_SEED`` is the seed
+fallback when neither source sets one.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ _CONFIG_KEYS = {
     "parallel",
     "cases",
 }
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 # Bundled two-state showcase system: real model, its initial state, and the
 # perturbed nominal model the refinement starts from.
@@ -149,7 +153,9 @@ def _resolve(args, config: dict, key: str, cast, fallback):
     if key in config:
         raw = config[key]
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _BOOLEANS:
+                raise ValueError(f"{key} must be one of {', '.join(_BOOLEANS)}, got '{raw}'")
+            return _BOOLEANS[raw.lower()]
         return cast(raw)
     return fallback
 
@@ -244,8 +250,7 @@ def cmd_trial(args, config: dict) -> int:
     seed = _resolve(args, config, "seed", int, _seed_fallback())
     epochs = _resolve(args, config, "epochs", int, None)
     rollout = _resolve(args, config, "rollout", str, None)
-    dims_text = _resolve(args, config, "dims", str, "2,1,1")
-    dims_list = _parse_dims(dims_text) if isinstance(dims_text, str) else dims_text
+    dims_list = _parse_dims(_resolve(args, config, "dims", str, "2,1,1"))
     if len(dims_list) != 1:
         raise ValueError("trial takes exactly one n,p,q triple")
     spec = TrialSpec(dims=dims_list[0], seed=seed)
@@ -306,14 +311,9 @@ def cmd_montecarlo(args, config: dict) -> int:
     rollout = _resolve(args, config, "rollout", str, None)
     parallel = _resolve(args, config, "parallel", int, 1)
     out_format = _resolve(args, config, "format", str, "csv")
-    two_sided = bool(args.two_sided or config.get("two_sided", "").lower() in ("1", "true", "yes", "on"))
+    two_sided = _resolve(args, config, "two_sided", bool, False)
     dims_text = _resolve(args, config, "dims", str, None)
-    if dims_text is None:
-        dims_list = list(DEFAULT_DIMENSION_GRID)
-    else:
-        dims_list = _parse_dims(dims_text) if isinstance(dims_text, str) else dims_text
-    if trials < 10:
-        raise ValueError("at least 10 trials are required")
+    dims_list = list(DEFAULT_DIMENSION_GRID) if dims_text is None else _parse_dims(dims_text)
     if out_format not in ("csv", "json"):
         raise ValueError("format must be csv or json")
     cfg = _build_train_cfg(epochs, rollout)
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--parallel", type=int, help="worker processes (default 1)")
     p_mc.add_argument("--format", choices=["csv", "json"], help="per-trial dump format")
     p_mc.add_argument(
-        "--two-sided", action="store_true", default=False,
+        "--two-sided", action="store_true", default=None,
         help="two-sided signed-rank test instead of the one-sided improvement test",
     )
     p_mc.set_defaults(func=cmd_montecarlo)

@@ -10,14 +10,18 @@ is re-synthesized from the current matrices between epochs and treated as a
 constant inside the gradient: the rollout is then an affine recursion, so
 its adjoint is the matching backward affine recursion.
 
-The training loop is a step generator: each epoch it yields an
-observability-condition request, a gain-placement request and a loss
-request to ``_lockstep``, which serves the requests of many runs (the
-trials of a Monte Carlo batch) with one stacked call each. The loss request
-is served by ``_stacked_loss``, whose forward rollout and adjoint take one
-stacked matrix-vector product per time step for all the runs. ``loss`` and
-``gradient`` call it on one run, ``train`` runs the loop alone; a run's
-results are bitwise the same alone or batched.
+The training loop is a step generator: each epoch it yields requests to
+``_lockstep``, which serves the requests of many runs (the trials of a
+Monte Carlo batch) with one stacked call each. A request is
+``(stacked_fn, *args)``: ``_observability_condition`` decides observability
+and conditioning, ``_place_poles`` re-synthesizes the gain and
+``_stacked_loss`` gives loss and gradient, its forward rollout and adjoint
+taking one stacked matrix-vector product per time step for all the runs.
+A stacked function returns one result per run or raises; a stacked call
+that raises is served again one run at a time, the one place where a run's
+failure is kept from the others. ``loss`` and ``gradient`` call
+``_stacked_loss`` on a stack of one run, ``train`` runs the loop alone; a
+run's results are bitwise the same alone or batched.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DivergedRollout, RankDeficientError, ShapeError, SynthesisFailureError
+from .exceptions import DivergedRollout, ShapeError, SynthesisFailureError
 from .lti_core import (
     LtiParams,
     matrix_to_json,
@@ -42,10 +46,10 @@ from .lti_core import (
 from .observer import (
     CoordinateTransform,
     apply_transform,
+    conditioning_transform,
     default_observer_poles,
     invert_transform,
     _checked_poles,
-    _conditioning_transform,
     _gain_matrix,
     _place_poles,
 )
@@ -248,7 +252,8 @@ def _loss_request(
     init: LearnableParams | None,
     want_gradient: bool,
 ) -> tuple:
-    """The ``("loss", static, θ, anchor θ, inputs, measured[, L])`` request of one run.
+    """The loss request of one run:
+    ``(_stacked_loss, static, θ, anchor θ, inputs, measured[, L])``.
 
     ``static`` is what runs must share to be stacked: dims, window, resolved
     lambdas, rollout mode and ``want_gradient``. The data stop at the
@@ -266,7 +271,9 @@ def _loss_request(
         raise ShapeError("not enough measured outputs for the window")
     anchor = init if init is not None else params
     static = (params.dims, k0, K, cfg.resolved_lambdas(n, p, q), cfg.rollout_mode, want_gradient)
-    request = ("loss", static, params.theta, anchor.theta, inputs[: k0 + K], measured[: k0 + K + 1])
+    request = (
+        _stacked_loss, static, params.theta, anchor.theta, inputs[: k0 + K], measured[: k0 + K + 1]
+    )
     if cfg.rollout_mode == "open_loop":
         return request
     return request + (_gain_matrix(gain, n, q),)
@@ -280,16 +287,11 @@ def _stacked_loss(static: tuple, theta, anchor, inputs, measured, L=None) -> lis
     measured outputs (B, k0 + K + 1, q) and, in Luenberger mode, gains
     L (B, n, q). Each step is one stacked call and each row's reductions run
     along a contiguous axis, so every row is bitwise its own one-row call.
-    Returns per row a ``(LossBreakdown, grads or None)`` pair, or the row's
-    own ``DivergedRollout`` or ``ShapeError``. A 1-D θ is a batch of one:
-    the pair is returned, the error raised.
+    Returns per row a ``(LossBreakdown, grads or None)`` pair. Raises
+    ``DivergedRollout`` if a row's rollout leaves the finite numbers and
+    ``ShapeError`` if a row's gradient does; a batch that raises is served
+    again one run at a time.
     """
-    if theta.ndim == 1:
-        arrays = (theta, anchor, inputs, measured) + (() if L is None else (L,))
-        (row,) = _stacked_loss(static, *(a[None] for a in arrays))
-        if isinstance(row, Exception):
-            raise row
-        return row
     (n, p, q), k0, K, (lam_A, lam_B, lam_C), mode, want_gradient = static
     closed = mode == "luenberger"
     A, B, C, x0 = _blocks(theta, n, p, q)
@@ -302,19 +304,9 @@ def _stacked_loss(static: tuple, theta, anchor, inputs, measured, L=None) -> lis
     # Overflow is reported by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         states = _affine_rollout(M, x0, forcing)
-    finite = np.isfinite(states).all(axis=2)
-    out: list = [None] * len(theta)
-    kept = finite.all(axis=1)
-    for row in np.flatnonzero(~kept):
-        out[row] = DivergedRollout(int(np.argmax(~finite[row])))
-    if not kept.any():
-        return out
-    if not kept.all():
-        # Nothing below sees a diverged row's non-finite states.
-        theta, anchor, inputs, measured, states, M, C = (
-            a[kept] for a in (theta, anchor, inputs, measured, states, M, C)
-        )
-        L = L[kept] if closed else None
+    diverged = ~np.isfinite(states).all(axis=(0, 2))
+    if diverged.any():
+        raise DivergedRollout(int(np.argmax(diverged)))
     window = slice(k0, k0 + K + 1)
     residuals = measured[:, window] - states[:, window] @ C.transpose(0, 2, 1)
     data_term = np.abs(residuals).mean(axis=2).sum(axis=1) / K
@@ -326,11 +318,8 @@ def _stacked_loss(static: tuple, theta, anchor, inputs, measured, L=None) -> lis
         LossBreakdown(*terms)
         for terms in zip(*(v.tolist() for v in (data_term, reg_A, reg_B, reg_C, total)))
     ]
-    rows = np.flatnonzero(kept)
     if not want_gradient:
-        for row, breakdown in zip(rows, breakdowns):
-            out[row] = breakdown, None
-        return out
+        return [(breakdown, None) for breakdown in breakdowns]
 
     # Residual sensitivities: d(data)/d(residual_k) has entries sign/(K q).
     S = np.zeros(measured.shape)
@@ -348,30 +337,22 @@ def _stacked_loss(static: tuple, theta, anchor, inputs, measured, L=None) -> lis
     gB += lam_B * np.sign(dB) / (n * p)
     gC += lam_C * np.sign(dC) / (q * n)
     grads = np.concatenate([g.reshape(len(g), -1) for g in (gA, gB, gC, adj[:, 0])], axis=1)
-    for row, breakdown, g in zip(rows, breakdowns, grads):
-        try:
-            out[row] = breakdown, LearnableParams._of(g, (n, p, q))
-        except ShapeError as exc:
-            out[row] = exc
-    return out
+    return [(b, LearnableParams._of(g, (n, p, q))) for b, g in zip(breakdowns, grads)]
 
 
 def _lockstep(steps: list) -> list:
     """Run step generators together, one stacked call per request group.
 
-    A step generator yields requests and is sent the result for its own
-    arrays: ``("condition", A, C)`` gets ``_observability_condition``,
-    ``("place", A, C, poles)`` an ``ObserverGain`` and ``("loss", static,
-    θ, anchor θ, inputs, measured[, L])`` a ``(LossBreakdown, grads)``
-    pair. A failure of its own (``SynthesisFailureError``,
-    ``DivergedRollout``, ``ShapeError``) is thrown into it instead. Each
-    round serves the largest group of pending requests that agree in kind,
-    array shapes and every other value (poles, ``static``) with one
-    ``_serve`` call, so a generator that falls out of phase (a rollback
-    repeats its epoch's loss) rejoins the others a round later. The stacked
-    calls compute every row as its own call would, so no outcome depends on
-    the grouping. Returns each generator's return value, or the exception
-    it raised: one generator's failure never reaches the others.
+    A step generator yields requests ``(stacked_fn, *args)`` and is sent
+    its own row of ``stacked_fn``'s result, or has its own failure thrown
+    into it. Each round serves the largest group of pending requests that
+    agree in function, array shapes and every other value (poles,
+    ``static``) with one ``_serve`` call, so a generator that falls out of
+    phase (a rollback repeats its epoch's loss) rejoins the others a round
+    later. The stacked calls compute every row as its own call would, so no
+    outcome depends on the grouping. Returns each generator's return value,
+    or the exception it raised: one generator's failure never reaches the
+    others.
     """
     outcomes: list = [None] * len(steps)
     pending: dict[int, tuple] = {}
@@ -393,34 +374,28 @@ def _lockstep(steps: list) -> list:
         groups: dict[tuple, list[int]] = defaultdict(list)
         for i, request in pending.items():
             groups[tuple(a.shape if isinstance(a, np.ndarray) else a for a in request)].append(i)
-        (kind, *_), members = max(groups.items(), key=lambda group: len(group[1]))
+        (fn, *_), members = max(groups.items(), key=lambda group: len(group[1]))
         requests = [pending.pop(i)[1:] for i in members]
-        for i, row in zip(members, _serve(kind, requests)):
+        for i, row in zip(members, _serve(fn, requests)):
             advance(i, row)
     return outcomes
 
 
-def _serve(kind: str, requests: list) -> list:
+def _serve(fn, requests: list) -> list:
     """One stacked call for one group of requests: a result per request.
 
-    ``"condition"`` is served by ``_observability_condition``, ``"place"``
-    by ``_place_poles`` and ``"loss"`` by ``_stacked_loss``, each on the
-    stack of the requests' arrays. If the stacked call raises, each request
-    is served alone, so the exception reaches only the requests whose own
-    call raises it.
+    ``fn`` is called with each array argument stacked along a new leading
+    axis and each other argument as the requests share it. If it raises,
+    each request is served alone, and a request whose own call raises gets
+    that exception as its result: this is the one place where a run's
+    failure is kept from the others.
     """
     try:
-        if kind == "loss":
-            arrays = (_stack(a) for a in zip(*(r[1:] for r in requests)))
-            return _stacked_loss(requests[0][0], *arrays)
-        if kind == "place":
-            A, C = (_stack(a) for a in zip(*(r[:2] for r in requests)))
-            return _place_poles(A, C, np.asarray(requests[0][2]))
-        return _observability_condition(*(_stack(a) for a in zip(*requests)))
+        return fn(*(_stack(a) if isinstance(a[0], np.ndarray) else a[0] for a in zip(*requests)))
     except Exception as exc:
         if len(requests) == 1:
             return [exc]
-        return [_serve(kind, [request])[0] for request in requests]
+        return [_serve(fn, [request])[0] for request in requests]
 
 
 def _stack(arrays: tuple) -> np.ndarray:
@@ -455,7 +430,7 @@ def loss(
     _, static, *arrays = _loss_request(
         params, gain, inputs, measured_outputs, cfg, init, want_gradient=False
     )
-    breakdown, _ = _stacked_loss(static, *arrays)
+    ((breakdown, _),) = _stacked_loss(static, *(a[None] for a in arrays))
     return breakdown
 
 
@@ -477,7 +452,7 @@ def gradient(
     _, static, *arrays = _loss_request(
         params, gain, inputs, measured_outputs, cfg, init, want_gradient=True
     )
-    _, grads = _stacked_loss(static, *arrays)
+    ((_, grads),) = _stacked_loss(static, *(a[None] for a in arrays))
     return grads
 
 
@@ -533,14 +508,13 @@ def train(
 ) -> TrainResult:
     """Run the full refinement loop (conditioning, gain refresh, Adam).
 
-    Per epoch: (a) ``conditioning_transform`` decides, from one SVD of the
-    current matrices' observability stack (stacked across a lockstep batch),
-    whether the pair is observable
+    Per epoch: (a) one SVD of the current matrices' observability stack
+    (stacked across a lockstep batch) decides whether the pair is observable
     and whether the stack is worse-conditioned than
-    ``cfg.conditioning_threshold``; in that case training switches to better
-    coordinates (parameters, anchors, initial state and previous gain all
-    move together, and the Adam moments are reset since they live in the
-    old coordinates); (b) re-synthesize the observer gain from the current
+    ``cfg.conditioning_threshold``; in that case ``conditioning_transform``
+    switches training to better coordinates (parameters, anchors, initial
+    state and previous gain all move together, and the Adam moments are
+    reset since they live in the old coordinates); (b) re-synthesize the observer gain from the current
     matrices when the pair is observable, otherwise keep the previous gain;
     (c) evaluate loss and gradient with the gain frozen; (d) Adam step at
     the scheduled learning rate.
@@ -587,15 +561,12 @@ def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConf
     while epoch < cfg.epochs:
         lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
 
-        current_lti = current.as_lti()
-        cond = yield ("condition", current.A_hat, current.C_hat)
-        try:
-            tf, transformed = _conditioning_transform(current_lti, cfg.conditioning_threshold, cond)
-        except RankDeficientError:
-            observable = False
-        else:
-            observable = True
+        cond = yield (_observability_condition, current.A_hat, current.C_hat)
+        observable = cond < np.inf
+        if observable:
             diagnostics["observable_epochs"] += 1
+        if observable and cond > cfg.conditioning_threshold:
+            tf, transformed = conditioning_transform(current.as_lti(), cfg.conditioning_threshold)
             if not tf.is_identity():
                 current = LearnableParams.from_lti(transformed, tf.T @ current.x0_hat)
                 anchor = LearnableParams.from_lti(
@@ -607,13 +578,12 @@ def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConf
                 adam = AdamState.for_params(current)
                 prev_snapshot = None
                 diagnostics["transforms_applied"] += 1
-                current_lti = transformed
 
         refreshed = False
         if luenberger:
             if observable:
                 try:
-                    L = (yield ("place", current_lti.A, current_lti.C, poles)).L
+                    L = (yield (_place_poles, current.A_hat, current.C_hat, poles)).L
                     refreshed = True
                 except SynthesisFailureError:
                     pass

@@ -108,12 +108,9 @@ class CoordinateTransform:
         object.__setattr__(self, "T_inv", T_inv)
 
     @staticmethod
-    @lru_cache(maxsize=16)
     def identity(n: int) -> "CoordinateTransform":
-        """The identity on n states: one shared instance per n, read-only."""
-        eye = np.eye(n)
-        eye.flags.writeable = False
-        return CoordinateTransform(T=eye, T_inv=eye)
+        """The identity on n states."""
+        return CoordinateTransform(T=np.eye(n), T_inv=np.eye(n))
 
     @staticmethod
     def from_matrix(T: np.ndarray) -> "CoordinateTransform":
@@ -121,8 +118,7 @@ class CoordinateTransform:
         return CoordinateTransform(T=T, T_inv=np.linalg.solve(T, np.eye(T.shape[0])))
 
     def is_identity(self) -> bool:
-        n = self.T.shape[0]
-        return self is CoordinateTransform.identity(n) or bool(np.array_equal(self.T, np.eye(n)))
+        return bool(np.array_equal(self.T, np.eye(self.T.shape[0])))
 
     def compose(self, inner: "CoordinateTransform") -> "CoordinateTransform":
         """Transform equivalent to applying ``inner`` first, then ``self``."""
@@ -228,7 +224,8 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     desired = _checked_poles(desired, A.shape[0])
     if not is_observable(A, C):
         raise PolePlacementInfeasible("pair (A, C) is not observable")
-    return _place_poles(A, C, desired)
+    (gain,) = _place_poles(A[None], C[None], desired)
+    return gain
 
 
 def _checked_poles(desired, n: int) -> np.ndarray:
@@ -259,25 +256,21 @@ def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, 
     return neg_kron, targets, draws
 
 
-def _place_poles(A: np.ndarray, C: np.ndarray, desired: np.ndarray):
+def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> list:
     """``place_observer_poles`` for pairs already known to be observable and
     poles from ``_checked_poles``: the synthesis without the rank check.
 
     Batched over a leading trial axis: A (B, n, n) and C (B, q, n) give a
-    list with one ``ObserverGain``, or one ``SynthesisFailureError``, per
-    trial. Each step is one stacked call over the trials still without a
-    gain; a stacked LAPACK call or matmul computes every item as its own
-    call would, so each trial's outcome is bitwise that of its own call.
-    A 2-D A and C are a batch of one: the gain is returned, the failure
-    raised.
+    list with one ``ObserverGain`` per trial, or raise
+    ``SynthesisFailureError`` if a trial finds none. Each step is one
+    stacked call over the trials still without a gain; a stacked LAPACK call
+    or matmul computes every item as its own call would, so each trial's
+    gain is bitwise that of its own call. A lockstep batch that raises is
+    served again one trial at a time, so the failure reaches only its trial.
     """
-    if A.ndim == 2:
-        (gain,) = _place_poles(A[None], C[None], desired)
-        if isinstance(gain, SynthesisFailureError):
-            raise gain
-        return gain
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
+    desired = np.asarray(desired)
     out: list = [None] * A.shape[0]
     eig_A = np.linalg.eigvals(A)
     rows = []
@@ -336,12 +329,10 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired: np.ndarray):
             return out
         rows, A, C, K, singular = (a[~done] for a in (rows, A, C, K, singular))
 
-    for row in rows:
-        out[row] = SynthesisFailureError(
-            f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
-            + (f" (best deviation {best[row]:.3e})" if row in best else "")
-        )
-    return out
+    raise SynthesisFailureError(
+        f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
+        + (f" (best deviation {best[rows[0]]:.3e})" if rows[0] in best else "")
+    )
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:
@@ -423,23 +414,15 @@ def conditioning_transform(
 ) -> tuple[CoordinateTransform, LtiParams]:
     """Change coordinates so the observability stack is better conditioned.
 
-    This is where each training epoch decides observability (an
-    unobservable pair raises ``RankDeficientError``) and conditioning, from
-    one SVD of the stack. Below the threshold the identity transform is
-    returned unchanged. Above it, the primary candidate is the R factor of
+    An unobservable pair raises ``RankDeficientError``. Below the threshold
+    the identity transform is returned unchanged (training calls this only
+    above it). Above it, the primary candidate is the R factor of
     O = QR with rows scaled to unit norm (which maps the stack close to an
     orthonormal one); a plain R and a diagonal column equilibration serve as
     fallbacks. The selected transform never increases the condition number.
     """
-    return _conditioning_transform(params, threshold, _observability_condition(params.A, params.C))
-
-
-def _conditioning_transform(
-    params: LtiParams, threshold: float, cond0: float
-) -> tuple[CoordinateTransform, LtiParams]:
-    """``conditioning_transform`` given ``_observability_condition`` of the
-    pair, which a lockstep batch computes for all its runs at once."""
     n = params.dims[0]
+    cond0 = _observability_condition(params.A, params.C)
     if not np.isfinite(cond0):
         raise RankDeficientError("cannot condition an unobservable realization")
     identity = CoordinateTransform.identity(n)

@@ -92,10 +92,13 @@ class TestMonteCarlo:
         assert summary["config"]["master_seed"] == 1
         assert "version" in summary
 
-    def test_too_few_trials_rejected(self, tmp_path):
+    def test_too_few_trials_rejected(self, tmp_path, capsys):
+        out = tmp_path / "mc"
         assert run_cli(
-            "montecarlo", "--dims", "2,1,1", "--trials", "5", "--out-dir", str(tmp_path)
+            "montecarlo", "--dims", "2,1,1", "--trials", "5", "--out-dir", str(out)
         ) == 2
+        assert "at least 10 trials" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_parallel_rejected(self, tmp_path):
         assert run_cli(
@@ -176,6 +179,35 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# a comment\n\nseed = 4  # trailing\nepochs = 3\n")
         assert run_cli("trial", "--dims", "2,1,1", "--config", str(cfg)) == 0
+
+    def test_boolean_typo_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("two_sided = ture\n")
+        out = tmp_path / "mc"
+        assert run_cli(
+            "montecarlo", "--config", str(cfg), "--dims", "2,1,1", "--trials", "10",
+            "--epochs", "1", "--out-dir", str(out),
+        ) == 2
+        assert "two_sided" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_value_reaches_the_summary(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "mc"
+        for value, want in (("yes", True), ("off", False)):
+            cfg.write_text(f"two_sided = {value}\n")
+            assert run_cli(
+                "montecarlo", "--config", str(cfg), "--dims", "2,1,1", "--trials", "10",
+                "--epochs", "1", "--out-dir", str(out),
+            ) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"]["two_sided"] is want
+        # the flag wins over the config file
+        assert run_cli(
+            "montecarlo", "--config", str(cfg), "--two-sided", "--dims", "2,1,1",
+            "--trials", "10", "--epochs", "1", "--out-dir", str(out),
+        ) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["two_sided"] is True
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LEO_SEED", "11")

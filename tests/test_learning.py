@@ -30,6 +30,7 @@ from leo.learning import (
     _blocks,
     _lockstep,
     _loss_request,
+    _serve,
     _stacked_loss,
     _train_steps,
 )
@@ -783,10 +784,9 @@ class TestLockstepTraining:
 
         def first_placement_fails(A, C, desired):
             batch_sizes.append(len(A))
-            return [
-                SynthesisFailureError("injected") if np.array_equal(a, poisoned) else row
-                for a, row in zip(A, place(A, C, desired))
-            ]
+            if any(np.array_equal(a, poisoned) for a in A):
+                raise SynthesisFailureError("injected")
+            return place(A, C, desired)
 
         monkeypatch.setattr(leo.learning, "_place_poles", first_placement_fails)
         together = _lockstep([_train_steps(*run) for run in runs])
@@ -832,6 +832,72 @@ class TestLockstepTraining:
             "_observability_stack": [10] * epochs,
         }
 
+    @pytest.mark.parametrize("outcome", ["rollback", "abort"])
+    def test_a_failure_costs_one_round(self, monkeypatch, outcome):
+        # Ten runs of one problem; run 3's rollout overflows at epoch 1 after
+        # a huge first Adam step (it rolls back), or at epoch 0 (it aborts).
+        epochs, culprit = 4, 3
+        runs = []
+        for seed in range(10):
+            gen = RngStream(21 + seed).generator()
+            a, lr0 = 1.0, 1e-4
+            if seed == culprit:
+                a, lr0 = (1.0, 25.0) if outcome == "rollback" else (100.0, 1e-4)
+            runs.append((
+                LearnableParams(A_hat=[[a]], B_hat=[[1.0]], C_hat=[[1.0]], x0_hat=[1.0]),
+                gen.normal(0, 1, (260, 1)), gen.normal(0, 1, (261, 1)),
+                TrainConfig(rollout_mode="open_loop", epochs=epochs, lr0=lr0),
+            ))
+        stacked = leo.learning._stacked_loss
+        calls = []
+
+        def recorded(static, theta, *arrays):
+            try:
+                rows = stacked(static, theta, *arrays)
+            except DivergedRollout:
+                calls.append((len(theta), "raised"))
+                raise
+            calls.append((len(theta), "ok"))
+            return rows
+
+        monkeypatch.setattr(leo.learning, "_stacked_loss", recorded)
+        together = _lockstep([_train_steps(*run) for run in runs])
+        monkeypatch.undo()
+        failed_round = [(10, "raised")] + [(1, "ok")] * 10
+        failed_round[1 + culprit] = (1, "raised")
+        if outcome == "rollback":
+            # run 3 repeats epoch 1 with the others' epoch 2, and its last epoch alone
+            want = [(10, "ok")] + failed_round + [(10, "ok")] * (epochs - 2) + [(1, "ok")]
+        else:
+            want = failed_round + [(9, "ok")] * (epochs - 1)
+        assert calls == want
+        diags = together[culprit].diagnostics
+        assert diags["lr_halvings"] == (outcome == "rollback")
+        assert diags["aborted"] == (outcome == "abort")
+        for run, got in zip(runs, together):
+            assert_same_training(got, train(*run))
+
+    def test_conditioning_runs_only_above_the_threshold(self, monkeypatch):
+        transform = leo.learning.conditioning_transform
+        calls = []
+
+        def counted(params, threshold):
+            calls.append(threshold)
+            return transform(params, threshold)
+
+        monkeypatch.setattr(leo.learning, "conditioning_transform", counted)
+        for threshold, expect_calls in ((TrainConfig().conditioning_threshold, False), (1.0, True)):
+            runs = []
+            for seed in range(40, 50):
+                _, inputs, traj, init = make_instance(seed, (3, 2, 1))
+                cfg = TrainConfig(epochs=4, conditioning_threshold=threshold)
+                runs.append((init, inputs, traj.outputs, cfg))
+            calls.clear()
+            together = _lockstep([_train_steps(*run) for run in runs])
+            observable = sum(got.diagnostics["observable_epochs"] for got in together)
+            assert observable == 40
+            assert len(calls) == (observable if expect_calls else 0)
+
     def test_stacked_call_that_raises_fails_only_its_culprit(self, monkeypatch):
         # A placement batch holding the run of seed 4 raises; the others are
         # then served alone and train as they would one at a time.
@@ -876,10 +942,11 @@ def stacked_loss_case(gen, batch, dims, k0, K, scale=1.0):
 
 
 def stacked_rows(runs, cfg, want_gradient):
-    """One ``_stacked_loss`` call over the runs, as ``_serve`` stacks them."""
+    """The runs' loss requests served as one lockstep group: a stacked
+    ``_stacked_loss`` call, or each run alone if that call raises."""
     requests = [_loss_request(*run[:4], cfg, run[4], want_gradient) for run in runs]
-    static = requests[0][1]
-    return _stacked_loss(static, *(np.stack(a) for a in zip(*(r[2:] for r in requests))))
+    assert {r[0] for r in requests} == {_stacked_loss}
+    return _serve(_stacked_loss, [r[1:] for r in requests])
 
 
 def assert_row_matches_reference(row, run, cfg, want_gradient):
@@ -887,7 +954,7 @@ def assert_row_matches_reference(row, run, cfg, want_gradient):
     try:
         want = loss_and_gradient_reference(*run[:4], cfg, run[4], want_gradient)
     except (DivergedRollout, ShapeError) as exc:
-        assert type(row) is type(exc) and row.args == exc.args
+        assert type(row) is type(exc) and row.args == exc.args and str(row) == str(exc)
         return
     breakdown, grads = row
     assert breakdown == want[0]
