@@ -156,9 +156,15 @@ def normalized_error(
 ) -> float:
     """Mean absolute componentwise ratio (x_hat - x) / x over a window.
 
-    Components whose reference magnitude is below ``ZERO_REFERENCE_TOL``
-    are excluded; if nothing remains the reference is degenerate.
+    The window is rows ``window_start`` .. ``window_start + window_len``;
+    both must be non-negative. Components whose reference magnitude is
+    below ``ZERO_REFERENCE_TOL`` are excluded; if nothing remains the
+    reference is degenerate.
     """
+    if window_start < 0 or window_len < 0:
+        raise ValueError(
+            f"window start {window_start} and length {window_len} must be non-negative"
+        )
     xs = x_hat.states if isinstance(x_hat, Trajectory) else np.asarray(x_hat, dtype=float)
     xr = x.states if isinstance(x, Trajectory) else np.asarray(x, dtype=float)
     lo, hi = window_start, window_start + window_len + 1
@@ -476,6 +482,8 @@ def wilcoxon_signed_rank(
     ``"exact"`` and ``"approx"`` force one of the two. All-zero differences
     give p = 1.0 by convention.
     """
+    if method not in ("auto", "exact", "approx"):
+        raise ValueError("method must be auto, exact or approx")
     a = np.asarray(e_nominal, dtype=float)
     b = np.asarray(e_enhanced, dtype=float)
     if a.shape != b.shape:
@@ -484,8 +492,6 @@ def wilcoxon_signed_rank(
     d = d[d != 0.0]
     if d.size == 0:
         return 1.0
-    if method not in ("auto", "exact", "approx"):
-        raise ValueError("method must be auto, exact or approx")
     ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     use_exact = method == "exact" or (method == "auto" and d.size <= WILCOXON_EXACT_CUTOFF)

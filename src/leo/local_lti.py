@@ -79,7 +79,6 @@ class StackedOperators:
 
     O: np.ndarray       # (N q, n)
     Gamma: np.ndarray   # (N q, N p)
-    U_stack: np.ndarray | None = None
 
 
 def fit_local_lti(w: TrajectoryWindow) -> LtiParams:
@@ -374,7 +373,12 @@ def check_initial_state_gap_bound(cases: int, seed: int) -> tuple[float, float]:
 def run_theory_checks(
     cases: int = 100, seed: int = 0, inject_fault: bool = False
 ) -> dict[str, dict]:
-    """Run all four oracle suites; values carry residuals and pass flags."""
+    """Run all four oracle suites; values carry residuals and pass flags.
+
+    ``cases`` must be at least 1: an empty suite would pass unchecked.
+    """
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     suites = {
         "local_fit_replay": check_local_fit_replay(cases, seed, inject_fault),
         "back_solve_round_trip": check_back_solve_round_trip(cases, seed),

@@ -284,15 +284,12 @@ def simulate_true(
 def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """Rows x_0..x_K of x_{k+1} = M x_k + f_k, for forcing rows f_0..f_{K-1}.
 
-    Batched over a leading trial axis: M (B, n, n), x0 (B, n) and forcing
-    (B, K, n) give states (B, K + 1, n), and each time step is one stacked
-    ``np.matmul``, which runs the same matrix-vector product per trial as
-    ``M[b] @ x``, so every trial's rows are bitwise those of its own run. A
-    2-D M, 1-D x0 and 2-D forcing are a batch of one. Non-finite values
-    propagate; callers decide what they mean.
+    Takes stacks only: M (B, n, n), x0 (B, n) and forcing (B, K, n) give
+    states (B, K + 1, n); one run is a stack of one. Each time step is one
+    stacked ``np.matmul``, which runs the same matrix-vector product per
+    trial as ``M[b] @ x``, so every trial's rows are bitwise those of its
+    own run. Non-finite values propagate; callers decide what they mean.
     """
-    if M.ndim == 2:
-        return _affine_rollout(M[None], x0[None], forcing[None])[0]
     B, K, n = forcing.shape
     # Time-major buffer: the steps' rows never share memory, and for B = 1
     # it already has the batch-major layout of the result.
@@ -310,20 +307,12 @@ def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
 
     For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
     its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
-    Batched like the rollout: M (B, n, n) and direct (B, K + 1, n) give
-    (B, K + 1, n); a 2-D M and direct are a batch of one.
+    It is the rollout of M^T from d_K over d_{K-1}..d_0, read backwards, so
+    it runs the same steps bit for bit. Stacks only: M (B, n, n) and direct
+    (B, K + 1, n) give (B, K + 1, n).
     """
-    if M.ndim == 2:
-        return _affine_adjoint(M[None], direct[None])[0]
-    Mt = M.transpose(0, 2, 1)
-    d = direct.transpose(1, 0, 2)[..., None]
-    adj = np.empty(d.shape)
-    adj[-1] = d[-1]
-    matmul, add = np.matmul, np.add
-    for lam, lam_next, d_k in zip(adj[-2::-1], adj[:0:-1], d[-2::-1]):
-        matmul(Mt, lam_next, lam)
-        add(lam, d_k, lam)
-    return np.ascontiguousarray(adj[..., 0].transpose(1, 0, 2))
+    backwards = _affine_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
+    return np.ascontiguousarray(backwards[:, ::-1])
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
@@ -350,15 +339,14 @@ def _observability_condition(A: np.ndarray, C: np.ndarray):
     +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff) or
     its singular values are not finite, so one value is both the rank
     decision and the condition number. A and C must
-    already be validated, as an ``LtiParams``' matrices are. Stacks of pairs,
-    A (B, n, n) and C (B, q, n), give a list of B values from one stacked
-    build and SVD, each bitwise that of its own call.
+    already be validated, as an ``LtiParams``' matrices are. Stacks only:
+    A (B, n, n) and C (B, q, n) give a list of B values from one stacked
+    build and SVD, each bitwise that of a stack of one.
     """
     n = A.shape[-1]
-    s = np.linalg.svd(_observability_stack(A, C, n), compute_uv=False).reshape(-1, n)
+    s = np.linalg.svd(_observability_stack(A, C, n), compute_uv=False)
     # The rank test comes first, so a zero stack never divides.
-    cond = [sv[0] / sv[-1] if sv[-1] > RANK_RTOL * sv[0] else math.inf for sv in s.tolist()]
-    return cond if A.ndim == 3 else cond[0]
+    return [sv[0] / sv[-1] if sv[-1] > RANK_RTOL * sv[0] else math.inf for sv in s.tolist()]
 
 
 def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
@@ -368,7 +356,7 @@ def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
     """
     A = _as_matrix(A, name="A")
     C = _as_matrix(C, cols=A.shape[0], name="C")
-    return math.isfinite(_observability_condition(A, C))
+    return math.isfinite(_observability_condition(A[None], C[None])[0])
 
 
 def spectral_radius(A: np.ndarray) -> float:

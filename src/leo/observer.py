@@ -370,7 +370,7 @@ def run_luenberger(
 
     A, B, C = params.A, params.B, params.C
     forcing = inputs[:T] @ B.T + measured[:T] @ L.T
-    states = _affine_rollout(A - L @ C, x0_hat, forcing)
+    states = _affine_rollout((A - L @ C)[None], x0_hat[None], forcing[None])[0]
     return Trajectory(inputs=inputs[:T], states=states, outputs=states @ C.T)
 
 
@@ -387,7 +387,8 @@ def run_open_loop(
     if not 0 <= T <= inputs.shape[0]:
         raise ShapeError(f"horizon {T} is negative or exceeds the {inputs.shape[0]} inputs")
     x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
-    states = _affine_rollout(params.A, x0_hat, inputs[:T] @ params.B.T)
+    forcing = inputs[:T] @ params.B.T
+    states = _affine_rollout(params.A[None], x0_hat[None], forcing[None])[0]
     return Trajectory(inputs=inputs[:T], states=states, outputs=states @ params.C.T)
 
 
@@ -422,7 +423,7 @@ def conditioning_transform(
     fallbacks. The selected transform never increases the condition number.
     """
     n = params.dims[0]
-    cond0 = _observability_condition(params.A, params.C)
+    cond0 = _observability_condition(params.A[None], params.C[None])[0]
     if not np.isfinite(cond0):
         raise RankDeficientError("cannot condition an unobservable realization")
     identity = CoordinateTransform.identity(n)
@@ -447,7 +448,7 @@ def conditioning_transform(
         try:
             tf = CoordinateTransform.from_matrix(T)
             transformed = apply_transform(tf, params)
-            cond = _observability_condition(transformed.A, transformed.C)
+            cond = _observability_condition(transformed.A[None], transformed.C[None])[0]
         except (np.linalg.LinAlgError, ShapeError):
             continue
         if cond < cond0 and (best is None or cond < best[0]):

@@ -1,11 +1,13 @@
 """The affine rollout kernel and its adjoint against per-step reference loops.
 
 Every observer rollout and the training gradient run through
-``_affine_rollout`` / ``_affine_adjoint``. The loops below are the forms those
-paths had before they shared the kernel: the innovation-form Luenberger
-recursion, the plain open-loop recursion, and a loss/gradient whose rollout
-and adjoint run over the full horizon instead of stopping at the end of the
-loss window.
+``_affine_rollout``, the one time-step loop; ``_affine_adjoint`` is that
+rollout run backwards with M^T. Both take stacks only, so a single run is a
+stack of one. The loops below are the forms those paths had before they
+shared the kernel: the innovation-form Luenberger recursion, the plain
+open-loop recursion, a loss/gradient whose rollout and adjoint run over the
+full horizon instead of stopping at the end of the loss window, and the
+per-trial forward and backward loops the stacked kernel replaced.
 """
 
 import numpy as np
@@ -187,8 +189,8 @@ class TestKernelProperties:
         M = stable_matrix(gen, n)
         forcing = gen.standard_normal((steps, n))
         direct = gen.standard_normal((steps + 1, n))
-        states = _affine_rollout(M, np.zeros(n), forcing)
-        adj = _affine_adjoint(M, direct)
+        states = _affine_rollout(M[None], np.zeros((1, n)), forcing[None])[0]
+        adj = _affine_adjoint(M[None], direct[None])[0]
         lhs = np.einsum("ki,ki->", direct, states)
         rhs = np.einsum("ki,ki->", adj[1:], forcing)
         scale = (
@@ -257,9 +259,10 @@ class TestStackedKernel:
         assert states.shape == adj.shape == (batch, steps + 1, n)
         for b in range(batch):
             assert states[b].flags.c_contiguous and adj[b].flags.c_contiguous
-            assert np.array_equal(states[b], _affine_rollout(M[b], x0[b], forcing[b]))
+            one = slice(b, b + 1)
+            assert np.array_equal(states[b], _affine_rollout(M[one], x0[one], forcing[one])[0])
             assert np.array_equal(states[b], plain_rollout(M[b], x0[b], forcing[b]))
-            assert np.array_equal(adj[b], _affine_adjoint(M[b], direct[b]))
+            assert np.array_equal(adj[b], _affine_adjoint(M[one], direct[one])[0])
             assert np.array_equal(adj[b], plain_adjoint(M[b], direct[b]))
 
     @PROPERTY_SETTINGS

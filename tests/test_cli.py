@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from leo.cli import build_parser, main
 
 
@@ -151,6 +153,14 @@ class TestTheoryCheck:
     def test_injected_fault_fails(self, capsys):
         assert run_cli("theory-check", "--cases", "10", "--inject-fault") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_no_cases_is_a_usage_error(self, capsys, cases):
+        # an empty suite checks nothing, so it must not print PASS
+        assert run_cli("theory-check", "--cases", cases) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "cases must be >= 1" in captured.err
 
 
 class TestConfigFile:

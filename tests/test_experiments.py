@@ -52,6 +52,20 @@ class TestNormalizedError:
         with pytest.raises(DegenerateReferenceError):
             normalized_error(x, x, 0, 4)
 
+    @pytest.mark.parametrize("start, length", [(-5, 3), (-1, 0), (0, -1), (2, -3)])
+    def test_negative_window_is_a_configuration_error(self, start, length):
+        # not a window counted from the end, and not a degenerate reference
+        x = np.arange(1.0, 21.0).reshape(10, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            normalized_error(2 * x, x, start, length)
+
+    def test_zero_length_window_scores_one_state(self):
+        x = np.arange(1.0, 21.0).reshape(10, 2)
+        x_hat = x.copy()
+        x_hat[4] *= 1.5
+        assert normalized_error(x_hat, x, 4, 0) == pytest.approx(0.5)
+        assert normalized_error(x_hat, x, 3, 0) == 0.0
+
 
 class TestTrimmedMean:
     def test_one_to_ten(self):
@@ -145,6 +159,13 @@ class TestWilcoxon:
 
     def test_all_zero_differences(self):
         assert wilcoxon_signed_rank(np.ones(8), np.ones(8)) == 1.0
+
+    @pytest.mark.parametrize("zero_differences", [False, True])
+    def test_unknown_method_is_rejected(self, zero_differences):
+        a = np.arange(1.0, 9.0)
+        b = a if zero_differences else a - 0.5
+        with pytest.raises(ValueError, match="method"):
+            wilcoxon_signed_rank(a, b, method="bogus")
 
     def test_matches_reference_exact(self):
         gen = np.random.default_rng(4)

@@ -111,7 +111,7 @@ def loss_and_gradient_reference(params, gain, inputs, measured_outputs, cfg, ini
     if L is not None:
         forcing += measured[:-1] @ L.T
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _affine_rollout(M, params.x0_hat, forcing)
+        states = _affine_rollout(M[None], params.x0_hat[None], forcing[None])[0]
     finite = np.all(np.isfinite(states), axis=1)
     if not finite.all():
         raise DivergedRollout(int(np.argmax(~finite)))
@@ -135,7 +135,7 @@ def loss_and_gradient_reference(params, gain, inputs, measured_outputs, cfg, ini
 
     S = np.zeros_like(measured)
     S[window] = np.sign(residuals) / (K * q)
-    adj = _affine_adjoint(M, -S @ params.C_hat)
+    adj = _affine_adjoint(M[None], (-S @ params.C_hat)[None])[0]
 
     gA = adj[1:].T @ states[:-1]
     gB = adj[1:].T @ inputs
@@ -514,7 +514,8 @@ class TestTrain:
         sys = random_system(2, 1, 1, gen)
         exact = LearnableParams.from_lti(sys.real, sys.x0_real)
         inputs = gen.normal(0, 1, (260, 1))
-        states = _affine_rollout(exact.A_hat, exact.x0_hat, inputs @ exact.B_hat.T)
+        forcing = inputs @ exact.B_hat.T
+        states = _affine_rollout(exact.A_hat[None], exact.x0_hat[None], forcing[None])[0]
         measured = states @ exact.C_hat.T
         cfg = TrainConfig(epochs=50, weight_decay=0.0, rollout_mode="open_loop")
         res = train(exact, inputs, measured, cfg)
@@ -800,7 +801,7 @@ class TestLockstepTraining:
 
     def test_one_stacked_call_per_epoch_and_request(self, monkeypatch):
         # ten runs of one problem: each epoch's conditioning, rollout and
-        # adjoint are one call over all ten
+        # adjoint are one call over all ten (the adjoint is itself a rollout)
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -827,7 +828,7 @@ class TestLockstepTraining:
             assert got.diagnostics["lr_halvings"] == got.diagnostics["transforms_applied"] == 0
         # each observability stack is factorized by exactly one SVD
         assert batches == {
-            "_affine_rollout": [10] * epochs,
+            "_affine_rollout": [10] * (2 * epochs),
             "_affine_adjoint": [10] * epochs,
             "_observability_stack": [10] * epochs,
         }

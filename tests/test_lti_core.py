@@ -155,9 +155,9 @@ class TestIsObservable:
             for _ in range(5):
                 A, C = gen.standard_normal((n, n)), gen.standard_normal((q, n))
                 O = observability_matrix(A, C, n)
-                assert _observability_condition(A, C) == condition_number(O)
-        assert _observability_condition(np.eye(2), [[1.0, 0.0]]) == np.inf
-        assert _observability_condition(np.eye(2), [[0.0, 0.0]]) == np.inf
+                assert _observability_condition(A[None], C[None]) == [condition_number(O)]
+        assert _observability_condition(np.eye(2)[None], np.array([[[1.0, 0.0]]])) == [np.inf]
+        assert _observability_condition(np.eye(2)[None], np.array([[[0.0, 0.0]]])) == [np.inf]
 
 
 def observability_condition_reference(A, C):
@@ -196,14 +196,15 @@ class TestStackedObservabilityCondition:
         got = _observability_condition(A, C)
         assert isinstance(got, list) and len(got) == batch
         for b in range(batch):
-            assert got[b] == _observability_condition(A[b], C[b])
+            assert got[b] == _observability_condition(A[b : b + 1], C[b : b + 1])[0]
             assert got[b] == observability_condition_reference(A[b], C[b])
         for b in unobservable:
             assert got[b] == math.inf
 
-    def test_one_pair_call_is_a_float(self):
-        value = _observability_condition(A_DEMO, C_DEMO)
-        assert type(value) is float and value == observability_condition_reference(A_DEMO, C_DEMO)
+    def test_stack_of_one_pair_is_a_one_element_list(self):
+        value = _observability_condition(A_DEMO[None], C_DEMO[None])
+        assert type(value[0]) is float
+        assert value == [observability_condition_reference(A_DEMO, C_DEMO)]
 
 
 class TestSpectralRadius:
