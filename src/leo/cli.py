@@ -34,7 +34,7 @@ from .experiments import (
 )
 from .learning import TrainConfig
 from .local_lti import run_theory_checks
-from .lti_core import LtiParams, TrueSystem
+from .lti_core import LtiParams, TrueSystem, kernel_name
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -160,11 +160,25 @@ def _resolve(args, config: dict, key: str, cast, fallback):
     return fallback
 
 
-def _seed_fallback() -> int:
-    env = os.environ.get("LEO_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+def _seed(args, config: dict) -> int:
+    """The master seed: ``--seed``, else the config's ``seed``, else
+    ``LEO_SEED``, else 0. A negative or non-integer value is a usage error
+    that names where it came from."""
+    if getattr(args, "seed", None) is not None:
+        source, raw = "--seed", args.seed
+    elif "seed" in config:
+        source, raw = "config key 'seed'", config["seed"]
+    elif "LEO_SEED" in os.environ:
+        source, raw = "environment variable LEO_SEED", os.environ["LEO_SEED"]
+    else:
+        return 0
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _build_train_cfg(epochs: int | None, rollout: str | None) -> TrainConfig:
@@ -220,7 +234,7 @@ def _demo_csv(execution) -> str:
 
 
 def cmd_demo(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", int, _seed_fallback())
+    seed = _seed(args, config)
     out_dir = _resolve(args, config, "out_dir", str, ".")
     epochs = _resolve(args, config, "epochs", int, None)
     rollout = _resolve(args, config, "rollout", str, None)
@@ -247,7 +261,7 @@ def cmd_demo(args, config: dict) -> int:
 
 
 def cmd_trial(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", int, _seed_fallback())
+    seed = _seed(args, config)
     epochs = _resolve(args, config, "epochs", int, None)
     rollout = _resolve(args, config, "rollout", str, None)
     dims_list = _parse_dims(_resolve(args, config, "dims", str, "2,1,1"))
@@ -304,7 +318,7 @@ def _trials_csv(results) -> str:
 
 
 def cmd_montecarlo(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", int, _seed_fallback())
+    seed = _seed(args, config)
     out_dir = _resolve(args, config, "out_dir", str, ".")
     trials = _resolve(args, config, "trials", int, 100)
     epochs = _resolve(args, config, "epochs", int, None)
@@ -339,6 +353,7 @@ def cmd_montecarlo(args, config: dict) -> int:
     summary_path = os.path.join(out_dir, "summary.json")
     payload = {
         "version": _version_string(),
+        "kernel": kernel_name(),
         "config": {
             "trials": trials,
             "master_seed": seed,
@@ -357,7 +372,7 @@ def cmd_montecarlo(args, config: dict) -> int:
 
 
 def cmd_theory_check(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", int, _seed_fallback())
+    seed = _seed(args, config)
     cases = _resolve(args, config, "cases", int, 100)
     report = run_theory_checks(cases=cases, seed=seed, inject_fault=args.inject_fault)
     all_passed = True

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "random_system",
     "matrix_to_json",
     "matrix_from_json",
+    "kernel_name",
 ]
 
 # Relative singular-value cutoff for numerical rank decisions.
@@ -285,10 +288,45 @@ def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nd
     """Rows x_0..x_K of x_{k+1} = M x_k + f_k, for forcing rows f_0..f_{K-1}.
 
     Takes stacks only: M (B, n, n), x0 (B, n) and forcing (B, K, n) give
-    states (B, K + 1, n); one run is a stack of one. Each time step is one
-    stacked ``np.matmul``, which runs the same matrix-vector product per
-    trial as ``M[b] @ x``, so every trial's rows are bitwise those of its
-    own run. Non-finite values propagate; callers decide what they mean.
+    states (B, K + 1, n); one run is a stack of one. The C loop of
+    ``_kernel.c`` runs it where it loads, else ``_numpy_rollout``; both
+    compute each row bitwise as its own run would. Non-finite values
+    propagate; callers decide what they mean.
+    """
+    B, K, n = forcing.shape
+    if M.shape != (B, n, n) or x0.shape != (B, n):
+        raise ShapeError(f"rollout of M {M.shape} from x0 {x0.shape} with forcing {forcing.shape}")
+    states = np.empty((B, K + 1, n))
+    loop = _load_c_loop()
+    if loop and loop(False, M, x0, forcing, states):
+        return states
+    return _numpy_rollout(M, x0, forcing)
+
+
+def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_affine_rollout``: lambda_k = d_k + M^T lambda_{k+1}.
+
+    For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
+    its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
+    Stacks only: M (B, n, n) and direct (B, K + 1, n) give (B, K + 1, n).
+    The C loop writes it back to front; ``_numpy_adjoint`` is the fallback.
+    """
+    B, K1, n = direct.shape
+    if M.shape != (B, n, n) or K1 < 1:
+        raise ShapeError(f"adjoint of M {M.shape} with direct terms {direct.shape}")
+    adj = np.empty((B, K1, n))
+    loop = _load_c_loop()
+    if loop and loop(True, M, direct[:, -1], direct, adj):
+        return adj
+    return _numpy_adjoint(M, direct)
+
+
+def _numpy_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    """``_affine_rollout`` as a numpy loop: the fallback and the reference.
+
+    Each time step is one stacked ``np.matmul``, which runs the same BLAS
+    matrix-vector product per trial as ``M[b] @ x``, so every trial's rows
+    are bitwise those of its own run.
     """
     B, K, n = forcing.shape
     # Time-major buffer: the steps' rows never share memory, and for B = 1
@@ -302,17 +340,119 @@ def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nd
     return np.ascontiguousarray(states[..., 0].transpose(1, 0, 2))
 
 
-def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_affine_rollout``: lambda_k = d_k + M^T lambda_{k+1}.
-
-    For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
-    its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
-    It is the rollout of M^T from d_K over d_{K-1}..d_0, read backwards, so
-    it runs the same steps bit for bit. Stacks only: M (B, n, n) and direct
-    (B, K + 1, n) give (B, K + 1, n).
-    """
-    backwards = _affine_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
+def _numpy_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """``_affine_adjoint`` as a numpy loop: the rollout of M^T from d_K over
+    d_{K-1}..d_0, read backwards, so it runs the same steps bit for bit."""
+    backwards = _numpy_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
     return np.ascontiguousarray(backwards[:, ::-1])
+
+
+# The C time-step loop: None until the first kernel call loads it, then the
+# loaded loop, or False where it is unavailable and the numpy loop runs.
+_c_loop = None
+_CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def kernel_name() -> str:
+    """``"blas-c"`` if the rollout and adjoint run in the C loop, else
+    ``"numpy"``; the first call loads the loop if no kernel call has yet."""
+    return "blas-c" if _load_c_loop() else "numpy"
+
+
+def _load_c_loop():
+    """The C loop, built and checked on first use, or False.
+
+    The library is compiled once per source and flag set into
+    ``$XDG_CACHE_HOME/leo`` (default ``~/.cache/leo``). Its steps call the
+    Fortran ``dgemv`` that scipy exports for Cython. That BLAS may be
+    another build than the one numpy calls, so the loop is kept only if it
+    matches the numpy loop bitwise on a fixed stack for each n = 1..4 in
+    both directions. Any failure (no compiler, an unwritable cache, no
+    capsule, a mismatch) leaves the numpy loop in place, without a warning.
+    """
+    global _c_loop
+    if _c_loop is None:
+        try:
+            loop = _build_c_loop()
+        except (OSError, ImportError, KeyError, ValueError, subprocess.SubprocessError):
+            loop = None
+        _c_loop = loop if loop is not None and _matches_numpy(loop) else False
+    return _c_loop
+
+
+def _build_c_loop():
+    import ctypes
+    import hashlib
+    import tempfile
+
+    from scipy.linalg.cython_blas import __pyx_capi__ as blas
+
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(_CC_FLAGS).encode()).hexdigest()[:16]
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "leo")
+    library = os.path.join(cache, f"kernel-{key}.so")
+    if not os.path.exists(library):
+        os.makedirs(cache, exist_ok=True)
+        # Build under a private name and rename: concurrent builders each
+        # install a whole library, and a reader never sees a partial one.
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *_CC_FLAGS, "-o", tmp, source],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, library)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    affine = ctypes.CDLL(library).leo_affine
+    affine.restype = None
+    affine.argtypes = [ctypes.c_void_p, ctypes.c_char, ctypes.c_int, ctypes.c_long,
+                       ctypes.c_long, ctypes.c_int] + [ctypes.c_void_p] * 4
+    capsule = blas["dgemv"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    dgemv = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+
+    def loop(backwards: bool, M, x0, f, out) -> bool:
+        """Run into ``out``, shaped as the result; False, with nothing run,
+        for a layout of M on which np.matmul calls no BLAS."""
+        n = out.shape[2]
+        # np.matmul picks the BLAS call by the layout of the matrix it
+        # applies (M, or M^T backwards): 'T' on its row-major memory, 'N' on
+        # its column-major memory.
+        applied = M.transpose(0, 2, 1) if backwards else M
+        rows, cols = applied.strides[1:]
+        if n == 1 or cols == 8 and rows % 8 == 0 and rows >= 8 * n:
+            trans, memory = b"T", applied
+        elif rows == 8 and cols % 8 == 0 and cols >= 8 * n:
+            trans, memory = b"N", applied.transpose(0, 2, 1)
+        else:
+            return False
+        P, x0, f = (np.ascontiguousarray(a, dtype=float) for a in (memory, x0, f))
+        affine(dgemv, trans, backwards, out.shape[0], out.shape[1] - 1, n,
+               P.ctypes.data, x0.ctypes.data, f.ctypes.data, out.ctypes.data)
+        return True
+
+    return loop
+
+
+def _matches_numpy(loop) -> bool:
+    """True iff ``loop`` gives the numpy loop's bits on a fixed seeded stack
+    per n = 1..4, forwards and backwards."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20250611)))
+    for n in range(1, 5):
+        M = 0.6 * gen.standard_normal((3, n, n))
+        x0 = gen.standard_normal((3, n))
+        f = gen.standard_normal((3, 17, n))
+        states, adj = np.empty((3, 18, n)), np.empty((3, 17, n))
+        loop(False, M, x0, f, states)
+        loop(True, M, f[:, -1], f, adj)
+        if (states.tobytes() != _numpy_rollout(M, x0, f).tobytes()
+                or adj.tobytes() != _numpy_adjoint(M, f).tobytes()):
+            return False
+    return True
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:

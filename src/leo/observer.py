@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import (
     PolePlacementInfeasible,
@@ -197,9 +197,33 @@ def _spectrum_block_diag(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def max_spectrum_deviation(attained: np.ndarray, requested: np.ndarray) -> float:
     """Largest pairwise distance under the best one-to-one eigenvalue matching."""
-    cost = np.abs(attained[:, None] - requested[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(_spectrum_deviation(np.asarray(attained)[None], np.asarray(requested))[0])
+
+
+def _spectrum_deviation(attained: np.ndarray, requested: np.ndarray) -> np.ndarray:
+    """``max_spectrum_deviation`` of each row of attained (B, m) against
+    requested (n,), as a (B,) array.
+
+    The best matching has the least summed distance. For m = n <= 4 it is
+    the first such one of the n! <= 24 permutations, in lexicographic
+    order, tried for all rows at once; other sizes ask scipy's
+    ``linear_sum_assignment`` row by row.
+    """
+    cost = np.abs(attained[:, :, None] - requested[None, None, :])
+    n = len(requested)
+    if n > 4 or attained.shape[1] != n:
+        from scipy.optimize import linear_sum_assignment
+
+        return np.array([c[linear_sum_assignment(c)].max() for c in cost])
+    picked = cost[:, np.arange(n), _permutations(n)]  # (B, n!, n)
+    best = picked.sum(axis=2).argmin(axis=1)
+    return picked[np.arange(len(cost)), best].max(axis=1)
+
+
+@lru_cache(maxsize=4)
+def _permutations(n: int) -> np.ndarray:
+    """The n! orderings of range(n) as rows, in lexicographic order."""
+    return np.array(list(permutations(range(n))))
 
 
 def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
@@ -272,21 +296,17 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> list:
     poles = tuple(desired)
     desired = np.asarray(desired)
     out: list = [None] * A.shape[0]
-    eig_A = np.linalg.eigvals(A)
-    rows = []
-    for b, eig in enumerate(eig_A):
-        if max_spectrum_deviation(eig, desired) < 1e-9:
-            # The spectrum is already in place; the zero gain realizes it exactly.
-            out[b] = ObserverGain(L=np.zeros((n, q)), desired_poles=poles)
-        else:
-            rows.append(b)
-    if not rows:
+    placed = _spectrum_deviation(np.linalg.eigvals(A), desired) < 1e-9
+    for b in np.flatnonzero(placed):
+        # The spectrum is already in place; the zero gain realizes it exactly.
+        out[b] = ObserverGain(L=np.zeros((n, q)), desired_poles=poles)
+    if placed.all():
         return out
 
     neg_kron, targets, draws = _placement_constants(poles, q)
     # The rows without a gain: their positions in the batch, and their
     # arrays, which shrink only when a row is done before the others.
-    rows = np.asarray(rows)
+    rows = np.flatnonzero(~placed)
     if len(rows) < len(out):
         A, C = A[rows], C[rows]
     # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
@@ -316,9 +336,8 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> list:
         done = np.zeros(len(rows), dtype=bool)
         tried = slice(None) if solvable.all() else solvable
         L = np.linalg.solve(Xt[tried], G.T)
-        attained = np.linalg.eigvals(A[tried] - L @ C[tried])
-        for j, L_j, eig in zip(np.flatnonzero(solvable), L, attained):
-            deviation = max_spectrum_deviation(eig, targets)
+        deviations = _spectrum_deviation(np.linalg.eigvals(A[tried] - L @ C[tried]), targets)
+        for j, L_j, deviation in zip(np.flatnonzero(solvable), L, deviations.tolist()):
             if deviation < _PLACEMENT_TOL:
                 # A copy, so no trial's gain shares memory with another's.
                 out[rows[j]] = ObserverGain(L=L_j.copy(), desired_poles=poles)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from leo import lti_core
 from leo.cli import build_parser, main
 
 
@@ -93,6 +94,19 @@ class TestMonteCarlo:
         assert summary["summaries"][0]["trials"] == 10
         assert summary["config"]["master_seed"] == 1
         assert "version" in summary
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_summary_records_the_kernel(self, tmp_path, capsys, monkeypatch, forced):
+        if forced:
+            monkeypatch.setattr(lti_core, "_c_loop", False)
+        out = tmp_path / "mc"
+        assert run_cli(
+            "montecarlo", "--dims", "2,1,1", "--trials", "10", "--epochs", "2",
+            "--out-dir", str(out),
+        ) == 0
+        kernel = json.loads((out / "summary.json").read_text())["kernel"]
+        assert kernel == ("numpy" if forced else lti_core.kernel_name())
+        assert kernel in ("blas-c", "numpy")
 
     def test_too_few_trials_rejected(self, tmp_path, capsys):
         out = tmp_path / "mc"
@@ -224,6 +238,41 @@ class TestConfigFile:
         run_cli("trial", "--dims", "2,1,1", "--epochs", "3")
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 11
+
+
+class TestSeed:
+    # Each subcommand takes --seed; every source is checked before any work.
+    COMMANDS = ["demo", "trial", "montecarlo", "theory-check"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_flag(self, command, tmp_path, capsys):
+        assert run_cli(command, "--seed", "-1", "--out-dir", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+    def test_bad_config_value(self, command, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {value}\n")
+        assert run_cli(command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+        assert f"config key 'seed' must be a non-negative integer, got '{value}'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("value", ["abc", "-2", ""])
+    def test_bad_environment_value(self, command, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LEO_SEED", value)
+        assert run_cli(command, "--out-dir", str(tmp_path / "o")) == 2
+        assert f"LEO_SEED must be a non-negative integer, got '{value}'" in (
+            capsys.readouterr().err
+        )
+
+    def test_flag_wins_over_a_bad_environment_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEO_SEED", "abc")
+        assert run_cli("theory-check", "--seed", "1", "--cases", "2") == 0
 
 
 class TestVersion:

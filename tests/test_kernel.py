@@ -1,0 +1,165 @@
+"""The C time-step loop against the numpy loop it replaces, and its loader.
+
+``_affine_rollout`` and ``_affine_adjoint`` run the C loop of
+``leo/_kernel.c`` where it builds and passes its load-time check, and
+``_numpy_rollout``/``_numpy_adjoint`` otherwise. Training amplifies
+last-bit differences, so the two must agree bit for bit, including on the
+non-finite rows that divergence detection reads. On a host without a C
+compiler the properties compare the numpy loop with itself.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leo import lti_core
+from leo.lti_core import _affine_adjoint, _affine_rollout, _numpy_adjoint, _numpy_rollout
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def stacks(draw):
+    """M, x0, forcing and direct terms of B runs, in the layouts callers pass."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    batch, n, steps = draw(st.integers(1, 11)), draw(st.integers(1, 4)), draw(st.integers(0, 259))
+    gen = np.random.default_rng(seed)
+    M = 0.6 * gen.standard_normal((batch, n, n))
+    x0 = gen.standard_normal((batch, n))
+    forcing = gen.standard_normal((batch, steps, n))
+    direct = gen.standard_normal((batch, steps + 1, n))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "padded", "views"]))
+    if layout == "transposed":
+        M = M.transpose(0, 2, 1)
+    elif layout == "padded":
+        wide = np.zeros((batch, n, n + 3))
+        wide[:, :, :n] = M
+        M = wide[:, :, :n]
+    elif layout == "views":
+        # as training passes them: blocks of a flat parameter row, and
+        # every other time step of a longer record
+        theta = gen.standard_normal((batch, n * n + n + 2))
+        M, x0 = theta[:, : n * n].reshape(batch, n, n), theta[:, n * n : n * n + n]
+        forcing = np.repeat(forcing, 2, axis=1)[:, ::2]
+        direct = np.repeat(direct, 2, axis=1)[:, ::2]
+    bad = draw(st.sampled_from(["none", "overflow", "nan"]))
+    if bad != "none":
+        row = draw(st.integers(0, batch - 1))
+        if bad == "overflow":
+            M[row] *= 1e300
+        else:
+            x0[row, 0] = direct[row, 0, 0] = np.nan
+            forcing[row, steps // 2 :, -1] = np.nan
+    return M, x0, forcing, direct
+
+
+@pytest.fixture
+def fresh(monkeypatch, tmp_path):
+    """A loader that has not run yet, with its cache under tmp_path."""
+    monkeypatch.setattr(lti_core, "_c_loop", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "leo"
+
+
+class TestCLoopMatchesNumpyLoop:
+    @PROPERTY_SETTINGS
+    @given(stack=stacks())
+    def test_bitwise_in_both_directions(self, stack):
+        M, x0, forcing, direct = stack
+        with np.errstate(over="ignore", invalid="ignore"):
+            states, ref_states = _affine_rollout(M, x0, forcing), _numpy_rollout(M, x0, forcing)
+            adj, ref_adj = _affine_adjoint(M, direct), _numpy_adjoint(M, direct)
+        assert same_bits(states, ref_states)
+        assert same_bits(adj, ref_adj)
+        assert states.flags.c_contiguous and adj.flags.c_contiguous
+
+    def test_c_loop_runs_where_a_compiler_is(self, fresh):
+        # a silent fallback on a host with cc would hide every gain
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        assert lti_core.kernel_name() == "blas-c"
+
+
+class TestLoader:
+    def check_numpy_fallback(self):
+        # pytest turns warnings into errors: the fallback must emit none
+        gen = np.random.default_rng(5)
+        M, x0 = gen.standard_normal((3, 2, 2)), gen.standard_normal((3, 2))
+        forcing, direct = gen.standard_normal((3, 9, 2)), gen.standard_normal((3, 10, 2))
+        assert lti_core.kernel_name() == "numpy"
+        assert same_bits(_affine_rollout(M, x0, forcing), _numpy_rollout(M, x0, forcing))
+        assert same_bits(_affine_adjoint(M, direct), _numpy_adjoint(M, direct))
+
+    def test_forced_fallback(self, monkeypatch):
+        monkeypatch.setattr(lti_core, "_c_loop", False)
+        self.check_numpy_fallback()
+
+    def test_no_compiler(self, fresh, monkeypatch):
+        monkeypatch.setenv("PATH", "")
+        self.check_numpy_fallback()
+        assert list(fresh.iterdir()) == []  # no temp file left behind
+
+    def test_unwritable_cache(self, fresh, monkeypatch):
+        fresh.parent.joinpath("not-a-dir").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh.parent / "not-a-dir"))
+        self.check_numpy_fallback()
+
+    def test_no_blas_capsule(self, fresh, monkeypatch):
+        import scipy.linalg.cython_blas as cython_blas
+
+        monkeypatch.delitem(cython_blas.__pyx_capi__, "dgemv")
+        self.check_numpy_fallback()
+
+    def test_probe_mismatch(self, fresh, monkeypatch):
+        monkeypatch.setattr(lti_core, "_matches_numpy", lambda loop: False)
+        self.check_numpy_fallback()
+
+    def test_probe_rejects_a_loop_that_moves_bits(self, fresh):
+        loop = lti_core._load_c_loop()
+        if not loop:
+            pytest.skip("the C loop does not load on this host")
+
+        def off_by_one_ulp(backwards, M, x0, f, out):
+            ran = loop(backwards, M, x0, f, out)
+            out[-1, -1] = np.nextafter(out[-1, -1], np.inf)
+            return ran
+
+        assert lti_core._matches_numpy(loop)
+        assert not lti_core._matches_numpy(off_by_one_ulp)
+
+    def test_concurrent_first_builds_share_one_library(self, fresh):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(fresh.parent))
+        code = "from leo.lti_core import kernel_name; print(kernel_name())"
+        procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                                  text=True) for _ in range(3)]
+        outputs = [proc.communicate(timeout=240)[0].strip() for proc in procs]
+        assert outputs == ["blas-c"] * 3
+        assert [p.suffix for p in fresh.iterdir()] == [".so"]
+
+
+def test_import_loads_neither_scipy_linalg_nor_the_kernel(tmp_path):
+    code = (
+        "import sys, leo\n"
+        "loaded = [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert leo.lti_core._c_loop is None\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

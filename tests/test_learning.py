@@ -801,7 +801,7 @@ class TestLockstepTraining:
 
     def test_one_stacked_call_per_epoch_and_request(self, monkeypatch):
         # ten runs of one problem: each epoch's conditioning, rollout and
-        # adjoint are one call over all ten (the adjoint is itself a rollout)
+        # adjoint are one call over all ten
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -828,7 +828,7 @@ class TestLockstepTraining:
             assert got.diagnostics["lr_halvings"] == got.diagnostics["transforms_applied"] == 0
         # each observability stack is factorized by exactly one SVD
         assert batches == {
-            "_affine_rollout": [10] * (2 * epochs),
+            "_affine_rollout": [10] * epochs,
             "_affine_adjoint": [10] * epochs,
             "_observability_stack": [10] * epochs,
         }

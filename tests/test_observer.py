@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from leo.observer import (
     _place_poles,
     _placement_constants,
     _spectrum_block_diag,
+    _spectrum_deviation,
 )
 
 A_DEMO = np.array([[1.02, 0.68], [-0.68, 0.34]])
@@ -312,14 +314,63 @@ class TestObserverGainSerialization:
         assert_allclose(mapped.states, base.states @ tf.T.T, atol=1e-8)
 
 
+def lsa_deviation(attained, requested):
+    """The matching ``max_spectrum_deviation`` had: scipy's assignment solver."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(attained[:, None] - requested[None, :])
+    return float(cost[linear_sum_assignment(cost)].max())
+
+
+class TestSpectrumMatcher:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 8),
+        n=st.integers(1, 4),
+        kind=st.sampled_from(["complex", "real", "conjugate"]),
+    )
+    def test_agrees_with_linear_sum_assignment(self, seed, batch, n, kind):
+        gen = np.random.default_rng(seed)
+        attained = gen.standard_normal((batch, n)) + 0j
+        requested = gen.standard_normal(n) + 0j
+        if kind == "complex":
+            attained += 1j * gen.standard_normal((batch, n))
+            requested += 1j * gen.standard_normal(n)
+        elif kind == "conjugate" and n >= 2:
+            # eigenvalues of a real matrix against real poles: tied sums
+            attained[:, 1] = attained[:, 0].real - 1j * abs(gen.standard_normal(batch))
+            attained[:, 0] = attained[:, 1].conj()
+        got = _spectrum_deviation(attained, requested)
+        assert got.shape == (batch,)
+        for row, value in zip(attained, got.tolist()):
+            cost = np.abs(row[:, None] - requested[None, :])
+            sums = {p: sum(cost[i, j] for i, j in enumerate(p)) for p in permutations(range(n))}
+            best = min(sums.values())
+            optimal = [p for p, total in sums.items() if total <= best * (1 + 1e-12)]
+            # the value of a least-sum matching, and scipy's where that is unique
+            assert value in [max(cost[i, j] for i, j in enumerate(p)) for p in optimal]
+            if all(total > best * (1 + 1e-9) for p, total in sums.items() if p != optimal[0]):
+                assert value == lsa_deviation(row, requested)
+            assert value == max_spectrum_deviation(row, requested)
+
+    def test_larger_spectra_use_scipy(self):
+        gen = np.random.default_rng(3)
+        attained = gen.standard_normal((2, 6)) + 1j * gen.standard_normal((2, 6))
+        requested = gen.standard_normal(6) + 0j
+        got = _spectrum_deviation(attained, requested)
+        assert got.tolist() == [lsa_deviation(row, requested) for row in attained]
+
+
 def place_poles_reference(A, C, desired, draws=None):
-    """The per-trial placement the stacked ``_place_poles`` replaced.
+    """The per-trial placement the stacked ``_place_poles`` replaced, with
+    the scipy matching it had.
 
     ``draws``, when given, replaces the seeded sequence of G matrices.
     """
     n = A.shape[0]
     eig_A = np.linalg.eigvals(A)
-    if max_spectrum_deviation(eig_A, desired) < 1e-9:
+    if lsa_deviation(eig_A, desired) < 1e-9:
         return ObserverGain(L=np.zeros((n, C.shape[0])), desired_poles=tuple(desired))
 
     F, targets = _spectrum_block_diag(desired)
@@ -343,7 +394,7 @@ def place_poles_reference(A, C, desired, draws=None):
         if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
             continue
         L = np.linalg.solve(X.T, G.T)
-        deviation = max_spectrum_deviation(np.linalg.eigvals(A - L @ C), targets)
+        deviation = lsa_deviation(np.linalg.eigvals(A - L @ C), targets)
         if deviation < leo.observer._PLACEMENT_TOL:
             return ObserverGain(L=L, desired_poles=tuple(desired))
         if best is None or deviation < best[0]:
