@@ -39,12 +39,8 @@ from .lti_core import (
     spectral_radius,
 )
 from .observer import (
-    CoordinateTransform,
     ObserverGain,
-    apply_transform,
-    conditioning_transform,
     default_observer_poles,
-    invert_transform,
     max_spectrum_deviation,
     place_observer_poles,
     run_luenberger,

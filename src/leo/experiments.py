@@ -11,6 +11,7 @@ Wilcoxon signed-rank p-values per dimension triple.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DegenerateReferenceError, LeoError
-from .learning import LearnableParams, TrainConfig, _lockstep, _run, _train_steps
+from .learning import LearnableParams, TrainConfig, _train_batch
 from .lti_core import (
+    LtiParams,
     NoiseRealization,
     RngStream,
     SystemGenConfig,
@@ -30,6 +32,7 @@ from .lti_core import (
     simulate_true,
 )
 from .observer import (
+    ObserverGain,
     default_observer_poles,
     place_observer_poles,
     run_luenberger,
@@ -86,8 +89,23 @@ class TrialSpec:
         n, p, q = self.dims
         if not (1 <= p <= n) or q < 1:
             raise ValueError(f"invalid dimensions (n,p,q)=({n},{p},{q})")
+        for name in ("horizon", "seed", "trial_index", "max_regenerations"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if self.max_regenerations < 1:
+            raise ValueError(f"max_regenerations must be at least 1, got {self.max_regenerations}")
+        for name in ("seed", "trial_index"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("process_noise_std", "measurement_noise_std", "perturbation_std",
+                     "x0_offset_std", "input_std"):
+            # Written so that NaN fails it.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -227,25 +245,35 @@ def execute_trial(
     failed trials count as non-successes instead of disappearing from the
     statistics. A horizon too short for the training window is a
     configuration error and raises ``ValueError`` before any work. The trial
-    runs as a lockstep batch of one, and gives bitwise what it gives inside
-    a Monte Carlo batch.
+    trains as a batch of one, and gives bitwise what it gives inside a
+    Monte Carlo batch.
     """
     cfg = train_cfg or TrainConfig()
-    return _run(_trial_steps(spec, cfg, system_override, x0_hat_override))
+    trial = _prepare_trial(spec, cfg, system_override, x0_hat_override)
+    (trained,) = _train_batch([trial.init], [trial.truth.inputs], [trial.truth.outputs], cfg)
+    return _score_trial(trial, trained, cfg)
 
 
-def _trial_steps(
+@dataclass(frozen=True)
+class _PreparedTrial:
+    """A trial drawn, simulated and given its nominal gain, ready to train."""
+
+    spec: TrialSpec
+    noise: NoiseRealization
+    truth: Trajectory
+    nominal: LtiParams
+    gain_nominal: ObserverGain
+    init: LearnableParams
+    flags: dict
+
+
+def _prepare_trial(
     spec: TrialSpec,
     cfg: TrainConfig,
     system_override: TrueSystem | None = None,
     x0_hat_override: np.ndarray | None = None,
-):
-    """Step generator of ``execute_trial`` for ``learning._lockstep``.
-
-    It draws, simulates and places the nominal gain, then yields its
-    training's kernel requests, then places the enhanced gain and scores the
-    four observers, and returns the ``TrialExecution``.
-    """
+) -> _PreparedTrial:
+    """Draw the system, simulate it and place the nominal gain."""
     n, p, q = spec.dims
     T = spec.horizon
     if T < cfg.window_start + cfg.window_len:
@@ -256,9 +284,6 @@ def _trial_steps(
     flags: dict = {"regenerations": 0, "divergence": False, "placement_fallback": False}
 
     base = RngStream(spec.seed, (n, p, q, spec.trial_index))
-    gen = None
-    sysm = None
-    nominal = None
     for attempt in range(spec.max_regenerations):
         gen = base.substream(attempt).generator()
         if system_override is not None:
@@ -287,36 +312,50 @@ def _trial_steps(
         x0_hat = np.asarray(x0_hat_override, dtype=float).reshape(n)
     else:
         x0_hat = sysm.x0_real + gen.normal(0.0, spec.x0_offset_std, n)
+    gain_nominal = place_observer_poles(nominal.A, nominal.C, default_observer_poles(n))
+    return _PreparedTrial(
+        spec=spec,
+        noise=noise,
+        truth=traj,
+        nominal=nominal,
+        gain_nominal=gain_nominal,
+        init=LearnableParams.from_lti(nominal, x0_hat),
+        flags=flags,
+    )
 
-    poles = default_observer_poles(n)
-    gain_nominal = place_observer_poles(nominal.A, nominal.C, poles)
 
-    init = LearnableParams.from_lti(nominal, x0_hat)
-    enhanced = init
-    gain_enhanced = gain_nominal
-    try:
-        result = yield from _train_steps(init, inputs, traj.outputs, cfg)
-        if result.diagnostics.get("aborted"):
-            flags["divergence"] = True
-        else:
-            enhanced = result.params
-            try:
-                gain_enhanced = place_observer_poles(
-                    enhanced.A_hat, enhanced.C_hat, poles
-                )
-            except LeoError:
-                flags["placement_fallback"] = True
-                fallback = result.diagnostics.get("final_gain")
-                if fallback is not None:
-                    gain_enhanced = fallback
-    except LeoError:
+def _score_trial(trial: _PreparedTrial, trained, cfg: TrainConfig) -> TrialExecution:
+    """Place the enhanced gain and score the four observers of a trial.
+
+    ``trained`` is the trial's ``TrainResult``, or the exception that failed
+    its training: a ``LeoError`` counts as divergence, anything else is
+    raised.
+    """
+    spec, flags, traj, nominal = trial.spec, trial.flags, trial.truth, trial.nominal
+    inputs, x0_hat, T = traj.inputs, trial.init.x0_hat, spec.horizon
+    enhanced = trial.init
+    gain_enhanced = trial.gain_nominal
+    if isinstance(trained, Exception) and not isinstance(trained, LeoError):
+        raise trained
+    if isinstance(trained, LeoError) or trained.diagnostics["aborted"]:
         flags["divergence"] = True
+    else:
+        enhanced = trained.params
+        try:
+            gain_enhanced = place_observer_poles(
+                enhanced.A_hat, enhanced.C_hat, default_observer_poles(spec.dims[0])
+            )
+        except LeoError:
+            flags["placement_fallback"] = True
+            fallback = trained.diagnostics["final_gain"]
+            if fallback is not None:
+                gain_enhanced = fallback
 
     enhanced_lti = enhanced.as_lti()
     k0, K = cfg.window_start, cfg.window_len
     rolls = {
         "nom_open": run_open_loop(nominal, inputs, x0_hat, T),
-        "nom_closed": run_luenberger(nominal, gain_nominal, inputs, traj.outputs, x0_hat, T),
+        "nom_closed": run_luenberger(nominal, trial.gain_nominal, inputs, traj.outputs, x0_hat, T),
     }
     # An unstable refined model can overflow its rollout; that counts as a
     # failed trial (enhanced falls back to nominal), never as a crash.
@@ -346,7 +385,7 @@ def _trial_steps(
     return TrialExecution(
         spec=spec,
         truth=traj,
-        noise=noise,
+        noise=trial.noise,
         rollouts=rolls,
         errors=errors,
         enhanced=enhanced,
@@ -365,14 +404,29 @@ def run_trial(
 
 
 def _run_trials_guarded(specs: list[TrialSpec], cfg: TrainConfig) -> list[TrialResult]:
-    """A batch of trials for the harness, trained in lockstep."""
-    outcomes = _lockstep([_trial_result_steps(spec, cfg) for spec in specs])
-    return [_guarded_result(spec, outcome) for spec, outcome in zip(specs, outcomes)]
+    """A batch of trials for the harness: each trial is prepared, the
+    prepared ones train as one batch, then each is scored."""
+    prepared = [_guarded(_prepare_trial, spec, cfg) for spec in specs]
+    ready = [trial for trial in prepared if isinstance(trial, _PreparedTrial)]
+    truths = [t.truth for t in ready]
+    trained = iter(
+        _train_batch([t.init for t in ready], [t.inputs for t in truths],
+                     [t.outputs for t in truths], cfg) if ready else ()
+    )
+    results = []
+    for spec, trial in zip(specs, prepared):
+        if isinstance(trial, _PreparedTrial):
+            trial = _guarded(_score_trial, trial, next(trained), cfg)
+        results.append(_guarded_result(spec, trial))
+    return results
 
 
-def _trial_result_steps(spec: TrialSpec, cfg: TrainConfig):
-    """``_trial_steps`` reduced to its result, so a batch keeps no trajectories."""
-    return (yield from _trial_steps(spec, cfg)).result()
+def _guarded(fn, *args):
+    """``fn(*args)``, or the ``LeoError`` or ``LinAlgError`` it raised."""
+    try:
+        return fn(*args)
+    except (LeoError, np.linalg.LinAlgError) as exc:
+        return exc
 
 
 def _guarded_result(spec: TrialSpec, outcome) -> TrialResult:
@@ -382,10 +436,8 @@ def _guarded_result(spec: TrialSpec, outcome) -> TrialResult:
     counts as a non-success everywhere (and as a dropped zero difference in
     the signed-rank test) instead of aborting the whole run.
     """
-    if not isinstance(outcome, Exception):
-        return outcome
-    if not isinstance(outcome, (LeoError, np.linalg.LinAlgError)):
-        raise outcome
+    if isinstance(outcome, TrialExecution):
+        return outcome.result()
     return TrialResult(
         spec=spec,
         e_nominal_open=0.0,
@@ -480,7 +532,8 @@ def wilcoxon_signed_rank(
     the exact null distribution over all sign patterns; beyond that a
     tie-corrected normal approximation with continuity correction is used.
     ``"exact"`` and ``"approx"`` force one of the two. All-zero differences
-    give p = 1.0 by convention.
+    give p = 1.0 by convention. A pair of equal errors is a zero difference,
+    also when both are infinite (two unscorable rollouts); NaN is rejected.
     """
     if method not in ("auto", "exact", "approx"):
         raise ValueError("method must be auto, exact or approx")
@@ -488,8 +541,10 @@ def wilcoxon_signed_rank(
     b = np.asarray(e_enhanced, dtype=float)
     if a.shape != b.shape:
         raise ValueError("paired samples must be aligned")
-    d = a - b
-    d = d[d != 0.0]
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("paired samples must not contain NaN")
+    differ = a != b
+    d = a[differ] - b[differ]
     if d.size == 0:
         return 1.0
     ranks = _midranks(np.abs(d))
@@ -518,7 +573,7 @@ def run_monte_carlo(
     Each trial draws its own random stream from (master_seed, dims, trial
     index), so the summaries depend only on the seed and configuration, not
     on execution order, batch grouping or the number of workers. The trials
-    of one triple train in lockstep as one batch; with ``parallel`` worker
+    of one triple train as one batch; with ``parallel`` worker
     processes (at most the CPU count, one pool for the whole run) each
     triple's trials are split into that many contiguous batches.
     """

@@ -10,18 +10,17 @@ is re-synthesized from the current matrices between epochs and treated as a
 constant inside the gradient: the rollout is then an affine recursion, so
 its adjoint is the matching backward affine recursion.
 
-The training loop is a step generator: each epoch it yields requests to
-``_lockstep``, which serves the requests of many runs (the trials of a
-Monte Carlo batch) with one stacked call each. A request is
-``(stacked_fn, *args)``: ``_observability_condition`` decides observability
-and conditioning, ``_place_poles`` re-synthesizes the gain and
-``_stacked_loss`` gives loss and gradient, its forward rollout and adjoint
-taking one stacked matrix-vector product per time step for all the runs.
-A stacked function returns one result per run or raises; a stacked call
-that raises is served again one run at a time, the one place where a run's
-failure is kept from the others. ``loss`` and ``gradient`` call
-``_stacked_loss`` on a stack of one run, ``train`` runs the loop alone; a
-run's results are bitwise the same alone or batched.
+Training runs a batch of runs that share dims and one ``TrainConfig`` (the
+trials of a Monte Carlo batch) as plain arrays with a leading run axis: θ,
+the anchor θ, the Adam moments, per-run counters and masks. Each round runs
+one epoch of every live run with one stacked call per stage: the
+observability decision (``_observability_condition``), gain re-synthesis
+(``_place_poles``), loss and gradient (``_stacked_loss``, whose rollout and
+adjoint take one stacked matrix-vector product per time step) and the Adam
+update. Rollback, abort and gain reuse are masked assignments. A stacked
+call computes every row bitwise as a stack of one would, so a run's result
+does not depend on its batch; ``train``, ``loss``, ``gradient`` and
+``adam_step`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -30,12 +29,11 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DivergedRollout, ShapeError, SynthesisFailureError
+from .exceptions import DivergedRollout, ShapeError
 from .lti_core import (
     LtiParams,
     matrix_to_json,
@@ -43,16 +41,7 @@ from .lti_core import (
     _affine_rollout,
     _observability_condition,
 )
-from .observer import (
-    CoordinateTransform,
-    apply_transform,
-    conditioning_transform,
-    default_observer_poles,
-    invert_transform,
-    _checked_poles,
-    _gain_matrix,
-    _place_poles,
-)
+from .observer import default_observer_poles, _checked_poles, _gain_matrix, _place_poles
 
 __all__ = [
     "LearnableParams",
@@ -75,6 +64,8 @@ ROLLOUT_MODES = ("luenberger", "open_loop")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+_NON_FINITE = "learnable parameters contain non-finite entries"
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ class LearnableParams:
 
     def _bind(self, theta: np.ndarray, dims: tuple[int, int, int]) -> "LearnableParams":
         if not np.isfinite(theta).all():
-            raise ShapeError("learnable parameters contain non-finite entries")
+            raise ShapeError(_NON_FINITE)
         theta.flags.writeable = False
         names = ("theta", "dims", "A_hat", "B_hat", "C_hat", "x0_hat")
         for name, value in zip(names, (theta, dims, *_blocks(theta, *dims))):
@@ -169,7 +160,6 @@ class TrainConfig:
     lambda_B: float | None = None
     lambda_C: float | None = None
     rollout_mode: str = "luenberger"
-    conditioning_threshold: float = 1e8
 
     def __post_init__(self):
         # Every comparison is written so that NaN fails it.
@@ -185,8 +175,6 @@ class TrainConfig:
         lambdas = [x for x in (self.lambda_A, self.lambda_B, self.lambda_C) if x is not None]
         if not all(0 <= x < np.inf for x in (self.weight_decay, *lambdas)):
             raise ValueError("weight_decay and lambda_* must be non-negative and finite")
-        if not self.conditioning_threshold > 0:
-            raise ValueError("conditioning_threshold must be positive")
         if self.rollout_mode not in ROLLOUT_MODES:
             raise ValueError(f"rollout_mode must be one of {ROLLOUT_MODES}")
 
@@ -243,24 +231,11 @@ def lambda_coefficients(n: int, p: int, q: int) -> tuple[float, float, float]:
     return (1e-3 * n * n / denom, 1e-3 * n * p / denom, 1e-3 * n * q / denom)
 
 
-def _loss_request(
-    params: LearnableParams,
-    gain,
-    inputs,
-    measured_outputs,
-    cfg: TrainConfig,
-    init: LearnableParams | None,
-    want_gradient: bool,
-) -> tuple:
-    """The loss request of one run:
-    ``(_stacked_loss, static, θ, anchor θ, inputs, measured[, L])``.
-
-    ``static`` is what runs must share to be stacked: dims, window, resolved
-    lambdas, rollout mode and ``want_gradient``. The data stop at the
-    window's last state, as nothing after it reaches the loss; L is there in
-    Luenberger mode only.
-    """
-    n, p, q = params.dims
+def _window_data(inputs, measured_outputs, dims: tuple[int, int, int], cfg: TrainConfig):
+    """The inputs and measured outputs up to the window's last state, as
+    nothing after it reaches the loss; raises ``ShapeError`` if they do not
+    cover the window."""
+    _, p, q = dims
     k0, K = cfg.window_start, cfg.window_len
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
@@ -269,147 +244,82 @@ def _loss_request(
         raise ShapeError(f"steady-state window [{k0}, {k0 + K}] exceeds horizon {T}")
     if measured.shape[0] <= k0 + K:
         raise ShapeError("not enough measured outputs for the window")
-    anchor = init if init is not None else params
-    static = (params.dims, k0, K, cfg.resolved_lambdas(n, p, q), cfg.rollout_mode, want_gradient)
-    request = (
-        _stacked_loss, static, params.theta, anchor.theta, inputs[: k0 + K], measured[: k0 + K + 1]
-    )
-    if cfg.rollout_mode == "open_loop":
-        return request
-    return request + (_gain_matrix(gain, n, q),)
+    return inputs[: k0 + K], measured[: k0 + K + 1]
 
 
-def _stacked_loss(static: tuple, theta, anchor, inputs, measured, L=None) -> list:
-    """Loss and, if ``static`` asks for it, gradient of a stack of runs.
+def _stacked_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=None,
+                  want_gradient=True):
+    """Loss terms and gradient of a stack of runs that share dims and ``cfg``.
 
-    The runs share ``static`` (see ``_loss_request``); the rest has a
-    leading run axis: θ and anchor θ (B, P), inputs (B, k0 + K, p),
-    measured outputs (B, k0 + K + 1, q) and, in Luenberger mode, gains
-    L (B, n, q). Each step is one stacked call and each row's reductions run
-    along a contiguous axis, so every row is bitwise its own one-row call.
-    Returns per row a ``(LossBreakdown, grads or None)`` pair. Raises
-    ``DivergedRollout`` if a row's rollout leaves the finite numbers and
-    ``ShapeError`` if a row's gradient does; a batch that raises is served
-    again one run at a time.
+    θ and anchor θ are (B, P), inputs (B, k0 + K, p) and measured outputs
+    (B, k0 + K + 1, q), as ``_window_data`` cuts them; gains L (B, n, q) are
+    given in Luenberger mode only. Each step is one stacked call and each
+    row's reductions run along a contiguous axis, so every row is bitwise
+    its own one-row call. Returns per row the terms (data, reg_A, reg_B,
+    reg_C, total) as a (B, 5) array, the gradient (B, P) or None, and the
+    first step at which the rollout left the finite numbers, or 0 where it
+    stayed finite (x0 is finite, so step 0 always is). A diverged row's
+    terms and gradient mean nothing, and a gradient may itself overflow:
+    the caller checks.
     """
-    (n, p, q), k0, K, (lam_A, lam_B, lam_C), mode, want_gradient = static
-    closed = mode == "luenberger"
+    n, p, q = dims
+    k0, K = cfg.window_start, cfg.window_len
+    lam_A, lam_B, lam_C = cfg.resolved_lambdas(n, p, q)
     A, B, C, x0 = _blocks(theta, n, p, q)
+    closed = L is not None
 
-    # The observer is the affine recursion x_{k+1} = M x_k + f_k.
-    M = A - L @ C if closed else A
-    forcing = inputs @ B.transpose(0, 2, 1)
-    if closed:
-        forcing += measured[:, :-1] @ L.transpose(0, 2, 1)
-    # Overflow is reported by the finiteness check below.
+    # Overflow and NaN are reported through the returned values instead.
     with np.errstate(over="ignore", invalid="ignore"):
+        # The observer is the affine recursion x_{k+1} = M x_k + f_k.
+        M = A - L @ C if closed else A
+        forcing = inputs @ B.transpose(0, 2, 1)
+        if closed:
+            forcing += measured[:, :-1] @ L.transpose(0, 2, 1)
         states = _affine_rollout(M, x0, forcing)
-    diverged = ~np.isfinite(states).all(axis=(0, 2))
-    if diverged.any():
-        raise DivergedRollout(int(np.argmax(diverged)))
-    window = slice(k0, k0 + K + 1)
-    residuals = measured[:, window] - states[:, window] @ C.transpose(0, 2, 1)
-    data_term = np.abs(residuals).mean(axis=2).sum(axis=1) / K
+        diverged_at = (~np.isfinite(states).all(axis=2)).argmax(axis=1)
+        window = slice(k0, k0 + K + 1)
+        residuals = measured[:, window] - states[:, window] @ C.transpose(0, 2, 1)
+        data_term = np.abs(residuals).mean(axis=2).sum(axis=1) / K
 
-    dA, dB, dC, _ = _blocks(theta - anchor, n, p, q)
-    reg_A, reg_B, reg_C = (np.abs(d).mean(axis=(1, 2)) for d in (dA, dB, dC))
-    total = data_term + lam_A * reg_A + lam_B * reg_B + lam_C * reg_C
-    breakdowns = [
-        LossBreakdown(*terms)
-        for terms in zip(*(v.tolist() for v in (data_term, reg_A, reg_B, reg_C, total)))
-    ]
-    if not want_gradient:
-        return [(breakdown, None) for breakdown in breakdowns]
+        dA, dB, dC, _ = _blocks(theta - anchor, n, p, q)
+        reg_A, reg_B, reg_C = (np.abs(d).mean(axis=(1, 2)) for d in (dA, dB, dC))
+        total = data_term + lam_A * reg_A + lam_B * reg_B + lam_C * reg_C
+        terms = np.stack((data_term, reg_A, reg_B, reg_C, total), axis=1)
+        if not want_gradient:
+            return terms, None, diverged_at
 
-    # Residual sensitivities: d(data)/d(residual_k) has entries sign/(K q).
-    S = np.zeros(measured.shape)
-    S[:, window] = np.sign(residuals) / (K * q)
-    adj = _affine_adjoint(M, -S @ C)
+        # Residual sensitivities: d(data)/d(residual_k) has entries sign/(K q).
+        S = np.zeros(measured.shape)
+        S[:, window] = np.sign(residuals) / (K * q)
+        adj = _affine_adjoint(M, -S @ C)
 
-    adj_t = adj[:, 1:].transpose(0, 2, 1)
-    gA = adj_t @ states[:, :-1]
-    gB = adj_t @ inputs
-    gC = -(S.transpose(0, 2, 1) @ states)
-    if closed:
-        gC -= L.transpose(0, 2, 1) @ gA
+        adj_t = adj[:, 1:].transpose(0, 2, 1)
+        gA = adj_t @ states[:, :-1]
+        gB = adj_t @ inputs
+        gC = -(S.transpose(0, 2, 1) @ states)
+        if closed:
+            gC -= L.transpose(0, 2, 1) @ gA
 
-    gA += lam_A * np.sign(dA) / (n * n)
-    gB += lam_B * np.sign(dB) / (n * p)
-    gC += lam_C * np.sign(dC) / (q * n)
+        gA += lam_A * np.sign(dA) / (n * n)
+        gB += lam_B * np.sign(dB) / (n * p)
+        gC += lam_C * np.sign(dC) / (q * n)
     grads = np.concatenate([g.reshape(len(g), -1) for g in (gA, gB, gC, adj[:, 0])], axis=1)
-    return [(b, LearnableParams._of(g, (n, p, q))) for b, g in zip(breakdowns, grads)]
+    return terms, grads, diverged_at
 
 
-def _lockstep(steps: list) -> list:
-    """Run step generators together, one stacked call per request group.
-
-    A step generator yields requests ``(stacked_fn, *args)`` and is sent
-    its own row of ``stacked_fn``'s result, or has its own failure thrown
-    into it. Each round serves the largest group of pending requests that
-    agree in function, array shapes and every other value (poles,
-    ``static``) with one ``_serve`` call, so a generator that falls out of
-    phase (a rollback repeats its epoch's loss) rejoins the others a round
-    later. The stacked calls compute every row as its own call would, so no
-    outcome depends on the grouping. Returns each generator's return value,
-    or the exception it raised: one generator's failure never reaches the
-    others.
-    """
-    outcomes: list = [None] * len(steps)
-    pending: dict[int, tuple] = {}
-
-    def advance(i: int, value) -> None:
-        try:
-            if isinstance(value, Exception):
-                pending[i] = steps[i].throw(value)
-            else:
-                pending[i] = steps[i].send(value)
-        except StopIteration as stop:
-            outcomes[i] = stop.value
-        except Exception as exc:
-            outcomes[i] = exc
-
-    for i in range(len(steps)):
-        advance(i, None)
-    while pending:
-        groups: dict[tuple, list[int]] = defaultdict(list)
-        for i, request in pending.items():
-            groups[tuple(a.shape if isinstance(a, np.ndarray) else a for a in request)].append(i)
-        (fn, *_), members = max(groups.items(), key=lambda group: len(group[1]))
-        requests = [pending.pop(i)[1:] for i in members]
-        for i, row in zip(members, _serve(fn, requests)):
-            advance(i, row)
-    return outcomes
-
-
-def _serve(fn, requests: list) -> list:
-    """One stacked call for one group of requests: a result per request.
-
-    ``fn`` is called with each array argument stacked along a new leading
-    axis and each other argument as the requests share it. If it raises,
-    each request is served alone, and a request whose own call raises gets
-    that exception as its result: this is the one place where a run's
-    failure is kept from the others.
-    """
-    try:
-        return fn(*(_stack(a) if isinstance(a[0], np.ndarray) else a[0] for a in zip(*requests)))
-    except Exception as exc:
-        if len(requests) == 1:
-            return [exc]
-        return [_serve(fn, [request])[0] for request in requests]
-
-
-def _stack(arrays: tuple) -> np.ndarray:
-    """One argument of a request group with a leading request axis; a lone
-    request's array becomes a view instead of a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _run(step):
-    """The return value of one step generator; what it raises is raised."""
-    (outcome,) = _lockstep([step])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _one_run_loss(params, gain, inputs, measured_outputs, cfg, init, want_gradient):
+    """``_stacked_loss`` of one run; raises ``DivergedRollout`` if its rollout diverges."""
+    n, _, q = params.dims
+    inputs, measured = _window_data(inputs, measured_outputs, params.dims, cfg)
+    L = _gain_matrix(gain, n, q)[None] if cfg.rollout_mode == "luenberger" else None
+    anchor = init if init is not None else params
+    terms, grads, diverged_at = _stacked_loss(
+        params.dims, cfg, params.theta[None], anchor.theta[None], inputs[None], measured[None], L,
+        want_gradient,
+    )
+    if diverged_at[0]:
+        raise DivergedRollout(int(diverged_at[0]))
+    return terms[0], grads
 
 
 def loss(
@@ -427,11 +337,8 @@ def loss(
     the mean absolute deviation of a matrix from its value in ``init``
     (zero when ``init`` is omitted or equals ``params``).
     """
-    _, static, *arrays = _loss_request(
-        params, gain, inputs, measured_outputs, cfg, init, want_gradient=False
-    )
-    ((breakdown, _),) = _stacked_loss(static, *(a[None] for a in arrays))
-    return breakdown
+    terms, _ = _one_run_loss(params, gain, inputs, measured_outputs, cfg, init, False)
+    return LossBreakdown(*terms.tolist())
 
 
 def gradient(
@@ -449,11 +356,31 @@ def gradient(
     The observer gain is held constant (no differentiation through its
     synthesis), matching how the training loop treats it.
     """
-    _, static, *arrays = _loss_request(
-        params, gain, inputs, measured_outputs, cfg, init, want_gradient=True
-    )
-    ((_, grads),) = _stacked_loss(static, *(a[None] for a in arrays))
-    return grads
+    _, grads = _one_run_loss(params, gain, inputs, measured_outputs, cfg, init, True)
+    return LearnableParams._of(grads[0], params.dims)
+
+
+def _adam_update(theta, m, v, g, steps: list, lrs: list, weight_decay: float):
+    """One Adam update of stacked rows θ, m, v and gradients g (B, P).
+
+    ``steps`` and ``lrs`` give each row's step number t (counted from 1) and
+    learning rate. The per-row lr, decay factor and bias corrections are
+    Python floats, gathered into (B, 1) columns, so every element is
+    computed as in a one-row update. Returns the new θ, m and v; an
+    overflow shows as a non-finite entry, which the caller checks.
+    """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    columns = np.array(
+        [(lr, 1 - lr * weight_decay, 1 - b1**t, 1 - b2**t) for t, lr in zip(steps, lrs)]
+    ).reshape(-1, 4)
+    lr, decay, c1, c2 = columns.T[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * np.square(g)
+        m_hat = m / c1
+        v_hat = v / c2
+        theta = theta * decay - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return theta, m, v
 
 
 def adam_step(
@@ -470,14 +397,11 @@ def adam_step(
     the gradient or the moments.
     """
     t = state.step + 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    g = grads.theta
-    m = b1 * state.m + (1 - b1) * g
-    v = b2 * state.v + (1 - b2) * np.square(g)
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    theta = params.theta * (1 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m=m, v=v, step=t), LearnableParams._of(theta, params.dims)
+    theta, m, v = _adam_update(
+        params.theta[None], state.m[None], state.v[None], grads.theta[None], [t], [lr],
+        weight_decay,
+    )
+    return AdamState(m=m[0], v=v[0], step=t), LearnableParams._of(theta[0], params.dims)
 
 
 @dataclass
@@ -485,9 +409,11 @@ class TrainResult:
     """Optimized parameters plus per-epoch log and run diagnostics.
 
     ``log`` entries carry exactly the keys serialized by ``log_to_jsonl``.
-    ``diagnostics`` includes: transforms_applied, gain_reuses, gain_refreshes,
-    never_observable, aborted, abort_epoch, lr_halvings, and final_gain (the
-    last synthesized gain mapped back to the original coordinates, or None).
+    ``diagnostics`` holds: gain_refreshes and gain_reuses (epochs that
+    re-synthesized the gain or kept the previous one), observable_epochs
+    (Luenberger mode only, else None), never_observable, aborted,
+    abort_epoch, lr_halvings, final_gain (the last gain in use, or None in
+    open-loop mode or with no epoch run) and transforms_applied, always 0.
     """
 
     params: LearnableParams
@@ -506,133 +432,172 @@ def train(
     measured_outputs,
     cfg: TrainConfig,
 ) -> TrainResult:
-    """Run the full refinement loop (conditioning, gain refresh, Adam).
+    """Run the full refinement loop (gain refresh, loss and gradient, Adam).
 
-    Per epoch: (a) one SVD of the current matrices' observability stack
-    (stacked across a lockstep batch) decides whether the pair is observable
-    and whether the stack is worse-conditioned than
-    ``cfg.conditioning_threshold``; in that case ``conditioning_transform``
-    switches training to better coordinates (parameters, anchors, initial
-    state and previous gain all move together, and the Adam moments are
-    reset since they live in the old coordinates); (b) re-synthesize the observer gain from the current
-    matrices when the pair is observable, otherwise keep the previous gain;
-    (c) evaluate loss and gradient with the gain frozen; (d) Adam step at
-    the scheduled learning rate.
+    Per epoch in Luenberger mode: (a) one SVD of the current matrices'
+    observability stack decides whether the pair is observable; (b) if it
+    is, the observer gain is re-synthesized from the current matrices,
+    otherwise (or if synthesis fails) the previous gain, at first zero, is
+    kept. Then in both modes: (c) loss and gradient with the gain frozen;
+    (d) an Adam step at the scheduled learning rate.
 
     A non-finite rollout rolls the parameters back one step and halves the
-    learning rate before retrying; two consecutive failures abort the run.
-    All of this is reported in ``diagnostics`` rather than raised, so the
-    partial log survives. The returned parameters are always expressed in
-    the original coordinates.
+    learning rate before retrying; a second failure in a row aborts the run.
+    Both are reported in ``diagnostics`` rather than raised, so the partial
+    log survives. A non-finite gradient or Adam step raises ``ShapeError``.
+    ``train`` is a batch of one of the Monte Carlo trainer and gives bitwise
+    the same result.
     """
-    return _run(_train_steps(init, inputs, measured_outputs, cfg))
+    (result,) = _train_batch([init], [inputs], [measured_outputs], cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _train_steps(init: LearnableParams, inputs, measured_outputs, cfg: TrainConfig):
-    """Step generator of ``train``: yields kernel requests, returns the result."""
-    n, p, q = init.dims
-    inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
-    measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
+def _serve(fn, rows: np.ndarray, errors: dict) -> np.ndarray:
+    """Call ``fn`` on a stack of rows or, if that raises, on each row alone.
 
-    current = init
-    anchor = init
-    total_tf = CoordinateTransform.identity(n)
-    adam = AdamState.for_params(current)
-    poles = tuple(_checked_poles(default_observer_poles(n), n))
-    L: np.ndarray | None = None
-    luenberger = cfg.rollout_mode == "luenberger"
-
-    diagnostics = {
-        "transforms_applied": 0,
-        "gain_refreshes": 0,
-        "gain_reuses": 0,
-        "observable_epochs": 0,
-        "never_observable": False,
-        "aborted": False,
-        "abort_epoch": None,
-        "lr_halvings": 0,
-        "final_gain": None,
-    }
-    log: list[dict] = []
-    prev_snapshot: tuple[LearnableParams, AdamState] | None = None
-    consecutive_failures = 0
-
-    epoch = 0
-    while epoch < cfg.epochs:
-        lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
-
-        cond = yield (_observability_condition, current.A_hat, current.C_hat)
-        observable = cond < np.inf
-        if observable:
-            diagnostics["observable_epochs"] += 1
-        if observable and cond > cfg.conditioning_threshold:
-            tf, transformed = conditioning_transform(current.as_lti(), cfg.conditioning_threshold)
-            if not tf.is_identity():
-                current = LearnableParams.from_lti(transformed, tf.T @ current.x0_hat)
-                anchor = LearnableParams.from_lti(
-                    apply_transform(tf, anchor.as_lti()), tf.T @ anchor.x0_hat
-                )
-                if L is not None:
-                    L = tf.T @ L
-                total_tf = tf.compose(total_tf)
-                adam = AdamState.for_params(current)
-                prev_snapshot = None
-                diagnostics["transforms_applied"] += 1
-
-        refreshed = False
-        if luenberger:
-            if observable:
-                try:
-                    L = (yield (_place_poles, current.A_hat, current.C_hat, poles)).L
-                    refreshed = True
-                except SynthesisFailureError:
-                    pass
-            if not refreshed:
-                diagnostics["gain_reuses"] += 1
-                if L is None:
-                    L = np.zeros((n, q))
-            else:
-                diagnostics["gain_refreshes"] += 1
-
+    Returns the rows served. A row whose own call raises is left out and its
+    exception goes to ``errors``: this is the one place where a run's
+    failure is kept from the others. ``fn`` writes its results only once it
+    has computed them, so a call that raises writes nothing.
+    """
+    if not rows.size:
+        return rows
+    try:
+        fn(rows)
+        return rows
+    except Exception:
+        pass
+    for r in rows.tolist():
         try:
-            breakdown, grads = yield _loss_request(
-                current, L, inputs, measured, cfg, anchor, want_gradient=True
-            )
-        except DivergedRollout:
-            consecutive_failures += 1
-            if consecutive_failures >= 2 or prev_snapshot is None:
-                diagnostics["aborted"] = True
-                diagnostics["abort_epoch"] = epoch
-                break
-            current, adam = prev_snapshot
-            prev_snapshot = None
-            diagnostics["lr_halvings"] += 1
-            continue
-        consecutive_failures = 0
+            fn(np.array([r]))
+        except Exception as exc:
+            errors[r] = exc
+    return np.array([r for r in rows.tolist() if r not in errors], dtype=int)
 
-        log.append(
-            {
-                "epoch": epoch,
-                "loss_total": breakdown.total,
-                "loss_data": breakdown.data_term,
-                "reg_A": breakdown.reg_A,
-                "reg_B": breakdown.reg_B,
-                "reg_C": breakdown.reg_C,
-                "lr": lr,
-                "L_refreshed": refreshed,
-            }
+
+def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainConfig) -> list:
+    """``train`` for runs that share dims and ``cfg``, as one batch.
+
+    The runs are held as arrays with a leading run axis, and each round runs
+    one epoch of every live run with one stacked call per stage. Gives per
+    run its ``TrainResult`` or the exception that failed it; no run's
+    failure or rollback changes another's result.
+    """
+    dims = inits[0].dims
+    n, p, q = dims
+    runs = len(inits)
+    data = [_window_data(u, y, dims, cfg) for u, y in zip(inputs, measured_outputs)]
+    u = np.stack([d[0] for d in data])
+    y = np.stack([d[1] for d in data])
+    anchor = np.stack([init.theta for init in inits])
+    theta = anchor.copy()
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    step, epoch, halvings = (np.zeros(runs, dtype=int) for _ in range(3))
+    # The rollback snapshot: θ, m, v and step before each run's last Adam step.
+    state = (theta, m, v, step)
+    saved = [a.copy() for a in state]
+    has_saved = np.zeros(runs, dtype=bool)
+    luenberger = cfg.rollout_mode == "luenberger"
+    poles = tuple(_checked_poles(default_observer_poles(n), n))
+    L = np.zeros((runs, n, q))
+    refreshes, reuses, observable_epochs = (np.zeros(runs, dtype=int) for _ in range(3))
+    abort_epoch = np.full(runs, -1)
+    logs: list[list] = [[] for _ in range(runs)]
+    errors: dict[int, Exception] = {}
+    live = np.full(runs, cfg.epochs > 0)
+
+    # What a round's stacked calls give the rows they serve.
+    observable = np.zeros(runs, dtype=bool)
+    refreshed = np.zeros(runs, dtype=bool)
+    terms = np.empty((runs, 5))
+    grads = np.empty_like(theta)
+    diverged = np.zeros(runs, dtype=bool)
+
+    def condition(r):
+        A, _, C, _ = _blocks(theta[r], n, p, q)
+        observable[r] = np.array(_observability_condition(A, C)) < np.inf
+
+    def placement(r):
+        A, _, C, _ = _blocks(theta[r], n, p, q)
+        gains, failures = _place_poles(A, C, poles)
+        placed = np.ones(len(r), dtype=bool)
+        placed[list(failures)] = False
+        L[r[placed]] = gains[placed]
+        refreshed[r] = placed
+
+    def loss_and_gradient(r):
+        out = _stacked_loss(dims, cfg, theta[r], anchor[r], u[r], y[r], L[r] if luenberger else None)
+        terms[r], grads[r], diverged[r] = out[0], out[1], out[2] > 0
+
+    while live.any():
+        rows = np.flatnonzero(live)
+        if luenberger:
+            rows = _serve(condition, rows, errors)
+            observable_epochs[rows] += observable[rows]
+            refreshed[rows] = False
+            _serve(placement, rows[observable[rows]], errors)
+            if errors:
+                rows = rows[~np.isin(rows, list(errors))]
+            refreshes[rows] += refreshed[rows]
+            reuses[rows] += ~refreshed[rows]
+        rows = _serve(loss_and_gradient, rows, errors)
+
+        # A diverged rollout undoes the run's last step and halves its
+        # learning rate; with no step to undo, the run aborts.
+        unstable = rows[diverged[rows]]
+        stop, back = unstable[~has_saved[unstable]], unstable[has_saved[unstable]]
+        abort_epoch[stop] = epoch[stop]
+        live[stop] = False
+        for a, kept in zip(state, saved):
+            a[back] = kept[back]
+        has_saved[back] = False
+        halvings[back] += 1
+
+        ok = rows[~diverged[rows]]
+        bad = ~np.isfinite(grads[ok]).all(axis=1)
+        errors.update((r, ShapeError(_NON_FINITE)) for r in ok[bad].tolist())
+        ok = ok[~bad]
+        lrs = [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[ok].tolist(), halvings[ok].tolist())]
+        for r, e, (data_term, reg_A, reg_B, reg_C, total), lr, fresh in zip(
+            ok.tolist(), epoch[ok].tolist(), terms[ok].tolist(), lrs, refreshed[ok].tolist()
+        ):
+            logs[r].append({
+                "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
+                "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh,
+            })
+        for a, kept in zip(state, saved):
+            kept[ok] = a[ok]
+        has_saved[ok] = True
+        stepped, m[ok], v[ok] = _adam_update(
+            theta[ok], m[ok], v[ok], grads[ok], (step[ok] + 1).tolist(), lrs, cfg.weight_decay
         )
-        prev_snapshot = (current, adam)
-        adam, current = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
-        epoch += 1
+        bad = ~np.isfinite(stepped).all(axis=1)
+        errors.update((r, ShapeError(_NON_FINITE)) for r in ok[bad].tolist())
+        theta[ok] = stepped
+        step[ok] += 1
+        epoch[ok] += 1
+        live[ok] = epoch[ok] < cfg.epochs
+        live[list(errors)] = False
 
-    diagnostics["never_observable"] = bool(
-        luenberger and log and diagnostics["observable_epochs"] == 0
-    )
-
-    # Map everything back to the caller's coordinates.
-    out_lti = invert_transform(total_tf, current.as_lti())
-    out = LearnableParams.from_lti(out_lti, total_tf.T_inv @ current.x0_hat)
-    if L is not None:
-        diagnostics["final_gain"] = total_tf.T_inv @ L
-    return TrainResult(params=out, log=log, diagnostics=diagnostics)
+    results: list = []
+    for r in range(runs):
+        if r in errors:
+            results.append(errors[r])
+            continue
+        aborted = bool(abort_epoch[r] >= 0)
+        diagnostics = {
+            "transforms_applied": 0,
+            "gain_refreshes": int(refreshes[r]),
+            "gain_reuses": int(reuses[r]),
+            "observable_epochs": int(observable_epochs[r]) if luenberger else None,
+            "never_observable": bool(luenberger and logs[r] and observable_epochs[r] == 0),
+            "aborted": aborted,
+            "abort_epoch": int(abort_epoch[r]) if aborted else None,
+            "lr_halvings": int(halvings[r]),
+            "final_gain": L[r].copy() if luenberger and cfg.epochs > 0 else None,
+        }
+        params = LearnableParams._of(theta[r].copy(), dims)
+        results.append(TrainResult(params=params, log=logs[r], diagnostics=diagnostics))
+    return results

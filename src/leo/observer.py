@@ -1,4 +1,4 @@
-"""Luenberger/open-loop observer rollouts, gain synthesis, and conditioning.
+"""Luenberger/open-loop observer rollouts and gain synthesis.
 
 Gain synthesis places the eigenvalues of A - LC by the dual Sylvester
 construction: pick a real block-diagonal F carrying the requested spectrum
@@ -9,8 +9,9 @@ and a random q x n matrix G, solve
 for X through the equivalent Kronecker linear system, and read off
 L = (G X^{-1})^T. This works for any output dimension, unlike
 single-output Ackermann-style formulas. Synthesis runs on a stack of pairs
-at once (the trials of a lockstep training batch), and what depends only on
-the requested poles (F, its Kronecker term and the G draws) is built once.
+at once (the runs of a training batch) and gives a gain array plus the rows
+it could not place, and what depends only on the requested poles (F, its
+Kronecker term and the G draws) is built once.
 """
 
 from __future__ import annotations
@@ -21,35 +22,23 @@ from itertools import permutations
 
 import numpy as np
 
-from .exceptions import (
-    PolePlacementInfeasible,
-    RankDeficientError,
-    ShapeError,
-    SynthesisFailureError,
-)
+from .exceptions import PolePlacementInfeasible, ShapeError, SynthesisFailureError
 from .lti_core import (
     LtiParams,
     Trajectory,
     is_observable,
     matrix_from_json,
     matrix_to_json,
-    one_norm,
     _affine_rollout,
-    _observability_condition,
-    _observability_stack,
 )
 
 __all__ = [
     "ObserverGain",
-    "CoordinateTransform",
     "default_observer_poles",
     "max_spectrum_deviation",
     "place_observer_poles",
     "run_luenberger",
     "run_open_loop",
-    "conditioning_transform",
-    "apply_transform",
-    "invert_transform",
 ]
 
 # Repeated requested poles are split apart by this much so the spectrum
@@ -87,42 +76,6 @@ class ObserverGain:
             L=matrix_from_json(obj["L"]),
             desired_poles=tuple(complex(re, im) for re, im in obj["desired_poles"]),
         )
-
-
-@dataclass(frozen=True)
-class CoordinateTransform:
-    """Invertible change of state coordinates x -> T x."""
-
-    T: np.ndarray
-    T_inv: np.ndarray
-
-    def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        T_inv = np.asarray(self.T_inv, dtype=float)
-        n = T.shape[0]
-        if T.shape != (n, n) or T_inv.shape != (n, n):
-            raise ShapeError("transform matrices must be square and same-sized")
-        if one_norm(T @ T_inv - np.eye(n)) >= 1e-8:
-            raise ShapeError("T_inv is not an inverse of T to the required accuracy")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "T_inv", T_inv)
-
-    @staticmethod
-    def identity(n: int) -> "CoordinateTransform":
-        """The identity on n states."""
-        return CoordinateTransform(T=np.eye(n), T_inv=np.eye(n))
-
-    @staticmethod
-    def from_matrix(T: np.ndarray) -> "CoordinateTransform":
-        T = np.asarray(T, dtype=float)
-        return CoordinateTransform(T=T, T_inv=np.linalg.solve(T, np.eye(T.shape[0])))
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.T, np.eye(self.T.shape[0])))
-
-    def compose(self, inner: "CoordinateTransform") -> "CoordinateTransform":
-        """Transform equivalent to applying ``inner`` first, then ``self``."""
-        return CoordinateTransform(T=self.T @ inner.T, T_inv=inner.T_inv @ self.T_inv)
 
 
 def default_observer_poles(n: int) -> np.ndarray:
@@ -196,7 +149,14 @@ def _spectrum_block_diag(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_spectrum_deviation(attained: np.ndarray, requested: np.ndarray) -> float:
-    """Largest pairwise distance under the best one-to-one eigenvalue matching."""
+    """Largest pairwise distance under the best one-to-one eigenvalue matching.
+
+    The best matching has the least summed distance. Several matchings can
+    tie in that sum (often for real spectra), and their largest distances
+    can differ: for n <= 4 eigenvalues the value is that of the first
+    least-sum permutation in lexicographic order, above that it is that of
+    the matching scipy's ``linear_sum_assignment`` picks.
+    """
     return float(_spectrum_deviation(np.asarray(attained)[None], np.asarray(requested))[0])
 
 
@@ -241,15 +201,18 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
         If (A, C) is unobservable; callers typically fall back to reusing a
         previously synthesized gain.
     SynthesisFailureError
-        If every random G attempt leads to a singular or inaccurate solve.
+        If every random G attempt leads to a singular or inaccurate solve;
+        the message quotes the least ``max_spectrum_deviation`` reached.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     desired = _checked_poles(desired, A.shape[0])
     if not is_observable(A, C):
         raise PolePlacementInfeasible("pair (A, C) is not observable")
-    (gain,) = _place_poles(A[None], C[None], desired)
-    return gain
+    gains, failures = _place_poles(A[None], C[None], desired)
+    if failures:
+        raise failures[0]
+    return ObserverGain(L=gains[0], desired_poles=tuple(desired))
 
 
 def _checked_poles(desired, n: int) -> np.ndarray:
@@ -280,34 +243,32 @@ def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, 
     return neg_kron, targets, draws
 
 
-def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> list:
+def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dict]:
     """``place_observer_poles`` for pairs already known to be observable and
     poles from ``_checked_poles``: the synthesis without the rank check.
 
-    Batched over a leading trial axis: A (B, n, n) and C (B, q, n) give a
-    list with one ``ObserverGain`` per trial, or raise
-    ``SynthesisFailureError`` if a trial finds none. Each step is one
-    stacked call over the trials still without a gain; a stacked LAPACK call
-    or matmul computes every item as its own call would, so each trial's
-    gain is bitwise that of its own call. A lockstep batch that raises is
-    served again one trial at a time, so the failure reaches only its trial.
+    Batched over a leading row axis: A (B, n, n) and C (B, q, n) give the
+    gains L (B, n, q) and a dict that maps each row no G could place to its
+    ``SynthesisFailureError``; such a row's gain is zero. Each step is one
+    stacked call over the rows still without a gain; a stacked LAPACK call
+    or matmul computes every item as its own call would, so each row's gain
+    is bitwise that of its own call.
     """
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
     desired = np.asarray(desired)
-    out: list = [None] * A.shape[0]
+    # A row whose spectrum is already in place keeps the zero gain, which
+    # realizes it exactly.
+    gains = np.zeros((A.shape[0], n, q))
     placed = _spectrum_deviation(np.linalg.eigvals(A), desired) < 1e-9
-    for b in np.flatnonzero(placed):
-        # The spectrum is already in place; the zero gain realizes it exactly.
-        out[b] = ObserverGain(L=np.zeros((n, q)), desired_poles=poles)
     if placed.all():
-        return out
+        return gains, {}
 
     neg_kron, targets, draws = _placement_constants(poles, q)
     # The rows without a gain: their positions in the batch, and their
     # arrays, which shrink only when a row is done before the others.
     rows = np.flatnonzero(~placed)
-    if len(rows) < len(out):
+    if len(rows) < len(gains):
         A, C = A[rows], C[rows]
     # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
     # K = kron(I, A^T) - kron(F^T, I), whose diagonal blocks hold A^T.
@@ -338,20 +299,23 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> list:
         L = np.linalg.solve(Xt[tried], G.T)
         deviations = _spectrum_deviation(np.linalg.eigvals(A[tried] - L @ C[tried]), targets)
         for j, L_j, deviation in zip(np.flatnonzero(solvable), L, deviations.tolist()):
+            row = int(rows[j])
             if deviation < _PLACEMENT_TOL:
-                # A copy, so no trial's gain shares memory with another's.
-                out[rows[j]] = ObserverGain(L=L_j.copy(), desired_poles=poles)
+                gains[row] = L_j
                 done[j] = True
             else:
-                best[rows[j]] = min(deviation, best.get(rows[j], np.inf))
+                best[row] = min(deviation, best.get(row, np.inf))
         if done.all():
-            return out
+            return gains, {}
         rows, A, C, K, singular = (a[~done] for a in (rows, A, C, K, singular))
 
-    raise SynthesisFailureError(
-        f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
-        + (f" (best deviation {best[rows[0]]:.3e})" if rows[0] in best else "")
-    )
+    return gains, {
+        row: SynthesisFailureError(
+            f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
+            + (f" (best deviation {best[row]:.3e})" if row in best else "")
+        )
+        for row in rows.tolist()
+    }
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:
@@ -409,69 +373,3 @@ def run_open_loop(
     forcing = inputs[:T] @ params.B.T
     states = _affine_rollout(params.A[None], x0_hat[None], forcing[None])[0]
     return Trajectory(inputs=inputs[:T], states=states, outputs=states @ params.C.T)
-
-
-def apply_transform(t: CoordinateTransform, params: LtiParams) -> LtiParams:
-    """Realize the same input/output behavior in coordinates x' = T x."""
-    return LtiParams(
-        A=t.T @ params.A @ t.T_inv,
-        B=t.T @ params.B,
-        C=params.C @ t.T_inv,
-    )
-
-
-def invert_transform(t: CoordinateTransform, params: LtiParams) -> LtiParams:
-    """Exact inverse of ``apply_transform``."""
-    return LtiParams(
-        A=t.T_inv @ params.A @ t.T,
-        B=t.T_inv @ params.B,
-        C=params.C @ t.T,
-    )
-
-
-def conditioning_transform(
-    params: LtiParams, threshold: float = 1e8
-) -> tuple[CoordinateTransform, LtiParams]:
-    """Change coordinates so the observability stack is better conditioned.
-
-    An unobservable pair raises ``RankDeficientError``. Below the threshold
-    the identity transform is returned unchanged (training calls this only
-    above it). Above it, the primary candidate is the R factor of
-    O = QR with rows scaled to unit norm (which maps the stack close to an
-    orthonormal one); a plain R and a diagonal column equilibration serve as
-    fallbacks. The selected transform never increases the condition number.
-    """
-    n = params.dims[0]
-    cond0 = _observability_condition(params.A[None], params.C[None])[0]
-    if not np.isfinite(cond0):
-        raise RankDeficientError("cannot condition an unobservable realization")
-    identity = CoordinateTransform.identity(n)
-    if cond0 <= threshold:
-        return identity, params
-
-    O = _observability_stack(params.A, params.C, n)
-    candidates: list[np.ndarray] = []
-    R = np.linalg.qr(O, mode="r")[:n, :n]
-    r_diag = np.abs(np.diag(R))
-    if r_diag.min() > 1e-12 * max(r_diag.max(), 1.0):
-        row_norms = np.linalg.norm(R, axis=1)
-        candidates.append(R / row_norms[:, None])
-        candidates.append(R.copy())
-    # Diagonal balancing: scale each state by its column norm in the stack.
-    col_norms = np.linalg.norm(O, axis=0)
-    if np.all(col_norms > 0):
-        candidates.append(np.diag(col_norms))
-
-    best: tuple[float, CoordinateTransform, LtiParams] | None = None
-    for T in candidates:
-        try:
-            tf = CoordinateTransform.from_matrix(T)
-            transformed = apply_transform(tf, params)
-            cond = _observability_condition(transformed.A[None], transformed.C[None])[0]
-        except (np.linalg.LinAlgError, ShapeError):
-            continue
-        if cond < cond0 and (best is None or cond < best[0]):
-            best = (cond, tf, transformed)
-    if best is None:
-        return identity, params
-    return best[1], best[2]

@@ -293,7 +293,7 @@ class TestStackedKernel:
 
 
 class TestStackedLinalg:
-    # Gain synthesis serves a lockstep batch with these stacked calls, so
+    # Gain synthesis serves a training batch with these stacked calls, so
     # each item must equal its own call bitwise, as in the placement code.
     @PROPERTY_SETTINGS
     @given(

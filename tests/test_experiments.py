@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import leo.learning
 from leo import experiments
 from leo.exceptions import DegenerateReferenceError, DivergedRollout, GenerationError
 from leo.experiments import (
@@ -160,6 +161,29 @@ class TestWilcoxon:
     def test_all_zero_differences(self):
         assert wilcoxon_signed_rank(np.ones(8), np.ones(8)) == 1.0
 
+    @pytest.mark.parametrize("ties", [1, 3])
+    def test_equal_infinite_errors_are_a_tie(self, ties):
+        # two unscorable rollouts (inf, inf) are a zero difference, as in
+        # the reduction and the success rate: dropped, not ranked
+        nominal = np.arange(1.0, 11.0) + 1.0
+        enhanced = np.arange(1.0, 11.0)
+        with_ties = wilcoxon_signed_rank(
+            np.append(nominal, [np.inf] * ties), np.append(enhanced, [np.inf] * ties)
+        )
+        assert with_ties == wilcoxon_signed_rank(nominal, enhanced) == 1.0 / 1024.0
+
+    def test_one_infinite_error_is_the_largest_difference(self):
+        nominal = np.append(np.arange(1.0, 11.0) + 1.0, np.inf)
+        enhanced = np.append(np.arange(1.0, 11.0), 2.0)
+        assert wilcoxon_signed_rank(nominal, enhanced) == 1.0 / 2048.0
+
+    @pytest.mark.parametrize("side", ["nominal", "enhanced"])
+    def test_nan_is_rejected(self, side):
+        a, b = np.arange(1.0, 11.0) + 1.0, np.arange(1.0, 11.0)
+        (a if side == "nominal" else b)[4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(a, b)
+
     @pytest.mark.parametrize("zero_differences", [False, True])
     def test_unknown_method_is_rejected(self, zero_differences):
         a = np.arange(1.0, 9.0)
@@ -218,6 +242,40 @@ class TestWilcoxon:
 
 
 FAST_CFG = TrainConfig(epochs=8)
+
+
+class TestTrialSpec:
+    @pytest.mark.parametrize(
+        "field", ["process_noise_std", "measurement_noise_std", "perturbation_std",
+                  "x0_offset_std", "input_std"],
+    )
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_std_must_be_non_negative_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrialSpec(dims=(2, 1, 1), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("trial_index", -2), ("seed", 1.5), ("horizon", 300.5),
+         ("horizon", 0), ("max_regenerations", 0), ("max_regenerations", 2.0)],
+    )
+    def test_counts_and_seeds_are_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrialSpec(dims=(2, 1, 1), **{field: value})
+
+    def test_zero_stds_and_seed_are_valid(self):
+        zero = dict(process_noise_std=0.0, measurement_noise_std=0.0, perturbation_std=0.0,
+                    x0_offset_std=0.0, input_std=0.0)
+        spec = TrialSpec(dims=(2, 1, 1), seed=np.int64(0), trial_index=0, horizon=260, **zero)
+        assert spec.seed == 0 and spec.max_regenerations == 20
+
+    def test_nan_std_is_no_longer_a_divergence(self):
+        # a configuration error, not ten trials flagged as diverged
+        with pytest.raises(ValueError, match="perturbation_std"):
+            run_monte_carlo(
+                [(2, 1, 1)], trials=10,
+                trial_spec=TrialSpec(dims=(2, 1, 1), perturbation_std=np.nan),
+            )
 
 
 class TestRunTrial:
@@ -306,7 +364,7 @@ class TestRunMonteCarlo:
             )
 
     def test_parallel_matches_serial(self):
-        # 11 trials per triple: two workers train unequal lockstep batches
+        # 11 trials per triple: two workers train unequal batches
         dims = [(2, 1, 1), (3, 2, 1)]
         serial, r1 = run_monte_carlo(
             dims, trials=11, master_seed=13, train_cfg=FAST_CFG, parallel=1
@@ -357,36 +415,43 @@ class TestFailingTrialInBatch:
 
     def test_draw_failure(self, monkeypatch):
         clean = self.batch()
-        original = experiments._trial_steps
+        original = experiments._prepare_trial
 
         def failing_draw(spec, *args):
             if spec.trial_index == self.BAD:
                 raise GenerationError("injected")
-            return (yield from original(spec, *args))
+            return original(spec, *args)
 
-        monkeypatch.setattr(experiments, "_trial_steps", failing_draw)
+        monkeypatch.setattr(experiments, "_prepare_trial", failing_draw)
         bad = self.check(clean, self.batch())
         assert bad.flags == {"divergence": True, "error": "GenerationError: injected"}
         assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0
 
-    @pytest.mark.parametrize("exc", [DivergedRollout(3), np.linalg.LinAlgError("injected")])
-    def test_failure_inside_lockstep_training(self, monkeypatch, exc):
+    @pytest.mark.parametrize(
+        "exc", [DivergedRollout(3), np.linalg.LinAlgError("injected"), "non-finite gradient"]
+    )
+    def test_failure_inside_batch_training(self, monkeypatch, exc):
         clean = self.batch()
         bad_inputs = execute_trial(self.bad_spec(), FAST_CFG).truth.inputs
-        original = experiments._train_steps
+        original = leo.learning._stacked_loss
+        calls = []
 
-        def failing_training(init, inputs, *args):
-            steps = original(init, inputs, *args)
-            if not np.array_equal(inputs, bad_inputs):
-                return (yield from steps)
-            request = next(steps)
-            for _ in range(5):  # a few kernel rounds in step with the others
-                request = steps.send((yield request))
-            raise exc
+        def failing_loss(dims, cfg, theta, anchor, inputs, measured, *rest):
+            at = [i for i, u in enumerate(inputs) if np.array_equal(u, bad_inputs[: len(u)])]
+            if at:
+                calls.append(len(inputs))
+            # a few rounds in step with the others, then the trial's row fails
+            if at and len(calls) > 5 and not isinstance(exc, str):
+                raise exc
+            out = original(dims, cfg, theta, anchor, inputs, measured, *rest)
+            if at and len(calls) > 5:
+                out[1][at[0], 0] = np.nan
+            return out
 
-        monkeypatch.setattr(experiments, "_train_steps", failing_training)
+        monkeypatch.setattr(leo.learning, "_stacked_loss", failing_loss)
         bad = self.check(clean, self.batch())
-        if isinstance(exc, DivergedRollout):
+        assert max(calls) == 10
+        if not isinstance(exc, np.linalg.LinAlgError):
             # a training failure: the enhanced observer falls back to nominal
             assert bad.flags["divergence"] and "error" not in bad.flags
             assert bad.e_enhanced_open == bad.e_nominal_open

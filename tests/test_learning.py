@@ -20,6 +20,7 @@ from leo.learning import (
     LearnableParams,
     LossBreakdown,
     TrainConfig,
+    TrainResult,
     adam_step,
     elementwise_mean_abs,
     gradient,
@@ -27,12 +28,11 @@ from leo.learning import (
     log_to_jsonl,
     loss,
     train,
+    _NON_FINITE,
     _blocks,
-    _lockstep,
-    _loss_request,
-    _serve,
     _stacked_loss,
-    _train_steps,
+    _train_batch,
+    _window_data,
 )
 from leo.lti_core import (
     LtiParams,
@@ -43,7 +43,12 @@ from leo.lti_core import (
     _affine_adjoint,
     _affine_rollout,
 )
-from leo.observer import default_observer_poles, place_observer_poles, _gain_matrix
+from leo.observer import (
+    default_observer_poles,
+    place_observer_poles,
+    _checked_poles,
+    _gain_matrix,
+)
 
 A_REAL = np.array([[1.02, 0.68], [-0.68, 0.34]])
 B_REAL = np.array([[1.5], [0.7]])
@@ -484,9 +489,6 @@ class TestTrainConfig:
             {"lambda_A": float("nan")},
             {"lambda_B": -1e-3},
             {"lambda_C": float("inf")},
-            {"conditioning_threshold": float("nan")},
-            {"conditioning_threshold": 0.0},
-            {"conditioning_threshold": -1.0},
             {"epochs": 3.0},
             {"decay_every": 200.5},
             {"window_start": 201.0},
@@ -498,10 +500,12 @@ class TestTrainConfig:
             TrainConfig(**bad)
 
     def test_boundary_values_accepted(self):
-        cfg = TrainConfig(
-            epochs=np.int64(0), weight_decay=0.0, lambda_A=0.0, conditioning_threshold=np.inf
-        )
+        cfg = TrainConfig(epochs=np.int64(0), weight_decay=0.0, lambda_A=0.0)
         assert cfg.resolved_lambdas(2, 1, 1)[0] == 0.0
+
+    def test_conditioning_threshold_is_gone(self):
+        with pytest.raises(TypeError, match="conditioning_threshold"):
+            TrainConfig(conditioning_threshold=1e8)
 
 
 class TestTrain:
@@ -620,18 +624,6 @@ class TestTrain:
         assert res.diagnostics["abort_epoch"] == 0
         assert res.log == []
 
-    def test_conditioning_identity_path_is_a_no_op(self):
-        sys, inputs, traj, init = make_instance(9, (2, 1, 1))
-        res_a = train(init, inputs, traj.outputs, TrainConfig(epochs=40))
-        res_b = train(
-            init, inputs, traj.outputs,
-            TrainConfig(epochs=40, conditioning_threshold=np.inf),
-        )
-        for field in FIELDS:
-            assert_allclose(
-                getattr(res_a.params, field), getattr(res_b.params, field), atol=1e-9
-            )
-
     def test_unobservable_start_reuses_zero_gain(self):
         # identity dynamics with C = [1, 0] is unobservable: epoch 0 cannot
         # synthesize a gain and falls back to zero; generic gradient drift
@@ -649,10 +641,11 @@ class TestTrain:
         # here every epoch that reuses the gain is an unobservable one
         assert res.diagnostics["observable_epochs"] == 5 - res.diagnostics["gain_reuses"]
 
-    @pytest.mark.parametrize("mode, per_epoch", [("luenberger", 1), ("open_loop", 1)])
+    @pytest.mark.parametrize("mode, per_epoch", [("luenberger", 1), ("open_loop", 0)])
     def test_observability_stacks_per_epoch(self, monkeypatch, mode, per_epoch):
-        # one stack decides observability and conditioning; gain synthesis
-        # relies on that decision instead of building a second one
+        # one stack decides observability; gain synthesis relies on that
+        # decision instead of building a second one, and the open-loop
+        # mode, which places no gain, builds none
         import leo.learning
         import leo.lti_core
         import leo.observer
@@ -681,6 +674,7 @@ class TestTrain:
         assert len(res.log) == 30
         assert not any(entry["L_refreshed"] for entry in res.log)
         assert res.diagnostics["final_gain"] is None
+        assert res.diagnostics["observable_epochs"] is None
 
     def test_frozen_gain_contract(self):
         # finite differences computed with the same frozen gain agree with the
@@ -701,26 +695,223 @@ class TestTrain:
             assert abs(g.A_hat[idx] - fd) <= max(1e-4 * abs(fd), 1e-8)
 
 
+def train_reference(init, inputs, measured_outputs, cfg):
+    """The per-run training loop that the batch trainer replaced, without
+    the coordinate conditioning that never fired; kept as the reference the
+    batch must equal bit for bit. Each stacked call is made on a stack of
+    one, through the names the trainer calls, so injected faults reach both.
+    Returns a ``TrainResult`` or raises."""
+    n, p, q = init.dims
+    k0, K = cfg.window_start, cfg.window_len
+    inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
+    measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
+    if k0 + K > inputs.shape[0]:
+        raise ShapeError(f"steady-state window [{k0}, {k0 + K}] exceeds horizon {inputs.shape[0]}")
+    if measured.shape[0] <= k0 + K:
+        raise ShapeError("not enough measured outputs for the window")
+    inputs, measured = inputs[: k0 + K], measured[: k0 + K + 1]
+
+    current = anchor = init
+    adam = AdamState.for_params(current)
+    poles = tuple(_checked_poles(default_observer_poles(n), n))
+    L = None
+    luenberger = cfg.rollout_mode == "luenberger"
+    diagnostics = {
+        "transforms_applied": 0,
+        "gain_refreshes": 0,
+        "gain_reuses": 0,
+        "observable_epochs": 0 if luenberger else None,
+        "never_observable": False,
+        "aborted": False,
+        "abort_epoch": None,
+        "lr_halvings": 0,
+        "final_gain": None,
+    }
+    log = []
+    prev_snapshot = None
+    consecutive_failures = 0
+
+    epoch = 0
+    while epoch < cfg.epochs:
+        lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
+        refreshed = False
+        if luenberger:
+            A, C = current.A_hat[None], current.C_hat[None]
+            if leo.learning._observability_condition(A, C)[0] < np.inf:
+                diagnostics["observable_epochs"] += 1
+                gains, failures = leo.learning._place_poles(A, C, poles)
+                if not failures:
+                    L, refreshed = gains[0], True
+            if refreshed:
+                diagnostics["gain_refreshes"] += 1
+            else:
+                diagnostics["gain_reuses"] += 1
+                if L is None:
+                    L = np.zeros((n, q))
+
+        terms, grads, diverged_at = leo.learning._stacked_loss(
+            init.dims, cfg, current.theta[None], anchor.theta[None], inputs[None],
+            measured[None], L[None] if luenberger else None,
+        )
+        if diverged_at[0]:
+            consecutive_failures += 1
+            if consecutive_failures >= 2 or prev_snapshot is None:
+                diagnostics["aborted"] = True
+                diagnostics["abort_epoch"] = epoch
+                break
+            current, adam = prev_snapshot
+            prev_snapshot = None
+            diagnostics["lr_halvings"] += 1
+            continue
+        consecutive_failures = 0
+        grads = LearnableParams._of(grads[0], init.dims)
+
+        data_term, reg_A, reg_B, reg_C, total = terms[0].tolist()
+        log.append(
+            {
+                "epoch": epoch,
+                "loss_total": total,
+                "loss_data": data_term,
+                "reg_A": reg_A,
+                "reg_B": reg_B,
+                "reg_C": reg_C,
+                "lr": lr,
+                "L_refreshed": refreshed,
+            }
+        )
+        prev_snapshot = (current, adam)
+        adam, current = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
+        epoch += 1
+
+    diagnostics["never_observable"] = bool(
+        luenberger and log and diagnostics["observable_epochs"] == 0
+    )
+    if L is not None:
+        diagnostics["final_gain"] = L.copy()
+    return TrainResult(params=current, log=log, diagnostics=diagnostics)
+
+
+def reference_outcome(init, inputs, measured_outputs, cfg):
+    """``train_reference``'s result, or the run failure it raised."""
+    try:
+        return train_reference(init, inputs, measured_outputs, cfg)
+    except (ShapeError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
 def assert_same_training(got, want):
-    """Bitwise-equal parameters, log and diagnostics of two train results."""
-    for field in FIELDS:
-        assert np.array_equal(getattr(got.params, field), getattr(want.params, field))
+    """Bitwise-equal parameters, log and diagnostics of two train results,
+    or the same exception."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, TrainResult)
+    assert got.params.dims == want.params.dims
+    assert got.params.theta.tobytes() == want.params.theta.tobytes()
     assert got.log == want.log
     got_diag, want_diag = dict(got.diagnostics), dict(want.diagnostics)
     got_gain, want_gain = got_diag.pop("final_gain"), want_diag.pop("final_gain")
     assert got_diag == want_diag
     assert (got_gain is None) == (want_gain is None)
     if want_gain is not None:
-        assert np.array_equal(got_gain, want_gain)
+        assert got_gain.tobytes() == want_gain.tobytes()
 
 
-# The rollback run's accepted steps reach |A| ~ 10, whose 251-step gradient
-# overflows Adam's squared moment; training handles that, numpy warns.
-@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
-class TestLockstepTraining:
+def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
+    """Make chosen runs' stacked calls fail, by each run's count of the
+    calls it is in.
+
+    ``loss_faults`` maps a run, known by the bytes of its window inputs, to
+    {call number: fault} for ``_stacked_loss``: "diverge" marks its rollout
+    diverged, "nan" makes its gradient non-finite and "linalg" makes the
+    call raise ``LinAlgError``. A call that raises counts for no run, so a
+    run's count is that of a batch of one. ``placement_faults`` maps a run,
+    known by its rounded C[0, 0], to the numbers of its ``_place_poles``
+    calls that fail. Returns the counts, to be cleared between a batch and
+    its reference runs.
+    """
+    loss_faults, placement_faults = dict(loss_faults), dict(placement_faults)
+    counts = {"loss": defaultdict(int), "placement": defaultdict(int)}
+    stacked, place = leo.learning._stacked_loss, leo.learning._place_poles
+
+    def faulty_loss(dims, cfg, theta, anchor, inputs, *rest):
+        keys = [u.tobytes() for u in inputs]
+        faults = [loss_faults.get(key, {}).get(counts["loss"][key]) for key in keys]
+        if "linalg" in faults:
+            raise np.linalg.LinAlgError("injected")
+        terms, grads, diverged_at = stacked(dims, cfg, theta, anchor, inputs, *rest)
+        for i, (key, fault) in enumerate(zip(keys, faults)):
+            counts["loss"][key] += 1
+            if fault == "diverge":
+                diverged_at[i] = 7
+            elif fault == "nan":
+                grads[i, 0] = np.nan
+        return terms, grads, diverged_at
+
+    def faulty_placement(A, C, desired):
+        gains, failures = place(A, C, desired)
+        for i, marker in enumerate(np.rint(C[:, 0, 0]).tolist()):
+            if marker in placement_faults:
+                if counts["placement"][marker] in placement_faults[marker]:
+                    failures[i] = SynthesisFailureError("injected")
+                    gains[i] = 0.0
+                counts["placement"][marker] += 1
+        return gains, failures
+
+    monkeypatch.setattr(leo.learning, "_stacked_loss", faulty_loss)
+    monkeypatch.setattr(leo.learning, "_place_poles", faulty_placement)
+    return counts
+
+
+FAULT_KINDS = ("none", "rollback", "abort", "placement", "nan", "linalg", "unobservable")
+
+
+def faulty_runs(gen, dims, cfg, kinds, calls):
+    """Stable random runs of one problem, each with a fault of its kind at
+    its call number: the runs and the faults for ``inject_faults``."""
+    n, p, q = dims
+    T = cfg.window_start + cfg.window_len + 2
+    runs, loss_faults, placement_faults = [], {}, {}
+    for i, (kind, k) in enumerate(zip(kinds, calls)):
+        A = gen.standard_normal((n, n))
+        A = 0.9 * A / np.linalg.norm(A, 2)
+        C = gen.standard_normal((q, n))
+        if kind == "unobservable":  # for q < n: no gain until training moves A
+            A, C = np.eye(n), np.eye(q, n)
+        if kind == "placement":  # a marker C[0, 0] that no normal draw reaches
+            C[0, 0] = 7 + 2 * i
+            placement_faults[7 + 2 * i] = {k}
+        init = LearnableParams(
+            A_hat=A, B_hat=gen.standard_normal((n, p)), C_hat=C, x0_hat=gen.standard_normal(n)
+        )
+        inputs, measured = gen.standard_normal((T, p)), gen.standard_normal((T + 1, q))
+        key = _window_data(inputs, measured, dims, cfg)[0].tobytes()
+        if kind == "rollback":
+            loss_faults[key] = {k: "diverge"}
+        elif kind == "abort":  # the retry after the rollback diverges too
+            loss_faults[key] = {k: "diverge", k + 1: "diverge"}
+        elif kind in ("nan", "linalg"):
+            loss_faults[key] = {k: kind}
+        runs.append((init, inputs, measured))
+    return runs, loss_faults, placement_faults
+
+
+def train_faulty_batch(runs, cfg, loss_faults, placement_faults):
+    """The runs trained as one batch and, one by one, by the reference, with
+    the same faults injected: the two lists of outcomes."""
+    with pytest.MonkeyPatch.context() as mp:
+        counts = inject_faults(mp, loss_faults, placement_faults)
+        batch = _train_batch(*map(list, zip(*runs)), cfg)
+        for count in counts.values():
+            count.clear()
+        alone = [reference_outcome(*run, cfg) for run in runs]
+    return batch, alone
+
+
+class TestBatchTraining:
     def mixed_runs(self):
-        """Runs that abort, roll back, change coordinates, start unobservable,
-        fail outright, and use both rollout modes, at three state sizes."""
+        """Runs that abort, roll back, start unobservable, fail outright, and
+        use both rollout modes, at three state sizes."""
         runs = []
         # aborts at epoch 0 (test_divergence_aborts_with_diagnostics)
         runs.append((
@@ -736,9 +927,6 @@ class TestLockstepTraining:
             gen.normal(0, 1, (260, 1)), gen.normal(0, 1, (261, 1)),
             TrainConfig(rollout_mode="open_loop", epochs=6, lr0=40.0),
         ))
-        # conditioning_threshold=1 forces coordinate transforms
-        _, inputs, traj, init = make_instance(3, (3, 2, 1))
-        runs.append((init, inputs, traj.outputs, TrainConfig(epochs=12, conditioning_threshold=1)))
         # the unobservable start of test_unobservable_start_reuses_zero_gain
         gen = RngStream(12).generator()
         runs.append((
@@ -747,66 +935,122 @@ class TestLockstepTraining:
             ),
             gen.normal(0, 1, (260, 1)), gen.normal(0, 1, (261, 1)), TrainConfig(epochs=5),
         ))
-        # ordinary runs in both modes, sharing request shapes with the above
+        # ordinary runs in both modes
         for seed, mode in ((4, "luenberger"), (5, "open_loop"), (6, "luenberger")):
             _, inputs, traj, init = make_instance(seed, (3, 2, 1))
             runs.append((init, inputs, traj.outputs, TrainConfig(epochs=12, rollout_mode=mode)))
         _, inputs, traj, init = make_instance(7, (2, 1, 1))
         runs.append((init, inputs, traj.outputs, TrainConfig(epochs=12, rollout_mode="open_loop")))
-        # a horizon shorter than the window: this run raises, the rest go on
+        # a horizon shorter than the window: the run raises
         runs.append((init, inputs[:100], traj.outputs[:101], TrainConfig(epochs=3)))
         return runs
 
-    def test_lockstep_matches_one_run_at_a_time(self):
+    def test_train_matches_the_reference_loop(self):
+        # pytest turns numpy warnings into errors: none escapes from these
         runs = self.mixed_runs()
-        together = _lockstep([_train_steps(*run) for run in runs])
-        assert len(together) == len(runs)
-        for run, got in zip(runs[:-1], together[:-1]):
-            assert_same_training(got, train(*run))
-        assert isinstance(together[-1], ShapeError)
-        with pytest.raises(ShapeError, match="exceeds horizon"):
-            train(*runs[-1])
-        # the batch really has every branch it is meant to cover
-        diags = [r.diagnostics for r in together[:-1]]
+        outcomes = []
+        for run in runs:
+            try:
+                outcomes.append(train(*run))
+            except ShapeError as exc:
+                outcomes.append(exc)
+            assert_same_training(outcomes[-1], reference_outcome(*run))
+        assert isinstance(outcomes[-1], ShapeError) and "exceeds horizon" in str(outcomes[-1])
+        # the runs really have every branch they are meant to cover
+        diags = [r.diagnostics for r in outcomes[:-1]]
         assert diags[0]["aborted"] and diags[0]["abort_epoch"] == 0
         assert diags[1]["lr_halvings"] >= 1 and not diags[1]["aborted"]
-        assert diags[2]["transforms_applied"] >= 1
-        assert diags[3]["gain_reuses"] >= 1
+        assert diags[2]["gain_reuses"] >= 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 10),
+        n=st.integers(1, 3),
+        mode=st.sampled_from(["luenberger", "open_loop"]),
+        data=st.data(),
+    )
+    def test_rows_equal_reference_runs(self, seed, batch, n, mode, data):
+        p, q = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+        epochs = data.draw(st.integers(1, 6))
+        cfg = TrainConfig(
+            rollout_mode=mode, epochs=epochs,
+            window_start=data.draw(st.integers(0, 20)), window_len=data.draw(st.integers(1, 30)),
+        )
+        rows = st.lists(st.sampled_from(FAULT_KINDS), min_size=batch, max_size=batch)
+        kinds = data.draw(rows)
+        calls = data.draw(st.lists(st.integers(0, epochs - 1), min_size=batch, max_size=batch))
+        runs, *faults = faulty_runs(np.random.default_rng(seed), (n, p, q), cfg, kinds, calls)
+        together, alone = train_faulty_batch(runs, cfg, *faults)
+        assert len(together) == batch
+        for got, want in zip(together, alone):
+            assert_same_training(got, want)
+
+    @pytest.mark.parametrize("mode", ["luenberger", "open_loop"])
+    def test_every_fault_in_one_batch(self, mode):
+        kinds = ("rollback", "abort", "placement", "nan", "linalg", "unobservable", "none")
+        calls = (2, 1, 1, 2, 3, 0, 0)
+        cfg = TrainConfig(rollout_mode=mode, epochs=6, window_start=10, window_len=20)
+        runs, *faults = faulty_runs(np.random.default_rng(3), (3, 2, 1), cfg, kinds, calls)
+        together, alone = train_faulty_batch(runs, cfg, *faults)
+        for got, want in zip(together, alone):
+            assert_same_training(got, want)
+        rollback, abort, placement, nan, linalg, unobservable, plain = together
+        assert rollback.diagnostics["lr_halvings"] == 1 and len(rollback.log) == 6
+        assert abort.diagnostics["aborted"] and abort.diagnostics["abort_epoch"] == 1
+        assert isinstance(nan, ShapeError) and str(nan) == _NON_FINITE
+        assert isinstance(linalg, np.linalg.LinAlgError) and str(linalg) == "injected"
+        assert plain.diagnostics["lr_halvings"] == plain.diagnostics["gain_reuses"] == 0
+        if mode == "luenberger":
+            assert placement.diagnostics["gain_reuses"] == 1
+            assert [e["L_refreshed"] for e in placement.log] == [True, False] + [True] * 4
+            assert unobservable.diagnostics["gain_reuses"] >= 1
+            assert unobservable.log[0]["L_refreshed"] is False
+        else:
+            assert placement.diagnostics["gain_reuses"] == 0
+            assert placement.diagnostics["observable_epochs"] is None
 
     def test_failed_placement_reuses_the_gain_of_that_run_only(self, monkeypatch):
         # The run of seed 4 fails its first placement, as if no G had
         # placed the poles; every other run's placement is the real one.
-        runs = self.mixed_runs()[:-1]
-        failing = 4
-        assert runs[failing][3].rollout_mode == "luenberger"
+        cfg = TrainConfig(epochs=6)
+        runs = []
+        for seed in range(1, 8):
+            _, inputs, traj, init = make_instance(seed, (3, 2, 1))
+            runs.append((init, inputs, traj.outputs))
+        failing = 3
         poisoned = runs[failing][0].A_hat
         place = leo.learning._place_poles
         batch_sizes = []
 
         def first_placement_fails(A, C, desired):
             batch_sizes.append(len(A))
-            if any(np.array_equal(a, poisoned) for a in A):
-                raise SynthesisFailureError("injected")
-            return place(A, C, desired)
+            gains, failures = place(A, C, desired)
+            for i, a in enumerate(A):
+                if np.array_equal(a, poisoned):
+                    failures[i] = SynthesisFailureError("injected")
+            return gains, failures
 
         monkeypatch.setattr(leo.learning, "_place_poles", first_placement_fails)
-        together = _lockstep([_train_steps(*run) for run in runs])
+        together = _train_batch(*map(list, zip(*runs)), cfg)
         assert max(batch_sizes) > 1
         for run, got in zip(runs, together):
-            assert_same_training(got, train(*run))
+            assert_same_training(got, train_reference(*run, cfg))
         diags = together[failing].diagnostics
         assert diags["gain_reuses"] == 1
         assert together[failing].log[0]["L_refreshed"] is False
         assert all(entry["L_refreshed"] for entry in together[failing].log[1:])
+        assert all(got.diagnostics["gain_reuses"] == 0 for i, got in enumerate(together)
+                   if i != failing)
 
-    def test_one_stacked_call_per_epoch_and_request(self, monkeypatch):
-        # ten runs of one problem: each epoch's conditioning, rollout and
-        # adjoint are one call over all ten
+    def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch):
+        # ten runs of one problem: each epoch's observability decision,
+        # rollout and adjoint are one call over all ten
         epochs = 4
         runs = []
         for seed in range(40, 50):
             _, inputs, traj, init = make_instance(seed, (3, 2, 1))
-            runs.append((init, inputs, traj.outputs, TrainConfig(epochs=epochs)))
+            runs.append((init, inputs, traj.outputs))
         batches = defaultdict(list)
 
         def counted(module, name):
@@ -822,10 +1066,10 @@ class TestLockstepTraining:
             for name in ("_affine_rollout", "_affine_adjoint", "_observability_stack"):
                 if hasattr(module, name):
                     counted(module, name)
-        together = _lockstep([_train_steps(*run) for run in runs])
+        together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
         for got in together:
             assert len(got.log) == epochs
-            assert got.diagnostics["lr_halvings"] == got.diagnostics["transforms_applied"] == 0
+            assert got.diagnostics["lr_halvings"] == 0
         # each observability stack is factorized by exactly one SVD
         assert batches == {
             "_affine_rollout": [10] * epochs,
@@ -834,76 +1078,53 @@ class TestLockstepTraining:
         }
 
     @pytest.mark.parametrize("outcome", ["rollback", "abort"])
-    def test_a_failure_costs_one_round(self, monkeypatch, outcome):
-        # Ten runs of one problem; run 3's rollout overflows at epoch 1 after
-        # a huge first Adam step (it rolls back), or at epoch 0 (it aborts).
+    def test_a_diverged_run_costs_no_extra_call(self, monkeypatch, outcome):
+        # Ten runs of one problem; run 3's rollout diverges at epoch 1 (it
+        # rolls back), or overflows at epoch 0 (A = 100: it aborts).
         epochs, culprit = 4, 3
+        cfg = TrainConfig(rollout_mode="open_loop", epochs=epochs)
         runs = []
         for seed in range(10):
             gen = RngStream(21 + seed).generator()
-            a, lr0 = 1.0, 1e-4
-            if seed == culprit:
-                a, lr0 = (1.0, 25.0) if outcome == "rollback" else (100.0, 1e-4)
+            a = 100.0 if seed == culprit and outcome == "abort" else 1.0
             runs.append((
                 LearnableParams(A_hat=[[a]], B_hat=[[1.0]], C_hat=[[1.0]], x0_hat=[1.0]),
                 gen.normal(0, 1, (260, 1)), gen.normal(0, 1, (261, 1)),
-                TrainConfig(rollout_mode="open_loop", epochs=epochs, lr0=lr0),
             ))
+        key = _window_data(*runs[culprit][1:], (1, 1, 1), cfg)[0].tobytes()
+        counts = inject_faults(monkeypatch, {key: {1: "diverge"}} if outcome == "rollback" else {})
         stacked = leo.learning._stacked_loss
         calls = []
 
-        def recorded(static, theta, *arrays):
-            try:
-                rows = stacked(static, theta, *arrays)
-            except DivergedRollout:
-                calls.append((len(theta), "raised"))
-                raise
-            calls.append((len(theta), "ok"))
-            return rows
+        def recorded(dims, cfg, theta, *arrays):
+            out = stacked(dims, cfg, theta, *arrays)
+            calls.append((len(theta), int((out[2] > 0).sum())))
+            return out
 
         monkeypatch.setattr(leo.learning, "_stacked_loss", recorded)
-        together = _lockstep([_train_steps(*run) for run in runs])
-        monkeypatch.undo()
-        failed_round = [(10, "raised")] + [(1, "ok")] * 10
-        failed_round[1 + culprit] = (1, "raised")
+        together = _train_batch(*map(list, zip(*runs)), cfg)
         if outcome == "rollback":
             # run 3 repeats epoch 1 with the others' epoch 2, and its last epoch alone
-            want = [(10, "ok")] + failed_round + [(10, "ok")] * (epochs - 2) + [(1, "ok")]
+            want = [(10, 0), (10, 1)] + [(10, 0)] * (epochs - 2) + [(1, 0)]
         else:
-            want = failed_round + [(9, "ok")] * (epochs - 1)
+            want = [(10, 1)] + [(9, 0)] * (epochs - 1)
         assert calls == want
         diags = together[culprit].diagnostics
         assert diags["lr_halvings"] == (outcome == "rollback")
         assert diags["aborted"] == (outcome == "abort")
+        counts["loss"].clear()
         for run, got in zip(runs, together):
-            assert_same_training(got, train(*run))
-
-    def test_conditioning_runs_only_above_the_threshold(self, monkeypatch):
-        transform = leo.learning.conditioning_transform
-        calls = []
-
-        def counted(params, threshold):
-            calls.append(threshold)
-            return transform(params, threshold)
-
-        monkeypatch.setattr(leo.learning, "conditioning_transform", counted)
-        for threshold, expect_calls in ((TrainConfig().conditioning_threshold, False), (1.0, True)):
-            runs = []
-            for seed in range(40, 50):
-                _, inputs, traj, init = make_instance(seed, (3, 2, 1))
-                cfg = TrainConfig(epochs=4, conditioning_threshold=threshold)
-                runs.append((init, inputs, traj.outputs, cfg))
-            calls.clear()
-            together = _lockstep([_train_steps(*run) for run in runs])
-            observable = sum(got.diagnostics["observable_epochs"] for got in together)
-            assert observable == 40
-            assert len(calls) == (observable if expect_calls else 0)
+            assert_same_training(got, train_reference(*run, cfg))
 
     def test_stacked_call_that_raises_fails_only_its_culprit(self, monkeypatch):
         # A placement batch holding the run of seed 4 raises; the others are
         # then served alone and train as they would one at a time.
-        runs = self.mixed_runs()[:-1]
-        failing = 4
+        cfg = TrainConfig(epochs=6)
+        runs = []
+        for seed in range(1, 8):
+            _, inputs, traj, init = make_instance(seed, (3, 2, 1))
+            runs.append((init, inputs, traj.outputs))
+        failing = 3
         poisoned = runs[failing][0].A_hat
         place = leo.learning._place_poles
 
@@ -913,12 +1134,14 @@ class TestLockstepTraining:
             return place(A, C, desired)
 
         monkeypatch.setattr(leo.learning, "_place_poles", raises_with_poisoned_row)
-        together = _lockstep([_train_steps(*run) for run in runs])
+        together = _train_batch(*map(list, zip(*runs)), cfg)
         assert isinstance(together[failing], np.linalg.LinAlgError)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            train(*runs[failing], cfg)
         monkeypatch.undo()
         for i, (run, got) in enumerate(zip(runs, together)):
             if i != failing:
-                assert_same_training(got, train(*run))
+                assert_same_training(got, train_reference(*run, cfg))
 
 
 def stacked_loss_case(gen, batch, dims, k0, K, scale=1.0):
@@ -943,11 +1166,27 @@ def stacked_loss_case(gen, batch, dims, k0, K, scale=1.0):
 
 
 def stacked_rows(runs, cfg, want_gradient):
-    """The runs' loss requests served as one lockstep group: a stacked
-    ``_stacked_loss`` call, or each run alone if that call raises."""
-    requests = [_loss_request(*run[:4], cfg, run[4], want_gradient) for run in runs]
-    assert {r[0] for r in requests} == {_stacked_loss}
-    return _serve(_stacked_loss, [r[1:] for r in requests])
+    """The runs' loss terms and gradients from one ``_stacked_loss`` call,
+    per row: ``(breakdown, grads or None)``, or the exception a one-run call
+    raises for it."""
+    dims = runs[0][0].dims
+    data = [_window_data(run[2], run[3], dims, cfg) for run in runs]
+    gains = np.stack([run[1] for run in runs]) if cfg.rollout_mode == "luenberger" else None
+    terms, grads, diverged_at = _stacked_loss(
+        dims, cfg, np.stack([run[0].theta for run in runs]), np.stack([run[4].theta for run in runs]),
+        np.stack([d[0] for d in data]), np.stack([d[1] for d in data]), gains, want_gradient,
+    )
+    rows = []
+    for i in range(len(runs)):
+        if diverged_at[i]:
+            rows.append(DivergedRollout(int(diverged_at[i])))
+        elif not want_gradient:
+            rows.append((LossBreakdown(*terms[i].tolist()), None))
+        elif not np.isfinite(grads[i]).all():
+            rows.append(ShapeError(_NON_FINITE))
+        else:
+            rows.append((LossBreakdown(*terms[i].tolist()), LearnableParams._of(grads[i], dims)))
+    return rows
 
 
 def assert_row_matches_reference(row, run, cfg, want_gradient):
@@ -1014,7 +1253,8 @@ class TestStackedLoss:
         for got, own in zip(rows[:diverging] + rows[diverging + 1 :], alone):
             assert got[0] == own[0] and np.array_equal(got[1].theta, own[1].theta)
 
-    # The rollout stays finite near 1e307, so its gradient overflows.
+    # The rollout stays finite near 1e307, so its gradient overflows; the
+    # reference body warns about that, the stacked call does not.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_with_a_non_finite_gradient_fails_alone(self):
         gen = np.random.default_rng(8)
@@ -1023,39 +1263,12 @@ class TestStackedLoss:
         huge = LearnableParams(A_hat=[[1.0]], B_hat=[[0.0]], C_hat=[[1.0]], x0_hat=[1e307])
         runs[culprit][0] = runs[culprit][4] = huge
         cfg = TrainConfig(rollout_mode="open_loop")
-        rows = stacked_rows(runs, cfg, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = stacked_rows(runs, cfg, True)
+            with pytest.raises(ShapeError, match="non-finite"):
+                gradient(*runs[culprit][:4], cfg, runs[culprit][4])
         for row, run in zip(rows, runs):
             assert_row_matches_reference(row, run, cfg, True)
         assert isinstance(rows[culprit], ShapeError)
         assert not any(isinstance(row, Exception) for i, row in enumerate(rows) if i != culprit)
-
-    def test_runs_of_other_modes_or_windows_never_share_a_call(self, monkeypatch):
-        runs = []
-        for mode in ("luenberger", "open_loop"):
-            # both windows end at step 251, so only the static part tells them apart
-            for k0, K in ((201, 50), (211, 40)):
-                for _ in range(2):
-                    _, inputs, traj, init = make_instance(30 + len(runs), (2, 1, 1))
-                    cfg = TrainConfig(epochs=3, rollout_mode=mode, window_start=k0, window_len=K)
-                    runs.append((init, inputs, traj.outputs, cfg))
-        stacked = leo.learning._stacked_loss
-        calls = []
-
-        def recorded(static, theta, anchor, inputs, measured, L=None):
-            calls.append((static, [
-                i for i, run in enumerate(runs)
-                if any(np.array_equal(m, run[2][: len(m)]) for m in measured)
-            ]))
-            return stacked(static, theta, anchor, inputs, measured, L)
-
-        monkeypatch.setattr(leo.learning, "_stacked_loss", recorded)
-        together = _lockstep([_train_steps(*run) for run in runs])
-        monkeypatch.undo()
-        assert len(calls) == 4 * 3
-        for static, members in calls:
-            assert len(members) == 2
-            (cfgs,) = {(runs[i][3].rollout_mode, runs[i][3].window_start, runs[i][3].window_len)
-                       for i in members}
-            assert (static[4], static[1], static[2]) == cfgs
-        for run, got in zip(runs, together):
-            assert_same_training(got, train(*run))
