@@ -94,17 +94,20 @@ def _fmt(x: float) -> str:
 
 
 def _version_string() -> str:
+    """``git describe`` of the checkout this package is in, or, where no
+    repository tracks this file (an installed copy, even inside another
+    project's repository), ``leo-observer-<version>``."""
+    here, name = os.path.split(os.path.abspath(__file__))
+
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True, timeout=5, cwd=here)
+
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except Exception:
+        if git("ls-files", "--error-unmatch", name).returncode == 0:
+            out = git("describe", "--always", "--dirty")
+            if out.returncode == 0 and out.stdout.strip():
+                return out.stdout.strip()
+    except (OSError, subprocess.SubprocessError):  # no git, or it hangs
         pass
     return f"leo-observer-{__version__}"
 

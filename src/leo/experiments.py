@@ -86,7 +86,14 @@ class TrialSpec:
     max_regenerations: int = 20
 
     def __post_init__(self):
-        n, p, q = self.dims
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            dims = ()
+        if len(dims) != 3 or not all(isinstance(d, numbers.Integral) for d in dims):
+            raise ValueError(f"dims must be three integers (n, p, q), got {self.dims!r}")
+        n, p, q = dims = tuple(int(d) for d in dims)
+        object.__setattr__(self, "dims", dims)
         if not (1 <= p <= n) or q < 1:
             raise ValueError(f"invalid dimensions (n,p,q)=({n},{p},{q})")
         for name in ("horizon", "seed", "trial_index", "max_regenerations"):
@@ -577,6 +584,9 @@ def run_monte_carlo(
     processes (at most the CPU count, one pool for the whole run) each
     triple's trials are split into that many contiguous batches.
     """
+    for name, value in (("trials", trials), ("parallel", parallel)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 10:
         raise ValueError("need at least 10 trials for meaningful statistics")
     if parallel < 1:
@@ -584,7 +594,7 @@ def run_monte_carlo(
     workers = min(parallel, os.cpu_count() or 1)
     cfg = train_cfg or TrainConfig()
     base_spec = trial_spec or TrialSpec(dims=(2, 1, 1))
-    dims_list = [tuple(int(d) for d in dims) for dims in dims_list]
+    dims_list = [replace(base_spec, dims=dims).dims for dims in dims_list]
     size = math.ceil(trials / workers)
     batches = [
         [

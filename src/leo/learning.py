@@ -13,9 +13,9 @@ its adjoint is the matching backward affine recursion.
 Training runs a batch of runs that share dims and one ``TrainConfig`` (the
 trials of a Monte Carlo batch) as plain arrays with a leading run axis: θ,
 the anchor θ, the Adam moments, per-run counters and masks. Each round runs
-one epoch of every live run with one stacked call per stage: the
-observability decision (``_observability_condition``), gain re-synthesis
-(``_place_poles``), loss and gradient (``_stacked_loss``, whose rollout and
+one epoch of every live run with one stacked call per stage: gain
+re-synthesis (``_place_poles``, which first decides which pairs are
+observable), loss and gradient (``_stacked_loss``, whose rollout and
 adjoint take one stacked matrix-vector product per time step) and the Adam
 update. Rollback, abort and gain reuse are masked assignments. A stacked
 call computes every row bitwise as a stack of one would, so a run's result
@@ -33,14 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DivergedRollout, ShapeError
-from .lti_core import (
-    LtiParams,
-    matrix_to_json,
-    _affine_adjoint,
-    _affine_rollout,
-    _observability_condition,
-)
+from .exceptions import DivergedRollout, PolePlacementInfeasible, ShapeError
+from .lti_core import LtiParams, matrix_to_json, _affine_adjoint, _affine_rollout
 from .observer import default_observer_poles, _checked_poles, _gain_matrix, _place_poles
 
 __all__ = [
@@ -93,24 +87,17 @@ class LearnableParams:
         n = A.shape[0]
         if A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n or x0.size != n:
             raise ShapeError("inconsistent learnable parameter shapes")
-        self._bind(np.concatenate((A, B, C, x0), axis=None), (n, B.shape[1], C.shape[0]))
-
-    @staticmethod
-    def _of(theta: np.ndarray, dims: tuple[int, int, int]) -> "LearnableParams":
-        """Parameters that take over θ; like the constructor, checks it finite once."""
-        return object.__new__(LearnableParams)._bind(theta, dims)
-
-    def _bind(self, theta: np.ndarray, dims: tuple[int, int, int]) -> "LearnableParams":
+        theta = np.concatenate((A, B, C, x0), axis=None)
         if not np.isfinite(theta).all():
             raise ShapeError(_NON_FINITE)
         theta.flags.writeable = False
+        dims = (n, B.shape[1], C.shape[0])
         names = ("theta", "dims", "A_hat", "B_hat", "C_hat", "x0_hat")
         for name, value in zip(names, (theta, dims, *_blocks(theta, *dims))):
             object.__setattr__(self, name, value)
-        return self
 
     def as_lti(self) -> LtiParams:
-        return LtiParams._of(self.A_hat, self.B_hat, self.C_hat)
+        return LtiParams(self.A_hat, self.B_hat, self.C_hat)
 
     @staticmethod
     def from_lti(params: LtiParams, x0_hat: np.ndarray) -> "LearnableParams":
@@ -357,7 +344,7 @@ def gradient(
     synthesis), matching how the training loop treats it.
     """
     _, grads = _one_run_loss(params, gain, inputs, measured_outputs, cfg, init, True)
-    return LearnableParams._of(grads[0], params.dims)
+    return LearnableParams(*_blocks(grads[0], *params.dims))
 
 
 def _adam_update(theta, m, v, g, steps: list, lrs: list, weight_decay: float):
@@ -401,7 +388,7 @@ def adam_step(
         params.theta[None], state.m[None], state.v[None], grads.theta[None], [t], [lr],
         weight_decay,
     )
-    return AdamState(m=m[0], v=v[0], step=t), LearnableParams._of(theta[0], params.dims)
+    return AdamState(m=m[0], v=v[0], step=t), LearnableParams(*_blocks(theta[0], *params.dims))
 
 
 @dataclass
@@ -434,12 +421,12 @@ def train(
 ) -> TrainResult:
     """Run the full refinement loop (gain refresh, loss and gradient, Adam).
 
-    Per epoch in Luenberger mode: (a) one SVD of the current matrices'
-    observability stack decides whether the pair is observable; (b) if it
-    is, the observer gain is re-synthesized from the current matrices,
-    otherwise (or if synthesis fails) the previous gain, at first zero, is
-    kept. Then in both modes: (c) loss and gradient with the gain frozen;
-    (d) an Adam step at the scheduled learning rate.
+    Per epoch in Luenberger mode, one ``_place_poles`` call: (a) one SVD of
+    the current matrices' observability stack decides whether the pair is
+    observable; (b) if it is, the observer gain is re-synthesized from the
+    current matrices, otherwise (or if synthesis fails) the previous gain,
+    at first zero, is kept. Then in both modes: (c) loss and gradient with
+    the gain frozen; (d) an Adam step at the scheduled learning rate.
 
     A non-finite rollout rolls the parameters back one step and halves the
     learning rate before retrying; a second failure in a row aborts the run.
@@ -509,23 +496,21 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     live = np.full(runs, cfg.epochs > 0)
 
     # What a round's stacked calls give the rows they serve.
-    observable = np.zeros(runs, dtype=bool)
     refreshed = np.zeros(runs, dtype=bool)
     terms = np.empty((runs, 5))
     grads = np.empty_like(theta)
     diverged = np.zeros(runs, dtype=bool)
-
-    def condition(r):
-        A, _, C, _ = _blocks(theta[r], n, p, q)
-        observable[r] = np.array(_observability_condition(A, C)) < np.inf
 
     def placement(r):
         A, _, C, _ = _blocks(theta[r], n, p, q)
         gains, failures = _place_poles(A, C, poles)
         placed = np.ones(len(r), dtype=bool)
         placed[list(failures)] = False
+        unobservable = [j for j, e in failures.items() if isinstance(e, PolePlacementInfeasible)]
         L[r[placed]] = gains[placed]
         refreshed[r] = placed
+        observable_epochs[r] += 1
+        observable_epochs[r[unobservable]] -= 1
 
     def loss_and_gradient(r):
         out = _stacked_loss(dims, cfg, theta[r], anchor[r], u[r], y[r], L[r] if luenberger else None)
@@ -534,12 +519,8 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     while live.any():
         rows = np.flatnonzero(live)
         if luenberger:
-            rows = _serve(condition, rows, errors)
-            observable_epochs[rows] += observable[rows]
             refreshed[rows] = False
-            _serve(placement, rows[observable[rows]], errors)
-            if errors:
-                rows = rows[~np.isin(rows, list(errors))]
+            rows = _serve(placement, rows, errors)
             refreshes[rows] += refreshed[rows]
             reuses[rows] += ~refreshed[rows]
         rows = _serve(loss_and_gradient, rows, errors)
@@ -598,6 +579,6 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
             "lr_halvings": int(halvings[r]),
             "final_gain": L[r].copy() if luenberger and cfg.epochs > 0 else None,
         }
-        params = LearnableParams._of(theta[r].copy(), dims)
+        params = LearnableParams(*_blocks(theta[r], *dims))
         results.append(TrainResult(params=params, log=logs[r], diagnostics=diagnostics))
     return results

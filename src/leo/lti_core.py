@@ -99,23 +99,14 @@ class LtiParams:
         n = A.shape[0]
         if A.shape[1] != n:
             raise ShapeError(f"A must be square, got {A.shape}")
-        self._bind(A, _as_matrix(self.B, rows=n, name="B"), _as_matrix(self.C, cols=n, name="C"))
-
-    @staticmethod
-    def _of(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> "LtiParams":
-        """Parameters from finite float matrices whose shapes already agree
-        (n x n, n x p, q x n), such as ``LearnableParams``' views: like the
-        constructor, but without its per-entry checks."""
-        return object.__new__(LtiParams)._bind(A, B, C)
-
-    def _bind(self, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> "LtiParams":
-        if B.shape[1] > A.shape[0]:
-            raise ShapeError(f"input dimension p={B.shape[1]} exceeds n={A.shape[0]}")
+        B = _as_matrix(self.B, rows=n, name="B")
+        C = _as_matrix(self.C, cols=n, name="C")
+        if B.shape[1] > n:
+            raise ShapeError(f"input dimension p={B.shape[1]} exceeds n={n}")
         if C.shape[0] < 1:
             raise ShapeError("C must have at least one row")
         for name, M in (("A", A), ("B", B), ("C", C)):
             object.__setattr__(self, name, M)
-        return self
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -298,7 +289,7 @@ def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nd
         raise ShapeError(f"rollout of M {M.shape} from x0 {x0.shape} with forcing {forcing.shape}")
     states = np.empty((B, K + 1, n))
     loop = _load_c_loop()
-    if loop and loop(False, M, x0, forcing, states):
+    if loop and loop(M, x0, forcing, states):
         return states
     return _numpy_rollout(M, x0, forcing)
 
@@ -309,16 +300,13 @@ def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
     For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
     its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
     Stacks only: M (B, n, n) and direct (B, K + 1, n) give (B, K + 1, n).
-    The C loop writes it back to front; ``_numpy_adjoint`` is the fallback.
+    It is the rollout of M^T from d_K over d_{K-1}..d_0, read backwards.
     """
     B, K1, n = direct.shape
     if M.shape != (B, n, n) or K1 < 1:
         raise ShapeError(f"adjoint of M {M.shape} with direct terms {direct.shape}")
-    adj = np.empty((B, K1, n))
-    loop = _load_c_loop()
-    if loop and loop(True, M, direct[:, -1], direct, adj):
-        return adj
-    return _numpy_adjoint(M, direct)
+    backwards = _affine_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
+    return np.ascontiguousarray(backwards[:, ::-1])
 
 
 def _numpy_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -341,8 +329,7 @@ def _numpy_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nda
 
 
 def _numpy_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
-    """``_affine_adjoint`` as a numpy loop: the rollout of M^T from d_K over
-    d_{K-1}..d_0, read backwards, so it runs the same steps bit for bit."""
+    """``_affine_adjoint`` on the numpy loop alone: the tests' reference."""
     backwards = _numpy_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
     return np.ascontiguousarray(backwards[:, ::-1])
 
@@ -366,9 +353,10 @@ def _load_c_loop():
     ``$XDG_CACHE_HOME/leo`` (default ``~/.cache/leo``). Its steps call the
     Fortran ``dgemv`` that scipy exports for Cython. That BLAS may be
     another build than the one numpy calls, so the loop is kept only if it
-    matches the numpy loop bitwise on a fixed stack for each n = 1..4 in
-    both directions. Any failure (no compiler, an unwritable cache, no
-    capsule, a mismatch) leaves the numpy loop in place, without a warning.
+    matches the numpy loop bitwise on a fixed stack for each n = 1..4, on M
+    and on its transposed view, which the adjoint runs. Any failure (no
+    compiler, an unwritable cache, no capsule, a mismatch) leaves the numpy
+    loop in place, without a warning.
     """
     global _c_loop
     if _c_loop is None:
@@ -407,31 +395,29 @@ def _build_c_loop():
                 os.remove(tmp)
     affine = ctypes.CDLL(library).leo_affine
     affine.restype = None
-    affine.argtypes = [ctypes.c_void_p, ctypes.c_char, ctypes.c_int, ctypes.c_long,
-                       ctypes.c_long, ctypes.c_int] + [ctypes.c_void_p] * 4
+    affine.argtypes = [ctypes.c_void_p, ctypes.c_char, ctypes.c_long, ctypes.c_long,
+                       ctypes.c_int] + [ctypes.c_void_p] * 4
     capsule = blas["dgemv"]
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
     dgemv = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
 
-    def loop(backwards: bool, M, x0, f, out) -> bool:
+    def loop(M, x0, f, out) -> bool:
         """Run into ``out``, shaped as the result; False, with nothing run,
         for a layout of M on which np.matmul calls no BLAS."""
         n = out.shape[2]
-        # np.matmul picks the BLAS call by the layout of the matrix it
-        # applies (M, or M^T backwards): 'T' on its row-major memory, 'N' on
-        # its column-major memory.
-        applied = M.transpose(0, 2, 1) if backwards else M
-        rows, cols = applied.strides[1:]
+        # np.matmul picks the BLAS call by the layout of M: 'T' on its
+        # row-major memory, 'N' on its column-major memory.
+        rows, cols = M.strides[1:]
         if n == 1 or cols == 8 and rows % 8 == 0 and rows >= 8 * n:
-            trans, memory = b"T", applied
+            trans, memory = b"T", M
         elif rows == 8 and cols % 8 == 0 and cols >= 8 * n:
-            trans, memory = b"N", applied.transpose(0, 2, 1)
+            trans, memory = b"N", M.transpose(0, 2, 1)
         else:
             return False
         P, x0, f = (np.ascontiguousarray(a, dtype=float) for a in (memory, x0, f))
-        affine(dgemv, trans, backwards, out.shape[0], out.shape[1] - 1, n,
+        affine(dgemv, trans, out.shape[0], out.shape[1] - 1, n,
                P.ctypes.data, x0.ctypes.data, f.ctypes.data, out.ctypes.data)
         return True
 
@@ -440,18 +426,17 @@ def _build_c_loop():
 
 def _matches_numpy(loop) -> bool:
     """True iff ``loop`` gives the numpy loop's bits on a fixed seeded stack
-    per n = 1..4, forwards and backwards."""
+    per n = 1..4, run on M and on its transposed view."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20250611)))
     for n in range(1, 5):
         M = 0.6 * gen.standard_normal((3, n, n))
         x0 = gen.standard_normal((3, n))
         f = gen.standard_normal((3, 17, n))
-        states, adj = np.empty((3, 18, n)), np.empty((3, 17, n))
-        loop(False, M, x0, f, states)
-        loop(True, M, f[:, -1], f, adj)
-        if (states.tobytes() != _numpy_rollout(M, x0, f).tobytes()
-                or adj.tobytes() != _numpy_adjoint(M, f).tobytes()):
-            return False
+        for S in (M, M.transpose(0, 2, 1)):
+            states = np.empty((3, 18, n))
+            loop(S, x0, f, states)
+            if states.tobytes() != _numpy_rollout(S, x0, f).tobytes():
+                return False
     return True
 
 

@@ -9,13 +9,16 @@ and a random q x n matrix G, solve
 for X through the equivalent Kronecker linear system, and read off
 L = (G X^{-1})^T. This works for any output dimension, unlike
 single-output Ackermann-style formulas. Synthesis runs on a stack of pairs
-at once (the runs of a training batch) and gives a gain array plus the rows
-it could not place, and what depends only on the requested poles (F, its
-Kronecker term and the G draws) is built once.
+at once (the runs of a training batch): one stacked SVD of the
+observability stacks first decides which pairs can be placed at all, and
+the result is a gain array plus the rows it could not place, unobservable
+ones included. What depends only on the requested poles (F, its Kronecker
+term and the G draws) is built once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -26,10 +29,11 @@ from .exceptions import PolePlacementInfeasible, ShapeError, SynthesisFailureErr
 from .lti_core import (
     LtiParams,
     Trajectory,
-    is_observable,
     matrix_from_json,
     matrix_to_json,
     _affine_rollout,
+    _as_matrix,
+    _observability_condition,
 )
 
 __all__ = [
@@ -197,6 +201,8 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
 
     Raises
     ------
+    ShapeError
+        If A or C is not a finite matrix, or C has not n columns.
     PolePlacementInfeasible
         If (A, C) is unobservable; callers typically fall back to reusing a
         previously synthesized gain.
@@ -205,10 +211,9 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
         the message quotes the least ``max_spectrum_deviation`` reached.
     """
     A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
     desired = _checked_poles(desired, A.shape[0])
-    if not is_observable(A, C):
-        raise PolePlacementInfeasible("pair (A, C) is not observable")
+    A = _as_matrix(A, name="A")
+    C = _as_matrix(C, cols=A.shape[0], name="C")
     gains, failures = _place_poles(A[None], C[None], desired)
     if failures:
         raise failures[0]
@@ -244,32 +249,40 @@ def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dict]:
-    """``place_observer_poles`` for pairs already known to be observable and
-    poles from ``_checked_poles``: the synthesis without the rank check.
+    """``place_observer_poles`` for validated matrices and poles from
+    ``_checked_poles``.
 
     Batched over a leading row axis: A (B, n, n) and C (B, q, n) give the
-    gains L (B, n, q) and a dict that maps each row no G could place to its
-    ``SynthesisFailureError``; such a row's gain is zero. Each step is one
-    stacked call over the rows still without a gain; a stacked LAPACK call
-    or matmul computes every item as its own call would, so each row's gain
-    is bitwise that of its own call.
+    gains L (B, n, q) and a dict that maps each row without a gain to its
+    exception: ``PolePlacementInfeasible`` for an unobservable pair, else
+    the ``SynthesisFailureError`` of a row no G could place. Such a row's
+    gain is zero. Each step is one stacked call over the rows still without
+    a gain; a stacked LAPACK call or matmul computes every item as its own
+    call would, so each row's gain is bitwise that of its own call.
     """
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
     desired = np.asarray(desired)
-    # A row whose spectrum is already in place keeps the zero gain, which
-    # realizes it exactly.
     gains = np.zeros((A.shape[0], n, q))
-    placed = _spectrum_deviation(np.linalg.eigvals(A), desired) < 1e-9
-    if placed.all():
-        return gains, {}
-
-    neg_kron, targets, draws = _placement_constants(poles, q)
-    # The rows without a gain: their positions in the batch, and their
-    # arrays, which shrink only when a row is done before the others.
-    rows = np.flatnonzero(~placed)
+    unobservable = np.array(_observability_condition(A, C)) == math.inf
+    failures: dict = {
+        row: PolePlacementInfeasible("pair (A, C) is not observable")
+        for row in np.flatnonzero(unobservable).tolist()
+    }
+    # The rows still without a gain: their positions in the batch, and
+    # their arrays, which shrink only when a row is done before the others.
+    rows = np.flatnonzero(~unobservable)
     if len(rows) < len(gains):
         A, C = A[rows], C[rows]
+    # A row whose spectrum is already in place keeps the zero gain, which
+    # realizes it exactly.
+    placed = _spectrum_deviation(np.linalg.eigvals(A), desired) < 1e-9
+    if placed.all():
+        return gains, failures
+    if placed.any():
+        rows, A, C = rows[~placed], A[~placed], C[~placed]
+
+    neg_kron, targets, draws = _placement_constants(poles, q)
     # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
     # K = kron(I, A^T) - kron(F^T, I), whose diagonal blocks hold A^T.
     K = np.repeat(neg_kron[None], len(rows), axis=0)
@@ -306,16 +319,15 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
             else:
                 best[row] = min(deviation, best.get(row, np.inf))
         if done.all():
-            return gains, {}
+            return gains, failures
         rows, A, C, K, singular = (a[~done] for a in (rows, A, C, K, singular))
 
-    return gains, {
-        row: SynthesisFailureError(
+    for row in rows.tolist():
+        failures[row] = SynthesisFailureError(
             f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
             + (f" (best deviation {best[row]:.3e})" if row in best else "")
         )
-        for row in rows.tolist()
-    }
+    return gains, failures
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:

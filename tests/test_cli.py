@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leo
 from leo import lti_core
 from leo.cli import build_parser, main
 
@@ -289,3 +295,36 @@ class TestVersion:
         assert run_cli("--version") == 0
         out = capsys.readouterr().out.strip()
         assert out and "\n" not in out
+
+    def test_copy_in_another_repository_reports_the_package_version(self, tmp_path):
+        # an installed copy inside another project's repository must not
+        # report that project's commit, unless that repository tracks it
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+        env.update(PYTHONDONTWRITEBYTECODE="1")
+
+        def git(*args):
+            identity = ["-c", "user.name=leo", "-c", "user.email=leo@example.org",
+                        "-c", "commit.gpgsign=false"]
+            return subprocess.run(["git", *identity, *args], cwd=tmp_path, env=env, check=True,
+                                  capture_output=True, text=True, timeout=60).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "README").write_text("another project\n")
+        git("add", "README")
+        git("commit", "-q", "-m", "another project")
+        site = tmp_path / "venv" / "site-packages"
+        shutil.copytree(Path(leo.__file__).parent, site / "leo",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def version():
+            code = "from leo.cli import _version_string; print(_version_string())"
+            return subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=str(site)),
+                                  check=True, capture_output=True, text=True,
+                                  timeout=60).stdout.strip()
+
+        assert version() == f"leo-observer-{leo.__version__}"
+        git("add", "venv")
+        git("commit", "-q", "-m", "vendor leo")
+        assert version() == git("describe", "--always", "--dirty")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -263,6 +265,16 @@ class TestTrialSpec:
         with pytest.raises(ValueError, match=field):
             TrialSpec(dims=(2, 1, 1), **{field: value})
 
+    @pytest.mark.parametrize("dims", [(2.5, 1, 1), (2, 1.0, 1), (2, 1), (2, 1, 1, 1), 3, "211"])
+    def test_dims_must_be_three_integers(self, dims):
+        message = r"dims must be three integers \(n, p, q\), got " + re.escape(repr(dims))
+        with pytest.raises(ValueError, match=message):
+            TrialSpec(dims=dims)
+
+    def test_integer_dims_are_stored_as_ints(self):
+        spec = TrialSpec(dims=np.array([3, 2, 1]))
+        assert spec.dims == (3, 2, 1) and all(type(d) is int for d in spec.dims)
+
     def test_zero_stds_and_seed_are_valid(self):
         zero = dict(process_noise_std=0.0, measurement_noise_std=0.0, perturbation_std=0.0,
                     x0_offset_std=0.0, input_std=0.0)
@@ -355,6 +367,16 @@ class TestRunMonteCarlo:
         a, _ = run_monte_carlo([(2, 1, 1)], trials=10, master_seed=9, train_cfg=FAST_CFG)
         b, _ = run_monte_carlo([(2, 1, 1)], trials=10, master_seed=9, train_cfg=FAST_CFG)
         assert a[0].to_json() == b[0].to_json()
+
+    def test_float_dims_are_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"got \(2\.7, 1, 1\)"):
+            run_monte_carlo([(2, 1, 1), (2.7, 1, 1)], trials=10, train_cfg=FAST_CFG)
+
+    @pytest.mark.parametrize("field, value", [("trials", 10.5), ("parallel", 1.5)])
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = {"trials": 10, "parallel": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            run_monte_carlo([(2, 1, 1)], train_cfg=FAST_CFG, **kwargs)
 
     @pytest.mark.parametrize("parallel", [0, -3])
     def test_parallel_below_one_rejected(self, parallel):

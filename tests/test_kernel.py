@@ -1,11 +1,12 @@
 """The C time-step loop against the numpy loop it replaces, and its loader.
 
-``_affine_rollout`` and ``_affine_adjoint`` run the C loop of
-``leo/_kernel.c`` where it builds and passes its load-time check, and
-``_numpy_rollout``/``_numpy_adjoint`` otherwise. Training amplifies
-last-bit differences, so the two must agree bit for bit, including on the
-non-finite rows that divergence detection reads. On a host without a C
-compiler the properties compare the numpy loop with itself.
+``_affine_rollout`` runs the C loop of ``leo/_kernel.c`` where it builds
+and passes its load-time check, and ``_numpy_rollout`` otherwise;
+``_affine_adjoint`` is that rollout on M^T, and ``_numpy_adjoint`` its
+numpy reference. Training amplifies last-bit differences, so the two must
+agree bit for bit, including on the non-finite rows that divergence
+detection reads. On a host without a C compiler the properties compare the
+numpy loop with itself.
 """
 
 import os
@@ -131,13 +132,19 @@ class TestLoader:
         if not loop:
             pytest.skip("the C loop does not load on this host")
 
-        def off_by_one_ulp(backwards, M, x0, f, out):
-            ran = loop(backwards, M, x0, f, out)
-            out[-1, -1] = np.nextafter(out[-1, -1], np.inf)
-            return ran
+        def off_by_one_ulp(transposed_only):
+            def moved(M, x0, f, out):
+                ran = loop(M, x0, f, out)
+                if not (transposed_only and M.flags.c_contiguous):
+                    out[-1, -1] = np.nextafter(out[-1, -1], np.inf)
+                return ran
+
+            return moved
 
         assert lti_core._matches_numpy(loop)
-        assert not lti_core._matches_numpy(off_by_one_ulp)
+        assert not lti_core._matches_numpy(off_by_one_ulp(False))
+        # the layout the adjoint runs on is checked too
+        assert not lti_core._matches_numpy(off_by_one_ulp(True))
 
     def test_concurrent_first_builds_share_one_library(self, fresh):
         if shutil.which("cc") is None:

@@ -11,7 +11,12 @@ from numpy.testing import assert_allclose
 import leo.learning
 import leo.lti_core
 import leo.observer
-from leo.exceptions import DivergedRollout, ShapeError, SynthesisFailureError
+from leo.exceptions import (
+    DivergedRollout,
+    PolePlacementInfeasible,
+    ShapeError,
+    SynthesisFailureError,
+)
 from leo.learning import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -152,7 +157,7 @@ def loss_and_gradient_reference(params, gain, inputs, measured_outputs, cfg, ini
     gB += lam_B * np.sign(dB) / dB.size
     gC += lam_C * np.sign(dC) / dC.size
     theta = np.concatenate((gA, gB, gC, adj[0]), axis=None)
-    return breakdown, LearnableParams._of(theta, (n, p, q))
+    return breakdown, LearnableParams(*_blocks(theta, n, p, q))
 
 
 def flat(fields: dict) -> np.ndarray:
@@ -736,12 +741,13 @@ def train_reference(init, inputs, measured_outputs, cfg):
         lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
         refreshed = False
         if luenberger:
-            A, C = current.A_hat[None], current.C_hat[None]
-            if leo.learning._observability_condition(A, C)[0] < np.inf:
+            gains, failures = leo.learning._place_poles(
+                current.A_hat[None], current.C_hat[None], poles
+            )
+            if not isinstance(failures.get(0), PolePlacementInfeasible):
                 diagnostics["observable_epochs"] += 1
-                gains, failures = leo.learning._place_poles(A, C, poles)
-                if not failures:
-                    L, refreshed = gains[0], True
+            if not failures:
+                L, refreshed = gains[0], True
             if refreshed:
                 diagnostics["gain_refreshes"] += 1
             else:
@@ -764,7 +770,7 @@ def train_reference(init, inputs, measured_outputs, cfg):
             diagnostics["lr_halvings"] += 1
             continue
         consecutive_failures = 0
-        grads = LearnableParams._of(grads[0], init.dims)
+        grads = LearnableParams(*_blocks(grads[0], *init.dims))
 
         data_term, reg_A, reg_B, reg_C, total = terms[0].tolist()
         log.append(
@@ -826,9 +832,11 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
     diverged, "nan" makes its gradient non-finite and "linalg" makes the
     call raise ``LinAlgError``. A call that raises counts for no run, so a
     run's count is that of a batch of one. ``placement_faults`` maps a run,
-    known by its rounded C[0, 0], to the numbers of its ``_place_poles``
-    calls that fail. Returns the counts, to be cleared between a batch and
-    its reference runs.
+    known by its rounded C[0, 0], to {call number: exception type} for
+    ``_place_poles``, the observer's gate and synthesis in one:
+    ``SynthesisFailureError`` fails the synthesis, ``PolePlacementInfeasible``
+    makes the pair unobservable. Returns the counts, to be cleared between
+    a batch and its reference runs.
     """
     loss_faults, placement_faults = dict(loss_faults), dict(placement_faults)
     counts = {"loss": defaultdict(int), "placement": defaultdict(int)}
@@ -852,8 +860,9 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
         gains, failures = place(A, C, desired)
         for i, marker in enumerate(np.rint(C[:, 0, 0]).tolist()):
             if marker in placement_faults:
-                if counts["placement"][marker] in placement_faults[marker]:
-                    failures[i] = SynthesisFailureError("injected")
+                fault = placement_faults[marker].get(counts["placement"][marker])
+                if fault is not None:
+                    failures[i] = fault("injected")
                     gains[i] = 0.0
                 counts["placement"][marker] += 1
         return gains, failures
@@ -863,7 +872,13 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
     return counts
 
 
-FAULT_KINDS = ("none", "rollback", "abort", "placement", "nan", "linalg", "unobservable")
+FAULT_KINDS = (
+    "none", "rollback", "abort", "placement", "nan", "linalg", "unobservable",
+    "loses_observability",
+)
+PLACEMENT_FAULTS = {
+    "placement": SynthesisFailureError, "loses_observability": PolePlacementInfeasible,
+}
 
 
 def faulty_runs(gen, dims, cfg, kinds, calls):
@@ -878,9 +893,9 @@ def faulty_runs(gen, dims, cfg, kinds, calls):
         C = gen.standard_normal((q, n))
         if kind == "unobservable":  # for q < n: no gain until training moves A
             A, C = np.eye(n), np.eye(q, n)
-        if kind == "placement":  # a marker C[0, 0] that no normal draw reaches
+        if kind in PLACEMENT_FAULTS:  # a marker C[0, 0] that no normal draw reaches
             C[0, 0] = 7 + 2 * i
-            placement_faults[7 + 2 * i] = {k}
+            placement_faults[7 + 2 * i] = {k: PLACEMENT_FAULTS[kind]}
         init = LearnableParams(
             A_hat=A, B_hat=gen.standard_normal((n, p)), C_hat=C, x0_hat=gen.standard_normal(n)
         )
@@ -988,14 +1003,14 @@ class TestBatchTraining:
 
     @pytest.mark.parametrize("mode", ["luenberger", "open_loop"])
     def test_every_fault_in_one_batch(self, mode):
-        kinds = ("rollback", "abort", "placement", "nan", "linalg", "unobservable", "none")
-        calls = (2, 1, 1, 2, 3, 0, 0)
+        kinds = FAULT_KINDS[1:] + ("none",)
+        calls = (2, 1, 1, 2, 3, 0, 2, 0)
         cfg = TrainConfig(rollout_mode=mode, epochs=6, window_start=10, window_len=20)
         runs, *faults = faulty_runs(np.random.default_rng(3), (3, 2, 1), cfg, kinds, calls)
         together, alone = train_faulty_batch(runs, cfg, *faults)
         for got, want in zip(together, alone):
             assert_same_training(got, want)
-        rollback, abort, placement, nan, linalg, unobservable, plain = together
+        rollback, abort, placement, nan, linalg, unobservable, loses, plain = together
         assert rollback.diagnostics["lr_halvings"] == 1 and len(rollback.log) == 6
         assert abort.diagnostics["aborted"] and abort.diagnostics["abort_epoch"] == 1
         assert isinstance(nan, ShapeError) and str(nan) == _NON_FINITE
@@ -1006,6 +1021,9 @@ class TestBatchTraining:
             assert [e["L_refreshed"] for e in placement.log] == [True, False] + [True] * 4
             assert unobservable.diagnostics["gain_reuses"] >= 1
             assert unobservable.log[0]["L_refreshed"] is False
+            assert loses.diagnostics["observable_epochs"] == 5
+            assert [e["L_refreshed"] for e in loses.log] == [True, True, False] + [True] * 3
+            assert plain.diagnostics["observable_epochs"] == 6
         else:
             assert placement.diagnostics["gain_reuses"] == 0
             assert placement.diagnostics["observable_epochs"] is None
@@ -1045,7 +1063,8 @@ class TestBatchTraining:
 
     def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch):
         # ten runs of one problem: each epoch's observability decision,
-        # rollout and adjoint are one call over all ten
+        # rollout and adjoint are one call over all ten; the adjoint is a
+        # rollout of M^T, so the rollout runs twice an epoch
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -1072,7 +1091,7 @@ class TestBatchTraining:
             assert got.diagnostics["lr_halvings"] == 0
         # each observability stack is factorized by exactly one SVD
         assert batches == {
-            "_affine_rollout": [10] * epochs,
+            "_affine_rollout": [10] * 2 * epochs,
             "_affine_adjoint": [10] * epochs,
             "_observability_stack": [10] * epochs,
         }
@@ -1157,7 +1176,8 @@ def stacked_loss_case(gen, batch, dims, k0, K, scale=1.0):
             C_hat=scale * gen.standard_normal((q, n)),
             x0_hat=scale * gen.standard_normal(n),
         )
-        anchor = LearnableParams._of(params.theta + 0.01 * gen.standard_normal(params.theta.size), dims)
+        moved = params.theta + 0.01 * gen.standard_normal(params.theta.size)
+        anchor = LearnableParams(*_blocks(moved, *dims))
         runs.append([
             params, 0.1 * gen.standard_normal((n, q)),
             scale * gen.standard_normal((T, p)), scale * gen.standard_normal((T + 1, q)), anchor,
@@ -1185,7 +1205,8 @@ def stacked_rows(runs, cfg, want_gradient):
         elif not np.isfinite(grads[i]).all():
             rows.append(ShapeError(_NON_FINITE))
         else:
-            rows.append((LossBreakdown(*terms[i].tolist()), LearnableParams._of(grads[i], dims)))
+            breakdown = LossBreakdown(*terms[i].tolist())
+            rows.append((breakdown, LearnableParams(*_blocks(grads[i], *dims))))
     return rows
 
 

@@ -12,6 +12,7 @@ from leo.exceptions import PolePlacementInfeasible, ShapeError, SynthesisFailure
 from leo.lti_core import (
     LtiParams,
     RngStream,
+    is_observable,
     random_system,
     spectral_radius,
 )
@@ -71,6 +72,15 @@ class TestPlaceObserverPoles:
     def test_unobservable_raises(self):
         with pytest.raises(PolePlacementInfeasible):
             place_observer_poles(np.eye(2), [[1.0, 0.0]], [0.2, 0.3])
+
+    @pytest.mark.parametrize("A, C, message", [
+        ([[np.nan, 0.0], [0.0, 0.5]], [[1.0, 0.0]], "A contains non-finite entries"),
+        (A_DEMO, [[1.0, 0.0, 0.0]], "C must have 2 columns, got 3"),
+        (A_DEMO, [[np.inf, 0.0]], "C contains non-finite entries"),
+    ])
+    def test_invalid_matrices_raise_shape_error(self, A, C, message):
+        with pytest.raises(ShapeError, match=message):
+            place_observer_poles(A, C, [0.2, 0.3])
 
     def test_unstable_request_rejected(self):
         with pytest.raises(ValueError):
@@ -296,11 +306,13 @@ class TestSpectrumMatcher:
 
 def place_poles_reference(A, C, desired, draws=None):
     """The per-trial placement the stacked ``_place_poles`` replaced, with
-    the scipy matching it had.
+    the scipy matching it had and its observability check first.
 
     ``draws``, when given, replaces the seeded sequence of G matrices.
     """
     n = A.shape[0]
+    if not is_observable(A, C):
+        raise PolePlacementInfeasible("pair (A, C) is not observable")
     eig_A = np.linalg.eigvals(A)
     if lsa_deviation(eig_A, desired) < 1e-9:
         return ObserverGain(L=np.zeros((n, C.shape[0])), desired_poles=tuple(desired))
@@ -338,9 +350,11 @@ def place_poles_reference(A, C, desired, draws=None):
 
 
 def placement_rows(A, C, desired):
-    """One stacked ``_place_poles`` call, per row: the ``ObserverGain`` or
-    the ``SynthesisFailureError`` of the rows no G placed."""
+    """One stacked ``_place_poles`` call, per row: the ``ObserverGain``, or
+    the exception of a row without a gain, whose gain must be zero."""
     gains, failures = _place_poles(A, C, desired)
+    for b in failures:
+        assert not gains[b].any()
     return [
         failures.get(b) or ObserverGain(L=gains[b], desired_poles=tuple(desired))
         for b in range(len(gains))
@@ -356,8 +370,8 @@ def assert_rows_match_reference(A, C, desired, draws=None):
     for b, row in enumerate(got):
         try:
             want = place_poles_reference(A[b], C[b], desired, draws)
-        except SynthesisFailureError as exc:
-            assert type(row) is SynthesisFailureError
+        except (PolePlacementInfeasible, SynthesisFailureError) as exc:
+            assert type(row) is type(exc)
             assert row.args == exc.args and str(row) == str(exc)
             continue
         assert isinstance(row, ObserverGain)
@@ -368,8 +382,8 @@ def assert_rows_match_reference(A, C, desired, draws=None):
 
 def rare_rows_batch(n=3, q=1, ordinary=3):
     """Ordinary rows plus one of each rare kind: a spectrum already in place,
-    a singular Kronecker operator (the lstsq path) and C = 0, which no G
-    can place."""
+    a singular Kronecker operator (the lstsq path) and C = 0, an
+    unobservable pair."""
     poles = _checked_poles(default_observer_poles(n), n)
     gen = np.random.default_rng(7)
     A = [gen.standard_normal((n, n)) for _ in range(ordinary)]
@@ -385,14 +399,19 @@ def rare_rows_batch(n=3, q=1, ordinary=3):
 
 
 def placeable_batch():
-    """``rare_rows_batch`` without C = 0 and with the lstsq row's C made
-    blind to the mode at the shared pole: its Kronecker operator stays
-    singular, but the system is consistent and lstsq places the poles."""
+    """The rows of ``rare_rows_batch`` that place: the ordinary ones and,
+    last, the spectrum already in place. No singular-operator row places:
+    its Sylvester system is consistent only if C is blind to the shared
+    mode, and then the pair is unobservable."""
     A, C, poles = rare_rows_batch()
-    eig, vecs = np.linalg.eig(A[-2])
-    v = vecs[:, np.argmin(np.abs(eig - poles[1]))].real
-    C[-2] -= np.outer(C[-2] @ v, v) / (v @ v)
-    return A[:-1], C[:-1], poles
+    return A[:-2], C[:-2], poles
+
+
+def blind_to_shared_mode(A, C, pole):
+    """C with the eigenvector of A at ``pole`` projected out of its rows."""
+    eig, vecs = np.linalg.eig(A)
+    v = vecs[:, np.argmin(np.abs(eig - pole))].real
+    return C - np.outer(C @ v, v) / (v @ v)
 
 
 class TestStackedPlacement:
@@ -417,17 +436,39 @@ class TestStackedPlacement:
     def test_rare_rows_leave_the_others_unchanged(self):
         A, C, poles = rare_rows_batch()
         got = assert_rows_match_reference(A, C, poles)
-        in_place, _, unplaceable = got[-3:]
+        in_place, _, unobservable = got[-3:]
         assert np.array_equal(in_place.L, np.zeros((3, 1)))
         n = A.shape[1]
         F, _ = _spectrum_block_diag(poles)
         K = np.kron(np.eye(n), A[-2].T) - np.kron(F.T, np.eye(n))
         assert np.linalg.matrix_rank(K) < n * n
-        assert isinstance(unplaceable, SynthesisFailureError)
-        assert "best deviation" not in str(unplaceable)
+        assert isinstance(unobservable, PolePlacementInfeasible)
+        assert str(unobservable) == "pair (A, C) is not observable"
         alone = placement_rows(A[:-3], C[:-3], poles)
         for mixed, own in zip(got, alone):
             assert np.array_equal(mixed.L, own.L)
+
+    def test_unobservable_rows_skip_synthesis(self, monkeypatch):
+        # Unobservable rows first, in between and last: each fails alone
+        # with a zero gain, and every other row is bitwise its own call.
+        A, C, poles = rare_rows_batch()
+        C[0] = 0.0
+        order = [0, 1, 5, 2, 3, 0]
+        got = assert_rows_match_reference(A[order], C[order], poles)
+        infeasible = [isinstance(row, PolePlacementInfeasible) for row in got]
+        assert infeasible == [True, False, True, False, False, True]
+        # the singular-operator row with a C that makes its system
+        # consistent is unobservable
+        C[4] = blind_to_shared_mode(A[4], C[4], poles[1])
+        F, _ = _spectrum_block_diag(poles)
+        assert np.linalg.matrix_rank(np.kron(np.eye(3), A[4].T) - np.kron(F.T, np.eye(3))) < 9
+        # unobservable rows and a spectrum already in place never reach
+        # the Sylvester solve
+        monkeypatch.setattr(leo.observer, "_placement_constants", None)
+        rows = placement_rows(A[[0, 3, 4, 5]], C[[0, 3, 4, 5]], poles)
+        assert [type(row) for row in rows] == [
+            PolePlacementInfeasible, ObserverGain, PolePlacementInfeasible, PolePlacementInfeasible
+        ]
 
     # Column j of X scales with column j of G, as F is diagonal here: a zero
     # first draw gives X = 0, a tiny last column a nearly singular X.
@@ -444,22 +485,40 @@ class TestStackedPlacement:
         assert isinstance(got[0], ObserverGain)
         with pytest.raises(AssertionError):
             assert_rows_match_reference(A, C, poles)  # the unpatched draws differ
-        # One direct stacked call on rows that all place: the early exit,
-        # the lstsq row and row 0 get their own gains.
+        # One direct stacked call on rows that all place: the early exit
+        # and row 0 get their own gains.
         A, C, _ = placeable_batch()
         direct = placement_rows(A, C, poles)
         for b, row in enumerate(direct):
             assert np.array_equal(row.L, place_poles_reference(A[b], C[b], poles, patched).L)
-        assert np.array_equal(direct[-2].L, np.zeros((3, 1)))
-        F, _ = _spectrum_block_diag(poles)
-        assert np.linalg.matrix_rank(np.kron(np.eye(3), A[-1].T) - np.kron(F.T, np.eye(3))) < 9
+        assert np.array_equal(direct[-1].L, np.zeros((3, 1)))
 
     def test_inaccurate_rows_report_their_best_deviation(self, monkeypatch):
         monkeypatch.setattr(leo.observer, "_PLACEMENT_TOL", 0.0)
         A, C, poles = rare_rows_batch()
         got = assert_rows_match_reference(A, C, poles)
         assert "best deviation" in str(got[0])
-        assert "best deviation" not in str(got[-1])
+        assert isinstance(got[-1], PolePlacementInfeasible)
+
+    def test_rows_no_draw_solves_report_no_deviation(self, monkeypatch):
+        # With every G zero, X = 0 on each attempt: no observable row whose
+        # spectrum is not already in place gets a gain, and none has a
+        # deviation to quote.
+        A, C, poles = rare_rows_batch()
+        neg_kron, targets, draws = _placement_constants(tuple(poles), C.shape[1])
+        zero = np.zeros_like(draws)
+        monkeypatch.setattr(
+            leo.observer, "_placement_constants", lambda *_: (neg_kron, targets, zero)
+        )
+        got = assert_rows_match_reference(A, C, poles, zero)
+        in_place = len(got) - 3
+        for b, row in enumerate(got[:-1]):
+            if b == in_place:
+                assert isinstance(row, ObserverGain)
+            else:
+                assert isinstance(row, SynthesisFailureError)
+                assert "best deviation" not in str(row)
+        assert isinstance(got[-1], PolePlacementInfeasible)
 
     def test_two_dimensional_call_is_a_batch_of_one(self, monkeypatch):
         A, C, poles = rare_rows_batch()
