@@ -143,7 +143,13 @@ def _parse_dims(text: str) -> list[tuple[int, int, int]]:
         parts = [p for p in chunk.replace(" ", "").split(",") if p]
         if len(parts) != 3:
             raise ValueError(f"dims entry '{chunk}' is not of the form n,p,q")
-        dims_list.append(tuple(int(p) for p in parts))
+        values = []
+        for part in parts:
+            try:
+                values.append(int(part))
+            except ValueError:
+                raise ValueError(f"dims entry '{chunk}' has a non-integer value '{part}'") from None
+        dims_list.append(tuple(values))
     if not dims_list:
         raise ValueError("empty dims list")
     return dims_list
@@ -159,7 +165,10 @@ def _resolve(args, config: dict, key: str, cast, fallback):
             if raw.lower() not in _BOOLEANS:
                 raise ValueError(f"{key} must be one of {', '.join(_BOOLEANS)}, got '{raw}'")
             return _BOOLEANS[raw.lower()]
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:  # int is the one cast that can fail
+            raise ValueError(f"config key '{key}' must be an integer, got {raw!r}") from None
     return fallback
 
 

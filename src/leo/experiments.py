@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DegenerateReferenceError, LeoError
+from .exceptions import DegenerateReferenceError, LeoError, PolePlacementInfeasible
 from .learning import LearnableParams, TrainConfig, _train_batch
 from .lti_core import (
     LtiParams,
@@ -27,7 +27,6 @@ from .lti_core import (
     SystemGenConfig,
     TrueSystem,
     Trajectory,
-    is_observable,
     random_system,
     simulate_true,
 )
@@ -280,7 +279,7 @@ def _prepare_trial(
     system_override: TrueSystem | None = None,
     x0_hat_override: np.ndarray | None = None,
 ) -> _PreparedTrial:
-    """Draw the system, simulate it and place the nominal gain."""
+    """Draw the system, place its nominal gain and simulate it."""
     n, p, q = spec.dims
     T = spec.horizon
     if T < cfg.window_start + cfg.window_len:
@@ -293,16 +292,18 @@ def _prepare_trial(
     base = RngStream(spec.seed, (n, p, q, spec.trial_index))
     for attempt in range(spec.max_regenerations):
         gen = base.substream(attempt).generator()
-        if system_override is not None:
-            sysm = system_override
-            nominal = sysm.nominal()
-            break
-        sysm = random_system(
+        sysm = system_override or random_system(
             n, p, q, gen, SystemGenConfig(perturbation_std=spec.perturbation_std)
         )
         nominal = sysm.nominal()
-        if is_observable(nominal.A, nominal.C):
+        # Placement consumes no random numbers; its observability gate
+        # decides a regeneration, and an override is never regenerated.
+        try:
+            gain_nominal = place_observer_poles(nominal.A, nominal.C, default_observer_poles(n))
             break
+        except PolePlacementInfeasible:
+            if system_override is not None:
+                raise
         flags["regenerations"] += 1
     else:
         raise LeoError(
@@ -319,7 +320,6 @@ def _prepare_trial(
         x0_hat = np.asarray(x0_hat_override, dtype=float).reshape(n)
     else:
         x0_hat = sysm.x0_real + gen.normal(0.0, spec.x0_offset_std, n)
-    gain_nominal = place_observer_poles(nominal.A, nominal.C, default_observer_poles(n))
     return _PreparedTrial(
         spec=spec,
         noise=noise,

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import subprocess
 from dataclasses import dataclass, field, replace
@@ -48,6 +49,17 @@ __all__ = [
 
 # Relative singular-value cutoff for numerical rank decisions.
 RANK_RTOL = 1e-9
+
+
+def _checked_horizon(horizon, default: int, available: int, what: str) -> int:
+    """The step count: ``horizon``, or ``default`` when it is None; an
+    integer in [0, available], else a ``ShapeError`` naming ``what``."""
+    T = default if horizon is None else horizon
+    if not isinstance(T, numbers.Integral):
+        raise ShapeError(f"horizon must be an integer, got {horizon!r}")
+    if not 0 <= T <= available:
+        raise ShapeError(f"horizon {T} is negative or exceeds the {what}")
+    return int(T)
 
 
 def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
@@ -256,9 +268,7 @@ def simulate_true(
     """
     n, p, q = sys.real.dims
     inputs = _as_matrix(inputs, cols=p, name="inputs")
-    T = inputs.shape[0] if horizon is None else int(horizon)
-    if not 0 <= T <= inputs.shape[0]:
-        raise ShapeError(f"horizon {T} is negative or exceeds the {inputs.shape[0]} inputs")
+    T = _checked_horizon(horizon, len(inputs), len(inputs), f"{len(inputs)} inputs")
     if noise.w.shape[0] < T or noise.v.shape[0] < T + 1:
         raise ShapeError("noise realization shorter than the simulation horizon")
     if noise.w.shape[1] != n or noise.v.shape[1] != q:

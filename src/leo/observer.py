@@ -10,10 +10,10 @@ for X through the equivalent Kronecker linear system, and read off
 L = (G X^{-1})^T. This works for any output dimension, unlike
 single-output Ackermann-style formulas. Synthesis runs on a stack of pairs
 at once (the runs of a training batch): one stacked SVD of the
-observability stacks first decides which pairs can be placed at all, and
-the result is a gain array plus the rows it could not place, unobservable
-ones included. What depends only on the requested poles (F, its Kronecker
-term and the G draws) is built once.
+observability stacks first decides which pairs are observable, a pair
+whose A shares an eigenvalue with F fails before any draw, and the result
+is a gain array plus the rows it could not place. What depends only on
+the requested poles (F, its Kronecker term and the G draws) is built once.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .lti_core import (
     matrix_to_json,
     _affine_rollout,
     _as_matrix,
+    _checked_horizon,
     _observability_condition,
 )
 
@@ -207,8 +208,10 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
         If (A, C) is unobservable; callers typically fall back to reusing a
         previously synthesized gain.
     SynthesisFailureError
-        If every random G attempt leads to a singular or inaccurate solve;
-        the message quotes the least ``max_spectrum_deviation`` reached.
+        If A shares an eigenvalue with the requested spectrum (within 1e-9)
+        that it does not already have, before any draw; or if every random
+        G attempt leads to a singular or inaccurate solve, and then the
+        message quotes the least ``max_spectrum_deviation`` reached.
     """
     A = np.asarray(A, dtype=float)
     desired = _checked_poles(desired, A.shape[0])
@@ -225,7 +228,7 @@ def _checked_poles(desired, n: int) -> np.ndarray:
     desired = np.asarray([complex(z) for z in desired])
     if desired.size != n:
         raise ShapeError(f"need exactly {n} desired poles, got {desired.size}")
-    if np.any(np.abs(desired) >= 1.0):
+    if not np.all(np.abs(desired) < 1.0):
         raise ValueError("all desired poles must lie strictly inside the unit disk")
     return desired
 
@@ -255,62 +258,54 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
     Batched over a leading row axis: A (B, n, n) and C (B, q, n) give the
     gains L (B, n, q) and a dict that maps each row without a gain to its
     exception: ``PolePlacementInfeasible`` for an unobservable pair, else
-    the ``SynthesisFailureError`` of a row no G could place. Such a row's
-    gain is zero. Each step is one stacked call over the rows still without
-    a gain; a stacked LAPACK call or matmul computes every item as its own
-    call would, so each row's gain is bitwise that of its own call.
+    the ``SynthesisFailureError`` of a row whose A shares an eigenvalue
+    with the requested spectrum (within 1e-9; it fails before any draw) or
+    that no G could place. Such a row's gain is zero. Each step is one
+    stacked call over the rows still without a gain; a stacked LAPACK call
+    or matmul computes every item as its own call would, so each row's
+    gain is bitwise that of its own call.
     """
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
-    desired = np.asarray(desired)
     gains = np.zeros((A.shape[0], n, q))
     unobservable = np.array(_observability_condition(A, C)) == math.inf
     failures: dict = {
         row: PolePlacementInfeasible("pair (A, C) is not observable")
         for row in np.flatnonzero(unobservable).tolist()
     }
-    # The rows still without a gain: their positions in the batch, and
-    # their arrays, which shrink only when a row is done before the others.
-    rows = np.flatnonzero(~unobservable)
-    if len(rows) < len(gains):
-        A, C = A[rows], C[rows]
     # A row whose spectrum is already in place keeps the zero gain, which
     # realizes it exactly.
-    placed = _spectrum_deviation(np.linalg.eigvals(A), desired) < 1e-9
-    if placed.all():
+    eig = np.linalg.eigvals(A[~unobservable])
+    todo = _spectrum_deviation(eig, np.asarray(desired)) >= 1e-9
+    # The rows still without a gain: their positions in the batch and arrays.
+    rows = np.flatnonzero(~unobservable)[todo]
+    if not len(rows):
         return gains, failures
-    if placed.any():
-        rows, A, C = rows[~placed], A[~placed], C[~placed]
+    A, C, eig = A[rows], C[rows], eig[todo]
 
     neg_kron, targets, draws = _placement_constants(poles, q)
+    # The Kronecker operator below is singular exactly when A shares an
+    # eigenvalue with F; the Sylvester system then has no solution for an
+    # observable pair and almost every G, so such a row gets no draw.
+    shared = np.abs(eig[:, :, None] - targets).min(axis=(1, 2)) < 1e-9
+    for row in rows[shared].tolist():
+        failures[row] = SynthesisFailureError("A shares an eigenvalue with the requested poles")
+    rows, A, C = rows[~shared], A[~shared], C[~shared]
     # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
     # K = kron(I, A^T) - kron(F^T, I), whose diagonal blocks hold A^T.
     K = np.repeat(neg_kron[None], len(rows), axis=0)
-    At = A.transpose(0, 2, 1)
     for i in range(0, n * n, n):
-        K[:, i : i + n, i : i + n] += At
-    singular = np.linalg.matrix_rank(K) < n * n
+        K[:, i : i + n, i : i + n] += A.transpose(0, 2, 1)
 
     best: dict[int, float] = {}
     for G in draws:
         rhs = (C.transpose(0, 2, 1) @ G).transpose(0, 2, 1).reshape(len(rows), n * n, 1)
-        if singular.any():
-            vecX = np.empty(rhs.shape)
-            regular = ~singular
-            vecX[regular] = np.linalg.solve(K[regular], rhs[regular])
-            for j in np.flatnonzero(singular):
-                vecX[j, :, 0] = np.linalg.lstsq(K[j], rhs[j, :, 0], rcond=None)[0]
-        else:
-            vecX = np.linalg.solve(K, rhs)
-        Xt = vecX.reshape(len(rows), n, n)  # each row's X^T
+        Xt = np.linalg.solve(K, rhs).reshape(len(rows), n, n)  # each row's X^T
         sv = np.linalg.svd(Xt.transpose(0, 2, 1), compute_uv=False)
         solvable = ~((sv[:, 0] == 0.0) | (sv[:, -1] < 1e-10 * sv[:, 0]))
-        if not solvable.any():
-            continue
+        L = np.linalg.solve(Xt[solvable], G.T)
+        deviations = _spectrum_deviation(np.linalg.eigvals(A[solvable] - L @ C[solvable]), targets)
         done = np.zeros(len(rows), dtype=bool)
-        tried = slice(None) if solvable.all() else solvable
-        L = np.linalg.solve(Xt[tried], G.T)
-        deviations = _spectrum_deviation(np.linalg.eigvals(A[tried] - L @ C[tried]), targets)
         for j, L_j, deviation in zip(np.flatnonzero(solvable), L, deviations.tolist()):
             row = int(rows[j])
             if deviation < _PLACEMENT_TOL:
@@ -320,7 +315,7 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
                 best[row] = min(deviation, best.get(row, np.inf))
         if done.all():
             return gains, failures
-        rows, A, C, K, singular = (a[~done] for a in (rows, A, C, K, singular))
+        rows, A, C, K = (a[~done] for a in (rows, A, C, K))
 
     for row in rows.tolist():
         failures[row] = SynthesisFailureError(
@@ -358,9 +353,8 @@ def run_luenberger(
     L = _gain_matrix(gain, n, q)
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
     measured = np.asarray(measured_outputs, dtype=float).reshape(-1, q)
-    T = inputs.shape[0] if horizon is None else int(horizon)
-    if not 0 <= T <= min(inputs.shape[0], measured.shape[0]):
-        raise ShapeError(f"horizon {T} is negative or exceeds the inputs/measured outputs")
+    available = min(len(inputs), len(measured))
+    T = _checked_horizon(horizon, len(inputs), available, "inputs/measured outputs")
     x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
 
     A, B, C = params.A, params.B, params.C
@@ -378,9 +372,7 @@ def run_open_loop(
     """Pure predictor rollout x^_{k+1} = A x^_k + B u_k (zero observer gain)."""
     n, p, q = params.dims
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
-    T = inputs.shape[0] if horizon is None else int(horizon)
-    if not 0 <= T <= inputs.shape[0]:
-        raise ShapeError(f"horizon {T} is negative or exceeds the {inputs.shape[0]} inputs")
+    T = _checked_horizon(horizon, len(inputs), len(inputs), f"{len(inputs)} inputs")
     x0_hat = np.asarray(x0_hat, dtype=float).reshape(n)
     forcing = inputs[:T] @ params.B.T
     states = _affine_rollout(params.A[None], x0_hat[None], forcing[None])[0]

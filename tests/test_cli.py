@@ -75,6 +75,10 @@ class TestTrial:
     def test_invalid_dims_usage_error(self, capsys):
         assert run_cli("trial", "--dims", "2,3,1") == 2
 
+    def test_non_integer_dims_entry_named(self, capsys):
+        assert run_cli("trial", "--dims", "2,x,1") == 2
+        assert "dims entry '2,x,1' has a non-integer value 'x'" in capsys.readouterr().err
+
     def test_dump_params(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         assert run_cli(
@@ -204,6 +208,17 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("learning_rate = 0.1\n")
         assert run_cli("trial", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("key, value", [("trials", "abc"), ("parallel", "two"), ("epochs", "1.5")])
+    def test_bad_integer_value_names_its_key(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "mc"
+        assert run_cli(
+            "montecarlo", "--config", str(cfg), "--dims", "2,1,1", "--out-dir", str(out)
+        ) == 2
+        assert f"config key '{key}' must be an integer, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_comments_and_blanks_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

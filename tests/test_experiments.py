@@ -1,12 +1,21 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import leo.learning
+import leo.lti_core
+import leo.observer
 from leo import experiments
-from leo.exceptions import DegenerateReferenceError, DivergedRollout, GenerationError
+from leo.exceptions import (
+    DegenerateReferenceError,
+    DivergedRollout,
+    GenerationError,
+    LeoError,
+    PolePlacementInfeasible,
+)
 from leo.experiments import (
     DEFAULT_DIMENSION_GRID,
     _midranks,
@@ -411,6 +420,65 @@ class TestRunMonteCarlo:
         assert ex.noise.v.shape == (261, 1)
         assert set(ex.rollouts) == {"nom_open", "enh_open", "nom_closed", "enh_closed"}
         assert ex.truth.states.shape == (261, 2)
+
+
+def blind_nominal(system):
+    """The system with its nominal C zeroed, so the nominal pair is unobservable."""
+    return replace(system, delta_C=system.real.C)
+
+
+class TestNominalRegeneration:
+    """The nominal placement is a trial's observability gate: an unobservable
+    nominal pair is redrawn on the next sub-seed, an override never is."""
+
+    SPEC = TrialSpec(dims=(3, 2, 1), seed=5)
+
+    def test_unobservable_first_draw_is_regenerated(self, monkeypatch):
+        draw = experiments.random_system
+        draws = []
+
+        def blind_first(*args):
+            draws.append(draw(*args))
+            return blind_nominal(draws[-1]) if len(draws) == 1 else draws[-1]
+
+        monkeypatch.setattr(experiments, "random_system", blind_first)
+        trial = experiments._prepare_trial(self.SPEC, TrainConfig(epochs=0))
+        assert trial.flags["regenerations"] == 1
+        assert len(draws) == 2
+        assert np.array_equal(trial.nominal.A, draws[1].nominal().A)
+        assert np.array_equal(trial.nominal.C, draws[1].nominal().C)
+        assert trial.gain_nominal.L.any()
+
+    def test_every_draw_unobservable(self, monkeypatch):
+        draw = experiments.random_system
+        monkeypatch.setattr(experiments, "random_system", lambda *a: blind_nominal(draw(*a)))
+        with pytest.raises(LeoError, match="observable nominal pair in 2 attempts"):
+            experiments._prepare_trial(
+                replace(self.SPEC, max_regenerations=2), TrainConfig(epochs=0)
+            )
+
+    def test_unobservable_override_raises(self):
+        from leo.cli import demo_system
+
+        with pytest.raises(PolePlacementInfeasible, match="not observable"):
+            execute_trial(
+                TrialSpec(dims=(2, 1, 1)), TrainConfig(epochs=0),
+                system_override=blind_nominal(demo_system()),
+            )
+
+    def test_one_observability_decision_per_pair(self, monkeypatch):
+        # the draw's own check, the nominal placement and the enhanced one
+        original = leo.lti_core._observability_condition
+        calls = []
+
+        def counted(A, C):
+            calls.append(len(A))
+            return original(A, C)
+
+        for module in (leo.lti_core, leo.observer):
+            monkeypatch.setattr(module, "_observability_condition", counted)
+        execute_trial(self.SPEC, TrainConfig(epochs=0))
+        assert calls == [1, 1, 1]
 
 
 class TestFailingTrialInBatch:

@@ -108,6 +108,15 @@ class TestSimulateTrue:
             simulate_true(sys, np.ones((5, 1)), noise, -1)
         assert simulate_true(sys, np.ones((5, 1)), noise, 0).states.shape == (1, 2)
 
+    @pytest.mark.parametrize("horizon", [3.9, 2.0, "3", float("nan")])
+    def test_non_integer_horizon_rejected(self, horizon):
+        sys = demo_true_system()
+        noise = NoiseRealization.zero(5, 2, 1)
+        with pytest.raises(ShapeError, match=f"horizon must be an integer, got {horizon!r}"):
+            simulate_true(sys, np.ones((5, 1)), noise, horizon)
+        traj = simulate_true(sys, np.ones((5, 1)), noise, np.int64(3))
+        assert traj.states.shape == (4, 2)
+
 
 class TestObservabilityMatrix:
     def test_identity_powers(self):

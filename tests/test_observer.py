@@ -86,6 +86,11 @@ class TestPlaceObserverPoles:
         with pytest.raises(ValueError):
             place_observer_poles(A_DEMO, C_DEMO, [0.2, 1.1])
 
+    @pytest.mark.parametrize("pole", [np.nan, complex(0.2, np.nan)])
+    def test_nan_request_rejected(self, pole):
+        with pytest.raises(ValueError, match="strictly inside the unit disk"):
+            place_observer_poles(A_DEMO, C_DEMO, [pole, 0.3])
+
     def test_non_conjugate_request_rejected(self):
         with pytest.raises(ValueError):
             place_observer_poles(A_DEMO, C_DEMO, [0.2 + 0.1j, 0.3])
@@ -137,6 +142,18 @@ class TestObserverRollouts:
             run_luenberger(self.params, L, self.inputs, self.measured, x0, horizon=-3)
         roll = run_luenberger(self.params, L, self.inputs, self.measured, x0, horizon=0)
         assert roll.states.shape == (1, 3)
+
+    @pytest.mark.parametrize("horizon", [2.7, 3.0, "3"])
+    def test_non_integer_horizon_rejected(self, horizon):
+        x0, L = np.zeros(3), np.zeros((3, 1))
+        message = f"horizon must be an integer, got {horizon!r}"
+        with pytest.raises(ShapeError, match=message):
+            run_open_loop(self.params, self.inputs, x0, horizon=horizon)
+        with pytest.raises(ShapeError, match=message):
+            run_luenberger(self.params, L, self.inputs, self.measured, x0, horizon=horizon)
+        # numpy integers are integers, and None still means every input
+        assert run_open_loop(self.params, self.inputs, x0, np.int32(3)).states.shape == (4, 3)
+        assert run_open_loop(self.params, self.inputs, x0).states.shape == (self.T + 1, 3)
 
     def test_exact_start_tracks_exactly(self):
         gain = place_observer_poles(self.params.A, self.params.C, default_observer_poles(3))
@@ -318,9 +335,11 @@ def place_poles_reference(A, C, desired, draws=None):
         return ObserverGain(L=np.zeros((n, C.shape[0])), desired_poles=tuple(desired))
 
     F, targets = _spectrum_block_diag(desired)
+    # K is singular exactly when A shares an eigenvalue with F.
+    if np.abs(eig_A[:, None] - targets[None, :]).min() < 1e-9:
+        raise SynthesisFailureError("A shares an eigenvalue with the requested poles")
     K = np.kron(np.eye(n), A.T) - np.kron(F.T, np.eye(n))
     rhs_left = C.T
-    singular_operator = bool(np.linalg.matrix_rank(K) < n * n)
 
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(889231)))
     best = None
@@ -329,10 +348,7 @@ def place_poles_reference(A, C, desired, draws=None):
         if draws is not None:
             G = draws[attempt]
         rhs = (rhs_left @ G).reshape(-1, order="F")
-        if singular_operator:
-            vecX = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        else:
-            vecX = np.linalg.solve(K, rhs)
+        vecX = np.linalg.solve(K, rhs)
         X = vecX.reshape(n, n, order="F")
         sv = np.linalg.svd(X, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
@@ -382,8 +398,8 @@ def assert_rows_match_reference(A, C, desired, draws=None):
 
 def rare_rows_batch(n=3, q=1, ordinary=3):
     """Ordinary rows plus one of each rare kind: a spectrum already in place,
-    a singular Kronecker operator (the lstsq path) and C = 0, an
-    unobservable pair."""
+    a singular Kronecker operator (A shares an eigenvalue with the requested
+    poles) and C = 0, an unobservable pair."""
     poles = _checked_poles(default_observer_poles(n), n)
     gen = np.random.default_rng(7)
     A = [gen.standard_normal((n, n)) for _ in range(ordinary)]
@@ -447,6 +463,33 @@ class TestStackedPlacement:
         alone = placement_rows(A[:-3], C[:-3], poles)
         for mixed, own in zip(got, alone):
             assert np.array_equal(mixed.L, own.L)
+
+    def test_shared_eigenvalue_rows_fail_before_any_solve(self, monkeypatch):
+        # The Kronecker operator of the shared-eigenvalue row is exactly
+        # singular, which fails a stacked solve as a whole; the row fails
+        # alone instead, with no rank decision, and the others place as in
+        # their own calls.
+        A, C, poles = rare_rows_batch()
+        F, _ = _spectrum_block_diag(poles)
+        K = np.kron(np.eye(3), A[4].T) - np.kron(F.T, np.eye(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.stack([np.eye(9), K]), np.ones((2, 9, 1)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("placement makes no rank decision")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        order = [4, 0, 1, 4, 2, 3, 4]
+        got = placement_rows(A[order], C[order], poles)
+        for b, row in zip(order, got):
+            if b == 4:
+                assert isinstance(row, SynthesisFailureError)
+                assert str(row) == "A shares an eigenvalue with the requested poles"
+            else:
+                assert np.array_equal(row.L, place_observer_poles(A[b], C[b], poles).L)
+        with pytest.raises(SynthesisFailureError, match="shares an eigenvalue"):
+            place_observer_poles(A[4], C[4], poles)
 
     def test_unobservable_rows_skip_synthesis(self, monkeypatch):
         # Unobservable rows first, in between and last: each fails alone
