@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DegenerateReferenceError, LeoError, PolePlacementInfeasible
+from .exceptions import DegenerateReferenceError, LeoError, PolePlacementInfeasible, ShapeError
 from .learning import LearnableParams, TrainConfig, _train_batch
 from .lti_core import (
     LtiParams,
@@ -334,17 +334,15 @@ def _prepare_trial(
 def _score_trial(trial: _PreparedTrial, trained, cfg: TrainConfig) -> TrialExecution:
     """Place the enhanced gain and score the four observers of a trial.
 
-    ``trained`` is the trial's ``TrainResult``, or the exception that failed
-    its training: a ``LeoError`` counts as divergence, anything else is
-    raised.
+    ``trained`` is the trial's ``TrainResult``, or the ``ShapeError`` of a
+    run whose gradient or Adam step left the finite numbers, which counts
+    as divergence.
     """
     spec, flags, traj, nominal = trial.spec, trial.flags, trial.truth, trial.nominal
     inputs, x0_hat, T = traj.inputs, trial.init.x0_hat, spec.horizon
     enhanced = trial.init
     gain_enhanced = trial.gain_nominal
-    if isinstance(trained, Exception) and not isinstance(trained, LeoError):
-        raise trained
-    if isinstance(trained, LeoError) or trained.diagnostics["aborted"]:
+    if isinstance(trained, ShapeError) or trained.diagnostics["aborted"]:
         flags["divergence"] = True
     else:
         enhanced = trained.params

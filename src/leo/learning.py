@@ -17,10 +17,13 @@ one epoch of every live run with one stacked call per stage: gain
 re-synthesis (``_place_poles``, which first decides which pairs are
 observable), loss and gradient (``_stacked_loss``, whose rollout and
 adjoint take one stacked matrix-vector product per time step) and the Adam
-update. Rollback, abort and gain reuse are masked assignments. A stacked
-call computes every row bitwise as a stack of one would, so a run's result
-does not depend on its batch; ``train``, ``loss``, ``gradient`` and
-``adam_step`` are batches of one.
+update. Rollback, abort and gain reuse are masked assignments. Every stage
+gives each finite row a result: a pair it cannot place keeps its gain, a
+diverged rollout is reported by step, and a gradient or Adam step that
+leaves the finite numbers fails its own run. A stacked call computes every
+row bitwise as a stack of one would, so a run's result does not depend on
+its batch; ``train``, ``loss``, ``gradient`` and ``adam_step`` are batches
+of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -431,7 +434,8 @@ def train(
     A non-finite rollout rolls the parameters back one step and halves the
     learning rate before retrying; a second failure in a row aborts the run.
     Both are reported in ``diagnostics`` rather than raised, so the partial
-    log survives. A non-finite gradient or Adam step raises ``ShapeError``.
+    log survives. A non-finite gradient or Adam step raises ``ShapeError``;
+    no other stage raises on finite parameters, however large or small.
     ``train`` is a batch of one of the Monte Carlo trainer and gives bitwise
     the same result.
     """
@@ -441,36 +445,15 @@ def train(
     return result
 
 
-def _serve(fn, rows: np.ndarray, errors: dict) -> np.ndarray:
-    """Call ``fn`` on a stack of rows or, if that raises, on each row alone.
-
-    Returns the rows served. A row whose own call raises is left out and its
-    exception goes to ``errors``: this is the one place where a run's
-    failure is kept from the others. ``fn`` writes its results only once it
-    has computed them, so a call that raises writes nothing.
-    """
-    if not rows.size:
-        return rows
-    try:
-        fn(rows)
-        return rows
-    except Exception:
-        pass
-    for r in rows.tolist():
-        try:
-            fn(np.array([r]))
-        except Exception as exc:
-            errors[r] = exc
-    return np.array([r for r in rows.tolist() if r not in errors], dtype=int)
-
-
 def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainConfig) -> list:
     """``train`` for runs that share dims and ``cfg``, as one batch.
 
     The runs are held as arrays with a leading run axis, and each round runs
     one epoch of every live run with one stacked call per stage. Gives per
-    run its ``TrainResult`` or the exception that failed it; no run's
-    failure or rollback changes another's result.
+    run its ``TrainResult``, or the ``ShapeError`` of a run whose gradient
+    or Adam step left the finite numbers; no run's failure or rollback
+    changes another's result. Every stage gives each finite row a result,
+    so an exception from one is a bug, and it fails the whole batch.
     """
     dims = inits[0].dims
     n, p, q = dims
@@ -492,42 +475,30 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     refreshes, reuses, observable_epochs = (np.zeros(runs, dtype=int) for _ in range(3))
     abort_epoch = np.full(runs, -1)
     logs: list[list] = [[] for _ in range(runs)]
-    errors: dict[int, Exception] = {}
+    errors: dict[int, ShapeError] = {}
     live = np.full(runs, cfg.epochs > 0)
-
-    # What a round's stacked calls give the rows they serve.
-    refreshed = np.zeros(runs, dtype=bool)
-    terms = np.empty((runs, 5))
-    grads = np.empty_like(theta)
-    diverged = np.zeros(runs, dtype=bool)
-
-    def placement(r):
-        A, _, C, _ = _blocks(theta[r], n, p, q)
-        gains, failures = _place_poles(A, C, poles)
-        placed = np.ones(len(r), dtype=bool)
-        placed[list(failures)] = False
-        unobservable = [j for j, e in failures.items() if isinstance(e, PolePlacementInfeasible)]
-        L[r[placed]] = gains[placed]
-        refreshed[r] = placed
-        observable_epochs[r] += 1
-        observable_epochs[r[unobservable]] -= 1
-
-    def loss_and_gradient(r):
-        out = _stacked_loss(dims, cfg, theta[r], anchor[r], u[r], y[r], L[r] if luenberger else None)
-        terms[r], grads[r], diverged[r] = out[0], out[1], out[2] > 0
 
     while live.any():
         rows = np.flatnonzero(live)
+        refreshed = np.full(len(rows), luenberger)
         if luenberger:
-            refreshed[rows] = False
-            rows = _serve(placement, rows, errors)
-            refreshes[rows] += refreshed[rows]
-            reuses[rows] += ~refreshed[rows]
-        rows = _serve(loss_and_gradient, rows, errors)
+            A, _, C, _ = _blocks(theta[rows], n, p, q)
+            gains, failures = _place_poles(A, C, poles)
+            refreshed[list(failures)] = False
+            L[rows[refreshed]] = gains[refreshed]
+            refreshes[rows] += refreshed
+            reuses[rows] += ~refreshed
+            observable_epochs[rows] += 1
+            for j, e in failures.items():
+                observable_epochs[rows[j]] -= isinstance(e, PolePlacementInfeasible)
+        terms, grads, diverged_at = _stacked_loss(
+            dims, cfg, theta[rows], anchor[rows], u[rows], y[rows], L[rows] if luenberger else None
+        )
+        diverged = diverged_at > 0
 
         # A diverged rollout undoes the run's last step and halves its
         # learning rate; with no step to undo, the run aborts.
-        unstable = rows[diverged[rows]]
+        unstable = rows[diverged]
         stop, back = unstable[~has_saved[unstable]], unstable[has_saved[unstable]]
         abort_epoch[stop] = epoch[stop]
         live[stop] = False
@@ -536,13 +507,14 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
         has_saved[back] = False
         halvings[back] += 1
 
-        ok = rows[~diverged[rows]]
-        bad = ~np.isfinite(grads[ok]).all(axis=1)
-        errors.update((r, ShapeError(_NON_FINITE)) for r in ok[bad].tolist())
-        ok = ok[~bad]
+        finite = np.isfinite(grads).all(axis=1)
+        errors.update((r, ShapeError(_NON_FINITE)) for r in rows[~diverged & ~finite].tolist())
+        stepping = ~diverged & finite
+        ok = rows[stepping]
         lrs = [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[ok].tolist(), halvings[ok].tolist())]
         for r, e, (data_term, reg_A, reg_B, reg_C, total), lr, fresh in zip(
-            ok.tolist(), epoch[ok].tolist(), terms[ok].tolist(), lrs, refreshed[ok].tolist()
+            ok.tolist(), epoch[ok].tolist(), terms[stepping].tolist(), lrs,
+            refreshed[stepping].tolist(),
         ):
             logs[r].append({
                 "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
@@ -552,7 +524,8 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
             kept[ok] = a[ok]
         has_saved[ok] = True
         stepped, m[ok], v[ok] = _adam_update(
-            theta[ok], m[ok], v[ok], grads[ok], (step[ok] + 1).tolist(), lrs, cfg.weight_decay
+            theta[ok], m[ok], v[ok], grads[stepping], (step[ok] + 1).tolist(), lrs,
+            cfg.weight_decay,
         )
         bad = ~np.isfinite(stepped).all(axis=1)
         errors.update((r, ShapeError(_NON_FINITE)) for r in ok[bad].tolist())

@@ -338,12 +338,6 @@ def _numpy_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nda
     return np.ascontiguousarray(states[..., 0].transpose(1, 0, 2))
 
 
-def _numpy_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
-    """``_affine_adjoint`` on the numpy loop alone: the tests' reference."""
-    backwards = _numpy_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
-    return np.ascontiguousarray(backwards[:, ::-1])
-
-
 # The C time-step loop: None until the first kernel call loads it, then the
 # loaded loop, or False where it is unavailable and the numpy loop runs.
 _c_loop = None
@@ -468,18 +462,21 @@ def _observability_stack(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
     return np.concatenate(blocks, axis=-2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _observability_condition(A: np.ndarray, C: np.ndarray):
     """sigma_max / sigma_min of the N = n observability stack, from one SVD.
 
     +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff) or
-    its singular values are not finite, so one value is both the rank
-    decision and the condition number. A and C must
-    already be validated, as an ``LtiParams``' matrices are. Stacks only:
-    A (B, n, n) and C (B, q, n) give a list of B values from one stacked
-    build and SVD, each bitwise that of a stack of one.
+    overflows, so one value is both the rank decision and the condition
+    number. A and C must be finite, as an ``LtiParams``' matrices are; any
+    such pair gives a value, without a warning. Stacks only: A (B, n, n)
+    and C (B, q, n) give a list of B values from one stacked build and SVD,
+    each bitwise that of a stack of one.
     """
-    n = A.shape[-1]
-    s = np.linalg.svd(_observability_stack(A, C, n), compute_uv=False)
+    stack = _observability_stack(A, C, A.shape[-1])
+    # An overflowed stack counts as rank deficient: zeroed, it gives +inf.
+    stack[~np.isfinite(stack).all(axis=(1, 2))] = 0.0
+    s = np.linalg.svd(stack, compute_uv=False)
     # The rank test comes first, so a zero stack never divides.
     return [sv[0] / sv[-1] if sv[-1] > RANK_RTOL * sv[0] else math.inf for sv in s.tolist()]
 

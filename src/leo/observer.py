@@ -205,13 +205,15 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     ShapeError
         If A or C is not a finite matrix, or C has not n columns.
     PolePlacementInfeasible
-        If (A, C) is unobservable; callers typically fall back to reusing a
-        previously synthesized gain.
+        If (A, C) is unobservable, or its observability stack overflows;
+        callers typically fall back to reusing a previously synthesized gain.
     SynthesisFailureError
         If A shares an eigenvalue with the requested spectrum (within 1e-9)
         that it does not already have, before any draw; or if every random
-        G attempt leads to a singular or inaccurate solve, and then the
-        message quotes the least ``max_spectrum_deviation`` reached.
+        G attempt leads to a singular, overflowing or inaccurate solve, and
+        then the message quotes the least ``max_spectrum_deviation`` reached
+        (inf if every solved draw overflowed). Finite A and C, however
+        large or small, raise nothing else.
     """
     A = np.asarray(A, dtype=float)
     desired = _checked_poles(desired, A.shape[0])
@@ -251,6 +253,7 @@ def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, 
     return neg_kron, targets, draws
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dict]:
     """``place_observer_poles`` for validated matrices and poles from
     ``_checked_poles``.
@@ -263,7 +266,8 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
     that no G could place. Such a row's gain is zero. Each step is one
     stacked call over the rows still without a gain; a stacked LAPACK call
     or matmul computes every item as its own call would, so each row's
-    gain is bitwise that of its own call.
+    gain is bitwise that of its own call. Any finite rows give a result,
+    without a warning: a value that overflows fails its own row.
     """
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
@@ -286,7 +290,8 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
     neg_kron, targets, draws = _placement_constants(poles, q)
     # The Kronecker operator below is singular exactly when A shares an
     # eigenvalue with F; the Sylvester system then has no solution for an
-    # observable pair and almost every G, so such a row gets no draw.
+    # observable pair and almost every G, so such a row gets no draw. Where
+    # A's entries dwarf F's, rounding can still make it exactly singular.
     shared = np.abs(eig[:, :, None] - targets).min(axis=(1, 2)) < 1e-9
     for row in rows[shared].tolist():
         failures[row] = SynthesisFailureError("A shares an eigenvalue with the requested poles")
@@ -300,11 +305,21 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
     best: dict[int, float] = {}
     for G in draws:
         rhs = (C.transpose(0, 2, 1) @ G).transpose(0, 2, 1).reshape(len(rows), n * n, 1)
-        Xt = np.linalg.solve(K, rhs).reshape(len(rows), n, n)  # each row's X^T
+        try:
+            Xt = np.linalg.solve(K, rhs).reshape(len(rows), n, n)  # each row's X^T
+        except np.linalg.LinAlgError:  # an exactly singular K: its row's X is NaN
+            Xt = np.full((len(rows), n, n), np.nan)
+            regular = np.linalg.slogdet(K)[0] != 0  # the LU that solve runs
+            Xt[regular] = np.linalg.solve(K[regular], rhs[regular]).reshape(-1, n, n)
+        # A non-finite X counts as singular: zeroed, it fails the test below.
+        Xt[~np.isfinite(Xt).all(axis=(1, 2))] = 0.0
         sv = np.linalg.svd(Xt.transpose(0, 2, 1), compute_uv=False)
-        solvable = ~((sv[:, 0] == 0.0) | (sv[:, -1] < 1e-10 * sv[:, 0]))
+        solvable = sv[:, -1] >= np.maximum(1e-10 * sv[:, 0], np.finfo(float).tiny)
         L = np.linalg.solve(Xt[solvable], G.T)
-        deviations = _spectrum_deviation(np.linalg.eigvals(A[solvable] - L @ C[solvable]), targets)
+        closed = A[solvable] - L @ C[solvable]
+        finite = np.isfinite(closed).all(axis=(1, 2))
+        deviations = np.full(len(closed), np.inf)
+        deviations[finite] = _spectrum_deviation(np.linalg.eigvals(closed[finite]), targets)
         done = np.zeros(len(rows), dtype=bool)
         for j, L_j, deviation in zip(np.flatnonzero(solvable), L, deviations.tolist()):
             row = int(rows[j])

@@ -16,7 +16,7 @@ from leo.experiments import (
     run_monte_carlo,
     wilcoxon_signed_rank,
 )
-from leo.learning import LearnableParams, TrainConfig, gradient, loss
+from leo.learning import LearnableParams, TrainConfig, gradient
 from leo.local_lti import (
     check_back_solve_round_trip,
     check_initial_state_gap_bound,
@@ -126,6 +126,34 @@ def test_criterion_3_pole_placement_accuracy():
     )
 
 
+def extended_precision_loss(params, L, inputs, measured, cfg, init):
+    """``loss(...).total`` of a Luenberger rollout with gain L, as a
+    straight-line loop in ``np.longdouble``.
+
+    It is the finite-difference oracle: the central difference divides the
+    loss's rounding noise by 2h, and in double precision that noise reaches
+    the 1e-8 floor of the tolerance on some BLAS cores. Where
+    ``np.longdouble`` is plain double, the oracle is as noisy as ``loss``.
+    """
+    ld = np.longdouble
+    A, B, C, x = (np.asarray(a, dtype=ld) for a in (
+        params.A_hat, params.B_hat, params.C_hat, params.x0_hat))
+    L, u, y = (np.asarray(a, dtype=ld) for a in (L, inputs, measured))
+    k0, K = cfg.window_start, cfg.window_len
+    data = ld(0)
+    for k in range(k0 + K + 1):
+        if k >= k0:
+            data += np.abs(y[k] - C @ x).mean()
+        x = A @ x + B @ u[k] + L @ (y[k] - C @ x)
+    lam_A, lam_B, lam_C = cfg.resolved_lambdas(*params.dims)
+    return (
+        data / K
+        + lam_A * np.abs(A - np.asarray(init.A_hat, dtype=ld)).mean()
+        + lam_B * np.abs(B - np.asarray(init.B_hat, dtype=ld)).mean()
+        + lam_C * np.abs(C - np.asarray(init.C_hat, dtype=ld)).mean()
+    )
+
+
 def test_criterion_4_gradient_correctness():
     start = time.time()
     fields = ("A_hat", "B_hat", "C_hat", "x0_hat")
@@ -160,10 +188,12 @@ def test_criterion_4_gradient_correctness():
             for idx in np.ndindex(arr.shape):
                 kw = {f: getattr(params, f).copy() for f in fields}
                 kw[field][idx] += h
-                up = loss(LearnableParams(**kw), gain, inputs, traj.outputs, cfg, init=init).total
+                up = extended_precision_loss(LearnableParams(**kw), gain.L, inputs, traj.outputs,
+                                             cfg, init)
                 kw[field][idx] -= 2 * h
-                dn = loss(LearnableParams(**kw), gain, inputs, traj.outputs, cfg, init=init).total
-                fd = (up - dn) / (2 * h)
+                dn = extended_precision_loss(LearnableParams(**kw), gain.L, inputs, traj.outputs,
+                                             cfg, init)
+                fd = float((up - dn) / (2 * h))
                 excess = abs(g[idx] - fd) - max(1e-4 * abs(fd), 1e-8)
                 worst_excess = max(worst_excess, excess)
         instances += 1

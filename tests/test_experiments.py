@@ -11,7 +11,6 @@ import leo.observer
 from leo import experiments
 from leo.exceptions import (
     DegenerateReferenceError,
-    DivergedRollout,
     GenerationError,
     LeoError,
     PolePlacementInfeasible,
@@ -517,10 +516,10 @@ class TestFailingTrialInBatch:
         assert bad.flags == {"divergence": True, "error": "GenerationError: injected"}
         assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0
 
-    @pytest.mark.parametrize(
-        "exc", [DivergedRollout(3), np.linalg.LinAlgError("injected"), "non-finite gradient"]
-    )
-    def test_failure_inside_batch_training(self, monkeypatch, exc):
+    def test_failure_inside_batch_training(self, monkeypatch):
+        # The real _stacked_loss reports a diverged rollout by its step and
+        # never raises; a non-finite gradient is the one way a run of the
+        # batch fails.
         clean = self.batch()
         bad_inputs = execute_trial(self.bad_spec(), FAST_CFG).truth.inputs
         original = leo.learning._stacked_loss
@@ -530,10 +529,8 @@ class TestFailingTrialInBatch:
             at = [i for i, u in enumerate(inputs) if np.array_equal(u, bad_inputs[: len(u)])]
             if at:
                 calls.append(len(inputs))
-            # a few rounds in step with the others, then the trial's row fails
-            if at and len(calls) > 5 and not isinstance(exc, str):
-                raise exc
             out = original(dims, cfg, theta, anchor, inputs, measured, *rest)
+            # a few rounds in step with the others, then the trial's row fails
             if at and len(calls) > 5:
                 out[1][at[0], 0] = np.nan
             return out
@@ -541,10 +538,7 @@ class TestFailingTrialInBatch:
         monkeypatch.setattr(leo.learning, "_stacked_loss", failing_loss)
         bad = self.check(clean, self.batch())
         assert max(calls) == 10
-        if not isinstance(exc, np.linalg.LinAlgError):
-            # a training failure: the enhanced observer falls back to nominal
-            assert bad.flags["divergence"] and "error" not in bad.flags
-            assert bad.e_enhanced_open == bad.e_nominal_open
-            assert bad.to_json() == run_trial(self.bad_spec(), FAST_CFG).to_json()
-        else:
-            assert bad.flags == {"divergence": True, "error": "LinAlgError: injected"}
+        # a training failure: the enhanced observer falls back to nominal
+        assert bad.flags["divergence"] and "error" not in bad.flags
+        assert bad.e_enhanced_open == bad.e_nominal_open
+        assert bad.to_json() == run_trial(self.bad_spec(), FAST_CFG).to_json()

@@ -801,7 +801,7 @@ def reference_outcome(init, inputs, measured_outputs, cfg):
     """``train_reference``'s result, or the run failure it raised."""
     try:
         return train_reference(init, inputs, measured_outputs, cfg)
-    except (ShapeError, np.linalg.LinAlgError) as exc:
+    except ShapeError as exc:
         return exc
 
 
@@ -829,9 +829,8 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
 
     ``loss_faults`` maps a run, known by the bytes of its window inputs, to
     {call number: fault} for ``_stacked_loss``: "diverge" marks its rollout
-    diverged, "nan" makes its gradient non-finite and "linalg" makes the
-    call raise ``LinAlgError``. A call that raises counts for no run, so a
-    run's count is that of a batch of one. ``placement_faults`` maps a run,
+    diverged and "nan" makes its gradient non-finite. A run's count is
+    that of a batch of one. ``placement_faults`` maps a run,
     known by its rounded C[0, 0], to {call number: exception type} for
     ``_place_poles``, the observer's gate and synthesis in one:
     ``SynthesisFailureError`` fails the synthesis, ``PolePlacementInfeasible``
@@ -845,8 +844,6 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
     def faulty_loss(dims, cfg, theta, anchor, inputs, *rest):
         keys = [u.tobytes() for u in inputs]
         faults = [loss_faults.get(key, {}).get(counts["loss"][key]) for key in keys]
-        if "linalg" in faults:
-            raise np.linalg.LinAlgError("injected")
         terms, grads, diverged_at = stacked(dims, cfg, theta, anchor, inputs, *rest)
         for i, (key, fault) in enumerate(zip(keys, faults)):
             counts["loss"][key] += 1
@@ -873,7 +870,7 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
 
 
 FAULT_KINDS = (
-    "none", "rollback", "abort", "placement", "nan", "linalg", "unobservable",
+    "none", "rollback", "abort", "placement", "nan", "extreme", "unobservable",
     "loses_observability",
 )
 PLACEMENT_FAULTS = {
@@ -883,7 +880,11 @@ PLACEMENT_FAULTS = {
 
 def faulty_runs(gen, dims, cfg, kinds, calls):
     """Stable random runs of one problem, each with a fault of its kind at
-    its call number: the runs and the faults for ``inject_faults``."""
+    its call number: the runs and the faults for ``inject_faults``.
+
+    An "extreme" run injects nothing: its C starts subnormal (about 1e-310),
+    so its first placement solves for a subnormal X and fails on its own,
+    as a real stage does; its first Adam step makes C ordinary."""
     n, p, q = dims
     T = cfg.window_start + cfg.window_len + 2
     runs, loss_faults, placement_faults = [], {}, {}
@@ -893,6 +894,8 @@ def faulty_runs(gen, dims, cfg, kinds, calls):
         C = gen.standard_normal((q, n))
         if kind == "unobservable":  # for q < n: no gain until training moves A
             A, C = np.eye(n), np.eye(q, n)
+        if kind == "extreme":
+            C *= 1e-310
         if kind in PLACEMENT_FAULTS:  # a marker C[0, 0] that no normal draw reaches
             C[0, 0] = 7 + 2 * i
             placement_faults[7 + 2 * i] = {k: PLACEMENT_FAULTS[kind]}
@@ -905,7 +908,7 @@ def faulty_runs(gen, dims, cfg, kinds, calls):
             loss_faults[key] = {k: "diverge"}
         elif kind == "abort":  # the retry after the rollback diverges too
             loss_faults[key] = {k: "diverge", k + 1: "diverge"}
-        elif kind in ("nan", "linalg"):
+        elif kind == "nan":
             loss_faults[key] = {k: kind}
         runs.append((init, inputs, measured))
     return runs, loss_faults, placement_faults
@@ -1010,15 +1013,17 @@ class TestBatchTraining:
         together, alone = train_faulty_batch(runs, cfg, *faults)
         for got, want in zip(together, alone):
             assert_same_training(got, want)
-        rollback, abort, placement, nan, linalg, unobservable, loses, plain = together
+        rollback, abort, placement, nan, extreme, unobservable, loses, plain = together
         assert rollback.diagnostics["lr_halvings"] == 1 and len(rollback.log) == 6
         assert abort.diagnostics["aborted"] and abort.diagnostics["abort_epoch"] == 1
         assert isinstance(nan, ShapeError) and str(nan) == _NON_FINITE
-        assert isinstance(linalg, np.linalg.LinAlgError) and str(linalg) == "injected"
+        assert len(extreme.log) == 6 and not extreme.diagnostics["aborted"]
         assert plain.diagnostics["lr_halvings"] == plain.diagnostics["gain_reuses"] == 0
         if mode == "luenberger":
             assert placement.diagnostics["gain_reuses"] == 1
             assert [e["L_refreshed"] for e in placement.log] == [True, False] + [True] * 4
+            assert [e["L_refreshed"] for e in extreme.log] == [False] + [True] * 5
+            assert extreme.diagnostics["observable_epochs"] == 6
             assert unobservable.diagnostics["gain_reuses"] >= 1
             assert unobservable.log[0]["L_refreshed"] is False
             assert loses.diagnostics["observable_epochs"] == 5
@@ -1135,32 +1140,31 @@ class TestBatchTraining:
         for run, got in zip(runs, together):
             assert_same_training(got, train_reference(*run, cfg))
 
-    def test_stacked_call_that_raises_fails_only_its_culprit(self, monkeypatch):
-        # A placement batch holding the run of seed 4 raises; the others are
-        # then served alone and train as they would one at a time.
+    @pytest.mark.parametrize("stage", ["_place_poles", "_stacked_loss"])
+    def test_a_stage_that_raises_fails_the_batch(self, monkeypatch, stage):
+        # Every stage gives each finite row a result, so an exception from
+        # one is a bug: it reaches the caller of the batch and of train.
         cfg = TrainConfig(epochs=6)
         runs = []
         for seed in range(1, 8):
             _, inputs, traj, init = make_instance(seed, (3, 2, 1))
             runs.append((init, inputs, traj.outputs))
-        failing = 3
-        poisoned = runs[failing][0].A_hat
-        place = leo.learning._place_poles
+        original = getattr(leo.learning, stage)
+        calls = []
 
-        def raises_with_poisoned_row(A, C, desired):
-            if any(np.array_equal(a, poisoned) for a in A):
+        def raises_on_its_third_call(*args):
+            calls.append(args)
+            if len(calls) == 3:
                 raise np.linalg.LinAlgError("injected")
-            return place(A, C, desired)
+            return original(*args)
 
-        monkeypatch.setattr(leo.learning, "_place_poles", raises_with_poisoned_row)
-        together = _train_batch(*map(list, zip(*runs)), cfg)
-        assert isinstance(together[failing], np.linalg.LinAlgError)
+        monkeypatch.setattr(leo.learning, stage, raises_on_its_third_call)
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
-            train(*runs[failing], cfg)
-        monkeypatch.undo()
-        for i, (run, got) in enumerate(zip(runs, together)):
-            if i != failing:
-                assert_same_training(got, train_reference(*run, cfg))
+            _train_batch(*map(list, zip(*runs)), cfg)
+        assert len(calls) == 3
+        calls.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            train(*runs[3], cfg)
 
 
 def stacked_loss_case(gen, batch, dims, k0, K, scale=1.0):

@@ -1,4 +1,6 @@
 import json
+import math
+import operator
 from itertools import permutations
 
 import numpy as np
@@ -15,6 +17,8 @@ from leo.lti_core import (
     is_observable,
     random_system,
     spectral_radius,
+    _observability_condition,
+    _observability_stack,
 )
 from leo.observer import (
     ObserverGain,
@@ -577,3 +581,112 @@ class TestStackedPlacement:
             assert not constant.flags.writeable
             with pytest.raises(ValueError):
                 constant[0] = 1.0
+
+
+# Entry magnitudes of extreme but finite pairs: ones whose products
+# overflow, subnormal ones and ordinary ones.
+EXTREME_MAGNITUDES = (0.0, 5e-324, 1e-310, 1e-300, 1e-3, 0.5, 1.0, 1e150, 1e160, 1e200, 1e300, 1.7e308)
+
+
+@st.composite
+def extreme_batches(draw):
+    """A (B, n, n) and C (B, q, n): Gaussian rows, and rows whose matrices
+    have extreme entries or are a Gaussian matrix scaled to an extreme."""
+    batch, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    q = draw(st.integers(1, n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, C = gen.standard_normal((batch, n, n)), gen.standard_normal((batch, q, n))
+    signed = st.builds(operator.mul, st.sampled_from((-1.0, 1.0)), st.sampled_from(EXTREME_MAGNITUDES))
+    for M in (*A, *C):
+        kind = draw(st.sampled_from(("gaussian", "entries", "scaled")))
+        if kind == "entries":
+            M[...] = np.reshape(draw(st.lists(signed, min_size=M.size, max_size=M.size)), M.shape)
+        elif kind == "scaled":
+            M *= draw(st.sampled_from(EXTREME_MAGNITUDES[:-1]))
+    return A, C
+
+
+def assert_rows_fail_alone(A, C, poles):
+    """One stacked placement and observability call on finite pairs, which
+    raise nothing and warn nothing (pytest turns numpy warnings into
+    errors): each row is bitwise its own call, a row without a gain has a
+    zero gain, and an overflowing stack is unobservable. Returns the rows."""
+    gains, failures = _place_poles(A, C, poles)
+    conditions = _observability_condition(A, C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = ~np.isfinite(_observability_stack(A, C, A.shape[1])).all(axis=(1, 2))
+    for b in range(len(A)):
+        own_gains, own_failures = _place_poles(A[b : b + 1], C[b : b + 1], poles)
+        assert gains[b].tobytes() == own_gains[0].tobytes()
+        assert repr(failures.get(b)) == repr(own_failures.get(0))
+        assert conditions[b] == _observability_condition(A[b : b + 1], C[b : b + 1])[0]
+        observable = conditions[b] != math.inf
+        assert is_observable(A[b], C[b]) == observable
+        assert not (overflowed[b] and observable)
+        if b in failures:
+            assert not gains[b].any()
+            want = SynthesisFailureError if observable else PolePlacementInfeasible
+            assert type(failures[b]) is want
+    return [failures.get(b, gains[b]) for b in range(len(A))]
+
+
+class TestTotality:
+    """Gain synthesis and the observability check give every finite pair a
+    result, however large or small its entries: a row that overflows or
+    underflows fails alone."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pairs=extreme_batches())
+    def test_extreme_finite_rows_fail_alone(self, pairs):
+        A, C = pairs
+        n = A.shape[1]
+        assert_rows_fail_alone(A, C, _checked_poles(default_observer_poles(n), n))
+
+    # Each of these raised from one of the stacked LAPACK calls: an
+    # observability stack that overflows ("SVD did not converge", after
+    # LAPACK printed a DLASCL error), a subnormal X whose gain overflows
+    # ("Array must not contain infs or NaNs"), and a Kronecker operator
+    # that is exactly singular although no eigenvalue of A is within 1e-9
+    # of a pole ("Singular matrix").
+    @pytest.mark.parametrize("case, failure", [
+        ("overflowing_stack", PolePlacementInfeasible),
+        ("subnormal_pair", SynthesisFailureError),
+        ("singular_operator", SynthesisFailureError),
+    ])
+    def test_rows_that_raised(self, capfd, case, failure):
+        gen = np.random.default_rng(0)
+        A, C = {
+            "overflowing_stack": (1e160 * gen.standard_normal((4, 4)), gen.standard_normal((2, 4))),
+            "subnormal_pair": (np.array([[5e-324]]), np.array([[5e-324]])),
+            "singular_operator": (
+                np.array([[1e-310, -0.5], [1e160, 1e160]]), np.array([[1e250, -1e-300]])
+            ),
+        }[case]
+        n, q = A.shape[0], C.shape[0]
+        poles = _checked_poles(default_observer_poles(n), n)
+        # the row among ordinary ones, first, in between and last
+        ordinary_A, ordinary_C = gen.standard_normal((2, n, n)), gen.standard_normal((2, q, n))
+        rows = assert_rows_fail_alone(
+            np.stack([A, ordinary_A[0], A, ordinary_A[1], A]),
+            np.stack([C, ordinary_C[0], C, ordinary_C[1], C]),
+            poles,
+        )
+        assert [type(row) for row in rows[::2]] == [failure] * 3
+        with pytest.raises(failure):
+            place_observer_poles(A, C, poles)
+        assert is_observable(A, C) == (failure is SynthesisFailureError)
+        assert capfd.readouterr() == ("", "")
+
+    def test_overflowing_gain_gets_an_infinite_deviation(self, monkeypatch):
+        # For n = 1 the gain is (A - f) / C whatever G is, and X is C G /
+        # (A - f): G scaled by 1e10 makes X normal while L overflows, so
+        # A - LC is not finite and no eigenvalue is computed from it.
+        A, C = np.array([[[1e300]]]), np.array([[[1e-10]]])
+        poles = _checked_poles(default_observer_poles(1), 1)
+        neg_kron, targets, draws = _placement_constants(tuple(poles), 1)
+        monkeypatch.setattr(
+            leo.observer, "_placement_constants", lambda *_: (neg_kron, targets, 1e10 * draws)
+        )
+        (row,) = assert_rows_fail_alone(A, C, poles)
+        assert isinstance(row, SynthesisFailureError)
+        assert "best deviation inf" in str(row)
