@@ -516,16 +516,23 @@ def pinv(M: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     input.
     """
     M = _as_matrix(M, name="M")
+    if M.size == 0:
+        return np.zeros((M.shape[1], M.shape[0]))
     try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        return _pinv(M[None], rcond)[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    keep = s > rcond * s[0]
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    return (Vt.T * inv_s) @ U.T
+
+
+def _pinv(M: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+    """``pinv`` of a stack (B, m, k) of finite, non-empty matrices: one
+    stacked SVD and product, each item bitwise that of a stack of one."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = s > rcond * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    out = (Vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ U.swapaxes(-1, -2)
+    out[s[..., 0] == 0.0] = 0.0  # a zero matrix, whose product holds -0.0 entries
+    return out
 
 
 def condition_number(M: np.ndarray) -> float:
