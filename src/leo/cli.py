@@ -28,6 +28,7 @@ from . import __version__
 from .exceptions import LeoError
 from .experiments import (
     DEFAULT_DIMENSION_GRID,
+    ZERO_REFERENCE_TOL,
     TrialSpec,
     execute_trial,
     run_monte_carlo,
@@ -237,7 +238,7 @@ def _demo_csv(execution) -> str:
         for i in range(n):
             ref = truth.states[k, i]
             for kind in kinds:
-                if abs(ref) < 1e-8:
+                if abs(ref) < ZERO_REFERENCE_TOL:
                     row.append("")
                 else:
                     row.append(_fmt(abs((roll_of[kind].states[k, i] - ref) / ref)))
@@ -386,7 +387,7 @@ def cmd_montecarlo(args, config: dict) -> int:
 def cmd_theory_check(args, config: dict) -> int:
     seed = _seed(args, config)
     cases = _resolve(args, config, "cases", int, 100)
-    report = run_theory_checks(cases=cases, seed=seed, inject_fault=args.inject_fault)
+    report = run_theory_checks(cases=cases, seed=seed)
     all_passed = True
     for name, info in report.items():
         status = "PASS" if info["passed"] else "FAIL"
@@ -459,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the constructive-theory oracle suites",
     )
     p_theory.add_argument("--cases", type=int, help="cases per suite (default 100)")
-    p_theory.add_argument(
-        "--inject-fault", action="store_true", default=False,
-        help="testing hook: deliberately break the local-fit check",
-    )
     p_theory.set_defaults(func=cmd_theory_check)
     return parser
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DegenerateReferenceError, LeoError, PolePlacementInfeasible, ShapeError
+from .exceptions import DegenerateReferenceError, LeoError, PolePlacementInfeasible
 from .learning import LearnableParams, TrainConfig, _train_batch
 from .lti_core import (
     LtiParams,
@@ -334,15 +334,14 @@ def _prepare_trial(
 def _score_trial(trial: _PreparedTrial, trained, cfg: TrainConfig) -> TrialExecution:
     """Place the enhanced gain and score the four observers of a trial.
 
-    ``trained`` is the trial's ``TrainResult``, or the ``ShapeError`` of a
-    run whose gradient or Adam step left the finite numbers, which counts
-    as divergence.
+    ``trained`` is the trial's ``TrainResult``; an aborted run counts as
+    divergence.
     """
     spec, flags, traj, nominal = trial.spec, trial.flags, trial.truth, trial.nominal
     inputs, x0_hat, T = traj.inputs, trial.init.x0_hat, spec.horizon
     enhanced = trial.init
     gain_enhanced = trial.gain_nominal
-    if isinstance(trained, ShapeError) or trained.diagnostics["aborted"]:
+    if trained.diagnostics["aborted"]:
         flags["divergence"] = True
     else:
         enhanced = trained.params

@@ -18,12 +18,12 @@ re-synthesis (``_place_poles``, which first decides which pairs are
 observable), loss and gradient (``_stacked_loss``, whose rollout and
 adjoint take one stacked matrix-vector product per time step) and the Adam
 update. Rollback, abort and gain reuse are masked assignments. Every stage
-gives each finite row a result: a pair it cannot place keeps its gain, a
-diverged rollout is reported by step, and a gradient or Adam step that
-leaves the finite numbers fails its own run. A stacked call computes every
-row bitwise as a stack of one would, so a run's result does not depend on
-its batch; ``train``, ``loss``, ``gradient`` and ``adam_step`` are batches
-of one.
+gives each finite row a result: a pair it cannot place keeps its gain, and
+a diverged rollout or a gradient or Adam step that leaves the finite
+numbers fails that run's epoch, which one rule rolls back or aborts. A
+stacked call computes every row bitwise as a stack of one would, so a
+run's result does not depend on its batch; ``train``, ``loss``,
+``gradient`` and ``adam_step`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -36,9 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DivergedRollout, PolePlacementInfeasible, ShapeError
+from .exceptions import DivergedRollout, ShapeError
 from .lti_core import LtiParams, matrix_to_json, _affine_adjoint, _affine_rollout
-from .observer import default_observer_poles, _checked_poles, _gain_matrix, _place_poles
+from .observer import (
+    PLACED, UNOBSERVABLE, default_observer_poles, _checked_poles, _gain_matrix, _place_poles,
+)
 
 __all__ = [
     "LearnableParams",
@@ -398,12 +400,14 @@ def adam_step(
 class TrainResult:
     """Optimized parameters plus per-epoch log and run diagnostics.
 
-    ``log`` entries carry exactly the keys serialized by ``log_to_jsonl``.
+    Every run ends as one, with finite parameters. ``log`` has one entry
+    per epoch that took a step, with the keys ``log_to_jsonl`` serializes.
     ``diagnostics`` holds: gain_refreshes and gain_reuses (epochs that
     re-synthesized the gain or kept the previous one), observable_epochs
     (Luenberger mode only, else None), never_observable, aborted,
-    abort_epoch, lr_halvings, final_gain (the last gain in use, or None in
-    open-loop mode or with no epoch run) and transforms_applied, always 0.
+    abort_epoch, lr_halvings (failed epochs that were rolled back),
+    final_gain (the last gain in use, or None in open-loop mode or with no
+    epoch run) and transforms_applied, always 0.
     """
 
     params: LearnableParams
@@ -431,29 +435,26 @@ def train(
     at first zero, is kept. Then in both modes: (c) loss and gradient with
     the gain frozen; (d) an Adam step at the scheduled learning rate.
 
-    A non-finite rollout rolls the parameters back one step and halves the
-    learning rate before retrying; a second failure in a row aborts the run.
-    Both are reported in ``diagnostics`` rather than raised, so the partial
-    log survives. A non-finite gradient or Adam step raises ``ShapeError``;
-    no other stage raises on finite parameters, however large or small.
-    ``train`` is a batch of one of the Monte Carlo trainer and gives bitwise
-    the same result.
+    An epoch fails when its rollout diverges or its gradient or Adam step
+    leaves the finite numbers. A failed epoch takes no step: it restores
+    the state from before the last step and halves the learning rate, or,
+    with no step to undo, aborts the run with its log so far. Both show in
+    ``diagnostics``: on finite parameters ``train`` raises nothing, unless
+    the data does not cover the window (``ShapeError``). It is a batch of
+    one of the Monte Carlo trainer and gives bitwise the same result.
     """
-    (result,) = _train_batch([init], [inputs], [measured_outputs], cfg)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _train_batch([init], [inputs], [measured_outputs], cfg)[0]
 
 
 def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainConfig) -> list:
     """``train`` for runs that share dims and ``cfg``, as one batch.
 
     The runs are held as arrays with a leading run axis, and each round runs
-    one epoch of every live run with one stacked call per stage. Gives per
-    run its ``TrainResult``, or the ``ShapeError`` of a run whose gradient
-    or Adam step left the finite numbers; no run's failure or rollback
-    changes another's result. Every stage gives each finite row a result,
-    so an exception from one is a bug, and it fails the whole batch.
+    one epoch of every live run with one stacked call per stage, the Adam
+    update included; then one mask decides which epochs failed. No run's
+    rollback or abort changes another's result. Every stage gives each
+    finite row a result, so an exception from one is a bug, and it fails
+    the whole batch.
     """
     dims = inits[0].dims
     n, p, q = dims
@@ -475,7 +476,6 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     refreshes, reuses, observable_epochs = (np.zeros(runs, dtype=int) for _ in range(3))
     abort_epoch = np.full(runs, -1)
     logs: list[list] = [[] for _ in range(runs)]
-    errors: dict[int, ShapeError] = {}
     live = np.full(runs, cfg.epochs > 0)
 
     while live.any():
@@ -483,23 +483,28 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
         refreshed = np.full(len(rows), luenberger)
         if luenberger:
             A, _, C, _ = _blocks(theta[rows], n, p, q)
-            gains, failures = _place_poles(A, C, poles)
-            refreshed[list(failures)] = False
+            gains, reason, _ = _place_poles(A, C, poles)
+            refreshed = reason == PLACED
             L[rows[refreshed]] = gains[refreshed]
             refreshes[rows] += refreshed
             reuses[rows] += ~refreshed
-            observable_epochs[rows] += 1
-            for j, e in failures.items():
-                observable_epochs[rows[j]] -= isinstance(e, PolePlacementInfeasible)
+            observable_epochs[rows] += reason != UNOBSERVABLE
         terms, grads, diverged_at = _stacked_loss(
             dims, cfg, theta[rows], anchor[rows], u[rows], y[rows], L[rows] if luenberger else None
         )
-        diverged = diverged_at > 0
+        lrs = np.array(
+            [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[rows].tolist(), halvings[rows].tolist())]
+        )
+        stepped, m_new, v_new = _adam_update(
+            theta[rows], m[rows], v[rows], grads, (step[rows] + 1).tolist(), lrs.tolist(),
+            cfg.weight_decay,
+        )
+        ok = (diverged_at == 0) & np.isfinite(grads).all(axis=1) & np.isfinite(stepped).all(axis=1)
 
-        # A diverged rollout undoes the run's last step and halves its
-        # learning rate; with no step to undo, the run aborts.
-        unstable = rows[diverged]
-        stop, back = unstable[~has_saved[unstable]], unstable[has_saved[unstable]]
+        # A failed epoch takes no step: it undoes the run's last step and
+        # halves its learning rate; with no step to undo, the run aborts.
+        failed = rows[~ok]
+        stop, back = failed[~has_saved[failed]], failed[has_saved[failed]]
         abort_epoch[stop] = epoch[stop]
         live[stop] = False
         for a, kept in zip(state, saved):
@@ -507,39 +512,25 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
         has_saved[back] = False
         halvings[back] += 1
 
-        finite = np.isfinite(grads).all(axis=1)
-        errors.update((r, ShapeError(_NON_FINITE)) for r in rows[~diverged & ~finite].tolist())
-        stepping = ~diverged & finite
-        ok = rows[stepping]
-        lrs = [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[ok].tolist(), halvings[ok].tolist())]
+        good = rows[ok]
         for r, e, (data_term, reg_A, reg_B, reg_C, total), lr, fresh in zip(
-            ok.tolist(), epoch[ok].tolist(), terms[stepping].tolist(), lrs,
-            refreshed[stepping].tolist(),
+            good.tolist(), epoch[good].tolist(), terms[ok].tolist(), lrs[ok].tolist(),
+            refreshed[ok].tolist(),
         ):
             logs[r].append({
                 "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
                 "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh,
             })
         for a, kept in zip(state, saved):
-            kept[ok] = a[ok]
-        has_saved[ok] = True
-        stepped, m[ok], v[ok] = _adam_update(
-            theta[ok], m[ok], v[ok], grads[stepping], (step[ok] + 1).tolist(), lrs,
-            cfg.weight_decay,
-        )
-        bad = ~np.isfinite(stepped).all(axis=1)
-        errors.update((r, ShapeError(_NON_FINITE)) for r in ok[bad].tolist())
-        theta[ok] = stepped
-        step[ok] += 1
-        epoch[ok] += 1
-        live[ok] = epoch[ok] < cfg.epochs
-        live[list(errors)] = False
+            kept[good] = a[good]
+        has_saved[good] = True
+        theta[good], m[good], v[good] = stepped[ok], m_new[ok], v_new[ok]
+        step[good] += 1
+        epoch[good] += 1
+        live[good] = epoch[good] < cfg.epochs
 
     results: list = []
     for r in range(runs):
-        if r in errors:
-            results.append(errors[r])
-            continue
         aborted = bool(abort_epoch[r] >= 0)
         diagnostics = {
             "transforms_applied": 0,

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import RankDeficientError, ShapeError, SingularMatrixError
-from .lti_core import LtiParams, _as_matrix, _as_vector, _observability_stack, _pinv, one_norm
+from .lti_core import (
+    RANK_RTOL, LtiParams, _as_matrix, _as_vector, _observability_stack, _pinv, one_norm,
+)
 
 __all__ = [
     "TrajectoryWindow",
@@ -110,7 +112,7 @@ def fit_local_lti(w: TrajectoryWindow) -> LtiParams:
     """
     n, N = w.X.shape
     s = np.linalg.svd(w.X, compute_uv=False)
-    if N > n or s.size == 0 or s[0] == 0.0 or s[-1] < 1e-9 * s[0]:
+    if N > n or s.size == 0 or s[0] == 0.0 or s[-1] < RANK_RTOL * s[0]:
         raise RankDeficientError(
             f"window states must have full column rank (n={n}, N={N})"
         )
@@ -181,7 +183,11 @@ def make_invertible(A: np.ndarray, delta: float) -> np.ndarray:
         raise ShapeError(f"A must be square, got {A.shape}")
     if not (isinstance(delta, numbers.Real) and 0 < delta < math.inf):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    out, nudged = _make_invertible(A[None], np.array([float(delta)]))
+    out, nudged, found = _make_invertible(A[None], np.array([float(delta)]))
+    if not found[0]:
+        raise SingularMatrixError(
+            f"no invertible matrix within 1-norm {float(delta):g} of A in {_MAX_NUDGE_ATTEMPTS} attempts"
+        )
     return out[0] if nudged[0] else A
 
 
@@ -195,8 +201,9 @@ def _invertible(M: np.ndarray) -> np.ndarray:
 
 def _make_invertible(A: np.ndarray, delta: np.ndarray):
     """``make_invertible`` of a stack (G, n, n) with deltas (G,): the
-    results and the mask of rows that were nudged. Every row meets the
-    same perturbations in the same order as its own call would."""
+    results, the mask of rows nudged and the mask of rows found invertible
+    (a row not found is left as it was). Every row meets the same
+    perturbations in the same order as its own call would."""
     n = A.shape[-1]
     out = A.copy()
     nudged = ~_invertible(A)
@@ -213,10 +220,10 @@ def _make_invertible(A: np.ndarray, delta: np.ndarray):
         out[todo[good]] = candidate[good]
         todo = todo[~good]
         if not todo.size:
-            return out, nudged
-    raise SingularMatrixError(
-        f"no invertible matrix within 1-norm {delta[todo[0]]:g} of A in {_MAX_NUDGE_ATTEMPTS} attempts"
-    )
+            break
+    found = np.ones(len(A), dtype=bool)
+    found[todo] = False
+    return out, nudged, found
 
 
 def stacked_operators(params: LtiParams, N: int) -> StackedOperators:
@@ -240,10 +247,11 @@ def _stacked_operators(A: np.ndarray, B: np.ndarray, C: np.ndarray, N: int):
 
 
 def stack_inputs(inputs: np.ndarray, N: int) -> np.ndarray:
-    """Concatenate the first N input vectors into one column."""
+    """Concatenate the first N input vectors (the rows of ``inputs``, or
+    its entries when it is 1-D) into one column."""
+    N = _checked_count(N, "N", 1)
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs.reshape(-1, 1)
+    inputs = _as_matrix(inputs.reshape(-1, 1) if inputs.ndim == 1 else inputs, name="inputs")
     if inputs.shape[0] < N:
         raise ShapeError(f"need {N} inputs, got {inputs.shape[0]}")
     return inputs[:N].reshape(-1)
@@ -273,7 +281,7 @@ def initial_state_gap_bound(
     U_stack = _as_vector(U_stack, N * p, "U_stack")
     O1, Gamma1 = _stacked_operators(p1.A[None], p1.B[None], p1.C[None], N)
     s = np.linalg.svd(O1[0], compute_uv=False)
-    if s[0] == 0.0 or s[-1] < 1e-9 * s[0] or O1.shape[1] < n:
+    if s[0] == 0.0 or s[-1] < RANK_RTOL * s[0] or O1.shape[1] < n:
         raise RankDeficientError("first system's output stack lacks full column rank")
     O2, Gamma2 = _stacked_operators(p2.A[None], p2.B[None], p2.C[None], N)
     return float(_gap_bound(O1, Gamma1, O2, Gamma2, x2_0[None], U_stack[None])[0])
@@ -294,8 +302,6 @@ def _gap_bound(O1, Gamma1, O2, Gamma2, x2, U) -> np.ndarray:
 # per group of equally shaped cases, giving its residuals in draw order.
 # Each check returns (worst_residual, threshold), the worst being NaN if any
 # residual is; a check passes when worst_residual <= threshold.
-# `inject_fault` deliberately breaks the local-fit check and exists so the
-# failure path itself can be exercised.
 # ---------------------------------------------------------------------------
 
 
@@ -370,7 +376,7 @@ def _simulate_windows(dims, K: np.ndarray, base: np.ndarray, walks: list):
     return window(x), window(x, 1), window(u), window(y)
 
 
-def _local_fit_residuals(cases: int, seed: int, inject_fault: bool = False) -> np.ndarray:
+def _local_fit_residuals(cases: int, seed: int) -> np.ndarray:
     gen = _suite_generator(seed, 1)
     kept = []  # (draw index, dims, windows) per shape and drawing round
     drawn = done = 0
@@ -390,8 +396,6 @@ def _local_fit_residuals(cases: int, seed: int, inject_fault: bool = False) -> n
     for dims, blocks in _groups(block[1] for block in kept):
         X, X_next, U, Y = (np.concatenate(w) for w in zip(*(kept[i][2] for i in blocks)))
         A, B, C = _fit(X, X_next, U, Y)
-        if inject_fault:
-            C = Y @ X.swapaxes(1, 2)  # fault: transpose instead of pinv
         N = dims[1]
         Bu = B[:, None] @ U.swapaxes(1, 2)[..., None]
         x = np.empty((len(X), N, dims[0], 1))
@@ -405,9 +409,9 @@ def _local_fit_residuals(cases: int, seed: int, inject_fault: bool = False) -> n
     return np.concatenate(residuals)[np.argsort(np.concatenate(order))]
 
 
-def check_local_fit_replay(cases: int, seed: int, inject_fault: bool = False) -> tuple[float, float]:
+def check_local_fit_replay(cases: int, seed: int) -> tuple[float, float]:
     """Fitted local models must replay their window states and outputs."""
-    return _worst(_local_fit_residuals(cases, seed, inject_fault), 0.0), 1e-8
+    return _worst(_local_fit_residuals(cases, seed), 0.0), 1e-8
 
 
 def _back_solve_residuals(cases: int, seed: int) -> np.ndarray:
@@ -475,7 +479,7 @@ def _make_invertible_residuals(cases: int, seed: int) -> np.ndarray:
         for u, v in factors.transpose(1, 2, 0, 3):
             M += u[:, :, None] * v[:, None, :]
         delta = np.array([batch[i][2] for i in rows])
-        out, _ = _make_invertible(M, delta)
+        out, _, _ = _make_invertible(M, delta)
         singular = ~_invertible(out)
         residuals[rows] = np.maximum(singular, _one_norms(out - M) / delta - 1.0 + 1e-12)
     return residuals
@@ -530,19 +534,20 @@ def check_initial_state_gap_bound(cases: int, seed: int) -> tuple[float, float]:
     return _worst(_gap_residuals(cases, seed), -np.inf), 1e-9
 
 
-def run_theory_checks(
-    cases: int = 100, seed: int = 0, inject_fault: bool = False
-) -> dict[str, dict]:
+def run_theory_checks(cases: int = 100, seed: int = 0) -> dict[str, dict]:
     """Run all four oracle suites; values carry residuals and pass flags.
 
     ``cases`` must be at least 1: an empty suite would pass unchecked.
+    ``seed`` must be a non-negative integer.
     """
     if not isinstance(cases, numbers.Integral):
         raise ValueError(f"cases must be an integer, got {cases!r}")
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     suites = {
-        "local_fit_replay": check_local_fit_replay(cases, seed, inject_fault),
+        "local_fit_replay": check_local_fit_replay(cases, seed),
         "back_solve_round_trip": check_back_solve_round_trip(cases, seed),
         "make_invertible": check_make_invertible(cases, seed),
         "initial_state_gap_bound": check_initial_state_gap_bound(cases, seed),

@@ -463,22 +463,20 @@ def _observability_stack(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _observability_condition(A: np.ndarray, C: np.ndarray):
-    """sigma_max / sigma_min of the N = n observability stack, from one SVD.
+def _observable(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Whether the N = n observability stack of each pair has full column
+    rank (``RANK_RTOL`` cutoff); an overflowing stack does not.
 
-    +inf when the stack lacks full column rank (``RANK_RTOL`` cutoff) or
-    overflows, so one value is both the rank decision and the condition
-    number. A and C must be finite, as an ``LtiParams``' matrices are; any
-    such pair gives a value, without a warning. Stacks only: A (B, n, n)
-    and C (B, q, n) give a list of B values from one stacked build and SVD,
-    each bitwise that of a stack of one.
+    A and C must be finite, as an ``LtiParams``' matrices are; any such pair
+    gives a decision, without a warning. Stacks only: A (B, n, n) and C
+    (B, q, n) give a (B,) mask from one stacked build and SVD, each row
+    bitwise that of a stack of one.
     """
     stack = _observability_stack(A, C, A.shape[-1])
-    # An overflowed stack counts as rank deficient: zeroed, it gives +inf.
+    # An overflowed stack counts as rank deficient: zeroed, it fails the test.
     stack[~np.isfinite(stack).all(axis=(1, 2))] = 0.0
     s = np.linalg.svd(stack, compute_uv=False)
-    # The rank test comes first, so a zero stack never divides.
-    return [sv[0] / sv[-1] if sv[-1] > RANK_RTOL * sv[0] else math.inf for sv in s.tolist()]
+    return s[:, -1] > RANK_RTOL * s[:, 0]
 
 
 def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
@@ -488,7 +486,7 @@ def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
     """
     A = _as_matrix(A, name="A")
     C = _as_matrix(C, cols=A.shape[0], name="C")
-    return math.isfinite(_observability_condition(A[None], C[None])[0])
+    return bool(_observable(A[None], C[None])[0])
 
 
 def spectral_radius(A: np.ndarray) -> float:

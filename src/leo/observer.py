@@ -12,7 +12,8 @@ single-output Ackermann-style formulas. Synthesis runs on a stack of pairs
 at once (the runs of a training batch): one stacked SVD of the
 observability stacks first decides which pairs are observable, a pair
 whose A shares an eigenvalue with F fails before any draw, and the result
-is a gain array plus the rows it could not place. What depends only on
+is a gain array plus a reason code for each row (placed, unobservable,
+shared eigenvalue, or no draw placed it). What depends only on
 the requested poles (F, its Kronecker term and the G draws) is built once.
 """
 
@@ -34,7 +35,7 @@ from .lti_core import (
     _affine_rollout,
     _as_matrix,
     _checked_horizon,
-    _observability_condition,
+    _observable,
 )
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
 _MULTIPLICITY_SPREAD = 1e-4
 _PLACEMENT_TOL = 1e-7
 _MAX_G_ATTEMPTS = 10
+# The outcome codes of ``_place_poles``, one per row.
+PLACED, UNOBSERVABLE, SHARED_EIGENVALUE, NOT_PLACED = range(4)
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,9 @@ def _permutations(n: int) -> np.ndarray:
 def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     """Synthesize L so that eig(A - LC) equals the requested pole multiset.
 
+    ``_place_poles`` on a stack of one, whose reason code for the row is
+    raised here as its exception.
+
     Parameters
     ----------
     A, C : arrays, n x n and q x n, forming an observable pair.
@@ -219,10 +225,23 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     desired = _checked_poles(desired, A.shape[0])
     A = _as_matrix(A, name="A")
     C = _as_matrix(C, cols=A.shape[0], name="C")
-    gains, failures = _place_poles(A[None], C[None], desired)
-    if failures:
-        raise failures[0]
+    gains, reason, best = _place_poles(A[None], C[None], desired)
+    if reason[0] != PLACED:
+        raise _failure(reason[0], best[0])
     return ObserverGain(L=gains[0], desired_poles=tuple(desired))
+
+
+def _failure(reason: int, best: float) -> Exception:
+    """The exception for a row that ``_place_poles`` could not place, from
+    its reason code and best deviation."""
+    if reason == UNOBSERVABLE:
+        return PolePlacementInfeasible("pair (A, C) is not observable")
+    if reason == SHARED_EIGENVALUE:
+        return SynthesisFailureError("A shares an eigenvalue with the requested poles")
+    return SynthesisFailureError(
+        f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
+        + ("" if math.isnan(best) else f" (best deviation {best:.3e})")
+    )
 
 
 def _checked_poles(desired, n: int) -> np.ndarray:
@@ -254,37 +273,34 @@ def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dict]:
+def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     """``place_observer_poles`` for validated matrices and poles from
-    ``_checked_poles``.
+    ``_checked_poles``, with each row's outcome returned, never raised.
 
     Batched over a leading row axis: A (B, n, n) and C (B, q, n) give the
-    gains L (B, n, q) and a dict that maps each row without a gain to its
-    exception: ``PolePlacementInfeasible`` for an unobservable pair, else
-    the ``SynthesisFailureError`` of a row whose A shares an eigenvalue
-    with the requested spectrum (within 1e-9; it fails before any draw) or
-    that no G could place. Such a row's gain is zero. Each step is one
-    stacked call over the rows still without a gain; a stacked LAPACK call
-    or matmul computes every item as its own call would, so each row's
-    gain is bitwise that of its own call. Any finite rows give a result,
-    without a warning: a value that overflows fails its own row.
+    gains L (B, n, q), zero where a row has none, its reason code (B,) and
+    its least ``max_spectrum_deviation`` over the solved draws (B,), NaN
+    if no draw was solved. ``SHARED_EIGENVALUE`` is an A within 1e-9 of
+    the requested spectrum, which fails before any draw. Each step is one
+    stacked call over the rows still without a gain, and a stacked LAPACK
+    call or matmul computes every item as its own call would, so each
+    row's outcome is bitwise that of its own call. Finite rows give a
+    result without a warning: a value that overflows fails its own row.
     """
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
     gains = np.zeros((A.shape[0], n, q))
-    unobservable = np.array(_observability_condition(A, C)) == math.inf
-    failures: dict = {
-        row: PolePlacementInfeasible("pair (A, C) is not observable")
-        for row in np.flatnonzero(unobservable).tolist()
-    }
+    best = np.full(A.shape[0], np.nan)
+    observable = _observable(A, C)
+    reason = np.where(observable, PLACED, UNOBSERVABLE)
     # A row whose spectrum is already in place keeps the zero gain, which
     # realizes it exactly.
-    eig = np.linalg.eigvals(A[~unobservable])
+    eig = np.linalg.eigvals(A[observable])
     todo = _spectrum_deviation(eig, np.asarray(desired)) >= 1e-9
     # The rows still without a gain: their positions in the batch and arrays.
-    rows = np.flatnonzero(~unobservable)[todo]
+    rows = np.flatnonzero(observable)[todo]
     if not len(rows):
-        return gains, failures
+        return gains, reason, best
     A, C, eig = A[rows], C[rows], eig[todo]
 
     neg_kron, targets, draws = _placement_constants(poles, q)
@@ -293,16 +309,15 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
     # observable pair and almost every G, so such a row gets no draw. Where
     # A's entries dwarf F's, rounding can still make it exactly singular.
     shared = np.abs(eig[:, :, None] - targets).min(axis=(1, 2)) < 1e-9
-    for row in rows[shared].tolist():
-        failures[row] = SynthesisFailureError("A shares an eigenvalue with the requested poles")
+    reason[rows[shared]] = SHARED_EIGENVALUE
     rows, A, C = rows[~shared], A[~shared], C[~shared]
+    reason[rows] = NOT_PLACED
     # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
     # K = kron(I, A^T) - kron(F^T, I), whose diagonal blocks hold A^T.
     K = np.repeat(neg_kron[None], len(rows), axis=0)
     for i in range(0, n * n, n):
         K[:, i : i + n, i : i + n] += A.transpose(0, 2, 1)
 
-    best: dict[int, float] = {}
     for G in draws:
         rhs = (C.transpose(0, 2, 1) @ G).transpose(0, 2, 1).reshape(len(rows), n * n, 1)
         try:
@@ -318,26 +333,19 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired) -> tuple[np.ndarray, dic
         L = np.linalg.solve(Xt[solvable], G.T)
         closed = A[solvable] - L @ C[solvable]
         finite = np.isfinite(closed).all(axis=(1, 2))
-        deviations = np.full(len(closed), np.inf)
-        deviations[finite] = _spectrum_deviation(np.linalg.eigvals(closed[finite]), targets)
-        done = np.zeros(len(rows), dtype=bool)
-        for j, L_j, deviation in zip(np.flatnonzero(solvable), L, deviations.tolist()):
-            row = int(rows[j])
-            if deviation < _PLACEMENT_TOL:
-                gains[row] = L_j
-                done[j] = True
-            else:
-                best[row] = min(deviation, best.get(row, np.inf))
-        if done.all():
-            return gains, failures
-        rows, A, C, K = (a[~done] for a in (rows, A, C, K))
-
-    for row in rows.tolist():
-        failures[row] = SynthesisFailureError(
-            f"pole placement did not converge in {_MAX_G_ATTEMPTS} attempts"
-            + (f" (best deviation {best[row]:.3e})" if row in best else "")
+        deviation = np.full(len(rows), np.nan)  # NaN: X was singular
+        deviation[solvable] = np.inf  # inf: A - LC overflowed
+        deviation[np.flatnonzero(solvable)[finite]] = _spectrum_deviation(
+            np.linalg.eigvals(closed[finite]), targets
         )
-    return gains, failures
+        best[rows] = np.fmin(best[rows], deviation)
+        done = deviation < _PLACEMENT_TOL
+        gains[rows[done]] = L[done[solvable]]
+        reason[rows[done]] = PLACED
+        if done.all():
+            break
+        rows, A, C, K = (a[~done] for a in (rows, A, C, K))
+    return gains, reason, best
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import leo
-from leo import lti_core
+from leo import local_lti, lti_core
 from leo.cli import build_parser, main
 
 
@@ -174,9 +174,18 @@ class TestTheoryCheck:
         run_cli("theory-check", "--cases", "25", "--seed", "9")
         assert capsys.readouterr().out == first
 
-    def test_injected_fault_fails(self, capsys):
-        assert run_cli("theory-check", "--cases", "10", "--inject-fault") == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_injected_fault_fails(self, monkeypatch, capsys):
+        # the local fit returns C = Y X^T, the transpose instead of the pseudoinverse
+        fit = local_lti._fit
+
+        def transposed_output_fit(X, X_next, U, Y):
+            A, B, _ = fit(X, X_next, U, Y)
+            return A, B, Y @ X.swapaxes(1, 2)
+
+        monkeypatch.setattr(local_lti, "_fit", transposed_output_fit)
+        assert run_cli("theory-check", "--cases", "10") == 1
+        out = capsys.readouterr().out
+        assert "check local_fit_replay: FAIL" in out and out.count("PASS") == 3
 
     @pytest.mark.parametrize("cases", ["0", "-3"])
     def test_no_cases_is_a_usage_error(self, capsys, cases):

@@ -467,7 +467,7 @@ class TestNominalRegeneration:
 
     def test_one_observability_decision_per_pair(self, monkeypatch):
         # the draw's own check, the nominal placement and the enhanced one
-        original = leo.lti_core._observability_condition
+        original = leo.lti_core._observable
         calls = []
 
         def counted(A, C):
@@ -475,7 +475,7 @@ class TestNominalRegeneration:
             return original(A, C)
 
         for module in (leo.lti_core, leo.observer):
-            monkeypatch.setattr(module, "_observability_condition", counted)
+            monkeypatch.setattr(module, "_observable", counted)
         execute_trial(self.SPEC, TrainConfig(epochs=0))
         assert calls == [1, 1, 1]
 
@@ -517,9 +517,8 @@ class TestFailingTrialInBatch:
         assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0
 
     def test_failure_inside_batch_training(self, monkeypatch):
-        # The real _stacked_loss reports a diverged rollout by its step and
-        # never raises; a non-finite gradient is the one way a run of the
-        # batch fails.
+        # The trial's gradient turns non-finite for good: its first failed
+        # epoch rolls back, the next one, with no step left to undo, aborts.
         clean = self.batch()
         bad_inputs = execute_trial(self.bad_spec(), FAST_CFG).truth.inputs
         original = leo.learning._stacked_loss
@@ -538,7 +537,7 @@ class TestFailingTrialInBatch:
         monkeypatch.setattr(leo.learning, "_stacked_loss", failing_loss)
         bad = self.check(clean, self.batch())
         assert max(calls) == 10
-        # a training failure: the enhanced observer falls back to nominal
+        # an aborted run: the enhanced observer falls back to nominal
         assert bad.flags["divergence"] and "error" not in bad.flags
         assert bad.e_enhanced_open == bad.e_nominal_open
         assert bad.to_json() == run_trial(self.bad_spec(), FAST_CFG).to_json()

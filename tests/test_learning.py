@@ -1,6 +1,7 @@
 import json
 import warnings
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,7 @@ from numpy.testing import assert_allclose
 import leo.learning
 import leo.lti_core
 import leo.observer
-from leo.exceptions import (
-    DivergedRollout,
-    PolePlacementInfeasible,
-    ShapeError,
-    SynthesisFailureError,
-)
+from leo.exceptions import DivergedRollout, ShapeError
 from leo.learning import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -49,6 +45,9 @@ from leo.lti_core import (
     _affine_rollout,
 )
 from leo.observer import (
+    NOT_PLACED,
+    PLACED,
+    UNOBSERVABLE,
     default_observer_poles,
     place_observer_poles,
     _checked_poles,
@@ -629,6 +628,50 @@ class TestTrain:
         assert res.diagnostics["abort_epoch"] == 0
         assert res.log == []
 
+    # Open loop with no input and outputs far above the model's: each
+    # step moves A, C and x0 by about lr. In the window the states stay
+    # finite while dL/dA, about 200 C / A times the last state, overflows.
+    GRADIENT_OVERFLOW = dict(B_hat=[[0.0]], C_hat=[[1e3]], x0_hat=[1e3])
+    OVERFLOW_CFG = TrainConfig(rollout_mode="open_loop", epochs=3, lr0=27.5, window_len=1)
+
+    def overflow_data(self):
+        return np.zeros((202, 1)), np.full((203, 1), 1e300)
+
+    def assert_gradient_overflows(self, params):
+        """The rollout at params stays finite and its gradient does not."""
+        cfg = self.OVERFLOW_CFG
+        inputs, measured = _window_data(*self.overflow_data(), (1, 1, 1), cfg)
+        _, grads, diverged_at = _stacked_loss(
+            (1, 1, 1), cfg, params.theta[None], params.theta[None], inputs[None], measured[None]
+        )
+        assert diverged_at[0] == 0 and not np.isfinite(grads).all()
+
+    def test_gradient_overflow_after_a_step_rolls_back(self):
+        init = LearnableParams(A_hat=[[4.0]], **self.GRADIENT_OVERFLOW)
+        res = train(init, *self.overflow_data(), self.OVERFLOW_CFG)
+        assert res.diagnostics["lr_halvings"] == 1 and not res.diagnostics["aborted"]
+        assert [e["lr"] for e in res.log] == [27.5, 13.75, 13.75]
+        assert np.isfinite(res.params.theta).all()
+        # the epoch that failed started where the first step left A
+        one_step = train(init, *self.overflow_data(), replace(self.OVERFLOW_CFG, epochs=1))
+        self.assert_gradient_overflows(one_step.params)
+        assert_same_training(res, train_reference(init, *self.overflow_data(), self.OVERFLOW_CFG))
+
+    @pytest.mark.parametrize("stage", ["gradient", "adam_step"])
+    def test_failed_first_epoch_aborts_without_raising(self, stage):
+        if stage == "gradient":
+            init = LearnableParams(A_hat=[[31.5]], **self.GRADIENT_OVERFLOW)
+            self.assert_gradient_overflows(init)
+            data, cfg = self.overflow_data(), self.OVERFLOW_CFG
+        else:  # a finite gradient times lr0 = 1e308 overflows the step
+            init = LearnableParams(A_hat=[[0.5]], B_hat=[[1e5]], C_hat=[[1e5]], x0_hat=[1e5])
+            data = np.ones((202, 1)), np.zeros((203, 1))
+            cfg = replace(self.OVERFLOW_CFG, lr0=1e308)
+        res = train(init, *data, cfg)
+        assert res.diagnostics["aborted"] and res.diagnostics["abort_epoch"] == 0
+        assert res.log == [] and res.params.theta.tobytes() == init.theta.tobytes()
+        assert_same_training(res, train_reference(init, *data, cfg))
+
     def test_unobservable_start_reuses_zero_gain(self):
         # identity dynamics with C = [1, 0] is unobservable: epoch 0 cannot
         # synthesize a gain and falls back to zero; generic gradient drift
@@ -705,7 +748,10 @@ def train_reference(init, inputs, measured_outputs, cfg):
     the coordinate conditioning that never fired; kept as the reference the
     batch must equal bit for bit. Each stacked call is made on a stack of
     one, through the names the trainer calls, so injected faults reach both.
-    Returns a ``TrainResult`` or raises."""
+    An epoch fails when its rollout diverges or its gradient or Adam step
+    is not finite; it then undoes the last step and halves the learning
+    rate, or aborts the run if there is no step to undo. Returns a
+    ``TrainResult``, or raises for data that does not cover the window."""
     n, p, q = init.dims
     k0, K = cfg.window_start, cfg.window_len
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
@@ -734,19 +780,18 @@ def train_reference(init, inputs, measured_outputs, cfg):
     }
     log = []
     prev_snapshot = None
-    consecutive_failures = 0
 
     epoch = 0
     while epoch < cfg.epochs:
         lr = cfg.lr_at(epoch) * 0.5 ** diagnostics["lr_halvings"]
         refreshed = False
         if luenberger:
-            gains, failures = leo.learning._place_poles(
+            gains, reason, _ = leo.learning._place_poles(
                 current.A_hat[None], current.C_hat[None], poles
             )
-            if not isinstance(failures.get(0), PolePlacementInfeasible):
+            if reason[0] != UNOBSERVABLE:
                 diagnostics["observable_epochs"] += 1
-            if not failures:
+            if reason[0] == PLACED:
                 L, refreshed = gains[0], True
             if refreshed:
                 diagnostics["gain_refreshes"] += 1
@@ -759,9 +804,15 @@ def train_reference(init, inputs, measured_outputs, cfg):
             init.dims, cfg, current.theta[None], anchor.theta[None], inputs[None],
             measured[None], L[None] if luenberger else None,
         )
-        if diverged_at[0]:
-            consecutive_failures += 1
-            if consecutive_failures >= 2 or prev_snapshot is None:
+        failed = bool(diverged_at[0]) or not np.isfinite(grads).all()
+        if not failed:
+            grads = LearnableParams(*_blocks(grads[0], *init.dims))
+            try:
+                stepped = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
+            except ShapeError:  # the step left the finite numbers
+                failed = True
+        if failed:
+            if prev_snapshot is None:
                 diagnostics["aborted"] = True
                 diagnostics["abort_epoch"] = epoch
                 break
@@ -769,8 +820,6 @@ def train_reference(init, inputs, measured_outputs, cfg):
             prev_snapshot = None
             diagnostics["lr_halvings"] += 1
             continue
-        consecutive_failures = 0
-        grads = LearnableParams(*_blocks(grads[0], *init.dims))
 
         data_term, reg_A, reg_B, reg_C, total = terms[0].tolist()
         log.append(
@@ -786,7 +835,7 @@ def train_reference(init, inputs, measured_outputs, cfg):
             }
         )
         prev_snapshot = (current, adam)
-        adam, current = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
+        adam, current = stepped
         epoch += 1
 
     diagnostics["never_observable"] = bool(
@@ -798,7 +847,7 @@ def train_reference(init, inputs, measured_outputs, cfg):
 
 
 def reference_outcome(init, inputs, measured_outputs, cfg):
-    """``train_reference``'s result, or the run failure it raised."""
+    """``train_reference``'s result, or the window error it raised."""
     try:
         return train_reference(init, inputs, measured_outputs, cfg)
     except ShapeError as exc:
@@ -831,11 +880,11 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
     {call number: fault} for ``_stacked_loss``: "diverge" marks its rollout
     diverged and "nan" makes its gradient non-finite. A run's count is
     that of a batch of one. ``placement_faults`` maps a run,
-    known by its rounded C[0, 0], to {call number: exception type} for
+    known by its rounded C[0, 0], to {call number: reason code} for
     ``_place_poles``, the observer's gate and synthesis in one:
-    ``SynthesisFailureError`` fails the synthesis, ``PolePlacementInfeasible``
-    makes the pair unobservable. Returns the counts, to be cleared between
-    a batch and its reference runs.
+    ``NOT_PLACED`` fails the synthesis, ``UNOBSERVABLE`` makes the pair
+    unobservable. Returns the counts, to be cleared between a batch and
+    its reference runs.
     """
     loss_faults, placement_faults = dict(loss_faults), dict(placement_faults)
     counts = {"loss": defaultdict(int), "placement": defaultdict(int)}
@@ -854,15 +903,14 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
         return terms, grads, diverged_at
 
     def faulty_placement(A, C, desired):
-        gains, failures = place(A, C, desired)
+        gains, reason, best = place(A, C, desired)
         for i, marker in enumerate(np.rint(C[:, 0, 0]).tolist()):
             if marker in placement_faults:
                 fault = placement_faults[marker].get(counts["placement"][marker])
                 if fault is not None:
-                    failures[i] = fault("injected")
-                    gains[i] = 0.0
+                    reason[i], gains[i], best[i] = fault, 0.0, np.nan
                 counts["placement"][marker] += 1
-        return gains, failures
+        return gains, reason, best
 
     monkeypatch.setattr(leo.learning, "_stacked_loss", faulty_loss)
     monkeypatch.setattr(leo.learning, "_place_poles", faulty_placement)
@@ -873,9 +921,7 @@ FAULT_KINDS = (
     "none", "rollback", "abort", "placement", "nan", "extreme", "unobservable",
     "loses_observability",
 )
-PLACEMENT_FAULTS = {
-    "placement": SynthesisFailureError, "loses_observability": PolePlacementInfeasible,
-}
+PLACEMENT_FAULTS = {"placement": NOT_PLACED, "loses_observability": UNOBSERVABLE}
 
 
 def faulty_runs(gen, dims, cfg, kinds, calls):
@@ -1016,7 +1062,9 @@ class TestBatchTraining:
         rollback, abort, placement, nan, extreme, unobservable, loses, plain = together
         assert rollback.diagnostics["lr_halvings"] == 1 and len(rollback.log) == 6
         assert abort.diagnostics["aborted"] and abort.diagnostics["abort_epoch"] == 1
-        assert isinstance(nan, ShapeError) and str(nan) == _NON_FINITE
+        # a non-finite gradient fails its epoch like a diverged rollout
+        assert nan.diagnostics["lr_halvings"] == 1 and len(nan.log) == 6
+        assert not nan.diagnostics["aborted"]
         assert len(extreme.log) == 6 and not extreme.diagnostics["aborted"]
         assert plain.diagnostics["lr_halvings"] == plain.diagnostics["gain_reuses"] == 0
         if mode == "luenberger":
@@ -1048,11 +1096,11 @@ class TestBatchTraining:
 
         def first_placement_fails(A, C, desired):
             batch_sizes.append(len(A))
-            gains, failures = place(A, C, desired)
+            gains, reason, best = place(A, C, desired)
             for i, a in enumerate(A):
                 if np.array_equal(a, poisoned):
-                    failures[i] = SynthesisFailureError("injected")
-            return gains, failures
+                    reason[i] = NOT_PLACED
+            return gains, reason, best
 
         monkeypatch.setattr(leo.learning, "_place_poles", first_placement_fails)
         together = _train_batch(*map(list, zip(*runs)), cfg)

@@ -520,12 +520,13 @@ class TestStackedSuitesMatchPerCaseReference:
             assert bits(check(cases, seed)[0]) == bits(worst), (suite, seed)
 
     @pytest.mark.parametrize("cases", [1, 3, 100])
-    def test_injected_fault_bitwise(self, cases):
+    def test_injected_fault_bitwise(self, monkeypatch, cases):
+        monkeypatch.setattr(local_lti, "_fit", transposed_output_fit)
         for seed in range(10):
             worst, per_case = check_local_fit_replay_reference(cases, seed, inject_fault=True)
-            got = local_lti._local_fit_residuals(cases, seed, inject_fault=True)
+            got = local_lti._local_fit_residuals(cases, seed)
             assert bits(got) == bits(per_case), seed
-            assert bits(check_local_fit_replay(cases, seed, inject_fault=True)[0]) == bits(worst)
+            assert bits(check_local_fit_replay(cases, seed)[0]) == bits(worst)
 
     def test_redrawn_windows_bitwise(self, monkeypatch):
         # A strict gate rejects many windows, so the suite draws in several rounds.
@@ -641,13 +642,11 @@ class TestPublicFunctionsAreRowsOfTheirCores:
                     expected.append(None)
             A = np.stack([cases[i][0] for i in rows])
             delta = np.array([cases[i][1] for i in rows])
-            if any(e is None for e in expected):
-                with pytest.raises(SingularMatrixError):
-                    local_lti._make_invertible(A, delta)
-                continue
-            out, nudged = local_lti._make_invertible(A, delta)
+            out, nudged, found = local_lti._make_invertible(A, delta)
             for r, i in enumerate(rows):
-                assert bits(out[r]) == bits(expected[r])
+                # a row its own call fails is found to fail, and is left as it was
+                assert found[r] == (expected[r] is not None)
+                assert bits(out[r]) == bits(cases[i][0] if expected[r] is None else expected[r])
                 assert nudged[r] == (expected[r] is not cases[i][0])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -750,6 +749,30 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="cases"):
             run_theory_checks(cases=cases)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_run_theory_checks_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_theory_checks(1, seed=seed)
+
+    def test_stack_inputs(self):
+        with pytest.raises(ShapeError, match="inputs"):
+            stack_inputs([[1.0, np.nan]], 1)
+        for N in (-1, 0, 2.5):
+            with pytest.raises(ShapeError, match="N must be an integer >= 1"):
+                stack_inputs(np.ones((3, 2)), N)
+        assert stack_inputs(np.arange(6.0).reshape(3, 2), 2).tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert stack_inputs(np.arange(3.0), 3).tolist() == [0.0, 1.0, 2.0]
+
+
+def transposed_output_fit(X, X_next, U, Y):
+    """``_fit`` with a fault: C = Y X^T, the transpose instead of the
+    pseudoinverse, which breaks the output replay of the local-fit suite."""
+    A, B, _ = FIT(X, X_next, U, Y)
+    return A, B, Y @ X.swapaxes(1, 2)
+
+
+FIT = local_lti._fit
+
 
 def poison_first_row(stage, item):
     """Wrap a stacked stage so that the first row of its result, or of
@@ -761,6 +784,20 @@ def poison_first_row(stage, item):
         parts[item or 0][0] = np.nan
         return tuple(parts) if item is not None else parts[0]
     return poisoned
+
+
+def test_case_that_cannot_be_nudged_fails_its_suite(monkeypatch, capsys):
+    # With every delta shrunk below the singularity tolerance, no singular
+    # case can be nudged; each is left as it was, so its residual is 1.
+    make = local_lti._make_invertible
+    monkeypatch.setattr(local_lti, "_make_invertible", lambda A, delta: make(A, delta * 1e-12))
+    report = run_theory_checks(cases=5, seed=0)
+    assert report["make_invertible"]["worst_residual"] == 1.0
+    assert [name for name, info in report.items() if not info["passed"]] == ["make_invertible"]
+    assert main(["theory-check", "--cases", "5", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "check make_invertible: FAIL  worst residual 1.000e+00" in out
+    assert out.count("PASS") == 3
 
 
 @pytest.mark.parametrize("stage, item, suite", [

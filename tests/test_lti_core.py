@@ -1,7 +1,5 @@
 import json
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,7 @@ from leo.lti_core import (
     simulate_true,
     spectral_radius,
     RANK_RTOL,
-    _observability_condition,
+    _observable,
 )
 
 A_DEMO = np.array([[1.02, 0.68], [-0.68, 0.34]])
@@ -155,33 +153,29 @@ class TestIsObservable:
     def test_distinct_diagonal_observable(self):
         assert is_observable(np.diag([0.5, 0.3]), [[1.0, 1.0]])
 
-    def test_condition_is_the_stack_condition_number(self):
-        # one SVD gives both the rank decision and condition_number's value
-        from leo.lti_core import _observability_condition
-
+    def test_decision_is_the_stack_rank_test(self):
+        # one SVD of the stack decides, with the RANK_RTOL cutoff
         gen = RngStream(6).generator()
         for n, q in ((2, 1), (3, 2), (4, 1), (4, 3)):
             for _ in range(5):
                 A, C = gen.standard_normal((n, n)), gen.standard_normal((q, n))
-                O = observability_matrix(A, C, n)
-                assert _observability_condition(A[None], C[None]) == [condition_number(O)]
-        assert _observability_condition(np.eye(2)[None], np.array([[[1.0, 0.0]]])) == [np.inf]
-        assert _observability_condition(np.eye(2)[None], np.array([[[0.0, 0.0]]])) == [np.inf]
+                s = np.linalg.svd(observability_matrix(A, C, n), compute_uv=False)
+                assert _observable(A[None], C[None]).tolist() == [s[-1] > RANK_RTOL * s[0]]
+        assert _observable(np.eye(2)[None], np.array([[[1.0, 0.0]]])).tolist() == [False]
+        assert _observable(np.eye(2)[None], np.array([[[0.0, 0.0]]])).tolist() == [False]
 
 
-def observability_condition_reference(A, C):
-    """The one-pair body that the stacked condition replaced; kept as the
-    reference it must equal bit for bit."""
+def observable_reference(A, C):
+    """The one-pair body that the stacked decision replaced; kept as the
+    reference it must equal."""
     blocks = [C]
     for _ in range(A.shape[0] - 1):
         blocks.append(blocks[-1] @ A)
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    if s[-1] <= RANK_RTOL * s[0]:
-        return math.inf
-    return float(s[0] / s[-1])
+    return not s[-1] <= RANK_RTOL * s[0]
 
 
-class TestStackedObservabilityCondition:
+class TestStackedObservable:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -202,18 +196,17 @@ class TestStackedObservabilityCondition:
                 C[b, :, 0] = 1.0  # every output sees only the first state
             else:
                 C[b] = 0.0
-        got = _observability_condition(A, C)
-        assert isinstance(got, list) and len(got) == batch
+        got = _observable(A, C)
+        assert got.dtype == bool and got.shape == (batch,)
         for b in range(batch):
-            assert got[b] == _observability_condition(A[b : b + 1], C[b : b + 1])[0]
-            assert got[b] == observability_condition_reference(A[b], C[b])
+            assert got[b] == _observable(A[b : b + 1], C[b : b + 1])[0]
+            assert got[b] == observable_reference(A[b], C[b])
         for b in unobservable:
-            assert got[b] == math.inf
+            assert not got[b]
 
-    def test_stack_of_one_pair_is_a_one_element_list(self):
-        value = _observability_condition(A_DEMO[None], C_DEMO[None])
-        assert type(value[0]) is float
-        assert value == [observability_condition_reference(A_DEMO, C_DEMO)]
+    def test_stack_of_one_pair_is_a_one_element_mask(self):
+        value = _observable(A_DEMO[None], C_DEMO[None])
+        assert value.tolist() == [observable_reference(A_DEMO, C_DEMO)] == [True]
 
 
 class TestSpectralRadius:

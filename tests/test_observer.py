@@ -17,10 +17,14 @@ from leo.lti_core import (
     is_observable,
     random_system,
     spectral_radius,
-    _observability_condition,
     _observability_stack,
+    _observable,
 )
 from leo.observer import (
+    NOT_PLACED,
+    PLACED,
+    SHARED_EIGENVALUE,
+    UNOBSERVABLE,
     ObserverGain,
     default_observer_poles,
     max_spectrum_deviation,
@@ -29,6 +33,7 @@ from leo.observer import (
     run_open_loop,
     _MAX_G_ATTEMPTS,
     _checked_poles,
+    _failure,
     _place_poles,
     _placement_constants,
     _spectrum_block_diag,
@@ -372,13 +377,15 @@ def place_poles_reference(A, C, desired, draws=None):
 def placement_rows(A, C, desired):
     """One stacked ``_place_poles`` call, per row: the ``ObserverGain``, or
     the exception of a row without a gain, whose gain must be zero."""
-    gains, failures = _place_poles(A, C, desired)
-    for b in failures:
-        assert not gains[b].any()
-    return [
-        failures.get(b) or ObserverGain(L=gains[b], desired_poles=tuple(desired))
-        for b in range(len(gains))
-    ]
+    gains, reason, best = _place_poles(A, C, desired)
+    rows = []
+    for b in range(len(gains)):
+        if reason[b] == PLACED:
+            rows.append(ObserverGain(L=gains[b], desired_poles=tuple(desired)))
+        else:
+            assert not gains[b].any()
+            rows.append(_failure(reason[b], best[b]))
+    return rows
 
 
 def assert_rows_match_reference(A, C, desired, draws=None):
@@ -576,11 +583,91 @@ class TestStackedPlacement:
         with pytest.raises(SynthesisFailureError, match="did not converge"):
             place_observer_poles(A[0], C[0], poles)
 
+    def test_rare_rows_reasons_and_best_are_own_calls(self, monkeypatch):
+        A, C, poles = rare_rows_batch()
+        stacked = _place_poles(A, C, poles)
+        assert_reasons_are_own_calls(A, C, poles, stacked)
+        _, reason, best = stacked
+        assert reason.tolist() == [PLACED] * 4 + [SHARED_EIGENVALUE, UNOBSERVABLE]
+        # a placed row's best is its accepted draw's; a row given no draw has none
+        assert (best[:3] < leo.observer._PLACEMENT_TOL).all() and np.isnan(best[3:]).all()
+        # with no draw accepted, each solved row keeps its least deviation
+        monkeypatch.setattr(leo.observer, "_PLACEMENT_TOL", 0.0)
+        stacked = _place_poles(A, C, poles)
+        assert_reasons_are_own_calls(A, C, poles, stacked)
+        _, reason, best = stacked
+        assert reason.tolist() == [NOT_PLACED] * 3 + [PLACED, SHARED_EIGENVALUE, UNOBSERVABLE]
+        assert (best[:3] >= 0.0).all() and np.isnan(best[3:]).all()
+
     def test_shared_constants_are_read_only(self):
         for constant in _placement_constants((0.1 + 0j, 0.3 + 0j, 0.5 + 0j), 2):
             assert not constant.flags.writeable
             with pytest.raises(ValueError):
                 constant[0] = 1.0
+
+
+def scaled_draws(scale):
+    """A patch for ``place_observer_poles``' G draws, scaled by ``scale``."""
+    def patch(monkeypatch, C, poles):
+        neg_kron, targets, draws = _placement_constants(tuple(poles), C.shape[0])
+        monkeypatch.setattr(
+            leo.observer, "_placement_constants", lambda *_: (neg_kron, targets, scale * draws)
+        )
+    return patch
+
+
+def no_accepted_draw(monkeypatch, C, poles):
+    monkeypatch.setattr(leo.observer, "_PLACEMENT_TOL", 0.0)
+
+
+def rare_row(b):
+    A, C, poles = rare_rows_batch()
+    return A[b], C[b], poles
+
+
+# Per reason code, a pair, a patch that gives it that reason (or None), and
+# the exception type and message that ``place_observer_poles`` raised for
+# it when ``_place_poles`` still built an exception for each failing row.
+# Each message is exact on any host: with zero draws no X is solved, the
+# n = 1 pair's deviation is an exact 0 (0.75 - 0.5 and 4 G are exact), and
+# G scaled by 1e10 makes the gain of A = 1e300, C = 1e-10 overflow.
+PUBLIC_FAILURES = {
+    "unobservable": (
+        lambda: (np.eye(2), np.array([[1.0, 0.0]]), [0.2, 0.3]), None, UNOBSERVABLE,
+        PolePlacementInfeasible, "pair (A, C) is not observable",
+    ),
+    "shared_eigenvalue": (
+        lambda: rare_row(4), None, SHARED_EIGENVALUE,
+        SynthesisFailureError, "A shares an eigenvalue with the requested poles",
+    ),
+    "no_draw_solved": (
+        lambda: rare_row(0), scaled_draws(0.0), NOT_PLACED,
+        SynthesisFailureError, "pole placement did not converge in 10 attempts",
+    ),
+    "least_deviation": (
+        lambda: (np.array([[0.75]]), np.array([[1.0]]), [0.5]), no_accepted_draw, NOT_PLACED,
+        SynthesisFailureError,
+        "pole placement did not converge in 10 attempts (best deviation 0.000e+00)",
+    ),
+    "every_solved_draw_overflowed": (
+        lambda: (np.array([[1e300]]), np.array([[1e-10]]), [0.1]), scaled_draws(1e10),
+        NOT_PLACED, SynthesisFailureError,
+        "pole placement did not converge in 10 attempts (best deviation inf)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUBLIC_FAILURES))
+def test_public_function_raises_each_reason_as_before(monkeypatch, case):
+    pair, patch, code, kind, message = PUBLIC_FAILURES[case]
+    A, C, poles = pair()
+    poles = _checked_poles(poles, A.shape[0])
+    if patch is not None:
+        patch(monkeypatch, C, poles)
+    assert _place_poles(A[None], C[None], poles)[1].tolist() == [code]
+    with pytest.raises(kind) as info:
+        place_observer_poles(A, C, poles)
+    assert type(info.value) is kind and str(info.value) == message
 
 
 # Entry magnitudes of extreme but finite pairs: ones whose products
@@ -611,23 +698,33 @@ def assert_rows_fail_alone(A, C, poles):
     raise nothing and warn nothing (pytest turns numpy warnings into
     errors): each row is bitwise its own call, a row without a gain has a
     zero gain, and an overflowing stack is unobservable. Returns the rows."""
-    gains, failures = _place_poles(A, C, poles)
-    conditions = _observability_condition(A, C)
+    gains, reason, best = _place_poles(A, C, poles)
+    decisions = _observable(A, C)
     with np.errstate(over="ignore", invalid="ignore"):
         overflowed = ~np.isfinite(_observability_stack(A, C, A.shape[1])).all(axis=(1, 2))
+    assert_reasons_are_own_calls(A, C, poles, (gains, reason, best))
     for b in range(len(A)):
-        own_gains, own_failures = _place_poles(A[b : b + 1], C[b : b + 1], poles)
-        assert gains[b].tobytes() == own_gains[0].tobytes()
-        assert repr(failures.get(b)) == repr(own_failures.get(0))
-        assert conditions[b] == _observability_condition(A[b : b + 1], C[b : b + 1])[0]
-        observable = conditions[b] != math.inf
+        observable = decisions[b]
+        assert observable == _observable(A[b : b + 1], C[b : b + 1])[0]
         assert is_observable(A[b], C[b]) == observable
         assert not (overflowed[b] and observable)
-        if b in failures:
+        assert (reason[b] == UNOBSERVABLE) == (not observable)
+        if reason[b] != PLACED:
             assert not gains[b].any()
-            want = SynthesisFailureError if observable else PolePlacementInfeasible
-            assert type(failures[b]) is want
-    return [failures.get(b, gains[b]) for b in range(len(A))]
+    return [gains[b] if reason[b] == PLACED else _failure(reason[b], best[b])
+            for b in range(len(A))]
+
+
+def assert_reasons_are_own_calls(A, C, poles, stacked):
+    """Each row of one stacked ``_place_poles`` call has bitwise the gain,
+    the reason code and the best deviation of its own call."""
+    gains, reason, best = stacked
+    assert reason.shape == best.shape == (len(A),)
+    for b in range(len(A)):
+        own_gains, own_reason, own_best = _place_poles(A[b : b + 1], C[b : b + 1], poles)
+        assert gains[b].tobytes() == own_gains[0].tobytes()
+        assert reason[b] == own_reason[0]
+        assert best[b].tobytes() == own_best[0].tobytes()
 
 
 class TestTotality:
