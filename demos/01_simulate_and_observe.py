@@ -48,7 +48,7 @@ poles = default_observer_poles(3)
 gain = place_observer_poles(system.real.A, system.real.C, poles)
 print(f"\nplaced observer poles at {poles.round(3)}")
 print(f"  achieved eig(A - LC): "
-      f"{np.sort_complex(np.linalg.eigvals(system.real.A - gain.L @ system.real.C)).round(4)}")
+      f"{np.sort_complex(np.linalg.eigvals(system.real.A - gain @ system.real.C)).round(4)}")
 
 x0_guess = system.x0_real + np.array([5.0, -8.0, 3.0])
 estimate = run_luenberger(system.real, gain, inputs, truth.outputs, x0_guess, T)

@@ -26,10 +26,8 @@ from .lti_core import (
     SystemGenConfig,
     Trajectory,
     TrueSystem,
-    condition_number,
     is_observable,
     is_schur,
-    matrix_from_json,
     matrix_to_json,
     observability_matrix,
     one_norm,
@@ -39,7 +37,6 @@ from .lti_core import (
     spectral_radius,
 )
 from .observer import (
-    ObserverGain,
     default_observer_poles,
     max_spectrum_deviation,
     place_observer_poles,
@@ -64,7 +61,6 @@ from .learning import (
     TrainConfig,
     TrainResult,
     adam_step,
-    elementwise_mean_abs,
     gradient,
     lambda_coefficients,
     log_to_jsonl,

@@ -31,7 +31,6 @@ from .lti_core import (
     simulate_true,
 )
 from .observer import (
-    ObserverGain,
     default_observer_poles,
     place_observer_poles,
     run_luenberger,
@@ -268,7 +267,7 @@ class _PreparedTrial:
     noise: NoiseRealization
     truth: Trajectory
     nominal: LtiParams
-    gain_nominal: ObserverGain
+    gain_nominal: np.ndarray
     init: LearnableParams
     flags: dict
 

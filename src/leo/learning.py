@@ -19,10 +19,10 @@ observable), loss and gradient (``_stacked_loss``, whose rollout and
 adjoint take one stacked matrix-vector product per time step) and the Adam
 update. Rollback, abort and gain reuse are masked assignments. Every stage
 gives each finite row a result: a pair it cannot place keeps its gain, and
-a diverged rollout or a gradient or Adam step that leaves the finite
-numbers fails that run's epoch, which one rule rolls back or aborts. A
-stacked call computes every row bitwise as a stack of one would, so a
-run's result does not depend on its batch; ``train``, ``loss``,
+a diverged rollout or a gradient, Adam step or second moment that leaves
+the finite numbers fails that run's epoch, which one rule rolls back or
+aborts. A stacked call computes every row bitwise as a stack of one would,
+so a run's result does not depend on its batch; ``train``, ``loss``,
 ``gradient`` and ``adam_step`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
@@ -48,7 +48,6 @@ __all__ = [
     "AdamState",
     "LossBreakdown",
     "TrainResult",
-    "elementwise_mean_abs",
     "lambda_coefficients",
     "loss",
     "gradient",
@@ -202,14 +201,6 @@ class LossBreakdown:
     reg_B: float
     reg_C: float
     total: float
-
-
-def elementwise_mean_abs(M) -> float:
-    """Mean of the absolute values of all entries."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        raise ValueError("mean absolute value of an empty array is undefined")
-    return float(np.abs(M).mean())
 
 
 def lambda_coefficients(n: int, p: int, q: int) -> tuple[float, float, float]:
@@ -435,13 +426,15 @@ def train(
     at first zero, is kept. Then in both modes: (c) loss and gradient with
     the gain frozen; (d) an Adam step at the scheduled learning rate.
 
-    An epoch fails when its rollout diverges or its gradient or Adam step
-    leaves the finite numbers. A failed epoch takes no step: it restores
-    the state from before the last step and halves the learning rate, or,
-    with no step to undo, aborts the run with its log so far. Both show in
-    ``diagnostics``: on finite parameters ``train`` raises nothing, unless
-    the data does not cover the window (``ShapeError``). It is a batch of
-    one of the Monte Carlo trainer and gives bitwise the same result.
+    An epoch fails when its rollout diverges or its gradient, Adam step or
+    second moment leaves the finite numbers (a second moment that
+    overflowed would stall its coordinates for the rest of the run). A
+    failed epoch takes no step: it restores the state from before the last
+    step and halves the learning rate, or, with no step to undo, aborts
+    the run with its log so far. Both show in ``diagnostics``: on finite
+    parameters ``train`` raises nothing, unless the data does not cover
+    the window (``ShapeError``). It is a batch of one of the Monte Carlo
+    trainer and gives bitwise the same result.
     """
     return _train_batch([init], [inputs], [measured_outputs], cfg)[0]
 
@@ -465,9 +458,9 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     anchor = np.stack([init.theta for init in inits])
     theta = anchor.copy()
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    step, epoch, halvings = (np.zeros(runs, dtype=int) for _ in range(3))
-    # The rollback snapshot: θ, m, v and step before each run's last Adam step.
-    state = (theta, m, v, step)
+    epoch, halvings = (np.zeros(runs, dtype=int) for _ in range(2))
+    # The rollback snapshot: θ, m and v before each run's last Adam step.
+    state = (theta, m, v)
     saved = [a.copy() for a in state]
     has_saved = np.zeros(runs, dtype=bool)
     luenberger = cfg.rollout_mode == "luenberger"
@@ -495,11 +488,16 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
         lrs = np.array(
             [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[rows].tolist(), halvings[rows].tolist())]
         )
+        # A kept step adds one to epoch and a rollback, which undoes one,
+        # adds one to halvings: epoch - halvings steps are in θ.
+        steps = epoch[rows] - halvings[rows] + 1
         stepped, m_new, v_new = _adam_update(
-            theta[rows], m[rows], v[rows], grads, (step[rows] + 1).tolist(), lrs.tolist(),
-            cfg.weight_decay,
+            theta[rows], m[rows], v[rows], grads, steps.tolist(), lrs.tolist(), cfg.weight_decay
         )
-        ok = (diverged_at == 0) & np.isfinite(grads).all(axis=1) & np.isfinite(stepped).all(axis=1)
+        ok = (
+            (diverged_at == 0) & np.isfinite(grads).all(axis=1)
+            & np.isfinite(stepped).all(axis=1) & np.isfinite(v_new).all(axis=1)
+        )
 
         # A failed epoch takes no step: it undoes the run's last step and
         # halves its learning rate; with no step to undo, the run aborts.
@@ -525,7 +523,6 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
             kept[good] = a[good]
         has_saved[good] = True
         theta[good], m[good], v[good] = stepped[ok], m_new[ok], v_new[ok]
-        step[good] += 1
         epoch[good] += 1
         live[good] = epoch[good] < cfg.epochs
 

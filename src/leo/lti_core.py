@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 import subprocess
@@ -40,10 +39,8 @@ __all__ = [
     "spectral_radius",
     "is_schur",
     "pinv",
-    "condition_number",
     "random_system",
     "matrix_to_json",
-    "matrix_from_json",
     "kernel_name",
 ]
 
@@ -125,21 +122,6 @@ class LtiParams:
         """(n, p, q): state, input and output dimensions."""
         return self.A.shape[0], self.B.shape[1], self.C.shape[0]
 
-    def to_json(self) -> dict:
-        return {
-            "A": matrix_to_json(self.A),
-            "B": matrix_to_json(self.B),
-            "C": matrix_to_json(self.C),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "LtiParams":
-        return LtiParams(
-            A=matrix_from_json(obj["A"]),
-            B=matrix_from_json(obj["B"]),
-            C=matrix_from_json(obj["C"]),
-        )
-
 
 @dataclass(frozen=True)
 class TrueSystem:
@@ -188,10 +170,6 @@ class NoiseRealization:
             )
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
-
-    @property
-    def horizon(self) -> int:
-        return self.w.shape[0]
 
     @staticmethod
     def zero(T: int, n: int, q: int) -> "NoiseRealization":
@@ -533,18 +511,6 @@ def _pinv(M: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     return out
 
 
-def condition_number(M: np.ndarray) -> float:
-    """sigma_max / sigma_min; +inf when the matrix is numerically singular."""
-    M = _as_matrix(M, name="M")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ValueError("condition number of a zero matrix is undefined")
-    smin = s[-1]
-    if smin < s[0] * 1e-16:
-        return math.inf
-    return float(s[0] / smin)
-
-
 @dataclass(frozen=True)
 class SystemGenConfig:
     """Knobs for random system generation.
@@ -619,12 +585,3 @@ def matrix_to_json(M: np.ndarray) -> dict:
         "data": [float(x) for x in M.reshape(-1)],
     }
 
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=float)
-    if data.size != rows * cols:
-        raise ShapeError(
-            f"matrix JSON declares {rows}x{cols} but carries {data.size} entries"
-        )
-    return data.reshape(rows, cols)

@@ -20,7 +20,6 @@ the requested poles (F, its Kronecker term and the G draws) is built once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -30,8 +29,6 @@ from .exceptions import PolePlacementInfeasible, ShapeError, SynthesisFailureErr
 from .lti_core import (
     LtiParams,
     Trajectory,
-    matrix_from_json,
-    matrix_to_json,
     _affine_rollout,
     _as_matrix,
     _checked_horizon,
@@ -39,7 +36,6 @@ from .lti_core import (
 )
 
 __all__ = [
-    "ObserverGain",
     "default_observer_poles",
     "max_spectrum_deviation",
     "place_observer_poles",
@@ -54,36 +50,6 @@ _PLACEMENT_TOL = 1e-7
 _MAX_G_ATTEMPTS = 10
 # The outcome codes of ``_place_poles``, one per row.
 PLACED, UNOBSERVABLE, SHARED_EIGENVALUE, NOT_PLACED = range(4)
-
-
-@dataclass(frozen=True)
-class ObserverGain:
-    """Observer gain L together with the pole locations it was built for."""
-
-    L: np.ndarray
-    desired_poles: tuple[complex, ...]
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
-        if L.ndim != 2:
-            raise ShapeError(f"L must be 2-D, got shape {L.shape}")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(
-            self, "desired_poles", tuple(complex(z) for z in self.desired_poles)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "L": matrix_to_json(self.L),
-            "desired_poles": [[z.real, z.imag] for z in self.desired_poles],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ObserverGain":
-        return ObserverGain(
-            L=matrix_from_json(obj["L"]),
-            desired_poles=tuple(complex(re, im) for re, im in obj["desired_poles"]),
-        )
 
 
 def default_observer_poles(n: int) -> np.ndarray:
@@ -194,8 +160,9 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(permutations(range(n))))
 
 
-def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
-    """Synthesize L so that eig(A - LC) equals the requested pole multiset.
+def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> np.ndarray:
+    """Synthesize the n x q gain L so that eig(A - LC) equals the requested
+    pole multiset.
 
     ``_place_poles`` on a stack of one, whose reason code for the row is
     raised here as its exception.
@@ -228,7 +195,7 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> ObserverGain:
     gains, reason, best = _place_poles(A[None], C[None], desired)
     if reason[0] != PLACED:
         raise _failure(reason[0], best[0])
-    return ObserverGain(L=gains[0], desired_poles=tuple(desired))
+    return gains[0]
 
 
 def _failure(reason: int, best: float) -> Exception:
@@ -349,10 +316,10 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:
-    """The n x q matrix of an ``ObserverGain`` or array; None is the zero gain."""
+    """The gain as an n x q float array; None is the zero gain."""
     if gain is None:
         return np.zeros((n, q))
-    L = gain.L if isinstance(gain, ObserverGain) else np.asarray(gain, dtype=float)
+    L = np.asarray(gain, dtype=float)
     if L.shape != (n, q):
         raise ShapeError(f"gain must be {n}x{q}, got {L.shape}")
     return L

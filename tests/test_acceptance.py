@@ -114,7 +114,7 @@ def test_criterion_3_pole_placement_accuracy():
                 break
             sys = random_system(n, p, q, RngStream(101, (i, t)))
             gain = place_observer_poles(sys.real.A, sys.real.C, poles)
-            attained = np.linalg.eigvals(sys.real.A - gain.L @ sys.real.C)
+            attained = np.linalg.eigvals(sys.real.A - gain @ sys.real.C)
             worst = max(worst, max_spectrum_deviation(attained, poles))
             count += 1
     elapsed = time.time() - start
@@ -188,10 +188,10 @@ def test_criterion_4_gradient_correctness():
             for idx in np.ndindex(arr.shape):
                 kw = {f: getattr(params, f).copy() for f in fields}
                 kw[field][idx] += h
-                up = extended_precision_loss(LearnableParams(**kw), gain.L, inputs, traj.outputs,
+                up = extended_precision_loss(LearnableParams(**kw), gain, inputs, traj.outputs,
                                              cfg, init)
                 kw[field][idx] -= 2 * h
-                dn = extended_precision_loss(LearnableParams(**kw), gain.L, inputs, traj.outputs,
+                dn = extended_precision_loss(LearnableParams(**kw), gain, inputs, traj.outputs,
                                              cfg, init)
                 fd = float((up - dn) / (2 * h))
                 excess = abs(g[idx] - fd) - max(1e-4 * abs(fd), 1e-8)
@@ -263,7 +263,7 @@ def test_criterion_9_exact_model_convergence():
         sys = random_system(n, p, q, gen)
         params = sys.real
         gain = place_observer_poles(params.A, params.C, default_observer_poles(n))
-        assert spectral_radius(params.A - gain.L @ params.C) < 1.0
+        assert spectral_radius(params.A - gain @ params.C) < 1.0
         T = 200
         inputs = gen.normal(0, 1, (T, p))
         traj = simulate_true(sys, inputs, NoiseRealization.zero(T, n, q), T)

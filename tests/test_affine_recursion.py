@@ -51,7 +51,7 @@ def seeded_instance(seed, dims, T=260):
     x0_hat = sys.x0_real + gen.normal(0, 10.0, n)
     params = LearnableParams.from_lti(sys.nominal(), x0_hat)
     gain = place_observer_poles(params.A_hat, params.C_hat, default_observer_poles(n))
-    return params, gain.L, inputs, traj.outputs
+    return params, gain, inputs, traj.outputs
 
 
 def assert_close_rel(actual, reference, scale=None):

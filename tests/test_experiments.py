@@ -446,7 +446,7 @@ class TestNominalRegeneration:
         assert len(draws) == 2
         assert np.array_equal(trial.nominal.A, draws[1].nominal().A)
         assert np.array_equal(trial.nominal.C, draws[1].nominal().C)
-        assert trial.gain_nominal.L.any()
+        assert trial.gain_nominal.any()
 
     def test_every_draw_unobservable(self, monkeypatch):
         draw = experiments.random_system

@@ -23,7 +23,6 @@ from leo.learning import (
     TrainConfig,
     TrainResult,
     adam_step,
-    elementwise_mean_abs,
     gradient,
     lambda_coefficients,
     log_to_jsonl,
@@ -129,9 +128,9 @@ def loss_and_gradient_reference(params, gain, inputs, measured_outputs, cfg, ini
     data_term = float(np.abs(residuals).mean(axis=1).sum() / K)
 
     dA, dB, dC, _ = _blocks(params.theta - anchor.theta, n, p, q)
-    reg_A = elementwise_mean_abs(dA)
-    reg_B = elementwise_mean_abs(dB)
-    reg_C = elementwise_mean_abs(dC)
+    reg_A = float(np.abs(dA).mean())
+    reg_B = float(np.abs(dB).mean())
+    reg_C = float(np.abs(dC).mean())
     breakdown = LossBreakdown(
         data_term=data_term,
         reg_A=reg_A,
@@ -177,21 +176,6 @@ def make_instance(seed, dims, x0_offset=10.0, noise=0.1, T=260):
     x0_hat = sys.x0_real + gen.normal(0, x0_offset, n)
     init = LearnableParams.from_lti(sys.nominal(), x0_hat)
     return sys, inputs, traj, init
-
-
-class TestElementwiseMeanAbs:
-    def test_matrix(self):
-        assert elementwise_mean_abs([[1.0, -1.0], [2.0, -2.0]]) == 1.5
-
-    def test_zero(self):
-        assert elementwise_mean_abs(np.zeros((3, 4))) == 0.0
-
-    def test_singleton(self):
-        assert elementwise_mean_abs([3.0]) == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            elementwise_mean_abs(np.zeros((0, 2)))
 
 
 class TestLambdaCoefficients:
@@ -254,7 +238,7 @@ class TestLoss:
         out = loss(params, gain, inputs, measured, cfg, init=init)
 
         # independent evaluation: observer recursion + windowed mean abs
-        L = gain.L
+        L = gain
         xh = X0_INIT.copy()
         data = 0.0
         for k in range(k0 + K + 1):
@@ -604,7 +588,7 @@ class TestTrain:
         cfg = TrainConfig(lambda_A=1e3, lambda_B=1e3, lambda_C=1e3, weight_decay=0.0)
         res = train(init, inputs, traj.outputs, cfg)
         for field in ("A_hat", "B_hat", "C_hat"):
-            drift = elementwise_mean_abs(getattr(res.params, field) - getattr(init, field))
+            drift = np.abs(getattr(res.params, field) - getattr(init, field)).mean()
             assert drift < 1e-3
 
     def test_loss_usually_decreases(self):
@@ -630,39 +614,71 @@ class TestTrain:
 
     # Open loop with no input and outputs far above the model's: each
     # step moves A, C and x0 by about lr. In the window the states stay
-    # finite while dL/dA, about 200 C / A times the last state, overflows.
+    # finite while dL/dA, about 200 C / A times the last state, grows
+    # fast with A: about 3e129 at A = 4, 3e259 at A = 17.75, whose square
+    # overflows, and inf at A = 31.5.
     GRADIENT_OVERFLOW = dict(B_hat=[[0.0]], C_hat=[[1e3]], x0_hat=[1e3])
     OVERFLOW_CFG = TrainConfig(rollout_mode="open_loop", epochs=3, lr0=27.5, window_len=1)
 
     def overflow_data(self):
         return np.zeros((202, 1)), np.full((203, 1), 1e300)
 
-    def assert_gradient_overflows(self, params):
-        """The rollout at params stays finite and its gradient does not."""
+    def overflow_gradient(self, params):
+        """The gradient at params, whose rollout stays finite."""
         cfg = self.OVERFLOW_CFG
         inputs, measured = _window_data(*self.overflow_data(), (1, 1, 1), cfg)
         _, grads, diverged_at = _stacked_loss(
             (1, 1, 1), cfg, params.theta[None], params.theta[None], inputs[None], measured[None]
         )
-        assert diverged_at[0] == 0 and not np.isfinite(grads).all()
+        assert diverged_at[0] == 0
+        return grads[0]
+
+    def assert_gradient_overflows(self, params):
+        assert not np.isfinite(self.overflow_gradient(params)).all()
+
+    def assert_second_moment_overflows(self, params):
+        """The gradient at params is finite and its square is not."""
+        g = self.overflow_gradient(params)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(g).all() and not np.isfinite(np.square(g)).all()
+
+    def train_overflow(self, A, cfg):
+        init = LearnableParams(A_hat=[[A]], **self.GRADIENT_OVERFLOW)
+        res = train(init, *self.overflow_data(), cfg)
+        assert_same_training(res, train_reference(init, *self.overflow_data(), cfg))
+        return init, res
 
     def test_gradient_overflow_after_a_step_rolls_back(self):
-        init = LearnableParams(A_hat=[[4.0]], **self.GRADIENT_OVERFLOW)
-        res = train(init, *self.overflow_data(), self.OVERFLOW_CFG)
+        # lr falls a hundredfold per epoch, so the retried epoch moves A
+        # only to about 4.14, where θ, m and v stay finite
+        cfg = replace(self.OVERFLOW_CFG, decay_every=1, decay_factor=100.0)
+        init, res = self.train_overflow(4.0, cfg)
         assert res.diagnostics["lr_halvings"] == 1 and not res.diagnostics["aborted"]
-        assert [e["lr"] for e in res.log] == [27.5, 13.75, 13.75]
-        assert np.isfinite(res.params.theta).all()
+        assert [e["lr"] for e in res.log] == [27.5, 0.1375, 0.001375]
+        assert 4.1 < res.params.A_hat[0, 0] < 4.2
         # the epoch that failed started where the first step left A
-        one_step = train(init, *self.overflow_data(), replace(self.OVERFLOW_CFG, epochs=1))
+        one_step = train(init, *self.overflow_data(), replace(cfg, epochs=1))
         self.assert_gradient_overflows(one_step.params)
-        assert_same_training(res, train_reference(init, *self.overflow_data(), self.OVERFLOW_CFG))
 
-    @pytest.mark.parametrize("stage", ["gradient", "adam_step"])
+    def test_second_moment_overflow_rolls_back(self):
+        # the retried epoch moves A to about 17.75; the epoch after it
+        # overflows Adam's second moment and is rolled back in turn
+        init, res = self.train_overflow(4.0, self.OVERFLOW_CFG)
+        assert res.diagnostics["lr_halvings"] == 2 and not res.diagnostics["aborted"]
+        assert [e["lr"] for e in res.log] == [27.5, 13.75, 6.875]
+        assert np.isfinite(res.params.theta).all()
+        two_steps = train(init, *self.overflow_data(), replace(self.OVERFLOW_CFG, epochs=2))
+        self.assert_second_moment_overflows(two_steps.params)
+
+    @pytest.mark.parametrize("stage", ["gradient", "second_moment", "adam_step"])
     def test_failed_first_epoch_aborts_without_raising(self, stage):
+        data, cfg = self.overflow_data(), self.OVERFLOW_CFG
         if stage == "gradient":
             init = LearnableParams(A_hat=[[31.5]], **self.GRADIENT_OVERFLOW)
             self.assert_gradient_overflows(init)
-            data, cfg = self.overflow_data(), self.OVERFLOW_CFG
+        elif stage == "second_moment":
+            init = LearnableParams(A_hat=[[17.75]], **self.GRADIENT_OVERFLOW)
+            self.assert_second_moment_overflows(init)
         else:  # a finite gradient times lr0 = 1e308 overflows the step
             init = LearnableParams(A_hat=[[0.5]], B_hat=[[1e5]], C_hat=[[1e5]], x0_hat=[1e5])
             data = np.ones((202, 1)), np.zeros((203, 1))
@@ -748,9 +764,9 @@ def train_reference(init, inputs, measured_outputs, cfg):
     the coordinate conditioning that never fired; kept as the reference the
     batch must equal bit for bit. Each stacked call is made on a stack of
     one, through the names the trainer calls, so injected faults reach both.
-    An epoch fails when its rollout diverges or its gradient or Adam step
-    is not finite; it then undoes the last step and halves the learning
-    rate, or aborts the run if there is no step to undo. Returns a
+    An epoch fails when its rollout diverges or its gradient, Adam step or
+    second moment is not finite; it then undoes the last step and halves
+    the learning rate, or aborts the run if there is no step to undo. Returns a
     ``TrainResult``, or raises for data that does not cover the window."""
     n, p, q = init.dims
     k0, K = cfg.window_start, cfg.window_len
@@ -811,6 +827,8 @@ def train_reference(init, inputs, measured_outputs, cfg):
                 stepped = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
             except ShapeError:  # the step left the finite numbers
                 failed = True
+            else:  # or its second moment overflowed
+                failed = not np.isfinite(stepped[0].v).all()
         if failed:
             if prev_snapshot is None:
                 diagnostics["aborted"] = True

@@ -1,4 +1,3 @@
-import json
 import math
 import operator
 from itertools import permutations
@@ -25,7 +24,6 @@ from leo.observer import (
     PLACED,
     SHARED_EIGENVALUE,
     UNOBSERVABLE,
-    ObserverGain,
     default_observer_poles,
     max_spectrum_deviation,
     place_observer_poles,
@@ -58,25 +56,25 @@ def attained(A, C, L):
 class TestPlaceObserverPoles:
     def test_scalar_placement_is_forced(self):
         gain = place_observer_poles([[0.5]], [[1.0]], [0.2])
-        assert_allclose(gain.L, [[0.3]], atol=1e-12)
+        assert_allclose(gain, [[0.3]], atol=1e-12)
 
     def test_demo_pair(self):
         gain = place_observer_poles(A_DEMO, C_DEMO, [0.2, 0.3])
         dev = max_spectrum_deviation(
-            attained(A_DEMO, C_DEMO, gain.L), np.array([0.2, 0.3], dtype=complex)
+            attained(A_DEMO, C_DEMO, gain), np.array([0.2, 0.3], dtype=complex)
         )
         assert dev < 1e-6
 
     def test_desired_equal_to_open_loop_spectrum(self):
         desired = np.linalg.eigvals(A_DEMO)
         gain = place_observer_poles(A_DEMO, C_DEMO, desired)
-        dev = max_spectrum_deviation(attained(A_DEMO, C_DEMO, gain.L), desired)
+        dev = max_spectrum_deviation(attained(A_DEMO, C_DEMO, gain), desired)
         assert dev < 1e-6
 
     def test_complex_pair_request(self):
         desired = np.array([0.3 + 0.25j, 0.3 - 0.25j])
         gain = place_observer_poles(A_DEMO, C_DEMO, desired)
-        assert max_spectrum_deviation(attained(A_DEMO, C_DEMO, gain.L), desired) < 1e-6
+        assert max_spectrum_deviation(attained(A_DEMO, C_DEMO, gain), desired) < 1e-6
 
     def test_unobservable_raises(self):
         with pytest.raises(PolePlacementInfeasible):
@@ -111,7 +109,7 @@ class TestPlaceObserverPoles:
         for t in range(100):
             sys = random_system(n, p, q, RngStream(99, (n, p, q, t)))
             gain = place_observer_poles(sys.real.A, sys.real.C, poles)
-            dev = max_spectrum_deviation(attained(sys.real.A, sys.real.C, gain.L), poles)
+            dev = max_spectrum_deviation(attained(sys.real.A, sys.real.C, gain), poles)
             assert dev < 1e-6
 
 
@@ -204,7 +202,7 @@ class TestObserverRollouts:
             self.params, gain, inputs, measured, self.sys.x0_real + [5.0, -3.0, 2.0], T
         )
         err = np.abs(roll.states - truth).sum(axis=1)
-        rho = spectral_radius(self.params.A - gain.L @ self.params.C) + 0.05
+        rho = spectral_radius(self.params.A - gain @ self.params.C) + 0.05
         # fit the envelope constant on the first 20 steps, check the tail
         c = max(err[k] / rho**k for k in range(21))
         for k in range(21, T + 1):
@@ -249,22 +247,6 @@ class TestTransforms:
         assert_allclose(moved.outputs, base.outputs, atol=1e-9)
         assert_allclose(moved.states, base.states @ T.T, atol=1e-9)
 
-
-class TestObserverGainSerialization:
-    def test_json_round_trip(self):
-        gain = place_observer_poles(A_DEMO, C_DEMO, [0.2, 0.3])
-        back = ObserverGain.from_json(json.loads(json.dumps(gain.to_json())))
-        assert_allclose(back.L, gain.L)
-        assert back.desired_poles == gain.desired_poles
-
-    def test_placement_tolerance_invariant(self):
-        gain = place_observer_poles(A_DEMO, C_DEMO, [0.2, 0.3])
-        dev = max_spectrum_deviation(
-            attained(A_DEMO, C_DEMO, gain.L),
-            np.asarray(gain.desired_poles, dtype=complex),
-        )
-        assert dev < 1e-6
-
     def test_transform_maps_gain_consistently(self):
         # observer built after a transform behaves like the original one
         gen = RngStream(71).generator()
@@ -273,7 +255,7 @@ class TestObserverGainSerialization:
         gain = place_observer_poles(params.A, params.C, default_observer_poles(3))
         T = np.eye(3) + 0.4 * gen.standard_normal((3, 3))
         moved = similar(T, params)
-        L2 = T @ gain.L
+        L2 = T @ gain
         inputs = gen.normal(0, 1, (50, 1))
         measured = gen.normal(0, 1, (50, 1))
         x0 = gen.normal(0, 1, 3)
@@ -341,7 +323,7 @@ def place_poles_reference(A, C, desired, draws=None):
         raise PolePlacementInfeasible("pair (A, C) is not observable")
     eig_A = np.linalg.eigvals(A)
     if lsa_deviation(eig_A, desired) < 1e-9:
-        return ObserverGain(L=np.zeros((n, C.shape[0])), desired_poles=tuple(desired))
+        return np.zeros((n, C.shape[0]))
 
     F, targets = _spectrum_block_diag(desired)
     # K is singular exactly when A shares an eigenvalue with F.
@@ -365,7 +347,7 @@ def place_poles_reference(A, C, desired, draws=None):
         L = np.linalg.solve(X.T, G.T)
         deviation = lsa_deviation(np.linalg.eigvals(A - L @ C), targets)
         if deviation < leo.observer._PLACEMENT_TOL:
-            return ObserverGain(L=L, desired_poles=tuple(desired))
+            return L
         if best is None or deviation < best[0]:
             best = (deviation, L)
     raise SynthesisFailureError(
@@ -375,13 +357,13 @@ def place_poles_reference(A, C, desired, draws=None):
 
 
 def placement_rows(A, C, desired):
-    """One stacked ``_place_poles`` call, per row: the ``ObserverGain``, or
+    """One stacked ``_place_poles`` call, per row: the gain, or
     the exception of a row without a gain, whose gain must be zero."""
     gains, reason, best = _place_poles(A, C, desired)
     rows = []
     for b in range(len(gains)):
         if reason[b] == PLACED:
-            rows.append(ObserverGain(L=gains[b], desired_poles=tuple(desired)))
+            rows.append(gains[b])
         else:
             assert not gains[b].any()
             rows.append(_failure(reason[b], best[b]))
@@ -401,9 +383,8 @@ def assert_rows_match_reference(A, C, desired, draws=None):
             assert type(row) is type(exc)
             assert row.args == exc.args and str(row) == str(exc)
             continue
-        assert isinstance(row, ObserverGain)
-        assert np.array_equal(row.L, want.L)
-        assert row.desired_poles == want.desired_poles
+        assert isinstance(row, np.ndarray)
+        assert np.array_equal(row, want)
     return got
 
 
@@ -464,7 +445,7 @@ class TestStackedPlacement:
         A, C, poles = rare_rows_batch()
         got = assert_rows_match_reference(A, C, poles)
         in_place, _, unobservable = got[-3:]
-        assert np.array_equal(in_place.L, np.zeros((3, 1)))
+        assert np.array_equal(in_place, np.zeros((3, 1)))
         n = A.shape[1]
         F, _ = _spectrum_block_diag(poles)
         K = np.kron(np.eye(n), A[-2].T) - np.kron(F.T, np.eye(n))
@@ -473,7 +454,7 @@ class TestStackedPlacement:
         assert str(unobservable) == "pair (A, C) is not observable"
         alone = placement_rows(A[:-3], C[:-3], poles)
         for mixed, own in zip(got, alone):
-            assert np.array_equal(mixed.L, own.L)
+            assert np.array_equal(mixed, own)
 
     def test_shared_eigenvalue_rows_fail_before_any_solve(self, monkeypatch):
         # The Kronecker operator of the shared-eigenvalue row is exactly
@@ -498,7 +479,7 @@ class TestStackedPlacement:
                 assert isinstance(row, SynthesisFailureError)
                 assert str(row) == "A shares an eigenvalue with the requested poles"
             else:
-                assert np.array_equal(row.L, place_observer_poles(A[b], C[b], poles).L)
+                assert np.array_equal(row, place_observer_poles(A[b], C[b], poles))
         with pytest.raises(SynthesisFailureError, match="shares an eigenvalue"):
             place_observer_poles(A[4], C[4], poles)
 
@@ -521,7 +502,7 @@ class TestStackedPlacement:
         monkeypatch.setattr(leo.observer, "_placement_constants", None)
         rows = placement_rows(A[[0, 3, 4, 5]], C[[0, 3, 4, 5]], poles)
         assert [type(row) for row in rows] == [
-            PolePlacementInfeasible, ObserverGain, PolePlacementInfeasible, PolePlacementInfeasible
+            PolePlacementInfeasible, np.ndarray, PolePlacementInfeasible, PolePlacementInfeasible
         ]
 
     # Column j of X scales with column j of G, as F is diagonal here: a zero
@@ -536,7 +517,7 @@ class TestStackedPlacement:
             leo.observer, "_placement_constants", lambda *_: (neg_kron, targets, patched)
         )
         got = assert_rows_match_reference(A, C, poles, patched)
-        assert isinstance(got[0], ObserverGain)
+        assert isinstance(got[0], np.ndarray)
         with pytest.raises(AssertionError):
             assert_rows_match_reference(A, C, poles)  # the unpatched draws differ
         # One direct stacked call on rows that all place: the early exit
@@ -544,8 +525,8 @@ class TestStackedPlacement:
         A, C, _ = placeable_batch()
         direct = placement_rows(A, C, poles)
         for b, row in enumerate(direct):
-            assert np.array_equal(row.L, place_poles_reference(A[b], C[b], poles, patched).L)
-        assert np.array_equal(direct[-1].L, np.zeros((3, 1)))
+            assert np.array_equal(row, place_poles_reference(A[b], C[b], poles, patched))
+        assert np.array_equal(direct[-1], np.zeros((3, 1)))
 
     def test_inaccurate_rows_report_their_best_deviation(self, monkeypatch):
         monkeypatch.setattr(leo.observer, "_PLACEMENT_TOL", 0.0)
@@ -568,7 +549,7 @@ class TestStackedPlacement:
         in_place = len(got) - 3
         for b, row in enumerate(got[:-1]):
             if b == in_place:
-                assert isinstance(row, ObserverGain)
+                assert isinstance(row, np.ndarray)
             else:
                 assert isinstance(row, SynthesisFailureError)
                 assert "best deviation" not in str(row)
@@ -578,7 +559,7 @@ class TestStackedPlacement:
         A, C, poles = rare_rows_batch()
         stacked = placement_rows(A[:-2], C[:-2], poles)
         for b in range(len(stacked)):
-            assert np.array_equal(place_observer_poles(A[b], C[b], poles).L, stacked[b].L)
+            assert np.array_equal(place_observer_poles(A[b], C[b], poles), stacked[b])
         monkeypatch.setattr(leo.observer, "_PLACEMENT_TOL", 0.0)
         with pytest.raises(SynthesisFailureError, match="did not converge"):
             place_observer_poles(A[0], C[0], poles)
