@@ -44,7 +44,6 @@ from .observer import (
     run_open_loop,
 )
 from .local_lti import (
-    StackedOperators,
     TrajectoryWindow,
     back_solve_initial_state,
     fit_local_lti,
@@ -52,15 +51,12 @@ from .local_lti import (
     make_invertible,
     run_theory_checks,
     stack_inputs,
-    stacked_operators,
 )
 from .learning import (
-    AdamState,
     LearnableParams,
     LossBreakdown,
     TrainConfig,
     TrainResult,
-    adam_step,
     gradient,
     lambda_coefficients,
     log_to_jsonl,

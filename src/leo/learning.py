@@ -22,8 +22,8 @@ gives each finite row a result: a pair it cannot place keeps its gain, and
 a diverged rollout or a gradient, Adam step or second moment that leaves
 the finite numbers fails that run's epoch, which one rule rolls back or
 aborts. A stacked call computes every row bitwise as a stack of one would,
-so a run's result does not depend on its batch; ``train``, ``loss``,
-``gradient`` and ``adam_step`` are batches of one.
+so a run's result does not depend on its batch; ``train``, ``loss`` and
+``gradient`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -45,13 +45,11 @@ from .observer import (
 __all__ = [
     "LearnableParams",
     "TrainConfig",
-    "AdamState",
     "LossBreakdown",
     "TrainResult",
     "lambda_coefficients",
     "loss",
     "gradient",
-    "adam_step",
     "train",
     "log_to_jsonl",
 ]
@@ -179,19 +177,6 @@ class TrainConfig:
             lb if self.lambda_B is None else self.lambda_B,
             lc if self.lambda_C is None else self.lambda_C,
         )
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment vectors, shaped like the parameter vector θ."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-    @staticmethod
-    def for_params(params: LearnableParams) -> "AdamState":
-        return AdamState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
 
 
 @dataclass(frozen=True)
@@ -344,7 +329,10 @@ def gradient(
 
 
 def _adam_update(theta, m, v, g, steps: list, lrs: list, weight_decay: float):
-    """One Adam update of stacked rows θ, m, v and gradients g (B, P).
+    """One Adam update of stacked rows θ, m, v and gradients g (B, P), with
+    bias correction and decoupled weight decay: θ shrinks by the factor
+    1 - lr * weight_decay before the increment, and the decay never enters
+    the gradient or the moments.
 
     ``steps`` and ``lrs`` give each row's step number t (counted from 1) and
     learning rate. The per-row lr, decay factor and bias corrections are
@@ -364,27 +352,6 @@ def _adam_update(theta, m, v, g, steps: list, lrs: list, weight_decay: float):
         v_hat = v / c2
         theta = theta * decay - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return theta, m, v
-
-
-def adam_step(
-    state: AdamState,
-    params: LearnableParams,
-    grads: LearnableParams,
-    lr: float,
-    weight_decay: float = 0.0,
-) -> tuple[AdamState, LearnableParams]:
-    """One Adam update with bias correction and decoupled weight decay.
-
-    Weight decay shrinks the parameters directly, by the factor
-    ``1 - lr * weight_decay``, before the Adam increment; it never enters
-    the gradient or the moments.
-    """
-    t = state.step + 1
-    theta, m, v = _adam_update(
-        params.theta[None], state.m[None], state.v[None], grads.theta[None], [t], [lr],
-        weight_decay,
-    )
-    return AdamState(m=m[0], v=v[0], step=t), LearnableParams(*_blocks(theta[0], *params.dims))
 
 
 @dataclass

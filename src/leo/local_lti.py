@@ -26,16 +26,15 @@ import numpy as np
 
 from .exceptions import RankDeficientError, ShapeError, SingularMatrixError
 from .lti_core import (
-    RANK_RTOL, LtiParams, _as_matrix, _as_vector, _observability_stack, _pinv, one_norm,
+    RANK_RTOL, LtiParams, _as_matrix, _as_square, _as_vector, _observability_stack, _pinv,
+    one_norm,
 )
 
 __all__ = [
     "TrajectoryWindow",
-    "StackedOperators",
     "fit_local_lti",
     "back_solve_initial_state",
     "make_invertible",
-    "stacked_operators",
     "stack_inputs",
     "initial_state_gap_bound",
     "run_theory_checks",
@@ -74,19 +73,6 @@ class TrajectoryWindow:
     @property
     def width(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class StackedOperators:
-    """Output stack operators over N steps.
-
-    ``O`` maps the initial state to the stacked outputs; ``Gamma`` maps the
-    stacked inputs, with block (i, j) = C A^{i-j-1} B for i > j and zero
-    otherwise (so the first block row, and the last block column, are zero).
-    """
-
-    O: np.ndarray       # (N q, n)
-    Gamma: np.ndarray   # (N q, N p)
 
 
 def _checked_count(value, name: str, low: int) -> int:
@@ -178,9 +164,7 @@ def make_invertible(A: np.ndarray, delta: float) -> np.ndarray:
     ``SingularMatrixError`` is raised if none is invertible (as when
     ``delta`` is below the singularity tolerance).
     """
-    A = _as_matrix(A, name="A")
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"A must be square, got {A.shape}")
+    A = _as_square(A)
     if not (isinstance(delta, numbers.Real) and 0 < delta < math.inf):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     out, nudged, found = _make_invertible(A[None], np.array([float(delta)]))
@@ -226,15 +210,11 @@ def _make_invertible(A: np.ndarray, delta: np.ndarray):
     return out, nudged, found
 
 
-def stacked_operators(params: LtiParams, N: int) -> StackedOperators:
-    """Build the N-step output-stack operators for a model."""
-    O, Gamma = _stacked_operators(params.A[None], params.B[None], params.C[None],
-                                  _checked_count(N, "N", 1))
-    return StackedOperators(O=O[0], Gamma=Gamma[0])
-
-
 def _stacked_operators(A: np.ndarray, B: np.ndarray, C: np.ndarray, N: int):
-    """``stacked_operators`` of stacked models: (O, Gamma) stacks."""
+    """The N-step output-stack operators (O, Gamma) of stacked models
+    A (G, n, n), B (G, n, p), C (G, q, n). O (G, N q, n) maps the initial
+    state to the stacked outputs; Gamma (G, N q, N p) maps the stacked
+    inputs, with block (i, j) = C A^(i-j-1) B for i > j and zero otherwise."""
     G, q, n = C.shape
     p = B.shape[-1]
     O = _observability_stack(A, C, N)

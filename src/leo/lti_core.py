@@ -72,6 +72,14 @@ def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = 
     return out
 
 
+def _as_square(A) -> np.ndarray:
+    """``A`` as a finite square matrix, else a ``ShapeError``."""
+    A = _as_matrix(A, name="A")
+    if A.shape[0] != A.shape[1]:
+        raise ShapeError(f"A must be square, got {A.shape}")
+    return A
+
+
 def _as_vector(v, size: int | None = None, name: str = "vector") -> np.ndarray:
     out = np.asarray(v, dtype=float).reshape(-1)
     if size is not None and out.size != size:
@@ -104,10 +112,8 @@ class LtiParams:
     C: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, name="A")
+        A = _as_square(self.A)
         n = A.shape[0]
-        if A.shape[1] != n:
-            raise ShapeError(f"A must be square, got {A.shape}")
         B = _as_matrix(self.B, rows=n, name="B")
         C = _as_matrix(self.C, cols=n, name="C")
         if B.shape[1] > n:
@@ -424,7 +430,7 @@ def _matches_numpy(loop) -> bool:
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
     """Vertical stack of C A^j for j = 0..N-1 (shape Nq x n)."""
-    A = _as_matrix(A, name="A")
+    A = _as_square(A)
     C = _as_matrix(C, cols=A.shape[0], name="C")
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -462,16 +468,14 @@ def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
 
     Rank uses the singular-value cutoff ``RANK_RTOL * sigma_max``.
     """
-    A = _as_matrix(A, name="A")
+    A = _as_square(A)
     C = _as_matrix(C, cols=A.shape[0], name="C")
     return bool(_observable(A[None], C[None])[0])
 
 
 def spectral_radius(A: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
-    A = _as_matrix(A, name="A")
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError("spectral radius requires a square matrix")
+    A = _as_square(A)
     try:
         eig = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger

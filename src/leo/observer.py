@@ -31,6 +31,7 @@ from .lti_core import (
     Trajectory,
     _affine_rollout,
     _as_matrix,
+    _as_square,
     _checked_horizon,
     _observable,
 )
@@ -176,7 +177,8 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> np.ndarray:
     Raises
     ------
     ShapeError
-        If A or C is not a finite matrix, or C has not n columns.
+        If A is not a finite square matrix, or C not a finite matrix with
+        n columns.
     PolePlacementInfeasible
         If (A, C) is unobservable, or its observability stack overflows;
         callers typically fall back to reusing a previously synthesized gain.
@@ -188,9 +190,8 @@ def place_observer_poles(A: np.ndarray, C: np.ndarray, desired) -> np.ndarray:
         (inf if every solved draw overflowed). Finite A and C, however
         large or small, raise nothing else.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_square(A)
     desired = _checked_poles(desired, A.shape[0])
-    A = _as_matrix(A, name="A")
     C = _as_matrix(C, cols=A.shape[0], name="C")
     gains, reason, best = _place_poles(A[None], C[None], desired)
     if reason[0] != PLACED:

@@ -21,6 +21,10 @@ DELETED = (
     ("lti_core", "condition_number"),
     ("lti_core", "matrix_from_json"),
     ("learning", "elementwise_mean_abs"),
+    ("learning", "AdamState"),
+    ("learning", "adam_step"),
+    ("local_lti", "StackedOperators"),
+    ("local_lti", "stacked_operators"),
 )
 
 

@@ -17,18 +17,17 @@ from leo.learning import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    AdamState,
     LearnableParams,
     LossBreakdown,
     TrainConfig,
     TrainResult,
-    adam_step,
     gradient,
     lambda_coefficients,
     log_to_jsonl,
     loss,
     train,
     _NON_FINITE,
+    _adam_update,
     _blocks,
     _stacked_loss,
     _train_batch,
@@ -334,55 +333,37 @@ class TestGradient:
 
 
 class TestAdamStep:
-    def scalar_params(self, value=1.0):
-        return LearnableParams(
-            A_hat=[[value]], B_hat=[[value]], C_hat=[[value]], x0_hat=[value]
+    def first_step(self, value, g, lr, weight_decay=0.0):
+        """θ, m and v after a first step from zero moments, as one row of the
+        (1, 1, 1) parameter vector with θ and g filled with ``value`` and ``g``."""
+        theta, m, v = _adam_update(
+            np.full((1, 4), value), np.zeros((1, 4)), np.zeros((1, 4)), np.full((1, 4), g),
+            [1], [lr], weight_decay,
         )
+        return theta[0], m[0], v[0]
 
     def test_zero_gradient_no_decay(self):
-        params = self.scalar_params(0.7)
-        grads = LearnableParams(
-            A_hat=np.zeros((1, 1)), B_hat=np.zeros((1, 1)),
-            C_hat=np.zeros((1, 1)), x0_hat=np.zeros(1),
-        )
-        state = AdamState.for_params(params)
-        state2, out = adam_step(state, params, grads, lr=1e-3, weight_decay=0.0)
-        assert state2.step == 1
-        for field in FIELDS:
-            assert_allclose(getattr(out, field), getattr(params, field))
+        theta, m, v = self.first_step(0.7, 0.0, lr=1e-3)
+        assert_allclose(theta, 0.7)
+        assert not m.any() and not v.any()
 
     def test_first_step_magnitude(self):
         # constant unit gradient: bias corrections cancel, update ~ -lr
         lr = 1e-3
-        params = self.scalar_params(0.0)
-        grads = LearnableParams(
-            A_hat=np.ones((1, 1)), B_hat=np.ones((1, 1)),
-            C_hat=np.ones((1, 1)), x0_hat=np.ones(1),
-        )
-        state = AdamState.for_params(params)
-        _, out = adam_step(state, params, grads, lr=lr, weight_decay=0.0)
-        expected = -lr / (1.0 + 1e-8)
-        assert out.A_hat[0, 0] == pytest.approx(expected, rel=1e-12)
+        theta, _, _ = self.first_step(0.0, 1.0, lr)
+        assert theta[0] == pytest.approx(-lr / (1.0 + 1e-8), rel=1e-12)
 
     def test_deterministic(self):
-        params = self.scalar_params(0.3)
-        grads = LearnableParams(
-            A_hat=np.full((1, 1), 0.2), B_hat=np.full((1, 1), -0.4),
-            C_hat=np.full((1, 1), 0.1), x0_hat=np.full(1, 0.7),
+        args = (
+            np.full((1, 4), 0.3), np.zeros((1, 4)), np.zeros((1, 4)),
+            np.array([[0.2, -0.4, 0.1, 0.7]]), [1], [1e-3], 1e-5,
         )
-        s1, p1 = adam_step(AdamState.for_params(params), params, grads, 1e-3, 1e-5)
-        s2, p2 = adam_step(AdamState.for_params(params), params, grads, 1e-3, 1e-5)
-        for field in FIELDS:
-            assert np.array_equal(getattr(p1, field), getattr(p2, field))
+        for first, second in zip(_adam_update(*args), _adam_update(*args)):
+            assert first.tobytes() == second.tobytes()
 
     def test_decoupled_decay_shrinks_params(self):
-        params = self.scalar_params(1.0)
-        grads = LearnableParams(
-            A_hat=np.zeros((1, 1)), B_hat=np.zeros((1, 1)),
-            C_hat=np.zeros((1, 1)), x0_hat=np.zeros(1),
-        )
-        _, out = adam_step(AdamState.for_params(params), params, grads, lr=0.1, weight_decay=0.01)
-        assert out.A_hat[0, 0] == pytest.approx(1.0 - 0.1 * 0.01)
+        theta, _, _ = self.first_step(1.0, 0.0, lr=0.1, weight_decay=0.01)
+        assert theta[0] == pytest.approx(1.0 - 0.1 * 0.01)
 
 
 class TestAdamStepMatchesPerTensorLoop:
@@ -390,28 +371,31 @@ class TestAdamStepMatchesPerTensorLoop:
     @given(
         seed=st.integers(0, 2**32 - 1),
         dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
-        step=st.integers(0, 299),
-        lr=st.floats(1e-8, 10.0),
+        rows=st.lists(
+            st.tuples(st.integers(0, 299), st.floats(1e-8, 10.0)), min_size=1, max_size=5
+        ),
         weight_decay=st.floats(0.0, 0.1),
         scale=st.sampled_from([1e-6, 1.0, 1e3]),
     )
-    def test_bitwise_equal(self, seed, dims, step, lr, weight_decay, scale):
+    def test_bitwise_equal(self, seed, dims, rows, weight_decay, scale):
+        # a stack of rows, each at its own step and learning rate
         gen = np.random.default_rng(seed)
-        params = random_params(gen, dims)
-        grads = random_params(gen, dims, scale)
-        m = random_params(gen, dims, scale)
-        v = random_params(gen, dims, scale**2)
-        v_abs = {key: np.abs(getattr(v, key)) for key in FIELDS}
-        state = AdamState(m=m.theta, v=flat(v_abs), step=step)
-        got_state, got = adam_step(state, params, grads, lr, weight_decay)
-        want_m, want_v, want_p = adam_step_per_tensor(
-            {key: getattr(m, key) for key in FIELDS}, v_abs, step, params, grads, lr, weight_decay
+        draws = [[random_params(gen, dims, s) for s in (1.0, scale, scale, scale**2)]
+                 for _ in rows]
+        theta, g, m, v = (np.stack([d[k].theta for d in draws]) for k in range(4))
+        got_theta, got_m, got_v = _adam_update(
+            theta, m, np.abs(v), g, [step + 1 for step, _ in rows], [lr for _, lr in rows],
+            weight_decay,
         )
-        assert got_state.step == step + 1
-        assert np.array_equal(got_state.m, flat(want_m))
-        assert np.array_equal(got_state.v, flat(want_v))
-        for key in FIELDS:
-            assert np.array_equal(getattr(got, key), want_p[key])
+        for r, ((step, lr), (params, grads, m_r, v_r)) in enumerate(zip(rows, draws)):
+            want_m, want_v, want_p = adam_step_per_tensor(
+                {key: getattr(m_r, key) for key in FIELDS},
+                {key: np.abs(getattr(v_r, key)) for key in FIELDS},
+                step, params, grads, lr, weight_decay,
+            )
+            assert got_m[r].tobytes() == flat(want_m).tobytes()
+            assert got_v[r].tobytes() == flat(want_v).tobytes()
+            assert got_theta[r].tobytes() == flat(want_p).tobytes()
 
 
 class TestLearnableParams:
@@ -438,9 +422,8 @@ class TestLearnableParams:
         sys, inputs, traj, init = make_instance(1, (2, 1, 1))
         gain = place_observer_poles(init.A_hat, init.C_hat, default_observer_poles(2))
         grads = gradient(init, gain, inputs, traj.outputs, TrainConfig(), init=init)
-        _, stepped = adam_step(AdamState.for_params(init), init, grads, 1e-3)
         trained = train(init, inputs, traj.outputs, TrainConfig(epochs=2)).params
-        for params in (grads, stepped, trained):
+        for params in (grads, trained):
             with pytest.raises(ValueError, match="read-only"):
                 params.A_hat[0, 0] = 1.0
 
@@ -592,12 +575,13 @@ class TestTrain:
             assert drift < 1e-3
 
     def test_loss_usually_decreases(self):
-        wins = 0
-        for t in range(50):
-            sys, inputs, traj, init = make_instance(1000 + t, (2, 1, 1))
-            res = train(init, inputs, traj.outputs, TrainConfig())
-            if res.log[-1]["loss_total"] <= res.log[0]["loss_total"]:
-                wins += 1
+        # one batch: each row is bitwise its own train run (TestBatchTraining)
+        instances = [make_instance(1000 + t, (2, 1, 1)) for t in range(50)]
+        results = _train_batch(
+            [init for *_, init in instances], [inputs for _, inputs, _, _ in instances],
+            [traj.outputs for _, _, traj, _ in instances], TrainConfig(),
+        )
+        wins = sum(res.log[-1]["loss_total"] <= res.log[0]["loss_total"] for res in results)
         assert wins >= 45
 
     def test_divergence_aborts_with_diagnostics(self):
@@ -779,7 +763,8 @@ def train_reference(init, inputs, measured_outputs, cfg):
     inputs, measured = inputs[: k0 + K], measured[: k0 + K + 1]
 
     current = anchor = init
-    adam = AdamState.for_params(current)
+    m = v = np.zeros((1, init.theta.size))
+    step = 0
     poles = tuple(_checked_poles(default_observer_poles(n), n))
     L = None
     luenberger = cfg.rollout_mode == "luenberger"
@@ -822,19 +807,17 @@ def train_reference(init, inputs, measured_outputs, cfg):
         )
         failed = bool(diverged_at[0]) or not np.isfinite(grads).all()
         if not failed:
-            grads = LearnableParams(*_blocks(grads[0], *init.dims))
-            try:
-                stepped = adam_step(adam, current, grads, lr, weight_decay=cfg.weight_decay)
-            except ShapeError:  # the step left the finite numbers
-                failed = True
-            else:  # or its second moment overflowed
-                failed = not np.isfinite(stepped[0].v).all()
+            theta, m_new, v_new = leo.learning._adam_update(
+                current.theta[None], m, v, grads, [step + 1], [lr], cfg.weight_decay
+            )
+            # the step or its second moment left the finite numbers
+            failed = not (np.isfinite(theta).all() and np.isfinite(v_new).all())
         if failed:
             if prev_snapshot is None:
                 diagnostics["aborted"] = True
                 diagnostics["abort_epoch"] = epoch
                 break
-            current, adam = prev_snapshot
+            current, m, v, step = prev_snapshot
             prev_snapshot = None
             diagnostics["lr_halvings"] += 1
             continue
@@ -852,8 +835,9 @@ def train_reference(init, inputs, measured_outputs, cfg):
                 "L_refreshed": refreshed,
             }
         )
-        prev_snapshot = (current, adam)
-        adam, current = stepped
+        prev_snapshot = (current, m, v, step)
+        current = LearnableParams(*_blocks(theta[0], *init.dims))
+        m, v, step = m_new, v_new, step + 1
         epoch += 1
 
     diagnostics["never_observable"] = bool(

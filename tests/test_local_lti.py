@@ -17,7 +17,6 @@ from leo.lti_core import (
     random_system,
 )
 from leo.local_lti import (
-    StackedOperators,
     TrajectoryWindow,
     back_solve_initial_state,
     check_back_solve_round_trip,
@@ -29,7 +28,6 @@ from leo.local_lti import (
     make_invertible,
     run_theory_checks,
     stack_inputs,
-    stacked_operators,
 )
 
 
@@ -169,12 +167,18 @@ class TestMakeInvertible:
         assert worst <= threshold
 
 
+def model_operators(params, N):
+    """``_stacked_operators`` of one model: its (O, Gamma)."""
+    O, Gamma = local_lti._stacked_operators(params.A[None], params.B[None], params.C[None], N)
+    return O[0], Gamma[0]
+
+
 class TestStackedOperators:
     def test_single_step(self):
         params = LtiParams(A=np.eye(2), B=np.ones((2, 1)), C=[[1.0, 2.0]])
-        ops = stacked_operators(params, 1)
-        assert_allclose(ops.O, [[1.0, 2.0]])
-        assert_allclose(ops.Gamma, np.zeros((1, 1)))
+        O, Gamma = model_operators(params, 1)
+        assert_allclose(O, [[1.0, 2.0]])
+        assert_allclose(Gamma, np.zeros((1, 1)))
 
     def test_blocks_match_direct_products(self):
         gen = RngStream(19).generator()
@@ -184,13 +188,13 @@ class TestStackedOperators:
             C=gen.standard_normal((1, 2)),
         )
         N = 3
-        ops = stacked_operators(params, N)
+        O, Gamma = model_operators(params, N)
         for i in range(N):
             assert_allclose(
-                ops.O[i : i + 1], params.C @ np.linalg.matrix_power(params.A, i), atol=1e-12
+                O[i : i + 1], params.C @ np.linalg.matrix_power(params.A, i), atol=1e-12
             )
             for j in range(N):
-                block = ops.Gamma[i : i + 1, j : j + 1]
+                block = Gamma[i : i + 1, j : j + 1]
                 if i > j:
                     expected = params.C @ np.linalg.matrix_power(params.A, i - j - 1) @ params.B
                     assert_allclose(block, expected, atol=1e-12)
@@ -209,8 +213,8 @@ class TestStackedOperators:
             outputs.append(params.C @ x)
             x = params.A @ x + params.B @ inputs[k]
         stacked_y = np.concatenate(outputs)
-        ops = stacked_operators(params, N)
-        predicted = ops.O @ sys.x0_real + ops.Gamma @ stack_inputs(inputs, N)
+        O, Gamma = model_operators(params, N)
+        predicted = O @ sys.x0_real + Gamma @ stack_inputs(inputs, N)
         assert_allclose(predicted, stacked_y, atol=1e-10)
 
 
@@ -339,22 +343,22 @@ def stacked_operators_reference(params, N):
     for i in range(1, N):
         for j in range(i):
             Gamma[i * q : (i + 1) * q, j * p : (j + 1) * p] = OB[i - j - 1]
-    return StackedOperators(O=O, Gamma=Gamma)
+    return O, Gamma
 
 
 def initial_state_gap_bound_reference(p1, p2, x2_0, U_stack, N):
-    ops1 = stacked_operators_reference(p1, N)
-    ops2 = stacked_operators_reference(p2, N)
-    s = np.linalg.svd(ops1.O, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-9 * s[0] or ops1.O.shape[0] < ops1.O.shape[1]:
+    O1, Gamma1 = stacked_operators_reference(p1, N)
+    O2, Gamma2 = stacked_operators_reference(p2, N)
+    s = np.linalg.svd(O1, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-9 * s[0] or O1.shape[0] < O1.shape[1]:
         raise RankDeficientError("first system's output stack lacks full column rank")
     U_stack = np.asarray(U_stack, dtype=float).reshape(-1)
     x2_0 = np.asarray(x2_0, dtype=float).reshape(-1)
     return float(
-        one_norm(pinv_reference(ops1.O))
+        one_norm(pinv_reference(O1))
         * (
-            one_norm(ops1.Gamma - ops2.Gamma) * one_norm(U_stack)
-            + one_norm(ops1.O - ops2.O) * one_norm(x2_0)
+            one_norm(Gamma1 - Gamma2) * one_norm(U_stack)
+            + one_norm(O1 - O2) * one_norm(x2_0)
         )
     )
 
@@ -469,7 +473,7 @@ def check_initial_state_gap_bound_reference(cases, seed):
         A = gen.standard_normal((n, n))
         A *= 0.9 / max(np.abs(np.linalg.eigvals(A)))
         p1 = LtiParams(A=A, B=gen.standard_normal((n, p)), C=gen.standard_normal((q, n)))
-        s = np.linalg.svd(stacked_operators_reference(p1, N).O, compute_uv=False)
+        s = np.linalg.svd(stacked_operators_reference(p1, N)[0], compute_uv=False)
         if s[-1] < 1e-6 * s[0]:
             continue
         T = np.eye(n) + 0.3 * gen.standard_normal((n, n))
@@ -669,9 +673,9 @@ class TestPublicFunctionsAreRowsOfTheirCores:
             bound = local_lti._gap_bound(*ops[0], *ops[1], np.stack([cases[i][2] for i in rows]),
                                          np.stack([cases[i][3] for i in rows]))
             for r, i in enumerate(rows):
-                one = stacked_operators(cases[i][0], N)
-                assert bits(one.O) == bits(ops[0][0][r])
-                assert bits(one.Gamma) == bits(ops[0][1][r])
+                O, Gamma = model_operators(cases[i][0], N)
+                assert bits(O) == bits(ops[0][0][r])
+                assert bits(Gamma) == bits(ops[0][1][r])
                 try:
                     expected = initial_state_gap_bound(*cases[i])
                 except RankDeficientError:
@@ -738,11 +742,11 @@ class TestArgumentChecks:
             with pytest.raises(ShapeError, match=field):
                 TrajectoryWindow(**{**good, field: value})
 
-    def test_stacked_operators_horizon(self):
+    def test_gap_bound_horizon(self):
         params = LtiParams(A=np.eye(2), B=np.ones((2, 1)), C=[[1.0, 2.0]])
         for N in (0, 1.5):
-            with pytest.raises(ShapeError, match="N"):
-                stacked_operators(params, N)
+            with pytest.raises(ShapeError, match="N must be an integer >= 1"):
+                initial_state_gap_bound(params, params, np.ones(2), np.ones(2), N)
 
     @pytest.mark.parametrize("cases", [2.5, "3", 0])
     def test_run_theory_checks_cases(self, cases):

@@ -24,6 +24,7 @@ from leo.lti_core import (
     RANK_RTOL,
     _observable,
 )
+from leo.observer import place_observer_poles
 
 A_DEMO = np.array([[1.02, 0.68], [-0.68, 0.34]])
 B_DEMO = np.array([[1.5], [0.7]])
@@ -328,6 +329,16 @@ class TestTypesAndSerialization:
         obj = matrix_to_json(M)
         assert obj["rows"] == 2 and obj["cols"] == 2
         assert obj["data"] == [1.5, -2.25, 0.0, 1e-17]  # row-major
+
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), 1.0], ids=["non-square", "0-d"])
+    @pytest.mark.parametrize("call", [
+        lambda A, C: observability_matrix(A, C, 2),
+        is_observable,
+        lambda A, C: place_observer_poles(A, C, [0.1, 0.2]),
+    ], ids=["observability_matrix", "is_observable", "place_observer_poles"])
+    def test_a_that_is_not_a_square_matrix_is_a_shape_error(self, call, A):
+        with pytest.raises(ShapeError, match="A must be"):
+            call(A, np.ones((1, 2)))
 
     def test_one_norm_conventions(self):
         assert one_norm([1.0, -2.0, 3.0]) == 6.0
