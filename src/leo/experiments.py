@@ -27,8 +27,8 @@ from .lti_core import (
     SystemGenConfig,
     TrueSystem,
     Trajectory,
+    _simulate_stack,
     random_system,
-    simulate_true,
 )
 from .observer import (
     default_observer_poles,
@@ -261,11 +261,17 @@ def execute_trial(
 
 @dataclass(frozen=True)
 class _PreparedTrial:
-    """A trial drawn, simulated and given its nominal gain, ready to train."""
+    """A trial drawn, simulated and given its nominal gain, ready to train.
+
+    ``_draw_trial`` makes it with ``truth`` None, and the true system's
+    simulation fills it in.
+    """
 
     spec: TrialSpec
+    system: TrueSystem
+    inputs: np.ndarray
     noise: NoiseRealization
-    truth: Trajectory
+    truth: Trajectory | None
     nominal: LtiParams
     gain_nominal: np.ndarray
     init: LearnableParams
@@ -279,6 +285,19 @@ def _prepare_trial(
     x0_hat_override: np.ndarray | None = None,
 ) -> _PreparedTrial:
     """Draw the system, place its nominal gain and simulate it."""
+    trial = _draw_trial(spec, cfg, system_override, x0_hat_override)
+    states, outputs = _simulate_trials([trial])
+    return _with_truth(trial, states[0], outputs[0])
+
+
+def _draw_trial(
+    spec: TrialSpec,
+    cfg: TrainConfig,
+    system_override: TrueSystem | None = None,
+    x0_hat_override: np.ndarray | None = None,
+) -> _PreparedTrial:
+    """Draw the system, its inputs, noise and initial estimate, and place
+    its nominal gain; the simulation, which draws nothing, comes after."""
     n, p, q = spec.dims
     T = spec.horizon
     if T < cfg.window_start + cfg.window_len:
@@ -314,20 +333,37 @@ def _prepare_trial(
         w=gen.normal(0.0, spec.process_noise_std, (T, n)),
         v=gen.normal(0.0, spec.measurement_noise_std, (T + 1, q)),
     )
-    traj = simulate_true(sysm, inputs, noise, T)
     if x0_hat_override is not None:
         x0_hat = np.asarray(x0_hat_override, dtype=float).reshape(n)
     else:
         x0_hat = sysm.x0_real + gen.normal(0.0, spec.x0_offset_std, n)
     return _PreparedTrial(
         spec=spec,
+        system=sysm,
+        inputs=inputs,
         noise=noise,
-        truth=traj,
+        truth=None,
         nominal=nominal,
         gain_nominal=gain_nominal,
         init=LearnableParams.from_lti(nominal, x0_hat),
         flags=flags,
     )
+
+
+def _simulate_trials(trials: list[_PreparedTrial]) -> tuple[np.ndarray, np.ndarray]:
+    """States and outputs of the drawn trials' true systems, which share
+    dims and horizon, from one stacked simulation."""
+    A, B, C, x0, inputs, w, v = (np.stack(a) for a in zip(*(
+        (t.system.real.A, t.system.real.B, t.system.real.C, t.system.x0_real, t.inputs,
+         t.noise.w, t.noise.v) for t in trials
+    )))
+    return _simulate_stack(A, B, C, x0, inputs, w, v)
+
+
+def _with_truth(trial: _PreparedTrial, states: np.ndarray, outputs: np.ndarray) -> _PreparedTrial:
+    """The trial with its simulated trajectory; a ``ShapeError`` if that
+    left the finite numbers."""
+    return replace(trial, truth=Trajectory(inputs=trial.inputs, states=states, outputs=outputs))
 
 
 def _score_trial(trial: _PreparedTrial, trained, cfg: TrainConfig) -> TrialExecution:
@@ -407,9 +443,15 @@ def run_trial(
 
 
 def _run_trials_guarded(specs: list[TrialSpec], cfg: TrainConfig) -> list[TrialResult]:
-    """A batch of trials for the harness: each trial is prepared, the
-    prepared ones train as one batch, then each is scored."""
-    prepared = [_guarded(_prepare_trial, spec, cfg) for spec in specs]
+    """A batch of trials for the harness: each trial is drawn, the drawn
+    ones are simulated as one stack and train as one batch, then each is
+    scored. A trial that fails a stage gets its failure's result alone."""
+    prepared = [_guarded(_draw_trial, spec, cfg) for spec in specs]
+    drawn = [i for i, trial in enumerate(prepared) if isinstance(trial, _PreparedTrial)]
+    if drawn:
+        states, outputs = _simulate_trials([prepared[i] for i in drawn])
+        for i, s, y in zip(drawn, states, outputs):
+            prepared[i] = _guarded(_with_truth, prepared[i], s, y)
     ready = [trial for trial in prepared if isinstance(trial, _PreparedTrial)]
     truths = [t.truth for t in ready]
     trained = iter(

@@ -244,13 +244,20 @@ def _stacked_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=Non
         if closed:
             forcing += measured[:, :-1] @ L.transpose(0, 2, 1)
         states = _affine_rollout(M, x0, forcing)
-        diverged_at = (~np.isfinite(states).all(axis=2)).argmax(axis=1)
+        finite = np.isfinite(states)
+        if finite.all():
+            diverged_at = np.zeros(len(states), dtype=np.intp)
+        else:
+            diverged_at = (~finite.all(axis=2)).argmax(axis=1)
         window = slice(k0, k0 + K + 1)
         residuals = measured[:, window] - states[:, window] @ C.transpose(0, 2, 1)
-        data_term = np.abs(residuals).mean(axis=2).sum(axis=1) / K
+        # sum / count is the reduction that mean runs, without its overhead
+        data_term = (np.abs(residuals).sum(axis=2) / q).sum(axis=1) / K
 
         dA, dB, dC, _ = _blocks(theta - anchor, n, p, q)
-        reg_A, reg_B, reg_C = (np.abs(d).mean(axis=(1, 2)) for d in (dA, dB, dC))
+        reg_A, reg_B, reg_C = (
+            np.abs(d).sum(axis=(1, 2)) / size for d, size in ((dA, n * n), (dB, n * p), (dC, q * n))
+        )
         total = data_term + lam_A * reg_A + lam_B * reg_B + lam_C * reg_C
         terms = np.stack((data_term, reg_A, reg_B, reg_C, total), axis=1)
         if not want_gradient:
@@ -440,26 +447,28 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
 
     while live.any():
         rows = np.flatnonzero(live)
+        # A round of every run takes the whole arrays, without row copies.
+        sel = slice(None) if len(rows) == runs else rows
         refreshed = np.full(len(rows), luenberger)
         if luenberger:
-            A, _, C, _ = _blocks(theta[rows], n, p, q)
+            A, _, C, _ = _blocks(theta[sel], n, p, q)
             gains, reason, _ = _place_poles(A, C, poles)
             refreshed = reason == PLACED
             L[rows[refreshed]] = gains[refreshed]
-            refreshes[rows] += refreshed
-            reuses[rows] += ~refreshed
-            observable_epochs[rows] += reason != UNOBSERVABLE
+            refreshes[sel] += refreshed
+            reuses[sel] += ~refreshed
+            observable_epochs[sel] += reason != UNOBSERVABLE
         terms, grads, diverged_at = _stacked_loss(
-            dims, cfg, theta[rows], anchor[rows], u[rows], y[rows], L[rows] if luenberger else None
+            dims, cfg, theta[sel], anchor[sel], u[sel], y[sel], L[sel] if luenberger else None
         )
         lrs = np.array(
-            [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[rows].tolist(), halvings[rows].tolist())]
+            [cfg.lr_at(e) * 0.5**h for e, h in zip(epoch[sel].tolist(), halvings[sel].tolist())]
         )
         # A kept step adds one to epoch and a rollback, which undoes one,
         # adds one to halvings: epoch - halvings steps are in θ.
-        steps = epoch[rows] - halvings[rows] + 1
+        steps = epoch[sel] - halvings[sel] + 1
         stepped, m_new, v_new = _adam_update(
-            theta[rows], m[rows], v[rows], grads, steps.tolist(), lrs.tolist(), cfg.weight_decay
+            theta[sel], m[sel], v[sel], grads, steps.tolist(), lrs.tolist(), cfg.weight_decay
         )
         ok = (
             (diverged_at == 0) & np.isfinite(grads).all(axis=1)
@@ -486,10 +495,15 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
                 "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
                 "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh,
             })
-        for a, kept in zip(state, saved):
-            kept[good] = a[good]
+        if len(good) == runs:
+            # Every run steps: the state before the step is the snapshot.
+            saved, state = state, (stepped, m_new, v_new)
+            theta, m, v = state
+        else:
+            for a, kept, new in zip(state, saved, (stepped, m_new, v_new)):
+                kept[good] = a[good]
+                a[good] = new[ok]
         has_saved[good] = True
-        theta[good], m[good], v[good] = stepped[ok], m_new[ok], v_new[ok]
         epoch[good] += 1
         live[good] = epoch[good] < cfg.epochs
 

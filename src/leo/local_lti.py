@@ -26,8 +26,8 @@ import numpy as np
 
 from .exceptions import RankDeficientError, ShapeError, SingularMatrixError
 from .lti_core import (
-    RANK_RTOL, LtiParams, _as_matrix, _as_square, _as_vector, _observability_stack, _pinv,
-    one_norm,
+    RANK_RTOL, LtiParams, _as_matrix, _as_square, _as_vector, _checked_count,
+    _observability_stack, _pinv, one_norm,
 )
 
 __all__ = [
@@ -73,13 +73,6 @@ class TrajectoryWindow:
     @property
     def width(self) -> int:
         return self.X.shape[1]
-
-
-def _checked_count(value, name: str, low: int) -> int:
-    """``value`` as an int of at least ``low``, else a ``ShapeError``."""
-    if not isinstance(value, numbers.Integral) or value < low:
-        raise ShapeError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def _one_norms(M: np.ndarray) -> np.ndarray:

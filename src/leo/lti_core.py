@@ -59,6 +59,13 @@ def _checked_horizon(horizon, default: int, available: int, what: str) -> int:
     return int(T)
 
 
+def _checked_count(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``, else a ``ShapeError``."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ShapeError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _as_matrix(M, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
     out = np.asarray(M, dtype=float)
     if out.ndim != 2:
@@ -258,15 +265,38 @@ def simulate_true(
     if noise.w.shape[1] != n or noise.v.shape[1] != q:
         raise ShapeError("noise dimensions do not match the system")
 
-    A, B, C = sys.real.A, sys.real.B, sys.real.C
-    states = np.empty((T + 1, n))
-    outputs = np.empty((T + 1, q))
-    states[0] = sys.x0_real
-    for k in range(T):
-        outputs[k] = C @ states[k] + noise.v[k]
-        states[k + 1] = A @ states[k] + B @ inputs[k] + noise.w[k]
-    outputs[T] = C @ states[T] + noise.v[T]
-    return Trajectory(inputs=inputs[:T], states=states, outputs=outputs)
+    real = sys.real
+    states, outputs = _simulate_stack(
+        real.A[None], real.B[None], real.C[None], sys.x0_real[None], inputs[None, :T],
+        noise.w[None, :T], noise.v[None, : T + 1],
+    )
+    return Trajectory(inputs=inputs[:T], states=states[0], outputs=outputs[0])
+
+
+def _simulate_stack(A, B, C, x0, inputs, w, v) -> tuple[np.ndarray, np.ndarray]:
+    """``simulate_true`` of a stack of systems that share dims and horizon.
+
+    A (S, n, n), B (S, n, p), C (S, q, n), x0 (S, n), inputs (S, T, p),
+    w (S, T, n) and v (S, T + 1, q) give states (S, T + 1, n) and outputs
+    (S, T + 1, q). Every product is a stacked matmul whose items are the
+    matrix-vector products of one system's step, and every step adds in
+    the order (A x_k + B u_k) + w_k, so each system is bitwise its own
+    stack of one.
+    """
+    S, T, _ = inputs.shape
+    n = A.shape[1]
+    # B u_k of every step at once, then the step loop, time-major.
+    drive = (B[:, None] @ inputs[..., None]).transpose(1, 0, 2, 3)
+    states = np.empty((T + 1, S, n, 1))
+    states[0, :, :, 0] = x0
+    matmul, add = np.matmul, np.add
+    for x, x_next, d, wk in zip(states[:-1], states[1:], drive, w.transpose(1, 0, 2)[..., None]):
+        matmul(A, x, x_next)
+        add(x_next, d, x_next)
+        add(x_next, wk, x_next)
+    states = np.ascontiguousarray(states[..., 0].transpose(1, 0, 2))
+    outputs = (C[:, None] @ states[..., None])[..., 0] + v
+    return states, outputs
 
 
 def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -294,12 +324,17 @@ def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
     For direct sensitivities d_0..d_K of a scalar to x_0..x_K, lambda_k is
     its total sensitivity to x_k (lambda_K = d_K) and lambda_{k+1} to f_k.
     Stacks only: M (B, n, n) and direct (B, K + 1, n) give (B, K + 1, n).
-    It is the rollout of M^T from d_K over d_{K-1}..d_0, read backwards.
+    It is the rollout of M^T from d_K over d_{K-1}..d_0, read backwards;
+    the C loop runs it backwards in place.
     """
     B, K1, n = direct.shape
     if M.shape != (B, n, n) or K1 < 1:
         raise ShapeError(f"adjoint of M {M.shape} with direct terms {direct.shape}")
-    backwards = _affine_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
+    adjoint = np.empty((B, K1, n))
+    loop = _load_c_loop()
+    if loop and loop(M.transpose(0, 2, 1), None, direct, adjoint):
+        return adjoint
+    backwards = _numpy_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
     return np.ascontiguousarray(backwards[:, ::-1])
 
 
@@ -326,42 +361,44 @@ def _numpy_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nda
 # loaded loop, or False where it is unavailable and the numpy loop runs.
 _c_loop = None
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# The order families of _kernel.c, in the order the loader tries them.
+_FAMILIES = ("skx", "hsw", "seq")
 
 
 def kernel_name() -> str:
-    """``"blas-c"`` if the rollout and adjoint run in the C loop, else
+    """``"c"`` if the rollout and adjoint run in the C loop, else
     ``"numpy"``; the first call loads the loop if no kernel call has yet."""
-    return "blas-c" if _load_c_loop() else "numpy"
+    return "c" if _load_c_loop() else "numpy"
 
 
 def _load_c_loop():
     """The C loop, built and checked on first use, or False.
 
     The library is compiled once per source and flag set into
-    ``$XDG_CACHE_HOME/leo`` (default ``~/.cache/leo``). Its steps call the
-    Fortran ``dgemv`` that scipy exports for Cython. That BLAS may be
-    another build than the one numpy calls, so the loop is kept only if it
-    matches the numpy loop bitwise on a fixed stack for each n = 1..4, on M
-    and on its transposed view, which the adjoint runs. Any failure (no
-    compiler, an unwritable cache, no capsule, a mismatch) leaves the numpy
-    loop in place, without a warning.
+    ``$XDG_CACHE_HOME/leo`` (default ``~/.cache/leo``). Its steps compute
+    each mat-vec in the operation order of one of OpenBLAS's dgemv
+    kernels for n <= 4, which numpy's matmul calls; the loader keeps the
+    first order family that matches the numpy loop bitwise on a fixed
+    stack (``_matches_numpy``). Any failure (no compiler, an unwritable
+    cache, no family that matches) leaves the numpy loop in place, without
+    a warning.
     """
     global _c_loop
     if _c_loop is None:
         try:
-            loop = _build_c_loop()
-        except (OSError, ImportError, KeyError, ValueError, subprocess.SubprocessError):
-            loop = None
-        _c_loop = loop if loop is not None and _matches_numpy(loop) else False
+            affine = _build_c_library()
+        except (OSError, subprocess.SubprocessError):
+            affine = None
+        loops = [] if affine is None else [_family_loop(affine, f) for f in range(len(_FAMILIES))]
+        _c_loop = next((loop for loop in loops if _matches_numpy(loop)), False)
     return _c_loop
 
 
-def _build_c_loop():
+def _build_c_library():
+    """``leo_affine`` of ``_kernel.c``, compiled on first use into the cache."""
     import ctypes
     import hashlib
     import tempfile
-
-    from scipy.linalg.cython_blas import __pyx_capi__ as blas
 
     source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
     with open(source, "rb") as fh:
@@ -382,59 +419,72 @@ def _build_c_loop():
             if os.path.exists(tmp):
                 os.remove(tmp)
     affine = ctypes.CDLL(library).leo_affine
-    affine.restype = None
-    affine.argtypes = [ctypes.c_void_p, ctypes.c_char, ctypes.c_long, ctypes.c_long,
-                       ctypes.c_int] + [ctypes.c_void_p] * 4
-    capsule = blas["dgemv"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    dgemv = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    affine.restype = ctypes.c_int
+    c_int, c_long = ctypes.c_int, ctypes.c_long
+    affine.argtypes = [c_int, c_int, c_int, c_long, c_long, c_int] + [ctypes.c_void_p] * 4
+    return affine
 
-    def loop(M, x0, f, out) -> bool:
-        """Run into ``out``, shaped as the result; False, with nothing run,
-        for a layout of M on which np.matmul calls no BLAS."""
-        n = out.shape[2]
-        # np.matmul picks the BLAS call by the layout of M: 'T' on its
+
+def _family_loop(affine, family: int):
+    """The C loop in order family ``family``, as ``_affine_rollout`` and
+    ``_affine_adjoint`` call it."""
+
+    def loop(S, x0, f, out) -> bool:
+        """Run the recursion of step matrix S into ``out``, shaped as the
+        result: forward from x0, or backward from f's last row where x0 is
+        None. False, with nothing run, for n > 4, for a layout of S on which
+        np.matmul calls no BLAS, or for a family this CPU cannot run."""
+        nb, K1, n = out.shape
+        if n > 4:
+            return False
+        # np.matmul picks the BLAS call by the layout of S: 'T' on its
         # row-major memory, 'N' on its column-major memory.
-        rows, cols = M.strides[1:]
+        rows, cols = S.strides[1:]
         if n == 1 or cols == 8 and rows % 8 == 0 and rows >= 8 * n:
-            trans, memory = b"T", M
+            trans, memory = 1, S
         elif rows == 8 and cols % 8 == 0 and cols >= 8 * n:
-            trans, memory = b"N", M.transpose(0, 2, 1)
+            trans, memory = 0, S.transpose(0, 2, 1)
         else:
             return False
-        P, x0, f = (np.ascontiguousarray(a, dtype=float) for a in (memory, x0, f))
-        affine(dgemv, trans, out.shape[0], out.shape[1] - 1, n,
-               P.ctypes.data, x0.ctypes.data, f.ctypes.data, out.ctypes.data)
-        return True
+        P, f = np.ascontiguousarray(memory, dtype=float), np.ascontiguousarray(f, dtype=float)
+        start = None if x0 is None else np.ascontiguousarray(x0, dtype=float)
+        return bool(affine(family, trans, start is None, nb, K1 - 1, n, P.ctypes.data,
+                           None if start is None else start.ctypes.data, f.ctypes.data,
+                           out.ctypes.data))
 
     return loop
 
 
 def _matches_numpy(loop) -> bool:
     """True iff ``loop`` gives the numpy loop's bits on a fixed seeded stack
-    per n = 1..4, run on M and on its transposed view."""
+    per n = 1..4, forward and backward, on M and on its transposed view.
+    The stack holds exact zeros, -0.0 and subnormal products."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20250611)))
     for n in range(1, 5):
-        M = 0.6 * gen.standard_normal((3, n, n))
-        x0 = gen.standard_normal((3, n))
-        f = gen.standard_normal((3, 17, n))
+        M = 0.6 * gen.standard_normal((4, n, n))
+        x0 = gen.standard_normal((4, n))
+        f = gen.standard_normal((4, 17, n))
+        M[0, 0], x0[0], f[0, :, 0] = 0.0, -0.0, -0.0
+        M[1] *= 1e-160
+        x0[1] *= 1e-160
+        f[1] *= 1e-300
         for S in (M, M.transpose(0, 2, 1)):
-            states = np.empty((3, 18, n))
-            loop(S, x0, f, states)
-            if states.tobytes() != _numpy_rollout(S, x0, f).tobytes():
+            states, adjoint = np.empty((4, 17, n)), np.empty((4, 17, n))
+            if not (loop(S, x0, f[:, 1:], states) and loop(S, None, f, adjoint)):
+                return False
+            backwards = _numpy_rollout(S, f[:, -1], f[:, -2::-1])[:, ::-1]
+            if (states.tobytes() != _numpy_rollout(S, x0, f[:, 1:]).tobytes()
+                    or adjoint.tobytes() != backwards.tobytes()):
                 return False
     return True
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
-    """Vertical stack of C A^j for j = 0..N-1 (shape Nq x n)."""
+    """Vertical stack of C A^j for j = 0..N-1 (shape Nq x n); an N that
+    is not an integer >= 1 raises ``ShapeError``."""
     A = _as_square(A)
     C = _as_matrix(C, cols=A.shape[0], name="C")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _observability_stack(A, C, N)
+    return _observability_stack(A, C, _checked_count(N, "N", 1))
 
 
 def _observability_stack(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:

@@ -262,9 +262,14 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     observable = _observable(A, C)
     reason = np.where(observable, PLACED, UNOBSERVABLE)
     # A row whose spectrum is already in place keeps the zero gain, which
-    # realizes it exactly.
+    # realizes it exactly. Only a row with an eigenvalue within 1e-9 of a
+    # requested pole (or a NaN distance) can be; the others skip the search.
     eig = np.linalg.eigvals(A[observable])
-    todo = _spectrum_deviation(eig, np.asarray(desired)) >= 1e-9
+    requested = np.asarray(desired)
+    todo = np.ones(len(eig), dtype=bool)
+    near = ~(np.abs(eig[:, :, None] - requested) >= 1e-9).all(axis=(1, 2))
+    if near.any():
+        todo[near] = _spectrum_deviation(eig[near], requested) >= 1e-9
     # The rows still without a gain: their positions in the batch and arrays.
     rows = np.flatnonzero(observable)[todo]
     if not len(rows):

@@ -116,7 +116,7 @@ class TestMonteCarlo:
         ) == 0
         kernel = json.loads((out / "summary.json").read_text())["kernel"]
         assert kernel == ("numpy" if forced else lti_core.kernel_name())
-        assert kernel in ("blas-c", "numpy")
+        assert kernel in ("c", "numpy")
 
     def test_too_few_trials_rejected(self, tmp_path, capsys):
         out = tmp_path / "mc"

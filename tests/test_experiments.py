@@ -504,14 +504,14 @@ class TestFailingTrialInBatch:
 
     def test_draw_failure(self, monkeypatch):
         clean = self.batch()
-        original = experiments._prepare_trial
+        original = experiments._draw_trial
 
         def failing_draw(spec, *args):
             if spec.trial_index == self.BAD:
                 raise GenerationError("injected")
             return original(spec, *args)
 
-        monkeypatch.setattr(experiments, "_prepare_trial", failing_draw)
+        monkeypatch.setattr(experiments, "_draw_trial", failing_draw)
         bad = self.check(clean, self.batch())
         assert bad.flags == {"divergence": True, "error": "GenerationError: injected"}
         assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0

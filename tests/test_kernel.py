@@ -41,7 +41,7 @@ def same_bits(a, b):
 def stacks(draw):
     """M, x0, forcing and direct terms of B runs, in the layouts callers pass."""
     seed = draw(st.integers(0, 2**32 - 1))
-    batch, n, steps = draw(st.integers(1, 11)), draw(st.integers(1, 4)), draw(st.integers(0, 259))
+    batch, n, steps = draw(st.integers(1, 11)), draw(st.integers(1, 5)), draw(st.integers(0, 259))
     gen = np.random.default_rng(seed)
     M = 0.6 * gen.standard_normal((batch, n, n))
     x0 = gen.standard_normal((batch, n))
@@ -61,11 +61,25 @@ def stacks(draw):
         M, x0 = theta[:, : n * n].reshape(batch, n, n), theta[:, n * n : n * n + n]
         forcing = np.repeat(forcing, 2, axis=1)[:, ::2]
         direct = np.repeat(direct, 2, axis=1)[:, ::2]
+    values = draw(st.sampled_from(["normal", "zeros", "tiny", "wide"]))
+    if values == "zeros":
+        # exact zeros and -0.0, whose sign the first add of a step drops
+        for a in (M, x0, forcing, direct):
+            a[gen.random(a.shape) < 0.3] = 0.0
+            a[gen.random(a.shape) < 0.3] = -0.0
+    elif values == "tiny":
+        # subnormal products, and forcing small enough not to hide them
+        for a, scale in ((M, 1e-160), (x0, 1e-160), (forcing, 1e-300), (direct, 1e-300)):
+            a *= scale
+    elif values == "wide":
+        for a in (M, x0, forcing, direct):
+            a *= np.exp(gen.uniform(-30.0, 30.0, a.shape))
     bad = draw(st.sampled_from(["none", "overflow", "nan"]))
     if bad != "none":
         row = draw(st.integers(0, batch - 1))
         if bad == "overflow":
-            M[row] *= 1e300
+            with np.errstate(over="ignore"):  # wide entries may overflow here
+                M[row] *= 1e300
         else:
             x0[row, 0] = direct[row, 0, 0] = np.nan
             forcing[row, steps // 2 :, -1] = np.nan
@@ -96,7 +110,56 @@ class TestCLoopMatchesNumpyLoop:
         # a silent fallback on a host with cc would hide every gain
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on this host")
-        assert lti_core.kernel_name() == "blas-c"
+        assert lti_core.kernel_name() == "c"
+
+    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, tmp_path):
+        # OpenBLAS picks its dgemv kernel by core at run time; each order
+        # family must match the cores it names, not only this host's own
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        if not openblas_can_run_avx2_cores():
+            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
+        code = (
+            "import numpy as np\n"
+            "from leo import lti_core as lc\n"
+            "assert lc.kernel_name() == 'c'\n"
+            "lib = lc._build_c_library()\n"
+            "print(*(name for f, name in enumerate(lc._FAMILIES)\n"
+            "        if lc._matches_numpy(lc._family_loop(lib, f))))\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n in range(1, 5):\n"
+            "    M, x0 = gen.standard_normal((7, n, n)), gen.standard_normal((7, n))\n"
+            "    f, d = gen.standard_normal((7, 300, n)), gen.standard_normal((7, 301, n))\n"
+            "    M[0], x0[0] = -0.0, -0.0\n"
+            "    for S in (M, M.transpose(0, 2, 1)):\n"
+            "        ref = lc._numpy_rollout(S, x0, f)\n"
+            "        assert lc._affine_rollout(S, x0, f).tobytes() == ref.tobytes()\n"
+            "        back = lc._numpy_rollout(S.transpose(0, 2, 1), d[:, -1], d[:, -2::-1])\n"
+            "        assert lc._affine_adjoint(S, d).tobytes() == back[:, ::-1].tobytes()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path),
+                   OPENBLAS_CORETYPE=core)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [family]
+
+
+def openblas_can_run_avx2_cores():
+    """True iff numpy's BLAS is an OpenBLAS that picks its kernels at run
+    time, on a CPU with AVX2 and FMA."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError):
+        return False
+    openblas = "openblas" in blas.get("name", "")
+    dynamic = "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    return bool(openblas and dynamic and cpu.get("AVX2") and cpu.get("FMA3"))
 
 
 class TestLoader:
@@ -123,12 +186,6 @@ class TestLoader:
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh.parent / "not-a-dir"))
         self.check_numpy_fallback()
 
-    def test_no_blas_capsule(self, fresh, monkeypatch):
-        import scipy.linalg.cython_blas as cython_blas
-
-        monkeypatch.delitem(cython_blas.__pyx_capi__, "dgemv")
-        self.check_numpy_fallback()
-
     def test_probe_mismatch(self, fresh, monkeypatch):
         monkeypatch.setattr(lti_core, "_matches_numpy", lambda loop: False)
         self.check_numpy_fallback()
@@ -138,19 +195,23 @@ class TestLoader:
         if not loop:
             pytest.skip("the C loop does not load on this host")
 
-        def off_by_one_ulp(transposed_only):
-            def moved(M, x0, f, out):
-                ran = loop(M, x0, f, out)
-                if not (transposed_only and M.flags.c_contiguous):
+        def off_by_one_ulp(where):
+            def moved(S, x0, f, out):
+                ran = loop(S, x0, f, out)
+                if where(S, x0):
                     out[-1, -1] = np.nextafter(out[-1, -1], np.inf)
                 return ran
 
             return moved
 
         assert lti_core._matches_numpy(loop)
-        assert not lti_core._matches_numpy(off_by_one_ulp(False))
-        # the layout the adjoint runs on is checked too
-        assert not lti_core._matches_numpy(off_by_one_ulp(True))
+        assert not lti_core._matches_numpy(off_by_one_ulp(lambda S, x0: True))
+        # the transposed layout and the backward loop are checked too
+        assert not lti_core._matches_numpy(off_by_one_ulp(lambda S, x0: not S.flags.c_contiguous))
+        assert not lti_core._matches_numpy(off_by_one_ulp(lambda S, x0: x0 is None))
+
+    def test_probe_rejects_a_loop_that_does_not_run(self, fresh):
+        assert not lti_core._matches_numpy(lambda S, x0, f, out: False)
 
     def test_concurrent_first_builds_share_one_library(self, fresh):
         if shutil.which("cc") is None:
@@ -160,19 +221,22 @@ class TestLoader:
         procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                                   text=True) for _ in range(3)]
         outputs = [proc.communicate(timeout=240)[0].strip() for proc in procs]
-        assert outputs == ["blas-c"] * 3
+        assert outputs == ["c"] * 3
         assert [p.suffix for p in fresh.iterdir()] == [".so"]
 
 
 def test_import_loads_neither_scipy_linalg_nor_the_kernel(tmp_path):
+    # and loading the kernel later imports no scipy.linalg either
     code = (
-        "import sys, leo\n"
+        "import os, sys, leo\n"
         "loaded = [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "assert leo.lti_core._c_loop is None\n"
+        f"assert os.listdir({str(tmp_path)!r}) == []\n"
+        "leo.lti_core.kernel_name()\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert list(tmp_path.iterdir()) == []

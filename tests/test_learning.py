@@ -1118,8 +1118,7 @@ class TestBatchTraining:
 
     def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch):
         # ten runs of one problem: each epoch's observability decision,
-        # rollout and adjoint are one call over all ten; the adjoint is a
-        # rollout of M^T, so the rollout runs twice an epoch
+        # rollout and adjoint are one call over all ten
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -1146,7 +1145,7 @@ class TestBatchTraining:
             assert got.diagnostics["lr_halvings"] == 0
         # each observability stack is factorized by exactly one SVD
         assert batches == {
-            "_affine_rollout": [10] * 2 * epochs,
+            "_affine_rollout": [10] * epochs,
             "_affine_adjoint": [10] * epochs,
             "_observability_stack": [10] * epochs,
         }

@@ -23,6 +23,7 @@ from leo.lti_core import (
     spectral_radius,
     RANK_RTOL,
     _observable,
+    _simulate_stack,
 )
 from leo.observer import place_observer_poles
 
@@ -103,6 +104,36 @@ class TestSimulateTrue:
             simulate_true(sys, np.ones((5, 1)), noise, -1)
         assert simulate_true(sys, np.ones((5, 1)), noise, 0).states.shape == (1, 2)
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (3, 3, 2), (4, 2, 3), (4, 4, 3), (5, 3, 2)])
+    def test_stack_is_bitwise_each_system_alone(self, dims):
+        # the Monte Carlo batch simulates its trials' true systems as one
+        # stack; each must be bitwise simulate_true's trajectory and the
+        # one-system step loop's, whose operation order it keeps
+        n, p, q = dims
+        gen = RngStream(17).generator()
+        systems = [random_system(n, p, q, gen) for _ in range(5)]
+        T = 60
+        inputs = gen.normal(0, 1, (5, T, p))
+        w, v = gen.normal(0, 0.1, (5, T, n)), gen.normal(0, 0.1, (5, T + 1, q))
+        inputs[0, :3], w[0, :3] = 0.0, -0.0
+        states, outputs = _simulate_stack(
+            *(np.stack(a) for a in zip(*((s.real.A, s.real.B, s.real.C, s.x0_real) for s in systems))),
+            inputs, w, v,
+        )
+        for i, sys in enumerate(systems):
+            traj = simulate_true(sys, inputs[i], NoiseRealization(w=w[i], v=v[i]), T)
+            A, B, C = sys.real.A, sys.real.B, sys.real.C
+            ref_states, ref_outputs = np.empty((T + 1, n)), np.empty((T + 1, q))
+            ref_states[0] = sys.x0_real
+            for k in range(T):
+                ref_outputs[k] = C @ ref_states[k] + v[i, k]
+                ref_states[k + 1] = A @ ref_states[k] + B @ inputs[i, k] + w[i, k]
+            ref_outputs[T] = C @ ref_states[T] + v[i, T]
+            for got in (states[i], traj.states):
+                assert got.tobytes() == ref_states.tobytes()
+            for got in (outputs[i], traj.outputs):
+                assert got.tobytes() == ref_outputs.tobytes()
+
     @pytest.mark.parametrize("horizon", [3.9, 2.0, "3", float("nan")])
     def test_non_integer_horizon_rejected(self, horizon):
         sys = demo_true_system()
@@ -125,6 +156,12 @@ class TestObservabilityMatrix:
     def test_single_block_is_c(self):
         C = np.array([[0.3, -0.7], [1.0, 2.0]])
         assert_allclose(observability_matrix(np.eye(2), C, 1), C)
+
+    @pytest.mark.parametrize("N", [0, -1, 1.5, np.nan, "2", None])
+    def test_bad_horizon_names_n(self, N):
+        # ShapeError is a ValueError, so callers catching N < 1 as one still do
+        with pytest.raises(ShapeError, match="N must be an integer >= 1"):
+            observability_matrix(np.eye(2), [[1.0, 0.0]], N)
 
     def test_blocks_equal_repeated_multiplication(self):
         gen = RngStream(5).generator()
