@@ -1,4 +1,5 @@
-/* The affine time-step loop of leo.lti_core, one call per stack of runs.
+/* The affine time-step loop of leo.lti_core, one call per stack of runs,
+ * and the loss pass of leo.learning built on it (at the end of the file).
  *
  * Forward:  out_0 = x0,  out_{k+1} = S out_k + f_k      for k = 0..K-1,
  * backward: out_K = f_K, out_k     = S out_{k+1} + f_k  for k = K-1..0.
@@ -109,4 +110,337 @@ int leo_affine(int family, int trans, int backward, long nb, long K, int n,
     else
         seq_loop(trans, backward, nb, K, n, P, f, out);
     return 1;
+}
+
+/* The loss pass of leo.learning: per row of a stack, in one call, the
+ * forcing, the rollout, the window residuals and loss terms, the adjoint
+ * and the gradient, each computed as numpy computes it.
+ *
+ * Every product is one of three kinds. A product that numpy sends to
+ * BLAS dgemm, or that has one term per entry, is a chain in ascending
+ * term order, c = 0; c = c + a b (fused in the FMA families), and then
+ * 0.0 + c (PRODUCT). A short dgemv product (q = 1, n terms) takes the
+ * family's row order above. A long dgemv product, whose order is not
+ * known here, is left to the caller: the gradient of B at p = 1 and the
+ * S^T states term of the gradient of C at q = 1 (see leo_loss). Sums are
+ * numpy's pairwise summation, and elementwise steps keep numpy's order.
+ */
+
+/* Inlined into each family, so that no call leaves its instruction set. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* numpy's pairwise summation of a[0..len), as add.reduce runs it. */
+INLINE double pairwise_block(const double *a, long len)
+{
+    if (len < 8) {
+        double res = -0.0;
+        for (long i = 0; i < len; i++)
+            res += a[i];
+        return res;
+    }
+    double r[8], res;
+    long i;
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j];
+    for (i = 8; i < len - len % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < len; i++)
+        res += a[i];
+    return res;
+}
+
+static double pairwise(const double *a, long len)
+{
+    if (len <= 128)
+        return pairwise_block(a, len);
+    long half = len / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, len - half);
+}
+
+/* np.sign: +0.0 for either zero, NaN for NaN. */
+INLINE double sign(double x)
+{
+    return x > 0 ? 1.0 : x < 0 ? -1.0 : x == 0 ? 0.0 : x;
+}
+
+/* np.abs(a - b).sum() / size over size <= 16 entries. */
+INLINE double mean_abs_diff(const double *a, const double *b, int size)
+{
+    double d[16];
+    for (int i = 0; i < size; i++)
+        d[i] = __builtin_fabs(a[i] - b[i]);
+    return (0.0 + pairwise_block(d, size)) / size;
+}
+
+#define FMA_ACC(a, b, c) ((c) = __builtin_fma((a), (b), (c)))
+#define SEQ_ACC(a, b, c) ((c) = (c) + (a) * (b))
+
+/* sum_k a[k * sa] b[k * sb] for k < len, in the order of ACC. */
+#define PRODUCT(ACC, out, a, sa, b, sb, len)                                \
+    do {                                                                    \
+        double c_ = 0.0;                                                    \
+        for (long k_ = 0; k_ < (len); k_++)                                 \
+            ACC((a)[k_ * (sa)], (b)[k_ * (sb)], c_);                        \
+        (out) = 0.0 + c_;                                                   \
+    } while (0)
+
+/* The buffer of a stack of nb rows, in this order: terms (nb, 5), grads
+ * (nb, P), diverged (nb), states and adj (nb, T + 1, n), S (nb, T + 1, q),
+ * extra (nb, q, n), then the work space: M (nb, n, n), the forcing (nb, T,
+ * n) and later the adjoint's direct terms (nb, T + 1, n), and the window's
+ * row means (K + 1). The forcing and the sweep take n as a constant, so
+ * that their loops over it unroll; each sum keeps its own accumulator, and
+ * at n = 3 they run in four lanes, of which the fourth is thrown away (in
+ * the sweep it reads the next entry of the buffer). */
+#define LOSS_PASS(NAME, ATTR, LOOP, ACC, T_ROW, TAIL_ROW, N_ROW)             \
+    /* One row's forcing f_t = (0.0 + B u_t) + (0.0 + L y_t), t < T, with \
+     * Bt = B^T and Lt = L^T (zero past column n): its n sums side by side */ \
+    ATTR INLINE void NAME##_forcing_n(const int n, int p, int q, long T,    \
+                                      const double Bt_[4][4], const double Lt_[4][4], \
+                                      int closed, const double *ub,         \
+                                      const double *yb, double *fb)         \
+    {                                                                       \
+        const int lanes = n == 3 ? 4 : n;                                   \
+        double c[4], d[4], Bt[4][4], Lt[4][4];                              \
+        memcpy(Bt, Bt_, sizeof Bt);                                         \
+        memcpy(Lt, Lt_, sizeof Lt);                                         \
+        for (long t = 0; t < T; t++) {                                      \
+            for (int i = 0; i < lanes; i++)                                 \
+                c[i] = d[i] = 0.0;                                          \
+            for (int j = 0; j < p; j++)                                     \
+                for (int i = 0; i < lanes; i++)                             \
+                    ACC(ub[t * p + j], Bt[j][i], c[i]);                     \
+            for (int j = 0; j < q && closed; j++)                           \
+                for (int i = 0; i < lanes; i++)                             \
+                    ACC(yb[t * q + j], Lt[j][i], d[i]);                     \
+            for (int i = 0; i < n; i++)                                     \
+                fb[t * n + i] = closed ? (0.0 + c[i]) + (0.0 + d[i]) : 0.0 + c[i]; \
+        }                                                                   \
+    }                                                                       \
+    /* One row's sums gA = adj_t states and gB = adj_t u (p > 1), each in  \
+     * ascending t, with lb = adj[1:] and xb = states[:-1] */               \
+    ATTR INLINE void NAME##_sweep_n(const int n, int p, long T,             \
+                                    const double *lb, const double *xb,     \
+                                    const double *ub, double pa_[4][4],     \
+                                    double pb_[4][4])                       \
+    {                                                                       \
+        const int lanes = n == 3 ? 4 : n;                                   \
+        double pa[4][4] = {{0}}, pb[4][4] = {{0}};                          \
+        for (long t = 0; t < T; t++) {                                      \
+            const double *l1 = lb + t * n, *x = xb + t * n;                 \
+            for (int i = 0; i < n; i++)                                     \
+                for (int j = 0; j < lanes; j++)                             \
+                    ACC(l1[i], x[j], pa[i][j]);                             \
+            for (int j = 0; j < p && p > 1; j++)                            \
+                for (int i = 0; i < lanes; i++)                             \
+                    ACC(l1[i], ub[t * p + j], pb[j][i]);                    \
+        }                                                                   \
+        memcpy(pa_, pa, sizeof pa);                                         \
+        memcpy(pb_, pb, sizeof pb);                                         \
+    }                                                                       \
+    ATTR static void NAME##_forcing(int n, int p, int q, long T,            \
+                                    const double Bt[4][4], const double Lt[4][4], \
+                                    int closed, const double *ub,           \
+                                    const double *yb, double *fb)           \
+    {                                                                       \
+        if (n == 2)                                                         \
+            NAME##_forcing_n(2, p, q, T, Bt, Lt, closed, ub, yb, fb);       \
+        else if (n == 3)                                                    \
+            NAME##_forcing_n(3, p, q, T, Bt, Lt, closed, ub, yb, fb);       \
+        else                                                                \
+            NAME##_forcing_n(4, p, q, T, Bt, Lt, closed, ub, yb, fb);       \
+    }                                                                       \
+    ATTR static void NAME##_sweep(int n, int p, long T, const double *lb,   \
+                                  const double *xb, const double *ub,       \
+                                  double pa[4][4], double pb[4][4])         \
+    {                                                                       \
+        if (n == 2)                                                         \
+            NAME##_sweep_n(2, p, T, lb, xb, ub, pa, pb);                    \
+        else if (n == 3)                                                    \
+            NAME##_sweep_n(3, p, T, lb, xb, ub, pa, pb);                    \
+        else                                                                \
+            NAME##_sweep_n(4, p, T, lb, xb, ub, pa, pb);                    \
+    }                                                                       \
+    ATTR static int NAME(int c_known, long nb, int n, int p, int q, long k0, \
+                         long K, int gradient, double lam_A, double lam_B,   \
+                         double lam_C, const double *theta,                  \
+                         const double *anchor, const double *u,             \
+                         const double *y, const double *L, double *buf)      \
+    {                                                                       \
+        const long T = k0 + K, P = n * (n + p + q + 1), rows = (T + 1) * n; \
+        double *terms = buf, *grads = terms + nb * 5, *diverged = grads + nb * P; \
+        double *states = diverged + nb, *adj = states + nb * rows;          \
+        double *S = adj + nb * rows, *extra = S + nb * (T + 1) * q;        \
+        double *M = extra + nb * q * n, *f = M + nb * n * n, *means = f + nb * rows; \
+        for (long b = 0; b < nb; b++) {                                     \
+            const double *A = theta + b * P, *B = A + n * n, *C = B + n * p; \
+            const double *Lb = L ? L + b * n * q : 0, *ub = u + b * T * p;  \
+            const double *yb = y + b * (T + 1) * q;                         \
+            double *Mb = M + b * n * n, lc;                                 \
+            double Bt[4][4] = {{0}}, Lt[4][4] = {{0}};                      \
+            for (int i = 0; i < n; i++) {                                   \
+                for (int j = 0; j < p; j++)                                 \
+                    Bt[j][i] = B[i * p + j];                                \
+                for (int j = 0; j < q && Lb; j++)                           \
+                    Lt[j][i] = Lb[i * q + j];                               \
+                for (int j = 0; j < n; j++) {                               \
+                    Mb[i * n + j] = A[i * n + j];                           \
+                    if (Lb) {                                               \
+                        PRODUCT(ACC, lc, Lb + i * q, 1, C + j, n, q);       \
+                        Mb[i * n + j] = A[i * n + j] - lc;                  \
+                    }                                                       \
+                }                                                           \
+            }                                                               \
+            NAME##_forcing(n, p, q, T, Bt, Lt, Lb != 0, ub, yb, f + b * T * n); \
+            memcpy(states + b * rows, C + q * n, n * sizeof(double));       \
+        }                                                                   \
+        LOOP(1, 0, nb, T, n, M, f, states);                                 \
+        for (long b = 0; b < nb; b++) {                                     \
+            const double *A = theta + b * P, *C = A + n * (n + p);          \
+            const double *an = anchor + b * P, *xb = states + b * rows;     \
+            const double *yb = y + b * (T + 1) * q;                         \
+            double *Sb = S + b * (T + 1) * q, *tb = terms + b * 5;          \
+            const long tail = T + 1 - (K + 1) % 4;                          \
+            const double s1 = 1.0 / (double)(K * q);                        \
+            int bad = 0;                                                    \
+            /* every entry of a step after a non-finite one is non-finite, \
+             * as each is a sum of products with all of them */             \
+            for (int i = 0; i < n; i++)                                     \
+                bad |= !__builtin_isfinite(xb[T * n + i]);                  \
+            diverged[b] = 0;                                                \
+            for (long i = n; bad && !diverged[b]; i++)                      \
+                if (!__builtin_isfinite(xb[i]))                             \
+                    diverged[b] = i / n;                                    \
+            for (long t = k0; t <= T; t++) {                                \
+                double sum = -0.0, z, r;                                    \
+                for (int j = 0; j < q; j++) {                               \
+                    if (q == 1) {                                           \
+                        const double *m = xb + t * n, *x = C;               \
+                        const long cs = 1;                                  \
+                        z = 0.0 + (t < tail ? T_ROW(n) : TAIL_ROW(n));      \
+                    } else                                                  \
+                        PRODUCT(ACC, z, xb + t * n, 1, C + j * n, 1, n);   \
+                    r = yb[t * q + j] - z;                                  \
+                    sum += __builtin_fabs(r);                               \
+                    /* sign(r) / (K q), as 1.0 / (K q) is that of r > 0 */ \
+                    Sb[t * q + j] = r > 0 ? s1 : r < 0 ? -s1 : r == 0 ? 0.0 : r; \
+                }                                                           \
+                means[t - k0] = (0.0 + sum) / q;                            \
+            }                                                               \
+            tb[0] = (0.0 + (K < 128 ? pairwise_block(means, K + 1)         \
+                                    : pairwise(means, K + 1))) / K;         \
+            tb[1] = mean_abs_diff(A, an, n * n);                            \
+            tb[2] = mean_abs_diff(A + n * n, an + n * n, n * p);            \
+            tb[3] = mean_abs_diff(C, an + n * (n + p), q * n);              \
+            tb[4] = ((tb[0] + lam_A * tb[1]) + lam_B * tb[2]) + lam_C * tb[3]; \
+        }                                                                   \
+        if (!gradient)                                                      \
+            return 1;                                                       \
+        /* The adjoint's direct terms -S C, which are +0.0 before the window */ \
+        for (long b = 0; b < nb; b++) {                                     \
+            const double *C = theta + b * P + n * (n + p);                  \
+            double *Sb = S + b * (T + 1) * q, *db = f + b * rows;           \
+            memset(Sb, 0, k0 * q * sizeof(double));                         \
+            memset(db, 0, k0 * n * sizeof(double));                         \
+            for (long t = k0; t <= T; t++)                                  \
+                for (int i = 0; i < n; i++) {                               \
+                    double c_ = 0.0;                                        \
+                    for (int j = 0; j < q; j++)                             \
+                        ACC(-Sb[t * q + j], C[j * n + i], c_);              \
+                    db[t * n + i] = 0.0 + c_;                               \
+                }                                                           \
+            memcpy(adj + b * rows + T * n, db + T * n, n * sizeof(double)); \
+        }                                                                   \
+        LOOP(0, 1, nb, T, n, M, f, adj);                                    \
+        for (long b = 0; b < nb; b++) {                                     \
+            const double *A = theta + b * P, *C = A + n * (n + p);          \
+            const double *an = anchor + b * P, *Lb = L ? L + b * n * q : 0; \
+            const double *xb = states + b * rows, *lb = adj + b * rows;     \
+            const double *ub = u + b * T * p, *Sb = S + b * (T + 1) * q;   \
+            double *g = grads + b * P, *gB = g + n * n, *gC = gB + n * p;   \
+            double pa[4][4] = {{0}}, pb[4][4] = {{0}}, pc[4][4] = {{0}};    \
+            double X[16], R;                                                \
+            NAME##_sweep(n, p, T, lb + n, xb, ub, pa, pb);                  \
+            /* S is 0 before the window: a finite row's terms there add 0 */ \
+            for (long t = diverged[b] ? 0 : k0; c_known && t <= T; t++)     \
+                for (int j = 0; j < q; j++)                                 \
+                    for (int i = 0; i < n; i++)                             \
+                        ACC(Sb[t * q + j], xb[t * n + i], pc[j][i]);        \
+            for (int i = 0; i < 4; i++)                                     \
+                for (int j = 0; j < 4; j++) {                               \
+                    pa[i][j] = 0.0 + pa[i][j];                              \
+                    pb[i][j] = 0.0 + pb[i][j];                              \
+                    pc[i][j] = 0.0 + pc[i][j];                              \
+                }                                                           \
+            for (int i = 0; i < n && Lb; i++)                               \
+                for (int j = 0; j < q; j++)                                 \
+                    if (q == 1) {                                           \
+                        const double *m = &pa[0][i], *x = Lb;               \
+                        const long cs = 4;                                  \
+                        X[i] = 0.0 + N_ROW(n);                              \
+                    } else                                                  \
+                        PRODUCT(ACC, X[j * n + i], Lb + j, q, &pa[0][i], 4, n); \
+            for (int i = 0; i < n * n; i++)                                 \
+                g[i] = pa[i / n][i % n] + (lam_A * sign(A[i] - an[i])) / (n * n); \
+            for (int i = 0; i < n * p; i++) {                               \
+                R = (lam_B * sign(A[n * n + i] - an[n * n + i])) / (n * p); \
+                gB[i] = p > 1 ? pb[i % p][i / p] + R : R;                   \
+            }                                                               \
+            for (int i = 0; i < q * n; i++) {                               \
+                R = (lam_C * sign(C[i] - an[n * (n + p) + i])) / (q * n);   \
+                if (c_known)                                                \
+                    gC[i] = Lb ? (-pc[i / n][i % n] - X[i]) + R : -pc[i / n][i % n] + R; \
+                else {                                                      \
+                    gC[i] = Lb ? -X[i] : -0.0;                              \
+                    extra[b * q * n + i] = R;                               \
+                }                                                           \
+            }                                                               \
+            memcpy(g + n * (n + p + q), lb, n * sizeof(double));            \
+        }                                                                   \
+        return 1 | (p == 1) << 1 | !c_known << 2;                           \
+    }
+
+/* Sandybridge's dgemv 'T' adds the rows past the last multiple of four
+ * (the residuals at the window's end) pairwise at n = 4. */
+#define SEQ_TAIL_ROW(N) ((N) == 4 ? (T(0) + T(2)) + (T(1) + T(3)) : SEQ_ROW(N))
+
+LOSS_PASS(skx_loss, FMA_TARGET, skx_loop, FMA_ACC, FMA_T_ROW, FMA_T_ROW, SKX_N_ROW)
+LOSS_PASS(hsw_loss, FMA_TARGET, hsw_loop, FMA_ACC, FMA_T_ROW, FMA_T_ROW, HSW_N_ROW)
+LOSS_PASS(seq_loss, , seq_loop, SEQ_ACC, SEQ_ROW, SEQ_TAIL_ROW, SEQ_ROW)
+
+/* Runs the loss pass of family `family` on a stack of nb rows with dims
+ * (n, p, q), window [k0, k0 + K] and horizon T = k0 + K: theta and anchor
+ * (nb, P), inputs u (nb, T, p), measured outputs y (nb, T + 1, q), gains
+ * L (nb, n, q) or NULL for the open loop, all C-contiguous, into buf laid
+ * out as LOSS_PASS says. Returns 0 with nothing written for n outside
+ * 2..4, for T outside 2..256 (at T = 1 numpy's products make other BLAS
+ * calls, and past 256 steps OpenBLAS's dgemm splits its sums on Haswell
+ * and Sandybridge), or for an FMA family on a CPU without FMA. Else it
+ * returns 1, plus
+ * with the gradient 2 if the gradient of B still lacks the product
+ * adj^T u (it holds the regularizer term), and 4 if the gradient of C
+ * still lacks -(S^T states): it then holds -(L^T gA) or -0.0, and extra
+ * holds the regularizer term to add last. */
+int leo_loss(int family, long nb, int n, int p, int q, long k0, long K, int gradient,
+             double lam_A, double lam_B, double lam_C, const double *theta,
+             const double *anchor, const double *u, const double *y, const double *L,
+             double *buf)
+{
+    if (n < 2 || n > 4 || p < 1 || p > n || q < 1 || q > n || k0 < 0 || K < 1
+        || k0 + K < 2 || k0 + K > 256 || family < SKX || family > SEQ
+        || (family != SEQ && !HAS_FMA()))
+        return 0;
+    /* Haswell's dgemm sums S^T states at q = 3, n = 4 in an order not known here */
+    const int c_known = q > 1 && !(family == HSW && n == 4 && q == 3);
+    if (family == SKX)
+        return skx_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
+                        anchor, u, y, L, buf);
+    if (family == HSW)
+        return hsw_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
+                        anchor, u, y, L, buf);
+    return seq_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
+                    anchor, u, y, L, buf);
 }

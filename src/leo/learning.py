@@ -15,13 +15,13 @@ trials of a Monte Carlo batch) as plain arrays with a leading run axis: θ,
 the anchor θ, the Adam moments, per-run counters and masks. Each round runs
 one epoch of every live run with one stacked call per stage: gain
 re-synthesis (``_place_poles``, which first decides which pairs are
-observable), loss and gradient (``_stacked_loss``, whose rollout and
-adjoint take one stacked matrix-vector product per time step) and the Adam
-update. Rollback, abort and gain reuse are masked assignments. Every stage
-gives each finite row a result: a pair it cannot place keeps its gain, and
-a diverged rollout or a gradient, Adam step or second moment that leaves
-the finite numbers fails that run's epoch, which one rule rolls back or
-aborts. A stacked call computes every row bitwise as a stack of one would,
+observable), loss and gradient (``_stacked_loss``, one call of the C loss
+pass of ``_kernel.c`` where it loads, else the numpy pass ``_numpy_loss``)
+and the Adam update. Rollback, abort and gain reuse are masked assignments.
+Every stage gives each finite row a result: a pair it cannot place keeps
+its gain, and a diverged rollout or a gradient, Adam step or second moment
+that leaves the finite numbers fails that run's epoch, which one rule rolls
+back or aborts. A stacked call computes every row bitwise as a stack of one would,
 so a run's result does not depend on its batch; ``train``, ``loss`` and
 ``gradient`` are batches of one.
 
@@ -33,11 +33,14 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .exceptions import DivergedRollout, ShapeError
-from .lti_core import LtiParams, matrix_to_json, _affine_adjoint, _affine_rollout
+from .lti_core import (
+    LtiParams, matrix_to_json, _FAMILIES, _affine_adjoint, _affine_rollout, _c_library,
+)
 from .observer import (
     PLACED, UNOBSERVABLE, default_observer_poles, _checked_poles, _gain_matrix, _place_poles,
 )
@@ -202,7 +205,7 @@ def lambda_coefficients(n: int, p: int, q: int) -> tuple[float, float, float]:
 def _window_data(inputs, measured_outputs, dims: tuple[int, int, int], cfg: TrainConfig):
     """The inputs and measured outputs up to the window's last state, as
     nothing after it reaches the loss; raises ``ShapeError`` if they do not
-    cover the window."""
+    cover the window or hold a non-finite entry up to its end."""
     _, p, q = dims
     k0, K = cfg.window_start, cfg.window_len
     inputs = np.asarray(inputs, dtype=float).reshape(-1, p)
@@ -212,7 +215,10 @@ def _window_data(inputs, measured_outputs, dims: tuple[int, int, int], cfg: Trai
         raise ShapeError(f"steady-state window [{k0}, {k0 + K}] exceeds horizon {T}")
     if measured.shape[0] <= k0 + K:
         raise ShapeError("not enough measured outputs for the window")
-    return inputs[: k0 + K], measured[: k0 + K + 1]
+    inputs, measured = inputs[: k0 + K], measured[: k0 + K + 1]
+    if not (np.isfinite(inputs).all() and np.isfinite(measured).all()):
+        raise ShapeError("inputs or measured outputs up to the window's end are not all finite")
+    return inputs, measured
 
 
 def _stacked_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=None,
@@ -221,14 +227,32 @@ def _stacked_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=Non
 
     θ and anchor θ are (B, P), inputs (B, k0 + K, p) and measured outputs
     (B, k0 + K + 1, q), as ``_window_data`` cuts them; gains L (B, n, q) are
-    given in Luenberger mode only. Each step is one stacked call and each
-    row's reductions run along a contiguous axis, so every row is bitwise
-    its own one-row call. Returns per row the terms (data, reg_A, reg_B,
-    reg_C, total) as a (B, 5) array, the gradient (B, P) or None, and the
-    first step at which the rollout left the finite numbers, or 0 where it
-    stayed finite (x0 is finite, so step 0 always is). A diverged row's
-    terms and gradient mean nothing, and a gradient may itself overflow:
-    the caller checks.
+    given in Luenberger mode only. Returns per row the terms (data, reg_A,
+    reg_B, reg_C, total) as a (B, 5) array, the gradient (B, P) or None,
+    and the first step at which the rollout left the finite numbers, or 0
+    where it stayed finite (x0 is finite, so step 0 always is). A diverged
+    row's terms and gradient mean nothing, and a gradient may itself
+    overflow: the caller checks.
+
+    The C pass of ``_kernel.c`` runs it where it loads and takes the stack,
+    else ``_numpy_loss``; each gives every row bitwise as its own one-row
+    call of ``_numpy_loss`` would. The pass takes n = 2..4 and horizons
+    k0 + K of 2..256 steps: at n = 1 or one step numpy's products make
+    other BLAS calls, and past 256 steps OpenBLAS's dgemm splits its sums
+    on some cores.
+    """
+    horizon = cfg.window_start + cfg.window_len
+    loss_pass = 2 <= dims[0] <= 4 and 2 <= horizon <= 256 and _load_c_pass()
+    got = loss_pass and loss_pass(dims, cfg, theta, anchor, inputs, measured, L, want_gradient)
+    return got or _numpy_loss(dims, cfg, theta, anchor, inputs, measured, L, want_gradient)
+
+
+def _numpy_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=None,
+                want_gradient=True):
+    """``_stacked_loss`` in numpy: the fallback and the reference.
+
+    Each step is one stacked call and each row's reductions run along a
+    contiguous axis, so every row is bitwise its own one-row call.
     """
     n, p, q = dims
     k0, K = cfg.window_start, cfg.window_len
@@ -280,6 +304,123 @@ def _stacked_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=Non
         gC += lam_C * np.sign(dC) / (q * n)
     grads = np.concatenate([g.reshape(len(g), -1) for g in (gA, gB, gC, adj[:, 0])], axis=1)
     return terms, grads, diverged_at
+
+
+# The C loss pass: None until the first stacked loss loads it, then the
+# loaded pass, or False where it is unavailable and the numpy pass runs.
+_c_pass = None
+
+
+def _load_c_pass():
+    """The C loss pass, checked on first use, or False.
+
+    The library is the one ``lti_core`` builds for its time-step loop; the
+    loader keeps the first order family whose pass gives ``_numpy_loss``'s
+    bits on a fixed stack (``_pass_matches_numpy``). Any failure leaves
+    the numpy pass in place, without a warning.
+    """
+    global _c_pass
+    if _c_pass is None:
+        lib = _c_library()
+        passes = [] if lib is None else [_family_pass(lib, f) for f in range(len(_FAMILIES))]
+        _c_pass = next((run for run in passes if _pass_matches_numpy(run)), False)
+    return _c_pass
+
+
+def _family_pass(lib, family: int):
+    """The C loss pass in order family ``family``, as ``_stacked_loss`` calls it."""
+    leo_loss = lib.leo_loss
+
+    def loss_pass(dims, cfg, theta, anchor, inputs, measured, L, want_gradient):
+        """``_stacked_loss`` from one C call, or None, with nothing run,
+        where the pass does not take the stack: dims or a horizon outside
+        its range, an array that is not C-contiguous, or a family this CPU
+        cannot run."""
+        n, p, q = dims
+        k0, K = cfg.window_start, cfg.window_len
+        arrays = (theta, anchor, inputs, measured, L)
+        if not all(a.flags.c_contiguous for a in arrays if a is not None):
+            return None
+        B, P, T = len(theta), theta.shape[1], k0 + K
+        rows, head = (T + 1) * n, (6 + P) * B
+        # terms, grads, diverged, states, adj, S and extra (see _kernel.c),
+        # then the pass's work space
+        buf = np.empty(head + B * (3 * rows + (T + 1) * q + q * n + n * n) + K + 1)
+        ran = leo_loss(
+            family, B, n, p, q, k0, K, want_gradient, *cfg.resolved_lambdas(n, p, q),
+            theta.ctypes.data, anchor.ctypes.data, inputs.ctypes.data, measured.ctypes.data,
+            None if L is None else L.ctypes.data, buf.ctypes.data,
+        )
+        if not ran:
+            return None
+        terms, grads = buf[: 5 * B].reshape(B, 5), buf[5 * B : head - B].reshape(B, P)
+        diverged_at = buf[head - B : head].astype(np.intp)
+        if not want_gradient:
+            return terms, None, diverged_at
+        if ran & 6:
+            # The long dgemv products, whose BLAS order the pass does not
+            # know, as numpy's own calls on the pass's outputs.
+            ends = list(accumulate((head, B * rows, B * rows, B * (T + 1) * q, B * q * n)))
+            states, adj, S, extra = (
+                buf[a:b].reshape(B, -1, m) for a, b, m in zip(ends, ends[1:], (n, n, q, n))
+            )
+            _, gB, gC, _ = _blocks(grads, n, p, q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if ran & 2:
+                    gB += adj[:, 1:].transpose(0, 2, 1) @ inputs
+                if ran & 4:
+                    gC -= S.transpose(0, 2, 1) @ states
+                    gC += extra
+        return terms, grads, diverged_at
+
+    return loss_pass
+
+
+def _pass_matches_numpy(loss_pass) -> bool:
+    """True iff ``loss_pass`` runs and gives ``_numpy_loss``'s bits, with
+    any NaN for a NaN, on a fixed seeded stack per dims (n, p, q) with
+    n = 2..4, in both rollout modes, with and without the gradient (whose
+    terms are those of the numpy call with it).
+
+    Its rows hold exact zeros, -0.0 and subnormal products, exactly-zero
+    residuals, -0.0 deviations from the anchor, and a rollout that
+    overflows; its window is long enough for the eight-way blocks of
+    numpy's pairwise summation.
+    """
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20251020)))
+    k0, K = 3, 9
+    every_dims = [(n, p, q) for n in range(2, 5) for p in range(1, n + 1) for q in range(1, n + 1)]
+    for n, p, q in every_dims:
+        size = n * (n + p + q + 1)
+        theta = 0.5 * gen.standard_normal((4, size))
+        anchor = theta + 0.01 * gen.standard_normal((4, size))
+        inputs = gen.standard_normal((4, k0 + K, p))
+        measured = gen.standard_normal((4, k0 + K + 1, q))
+        L = 0.3 * gen.standard_normal((4, n, q))
+        # row 0: zero state and data, with -0.0 outputs; -0.0 - 0.0 deviations
+        theta[0, -n:], inputs[0], measured[0, ::2], measured[0, 1::2] = 0.0, 0.0, -0.0, 0.0
+        theta[0, :3], anchor[0, :3] = -0.0, (0.0, 0.0, theta[0, 2])
+        # row 1: subnormal products; row 2: a rollout that overflows
+        theta[1] *= 1e-160
+        theta[2, : n * n] *= 1e3
+        theta[2, -n:] = 1e300
+        for mode, gains in (("luenberger", L), ("open_loop", None)):
+            cfg = TrainConfig(rollout_mode=mode, window_start=k0, window_len=K)
+            args = ((n, p, q), cfg, theta, anchor, inputs, measured, gains)
+            want = _numpy_loss(*args)
+            got, terms = loss_pass(*args, True), loss_pass(*args, False)
+            if (got is None or terms is None or not all(map(_same_bits, got, want))
+                    or not all(map(_same_bits, terms, (want[0], None, want[2])))):
+                return False
+    return True
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two results are equal bit for bit, NaN payloads aside."""
+    if a is None or b is None:
+        return a is b
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes())
 
 
 def _one_run_loss(params, gain, inputs, measured_outputs, cfg, init, want_gradient):
@@ -407,8 +548,9 @@ def train(
     step and halves the learning rate, or, with no step to undo, aborts
     the run with its log so far. Both show in ``diagnostics``: on finite
     parameters ``train`` raises nothing, unless the data does not cover
-    the window (``ShapeError``). It is a batch of one of the Monte Carlo
-    trainer and gives bitwise the same result.
+    the window or is not finite up to its end (``ShapeError``). It is a
+    batch of one of the Monte Carlo trainer and gives bitwise the same
+    result.
     """
     return _train_batch([init], [inputs], [measured_outputs], cfg)[0]
 

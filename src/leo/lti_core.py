@@ -385,17 +385,22 @@ def _load_c_loop():
     """
     global _c_loop
     if _c_loop is None:
-        try:
-            affine = _build_c_library()
-        except (OSError, subprocess.SubprocessError):
-            affine = None
-        loops = [] if affine is None else [_family_loop(affine, f) for f in range(len(_FAMILIES))]
+        lib = _c_library()
+        loops = [] if lib is None else [_family_loop(lib, f) for f in range(len(_FAMILIES))]
         _c_loop = next((loop for loop in loops if _matches_numpy(loop)), False)
     return _c_loop
 
 
+def _c_library():
+    """``_build_c_library()``, or None where it cannot be built or loaded."""
+    try:
+        return _build_c_library()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
 def _build_c_library():
-    """``leo_affine`` of ``_kernel.c``, compiled on first use into the cache."""
+    """``_kernel.c`` as a loaded library, compiled on first use into the cache."""
     import ctypes
     import hashlib
     import tempfile
@@ -418,16 +423,18 @@ def _build_c_library():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    affine = ctypes.CDLL(library).leo_affine
-    affine.restype = ctypes.c_int
-    c_int, c_long = ctypes.c_int, ctypes.c_long
-    affine.argtypes = [c_int, c_int, c_int, c_long, c_long, c_int] + [ctypes.c_void_p] * 4
-    return affine
+    lib = ctypes.CDLL(library)
+    c_int, c_long, c_double, pointer = ctypes.c_int, ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+    lib.leo_affine.argtypes = [c_int, c_int, c_int, c_long, c_long, c_int] + [pointer] * 4
+    lib.leo_loss.argtypes = [c_int, c_long, c_int, c_int, c_int, c_long, c_long, c_int,
+                             c_double, c_double, c_double] + [pointer] * 6
+    return lib
 
 
-def _family_loop(affine, family: int):
+def _family_loop(lib, family: int):
     """The C loop in order family ``family``, as ``_affine_rollout`` and
     ``_affine_adjoint`` call it."""
+    affine = lib.leo_affine
 
     def loop(S, x0, f, out) -> bool:
         """Run the recursion of step matrix S into ``out``, shaped as the

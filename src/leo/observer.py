@@ -264,7 +264,10 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     # A row whose spectrum is already in place keeps the zero gain, which
     # realizes it exactly. Only a row with an eigenvalue within 1e-9 of a
     # requested pole (or a NaN distance) can be; the others skip the search.
-    eig = np.linalg.eigvals(A[observable])
+    # Each step below takes its arrays whole, without a row copy, when
+    # every row goes on to it.
+    everyone = observable.all()
+    eig = np.linalg.eigvals(A if everyone else A[observable])
     requested = np.asarray(desired)
     todo = np.ones(len(eig), dtype=bool)
     near = ~(np.abs(eig[:, :, None] - requested) >= 1e-9).all(axis=(1, 2))
@@ -274,7 +277,8 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     rows = np.flatnonzero(observable)[todo]
     if not len(rows):
         return gains, reason, best
-    A, C, eig = A[rows], C[rows], eig[todo]
+    if not (everyone and todo.all()):
+        A, C, eig = A[rows], C[rows], eig[todo]
 
     neg_kron, targets, draws = _placement_constants(poles, q)
     # The Kronecker operator below is singular exactly when A shares an
@@ -282,8 +286,9 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     # observable pair and almost every G, so such a row gets no draw. Where
     # A's entries dwarf F's, rounding can still make it exactly singular.
     shared = np.abs(eig[:, :, None] - targets).min(axis=(1, 2)) < 1e-9
-    reason[rows[shared]] = SHARED_EIGENVALUE
-    rows, A, C = rows[~shared], A[~shared], C[~shared]
+    if shared.any():
+        reason[rows[shared]] = SHARED_EIGENVALUE
+        rows, A, C = rows[~shared], A[~shared], C[~shared]
     reason[rows] = NOT_PLACED
     # Kronecker form of A^T X - X F = C^T G with column-stacked vec(X):
     # K = kron(I, A^T) - kron(F^T, I), whose diagonal blocks hold A^T.
@@ -303,13 +308,17 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
         Xt[~np.isfinite(Xt).all(axis=(1, 2))] = 0.0
         sv = np.linalg.svd(Xt.transpose(0, 2, 1), compute_uv=False)
         solvable = sv[:, -1] >= np.maximum(1e-10 * sv[:, 0], np.finfo(float).tiny)
-        L = np.linalg.solve(Xt[solvable], G.T)
-        closed = A[solvable] - L @ C[solvable]
+        if solvable.all():
+            L = np.linalg.solve(Xt, G.T)
+            closed = A - L @ C
+        else:
+            L = np.linalg.solve(Xt[solvable], G.T)
+            closed = A[solvable] - L @ C[solvable]
         finite = np.isfinite(closed).all(axis=(1, 2))
         deviation = np.full(len(rows), np.nan)  # NaN: X was singular
         deviation[solvable] = np.inf  # inf: A - LC overflowed
         deviation[np.flatnonzero(solvable)[finite]] = _spectrum_deviation(
-            np.linalg.eigvals(closed[finite]), targets
+            np.linalg.eigvals(closed if finite.all() else closed[finite]), targets
         )
         best[rows] = np.fmin(best[rows], deviation)
         done = deviation < _PLACEMENT_TOL

@@ -271,6 +271,48 @@ class TestLoss:
         assert 0 < exc.value.step <= 300
 
 
+class TestNonFiniteData:
+    """Data up to the window's end must be finite: a NaN or inf there is a
+    configuration error, never a diverged rollout; after it, data is unused."""
+
+    CFG = TrainConfig(epochs=2)
+
+    def calls(self, init, inputs, measured):
+        gain = np.zeros((init.dims[0], init.dims[2]))
+        return {
+            "train": lambda: train(init, inputs, measured, self.CFG),
+            "loss": lambda: loss(init, gain, inputs, measured, self.CFG),
+            "gradient": lambda: gradient(init, gain, inputs, measured, self.CFG),
+        }
+
+    @pytest.mark.parametrize("where", ["inputs", "measured"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", ["train", "loss", "gradient"])
+    def test_inside_the_cut_is_a_shape_error(self, where, bad, call):
+        _, inputs, traj, init = make_instance(3, (2, 1, 1))
+        data = {"inputs": inputs.copy(), "measured": traj.outputs.copy()}
+        # the window's first step, and the last row each array contributes
+        last = self.CFG.window_start + self.CFG.window_len - (where == "inputs")
+        for row in (self.CFG.window_start, last):
+            data[where][row, 0] = bad
+            with pytest.raises(ShapeError, match="not all finite"):
+                self.calls(init, data["inputs"], data["measured"])[call]()
+            data[where][row, 0] = 0.0
+
+    def test_after_the_cut_is_ignored(self):
+        _, inputs, traj, init = make_instance(3, (2, 1, 1))
+        end = self.CFG.window_start + self.CFG.window_len
+        bad_inputs, bad_measured = inputs.copy(), traj.outputs.copy()
+        bad_inputs[end:], bad_measured[end + 1 :] = np.nan, np.inf
+        clean = self.calls(init, inputs, traj.outputs)
+        dirty = self.calls(init, bad_inputs, bad_measured)
+        assert dirty["loss"]() == clean["loss"]()
+        assert np.array_equal(dirty["gradient"]().theta, clean["gradient"]().theta)
+        got, want = dirty["train"](), clean["train"]()
+        assert not got.diagnostics["aborted"]
+        assert np.array_equal(got.params.theta, want.params.theta) and got.log == want.log
+
+
 class TestGradient:
     @pytest.mark.parametrize("mode", ["luenberger", "open_loop"])
     @pytest.mark.parametrize("seed,dims", [(1, (2, 1, 1)), (2, (3, 2, 1)), (3, (4, 3, 2))])
@@ -1117,8 +1159,9 @@ class TestBatchTraining:
                    if i != failing)
 
     def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch):
-        # ten runs of one problem: each epoch's observability decision,
-        # rollout and adjoint are one call over all ten
+        # ten runs of one problem: each epoch's observability decision and
+        # loss pass (or, where the C pass does not load, rollout and
+        # adjoint) are one call over all ten
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -1135,20 +1178,27 @@ class TestBatchTraining:
 
             monkeypatch.setattr(module, name, count)
 
+        # loaded first: the loader's probe makes calls of its own
+        loss_pass = leo.learning._load_c_pass()
         for module in (leo.lti_core, leo.observer, leo.learning):
             for name in ("_affine_rollout", "_affine_adjoint", "_observability_stack"):
                 if hasattr(module, name):
                     counted(module, name)
+        if loss_pass:
+
+            def count_pass(dims, cfg, theta, *rest):
+                batches["C loss pass"].append(len(theta))
+                return loss_pass(dims, cfg, theta, *rest)
+
+            monkeypatch.setattr(leo.learning, "_load_c_pass", lambda: count_pass)
         together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
         for got in together:
             assert len(got.log) == epochs
             assert got.diagnostics["lr_halvings"] == 0
-        # each observability stack is factorized by exactly one SVD
-        assert batches == {
-            "_affine_rollout": [10] * epochs,
-            "_affine_adjoint": [10] * epochs,
-            "_observability_stack": [10] * epochs,
-        }
+        # each observability stack is factorized by exactly one SVD, and
+        # the loss and its gradient take one C call per epoch
+        per_epoch = ["C loss pass"] if loss_pass else ["_affine_rollout", "_affine_adjoint"]
+        assert batches == {name: [10] * epochs for name in per_epoch + ["_observability_stack"]}
 
     @pytest.mark.parametrize("outcome", ["rollback", "abort"])
     def test_a_diverged_run_costs_no_extra_call(self, monkeypatch, outcome):
