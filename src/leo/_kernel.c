@@ -1,5 +1,6 @@
 /* The affine time-step loop of leo.lti_core, one call per stack of runs,
- * and the loss pass of leo.learning built on it (at the end of the file).
+ * the loss pass of leo.learning built on it, and the gain placement pass
+ * of leo.observer (at the end of the file).
  *
  * Forward:  out_0 = x0,  out_{k+1} = S out_k + f_k      for k = 0..K-1,
  * backward: out_K = f_K, out_k     = S out_{k+1} + f_k  for k = K-1..0.
@@ -22,6 +23,7 @@
  * families are compiled for the FMA instruction set only in their own
  * functions, and refuse to run (return 0) on a CPU without it.
  */
+#include <stdint.h>
 #include <string.h>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -443,4 +445,351 @@ int leo_loss(int family, long nb, int n, int p, int q, long k0, long K, int grad
                         anchor, u, y, L, buf);
     return seq_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
                     anchor, u, y, L, buf);
+}
+
+/* The gain placement of leo.observer: per row of a stack, in one call,
+ * everything observer._numpy_place does for 2 <= n <= 4, with numpy's own
+ * LAPACK routines, passed in as function pointers (dgesdd for the
+ * singular values, dgeev for the eigenvalues, dgesv for the solves) and
+ * called as numpy's linalg calls them: on column-major copies, with the
+ * workspace its lwork = -1 query asks for. The few products take the
+ * orders above: C A^j is a dgemv 'N' row at q = 1 and a dgemm chain
+ * above, C^T G and L C are dgemm chains (at q = 1 numpy's own loop forms
+ * each entry as 0.0 + a b, which a chain of one term equals). */
+
+/* The ILP64 integers of the LAPACK that numpy's OpenBLAS bundles */
+typedef int64_t lapack_int;
+typedef void gesdd_fn(const char *jobz, const lapack_int *m, const lapack_int *n, double *a,
+                      const lapack_int *lda, double *s, double *u, const lapack_int *ldu,
+                      double *vt, const lapack_int *ldvt, double *work, const lapack_int *lwork,
+                      lapack_int *iwork, lapack_int *info);
+typedef void geev_fn(const char *jobvl, const char *jobvr, const lapack_int *n, double *a,
+                     const lapack_int *lda, double *wr, double *wi, double *vl,
+                     const lapack_int *ldvl, double *vr, const lapack_int *ldvr, double *work,
+                     const lapack_int *lwork, lapack_int *info);
+typedef void gesv_fn(const lapack_int *n, const lapack_int *nrhs, double *a, const lapack_int *lda,
+                     lapack_int *ipiv, double *b, const lapack_int *ldb, lapack_int *info);
+
+#define WORK 2048
+
+struct lapack {
+    gesdd_fn *gesdd;
+    geev_fn *geev;
+    gesv_fn *gesv;
+    lapack_int lwork_stack, lwork_x, lwork_eig; /* numpy's queried workspace */
+    double work[WORK];
+};
+
+/* The singular values s of the m x n column-major a, which it overwrites,
+ * as np.linalg.svd(compute_uv=False); with lwork = -1 the query. */
+static lapack_int singular_values(struct lapack *la, lapack_int m, lapack_int n, double *a,
+                                  double *s, lapack_int lwork)
+{
+    lapack_int lda = m, ldvt = n, iwork[32], info;
+    double u, vt;
+    la->gesdd("N", &m, &n, a, &lda, s, &u, &lda, &vt, &ldvt, la->work, &lwork, iwork, &info);
+    return info;
+}
+
+/* The eigenvalues wr + i wi of the n x n column-major a, which it
+ * overwrites, as np.linalg.eigvals; with lwork = -1 the query. */
+static lapack_int eigenvalues(struct lapack *la, lapack_int n, double *a, double *wr, double *wi,
+                              lapack_int lwork)
+{
+    lapack_int one = 1, info;
+    double vl, vr;
+    la->geev("N", "N", &n, a, &n, wr, wi, &vl, &one, &vr, &one, la->work, &lwork, &info);
+    return info;
+}
+
+/* Solves the n x n column-major a (overwritten by its LU) for the n x nrhs
+ * column-major b in place, as np.linalg.solve. */
+static lapack_int solve(struct lapack *la, lapack_int n, lapack_int nrhs, double *a, double *b)
+{
+    lapack_int ipiv[16], info;
+    la->gesv(&n, &nrhs, a, &n, ipiv, b, &n, &info);
+    return info;
+}
+
+/* The workspace a query asks for, or -1 where it fails or exceeds WORK */
+static lapack_int queried(lapack_int info, const struct lapack *la)
+{
+    if (info != 0 || !(la->work[0] <= WORK))
+        return -1;
+    return la->work[0] > 1 ? (lapack_int)la->work[0] : 1;
+}
+
+/* The column-major copy of the rows x cols row-major m */
+static void column_major(int rows, int cols, const double *m, double *out)
+{
+    for (int r = 0; r < rows; r++)
+        for (int c = 0; c < cols; c++)
+            out[r + c * rows] = m[r * cols + c];
+}
+
+static int all_finite(int len, const double *a)
+{
+    for (int i = 0; i < len; i++)
+        if (!__builtin_isfinite(a[i]))
+            return 0;
+    return 1;
+}
+
+FMA_TARGET static double fused_square_plus_one(double r)
+{
+    return __builtin_fma(r, r, 1.0);
+}
+
+/* |re + i im| as np.abs computes it for complex128 in its SIMD loop:
+ * larger * sqrt(ratio^2 + 1), with ratio^2 + 1 fused on a CPU with FMA. */
+static double numpy_abs(double re, double im, int fused)
+{
+    re = __builtin_fabs(re);
+    im = __builtin_fabs(im);
+    if (re == __builtin_inf())
+        im = re;
+    else if (im == __builtin_inf())
+        re = im;
+    if (re != re || im != im)
+        re = im = __builtin_nan("");
+    const double larger = re > im ? re : im, smaller = re > im ? im : re;
+    const double ratio = larger == 0 || smaller == __builtin_inf() ? 0.0 : smaller / larger;
+    return __builtin_sqrt(fused ? fused_square_plus_one(ratio) : ratio * ratio + 1.0) * larger;
+}
+
+/* The next permutation of p[0..n) in lexicographic order, or 0 after the last */
+static int next_permutation(int *p, int n)
+{
+    int i = n - 2, j = n - 1, t;
+    while (i >= 0 && p[i] > p[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    while (p[j] < p[i])
+        j--;
+    t = p[i], p[i] = p[j], p[j] = t;
+    for (i++, j = n - 1; i < j; i++, j--)
+        t = p[i], p[i] = p[j], p[j] = t;
+    return 1;
+}
+
+/* The n x n distances |w_i - z_k| of the eigenvalues wr + i wi to the
+ * poles z (interleaved re, im), as np.abs(w[:, None] - z) computes them */
+static void distances(int n, const double *wr, const double *wi, const double *z, int fused,
+                      double cost[4][4])
+{
+    for (int i = 0; i < n; i++)
+        for (int k = 0; k < n; k++)
+            cost[i][k] = numpy_abs(wr[i] - z[2 * k], wi[i] - z[2 * k + 1], fused);
+}
+
+/* observer._spectrum_deviation of one row for n <= 4: the largest distance
+ * of the first least-sum permutation in lexicographic order, with argmin's
+ * and max's NaN rules (a NaN sum is least, a NaN distance is largest). */
+static double deviation(int n, const double *wr, const double *wi, const double *z, int fused)
+{
+    double cost[4][4], least = 0.0, worst;
+    int perm[4] = {0, 1, 2, 3}, pick[4] = {0, 1, 2, 3}, first = 1;
+    distances(n, wr, wi, z, fused, cost);
+    do {
+        double sum = -0.0;
+        for (int i = 0; i < n; i++)
+            sum += cost[i][perm[i]];
+        sum = 0.0 + sum;
+        if (first || (least == least && !(sum >= least))) {
+            least = sum;
+            memcpy(pick, perm, sizeof pick);
+        }
+        first = 0;
+    } while (next_permutation(perm, n));
+    worst = cost[0][pick[0]];
+    for (int i = 1; i < n; i++) {
+        const double c = cost[i][pick[i]];
+        if (worst == worst && (c != c || c > worst))
+            worst = c;
+    }
+    return worst;
+}
+
+/* The products of one row, in the order of one family */
+struct products {
+    /* the observability stack O (n q, n): blocks C A^j, j < n */
+    void (*stack)(int n, int q, const double *A, const double *C, double *O);
+    /* vec(C^T G), column-stacked */
+    void (*rhs)(int n, int q, const double *C, const double *G, double *x);
+    /* A - L C, with L (n, q) row-major */
+    void (*closed)(int n, int q, const double *A, const double *L, const double *C, double *M);
+};
+
+#define PLACE_PRODUCTS(NAME, ATTR, ACC, N_ROW)                                  \
+    ATTR static void NAME##_stack(int n, int q, const double *A, const double *C, \
+                                  double *O)                                    \
+    {                                                                           \
+        memcpy(O, C, q * n * sizeof(double));                                   \
+        for (int j = 1; j < n; j++)                                             \
+            for (int r = 0; r < q; r++) {                                       \
+                const double *x = O + ((j - 1) * q + r) * n;                    \
+                for (int i = 0; i < n; i++) {                                   \
+                    const double *m = A + i;                                    \
+                    const long cs = n;                                          \
+                    if (q == 1)                                                 \
+                        O[j * n + i] = 0.0 + N_ROW(n);                          \
+                    else                                                        \
+                        PRODUCT(ACC, O[(j * q + r) * n + i], x, 1, m, cs, n);  \
+                }                                                               \
+            }                                                                   \
+    }                                                                           \
+    ATTR static void NAME##_rhs(int n, int q, const double *C, const double *G, \
+                                double *x)                                      \
+    {                                                                           \
+        for (int i = 0; i < n; i++)                                             \
+            for (int a = 0; a < n; a++)                                         \
+                PRODUCT(ACC, x[i * n + a], C + a, n, G + i, n, q);              \
+    }                                                                           \
+    ATTR static void NAME##_closed(int n, int q, const double *A, const double *L, \
+                                   const double *C, double *M)                  \
+    {                                                                           \
+        double lc;                                                              \
+        for (int i = 0; i < n; i++)                                             \
+            for (int j = 0; j < n; j++) {                                       \
+                PRODUCT(ACC, lc, L + i * q, 1, C + j, n, q);                    \
+                M[i * n + j] = A[i * n + j] - lc;                               \
+            }                                                                   \
+    }                                                                           \
+    static const struct products NAME = {NAME##_stack, NAME##_rhs, NAME##_closed};
+
+PLACE_PRODUCTS(skx_products, FMA_TARGET, FMA_ACC, SKX_N_ROW)
+PLACE_PRODUCTS(hsw_products, FMA_TARGET, FMA_ACC, HSW_N_ROW)
+PLACE_PRODUCTS(seq_products, , SEQ_ACC, SEQ_ROW)
+
+enum { PLACED, UNOBSERVABLE, SHARED_EIGENVALUE, NOT_PLACED };
+
+/* One row of leo_place; returns 0 where a LAPACK call fails, as numpy's
+ * would raise. */
+static int place_row(const struct products *pr, struct lapack *la, int fused, int n, int q,
+                     double rank_rtol, double tol, long draws, const double *A, const double *C,
+                     const double *requested, const double *targets,
+                     const double *neg_kron, const double *G, double *L, int64_t *reason,
+                     double *best)
+{
+    const int nq = n * q, nn = n * n;
+    double O[64], K[256], work[256], x[16], s[4], wr[4], wi[4], M[16], gain[16], dev;
+    int near = 0, shared = 0, nan = 0;
+
+    /* observable: the stack has full column rank; an overflowed one does not */
+    pr->stack(n, q, A, C, O);
+    if (!all_finite(nq * n, O))
+        return *reason = UNOBSERVABLE, 1;
+    column_major(nq, n, O, work);
+    if (singular_values(la, nq, n, work, s, la->lwork_stack))
+        return 0;
+    if (!(s[n - 1] > rank_rtol * s[0]))
+        return *reason = UNOBSERVABLE, 1;
+
+    /* a spectrum already in place keeps the zero gain; a shared eigenvalue
+     * fails before any draw (1e-9: observer._numpy_place's cutoffs) */
+    column_major(n, n, A, work);
+    if (eigenvalues(la, n, work, wr, wi, la->lwork_eig))
+        return 0;
+    double cost[4][4];
+    distances(n, wr, wi, requested, fused, cost);
+    for (int i = 0; i < nn; i++)
+        near |= !(cost[i / n][i % n] >= 1e-9);
+    if (near && !(deviation(n, wr, wi, requested, fused) >= 1e-9))
+        return *reason = PLACED, 1;
+    distances(n, wr, wi, targets, fused, cost);
+    for (int i = 0; i < nn; i++) {
+        nan |= cost[i / n][i % n] != cost[i / n][i % n];
+        shared |= cost[i / n][i % n] < 1e-9;
+    }
+    if (shared && !nan)
+        return *reason = SHARED_EIGENVALUE, 1;
+
+    /* K = kron(I, A^T) - kron(F^T, I), column-major: -kron(F^T, I) plus
+     * A^T on the diagonal blocks */
+    column_major(nn, nn, neg_kron, K);
+    for (int i = 0; i < nn; i += n)
+        for (int r = 0; r < n; r++)
+            for (int c = 0; c < n; c++)
+                K[i + r + (i + c) * nn] += A[c * n + r];
+    *reason = NOT_PLACED;
+    for (long g = 0; g < draws; g++) {
+        const double *Gg = G + g * q * n;
+        lapack_int info;
+        pr->rhs(n, q, C, Gg, x);
+        memcpy(work, K, nn * nn * sizeof(double));
+        info = solve(la, nn, 1, work, x);
+        if (info < 0)
+            return 0;
+        dev = __builtin_nan(""); /* X singular: exactly, or not finite, or by its SVD */
+        if (info == 0 && all_finite(nn, x)) {
+            /* x is X^T row-major, so X column-major */
+            memcpy(work, x, nn * sizeof(double));
+            if (singular_values(la, n, n, work, s, la->lwork_x))
+                return 0;
+            const double floor = 1e-10 * s[0];
+            if (s[n - 1] >= (floor > __DBL_MIN__ ? floor : __DBL_MIN__)) {
+                /* L from X^T L = G^T: G row-major is G^T column-major */
+                column_major(n, n, x, work);
+                memcpy(M, Gg, nq * sizeof(double));
+                if (solve(la, n, q, work, M))
+                    return 0;
+                column_major(q, n, M, gain);
+                pr->closed(n, q, A, gain, C, M);
+                dev = __builtin_inf();
+                if (all_finite(nn, M)) {
+                    column_major(n, n, M, work);
+                    if (eigenvalues(la, n, work, wr, wi, la->lwork_eig))
+                        return 0;
+                    dev = deviation(n, wr, wi, targets, fused);
+                }
+            }
+        }
+        *best = __builtin_fmin(*best, dev);
+        if (dev < tol) {
+            memcpy(L, gain, nq * sizeof(double));
+            *reason = PLACED;
+            break;
+        }
+    }
+    return 1;
+}
+
+/* Places the poles `requested` (n complex, interleaved) on a stack of nb
+ * pairs A (nb, n, n) and C (nb, q, n) in order family `family`, with F's
+ * attained spectrum `targets`, -kron(F^T, I) `neg_kron` and the G draws
+ * (draws, q, n), all C-contiguous: writes each row's gain into L (nb, n, q),
+ * its reason code and its least deviation over the solved draws (NaN if
+ * none), as observer._numpy_place does, and returns 1. Returns 0, with the
+ * outputs meaningless, for n outside 2..4 or q outside 1..n, for an FMA
+ * family on a CPU without FMA, or where a LAPACK call fails (numpy's
+ * would raise). */
+int leo_place(int family, long nb, int n, int q, double rank_rtol, double tol, long draws,
+              const double *A, const double *C, const double *requested,
+              const double *targets, const double *neg_kron, const double *G, void *gesdd,
+              void *geev, void *gesv, double *L, int64_t *reason, double *best)
+{
+    const int nn = n * n, fused = HAS_FMA();
+    const struct products *pr = family == SKX ? &skx_products
+                                : family == HSW ? &hsw_products : &seq_products;
+    struct lapack la; /* not zeroed: its work space is written before it is read */
+    double a[64], s[4], w[4];
+    if (n < 2 || n > 4 || q < 1 || q > n || family < SKX || family > SEQ
+        || (family != SEQ && !fused))
+        return 0;
+    la.gesdd = (gesdd_fn *)gesdd;
+    la.geev = (geev_fn *)geev;
+    la.gesv = (gesv_fn *)gesv;
+    if ((la.lwork_stack = queried(singular_values(&la, n * q, n, a, s, -1), &la)) < 0
+        || (la.lwork_x = queried(singular_values(&la, n, n, a, s, -1), &la)) < 0
+        || (la.lwork_eig = queried(eigenvalues(&la, n, a, s, w, -1), &la)) < 0)
+        return 0;
+    memset(L, 0, nb * n * q * sizeof(double));
+    for (long b = 0; b < nb; b++) {
+        best[b] = __builtin_nan("");
+        if (!place_row(pr, &la, fused, n, q, rank_rtol, tol, draws, A + b * nn, C + b * q * n,
+                       requested, targets, neg_kron, G, L + b * n * q, reason + b, best + b))
+            return 0;
+    }
+    return 1;
 }

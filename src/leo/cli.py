@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, learning, observer
 from .exceptions import LeoError
 from .experiments import (
     DEFAULT_DIMENSION_GRID,
@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .learning import TrainConfig
 from .local_lti import run_theory_checks
-from .lti_core import LtiParams, TrueSystem, kernel_name
+from .lti_core import LtiParams, TrueSystem, kernel_name, _blas_core
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -290,6 +290,16 @@ def cmd_trial(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _c_passes() -> dict:
+    """Which C passes load in this process, each loaded if it has not yet
+    been: the time-step loop, the loss pass and the placement pass."""
+    return {
+        "loop": kernel_name() == "c",
+        "loss": bool(learning._load_c_pass()),
+        "placement": bool(observer._load_c_place()),
+    }
+
+
 def _summary_table(summaries) -> str:
     lines = [
         f"{'(n,p,q)':<10} {'ERR_open':>9} {'SR_open':>8} {'p_open':>10} "
@@ -367,6 +377,8 @@ def cmd_montecarlo(args, config: dict) -> int:
     payload = {
         "version": _version_string(),
         "kernel": kernel_name(),
+        "c_passes": _c_passes(),
+        "blas_core": _blas_core(),
         "config": {
             "trials": trials,
             "master_seed": seed,

@@ -15,15 +15,16 @@ trials of a Monte Carlo batch) as plain arrays with a leading run axis: θ,
 the anchor θ, the Adam moments, per-run counters and masks. Each round runs
 one epoch of every live run with one stacked call per stage: gain
 re-synthesis (``_place_poles``, which first decides which pairs are
-observable), loss and gradient (``_stacked_loss``, one call of the C loss
-pass of ``_kernel.c`` where it loads, else the numpy pass ``_numpy_loss``)
-and the Adam update. Rollback, abort and gain reuse are masked assignments.
-Every stage gives each finite row a result: a pair it cannot place keeps
-its gain, and a diverged rollout or a gradient, Adam step or second moment
-that leaves the finite numbers fails that run's epoch, which one rule rolls
-back or aborts. A stacked call computes every row bitwise as a stack of one would,
-so a run's result does not depend on its batch; ``train``, ``loss`` and
-``gradient`` are batches of one.
+observable: one call of the C placement pass of ``_kernel.c`` where it
+loads, else ``observer._numpy_place``), loss and gradient
+(``_stacked_loss``, one call of the C loss pass where it loads, else the
+numpy pass ``_numpy_loss``) and the Adam update. Rollback, abort and gain
+reuse are masked assignments. Every stage gives each finite row a result: a
+pair it cannot place keeps its gain, and a diverged rollout or a gradient,
+Adam step or second moment that leaves the finite numbers fails that run's
+epoch, which one rule rolls back or aborts. A stacked call computes every
+row bitwise as a stack of one would, so a run's result does not depend on
+its batch; ``train``, ``loss`` and ``gradient`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -40,6 +41,7 @@ import numpy as np
 from .exceptions import DivergedRollout, ShapeError
 from .lti_core import (
     LtiParams, matrix_to_json, _FAMILIES, _affine_adjoint, _affine_rollout, _c_library,
+    _same_bits,
 )
 from .observer import (
     PLACED, UNOBSERVABLE, default_observer_poles, _checked_poles, _gain_matrix, _place_poles,
@@ -415,14 +417,6 @@ def _pass_matches_numpy(loss_pass) -> bool:
     return True
 
 
-def _same_bits(a, b) -> bool:
-    """Whether two results are equal bit for bit, NaN payloads aside."""
-    if a is None or b is None:
-        return a is b
-    nan = np.isnan(a)
-    return bool((nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes())
-
-
 def _one_run_loss(params, gain, inputs, measured_outputs, cfg, init, want_gradient):
     """``_stacked_loss`` of one run; raises ``DivergedRollout`` if its rollout diverges."""
     n, _, q = params.dims
@@ -534,12 +528,14 @@ def train(
 ) -> TrainResult:
     """Run the full refinement loop (gain refresh, loss and gradient, Adam).
 
-    Per epoch in Luenberger mode, one ``_place_poles`` call: (a) one SVD of
-    the current matrices' observability stack decides whether the pair is
-    observable; (b) if it is, the observer gain is re-synthesized from the
-    current matrices, otherwise (or if synthesis fails) the previous gain,
-    at first zero, is kept. Then in both modes: (c) loss and gradient with
-    the gain frozen; (d) an Adam step at the scheduled learning rate.
+    Per epoch in Luenberger mode, one ``_place_poles`` call (one call of
+    the C placement pass of ``_kernel.c`` where it loads, for n = 2..4):
+    (a) one SVD of the current matrices' observability stack decides
+    whether the pair is observable; (b) if it is, the observer gain is
+    re-synthesized from the current matrices, otherwise (or if synthesis
+    fails) the previous gain, at first zero, is kept. Then in both modes:
+    (c) loss and gradient with the gain frozen, in one call of the C loss
+    pass where it loads; (d) an Adam step at the scheduled learning rate.
 
     An epoch fails when its rollout diverges or its gradient, Adam step or
     second moment leaves the finite numbers (a second moment that

@@ -428,7 +428,47 @@ def _build_c_library():
     lib.leo_affine.argtypes = [c_int, c_int, c_int, c_long, c_long, c_int] + [pointer] * 4
     lib.leo_loss.argtypes = [c_int, c_long, c_int, c_int, c_int, c_long, c_long, c_int,
                              c_double, c_double, c_double] + [pointer] * 6
+    lib.leo_place.argtypes = [c_int, c_long, c_int, c_int, c_double, c_double,
+                              c_long] + [pointer] * 12
     return lib
+
+
+# numpy's own OpenBLAS, which holds its LAPACK: None until first asked
+# for, then a ctypes handle, or False where it cannot be opened.
+_openblas_handle = None
+
+
+def _openblas_symbol(name: str):
+    """The address of ``name`` in the OpenBLAS that numpy.linalg calls, or
+    None where it does not resolve.
+
+    The library is opened through numpy's ``_umath_linalg`` extension, which
+    links it: numpy's own wheels bundle an ILP64 OpenBLAS whose symbols
+    carry a ``scipy_`` prefix and a ``64_`` suffix. Other builds resolve none.
+    """
+    import ctypes
+
+    global _openblas_handle
+    if _openblas_handle is None:
+        try:
+            from numpy.linalg import _umath_linalg
+
+            _openblas_handle = ctypes.CDLL(_umath_linalg.__file__)
+        except (ImportError, OSError):
+            _openblas_handle = False
+    symbol = getattr(_openblas_handle, name, None) if _openblas_handle else None
+    return None if symbol is None else ctypes.cast(symbol, ctypes.c_void_p).value
+
+
+def _blas_core() -> str | None:
+    """The name of the core whose kernels numpy's OpenBLAS runs (for
+    example ``"SkylakeX"`` or ``"Haswell"``), or None where it is not known."""
+    import ctypes
+
+    address = _openblas_symbol("scipy_openblas_get_corename64_")
+    if address is None:
+        return None
+    return ctypes.CFUNCTYPE(ctypes.c_char_p)(address)().decode()
 
 
 def _family_loop(lib, family: int):
@@ -459,6 +499,7 @@ def _family_loop(lib, family: int):
                            None if start is None else start.ctypes.data, f.ctypes.data,
                            out.ctypes.data))
 
+    loop.family = family
     return loop
 
 
@@ -484,6 +525,14 @@ def _matches_numpy(loop) -> bool:
                     or adjoint.tobytes() != backwards.tobytes()):
                 return False
     return True
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two results are equal bit for bit, NaN payloads aside."""
+    if a is None or b is None:
+        return a is b
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes())
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:

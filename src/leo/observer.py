@@ -15,6 +15,9 @@ whose A shares an eigenvalue with F fails before any draw, and the result
 is a gain array plus a reason code for each row (placed, unobservable,
 shared eigenvalue, or no draw placed it). What depends only on
 the requested poles (F, its Kronecker term and the G draws) is built once.
+For 2 <= n <= 4 the whole placement of a stack is one call of the C pass
+of ``_kernel.c``, which calls the LAPACK routines numpy's linalg calls and
+gives every row bitwise the numpy placement's result.
 """
 
 from __future__ import annotations
@@ -27,13 +30,19 @@ import numpy as np
 
 from .exceptions import PolePlacementInfeasible, ShapeError, SynthesisFailureError
 from .lti_core import (
+    RANK_RTOL,
     LtiParams,
     Trajectory,
+    _FAMILIES,
     _affine_rollout,
     _as_matrix,
     _as_square,
+    _c_library,
     _checked_horizon,
+    _load_c_loop,
     _observable,
+    _openblas_symbol,
+    _same_bits,
 )
 
 __all__ = [
@@ -240,7 +249,6 @@ def _placement_constants(poles: tuple, q: int) -> tuple[np.ndarray, np.ndarray, 
     return neg_kron, targets, draws
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     """``place_observer_poles`` for validated matrices and poles from
     ``_checked_poles``, with each row's outcome returned, never raised.
@@ -249,11 +257,27 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     gains L (B, n, q), zero where a row has none, its reason code (B,) and
     its least ``max_spectrum_deviation`` over the solved draws (B,), NaN
     if no draw was solved. ``SHARED_EIGENVALUE`` is an A within 1e-9 of
-    the requested spectrum, which fails before any draw. Each step is one
-    stacked call over the rows still without a gain, and a stacked LAPACK
-    call or matmul computes every item as its own call would, so each
-    row's outcome is bitwise that of its own call. Finite rows give a
-    result without a warning: a value that overflows fails its own row.
+    the requested spectrum, which fails before any draw. Each row's
+    outcome is bitwise that of its own call. Finite rows give a result
+    without a warning: a value that overflows fails its own row.
+
+    The C placement pass of ``_kernel.c`` runs it where it loads, in one
+    call for 2 <= n <= 4 and q <= n, calling the LAPACK routines numpy's
+    linalg calls; else ``_numpy_place``, which is also where any LAPACK
+    failure is raised as numpy raises it.
+    """
+    place = 2 <= A.shape[1] <= 4 and _load_c_place()
+    got = place and place(A, C, desired)
+    return got or _numpy_place(A, C, desired)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _numpy_place(A: np.ndarray, C: np.ndarray, desired):
+    """``_place_poles`` in numpy: the fallback and the reference.
+
+    Each step is one stacked call over the rows still without a gain, and
+    a stacked LAPACK call or matmul computes every item as its own call
+    would, so each row's outcome is bitwise that of its own call.
     """
     n, q = A.shape[1], C.shape[1]
     poles = tuple(desired)
@@ -328,6 +352,98 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
             break
         rows, A, C, K = (a[~done] for a in (rows, A, C, K))
     return gains, reason, best
+
+
+# The C placement pass: None until the first placement with 2 <= n <= 4
+# loads it, then the loaded pass, or False where it is unavailable and
+# ``_numpy_place`` runs.
+_c_place = None
+# The LAPACK routines of numpy's OpenBLAS that the pass calls, as numpy's
+# linalg does: svd, eigvals and solve.
+_LAPACK = ("scipy_dgesdd_64_", "scipy_dgeev_64_", "scipy_dgesv_64_")
+
+
+def _load_c_place():
+    """The C placement pass, checked on first use, or False.
+
+    The library is the one ``lti_core`` builds for its time-step loop, and
+    the LAPACK routines are numpy's own (``_openblas_symbol``). The loader
+    keeps the first order family whose pass gives ``_numpy_place``'s bits
+    on a fixed stack (``_place_matches_numpy``), trying the time-step
+    loop's family first: the pass's one dgemv product, the q = 1
+    observability stack, only decides ranks, so the probe's outputs seldom
+    tell the FMA families apart, and the loop's probe does. Any failure (no
+    library, a routine that does not resolve, no family that matches)
+    leaves ``_numpy_place`` in place, without a warning.
+    """
+    global _c_place
+    if _c_place is None:
+        lib = _c_library()
+        routines = [_openblas_symbol(name) for name in _LAPACK]
+        first = getattr(_load_c_loop(), "family", 0)
+        families = [first] + [f for f in range(len(_FAMILIES)) if f != first]
+        places = ([] if lib is None or None in routines
+                  else [_family_place(lib, f, routines) for f in families])
+        _c_place = next((place for place in places if _place_matches_numpy(place)), False)
+    return _c_place
+
+
+def _family_place(lib, family: int, routines: list):
+    """The C placement pass in order family ``family``, calling the LAPACK
+    routines at the addresses ``routines``, as ``_place_poles`` calls it."""
+    leo_place = lib.leo_place
+
+    def place(A, C, desired):
+        """``_place_poles`` from one C call, or None where the pass does
+        not run: n outside 2..4 or q outside 1..n, a family this CPU
+        cannot run, or a LAPACK call that fails."""
+        B, n, q = len(A), A.shape[1], C.shape[1]
+        requested = np.ascontiguousarray(desired, dtype=complex)
+        neg_kron, targets, draws = (
+            np.ascontiguousarray(a) for a in _placement_constants(tuple(desired), q)
+        )
+        A, C = np.ascontiguousarray(A, dtype=float), np.ascontiguousarray(C, dtype=float)
+        gains, reason, best = np.empty((B, n, q)), np.empty(B, dtype=np.int64), np.empty(B)
+        ran = leo_place(
+            family, B, n, q, RANK_RTOL, _PLACEMENT_TOL, len(draws), A.ctypes.data,
+            C.ctypes.data, requested.ctypes.data, targets.ctypes.data, neg_kron.ctypes.data,
+            draws.ctypes.data, *routines, gains.ctypes.data, reason.ctypes.data,
+            best.ctypes.data,
+        )
+        return (gains, reason, best) if ran else None
+
+    place.family = family
+    return place
+
+
+def _place_matches_numpy(place) -> bool:
+    """True iff ``place`` runs and gives ``_numpy_place``'s gains, reason
+    codes and best deviations bit for bit, with any NaN for a NaN, on a
+    fixed seeded stack per (n, q) with 2 <= n <= 4 and q <= n, for real
+    and for complex poles.
+
+    Besides ordinary rows, the stack holds a spectrum already in place, an
+    A that shares an eigenvalue with the poles, an unobservable pair, an
+    observability stack that overflows and a pair of subnormal products.
+    """
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261020)))
+    for n in range(2, 5):
+        real = default_observer_poles(n).astype(complex)
+        pair = real.copy()
+        pair[:2] = 0.5 * np.exp(0.7j), 0.5 * np.exp(-0.7j)
+        for q in range(1, n + 1):
+            A, C = 0.6 * gen.standard_normal((9, n, n)), gen.standard_normal((9, q, n))
+            A[4] = np.diag(real.real)
+            # triangular, with the eigenvalue real[0] on its diagonal
+            A[5] = np.triu(A[5], 1) + np.diag(np.roll(real.real, 1) + np.eye(n)[0])
+            C[6] = 0.0
+            A[7] *= 1e160
+            A[8], C[8] = 1e-160 * A[8], 1e-160 * C[8]
+            for poles in (real, pair):
+                got, want = place(A, C, poles), _numpy_place(A, C, poles)
+                if got is None or not all(map(_same_bits, got, want)):
+                    return False
+    return True
 
 
 def _gain_matrix(gain, n: int, q: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import leo
-from leo import local_lti, lti_core
+from leo import learning, local_lti, lti_core, observer
 from leo.cli import build_parser, main
 
 
@@ -109,14 +109,44 @@ class TestMonteCarlo:
     def test_summary_records_the_kernel(self, tmp_path, capsys, monkeypatch, forced):
         if forced:
             monkeypatch.setattr(lti_core, "_c_loop", False)
+            monkeypatch.setattr(learning, "_c_pass", False)
+            monkeypatch.setattr(observer, "_c_place", False)
         out = tmp_path / "mc"
         assert run_cli(
             "montecarlo", "--dims", "2,1,1", "--trials", "10", "--epochs", "2",
             "--out-dir", str(out),
         ) == 0
-        kernel = json.loads((out / "summary.json").read_text())["kernel"]
+        summary = json.loads((out / "summary.json").read_text())
+        kernel = summary["kernel"]
         assert kernel == ("numpy" if forced else lti_core.kernel_name())
         assert kernel in ("c", "numpy")
+        assert summary["c_passes"] == {
+            "loop": kernel == "c",
+            "loss": bool(learning._load_c_pass()),
+            "placement": bool(observer._load_c_place()),
+        }
+        if forced:
+            assert not any(summary["c_passes"].values())
+
+    @pytest.mark.parametrize("resolves", [True, False])
+    def test_summary_records_the_blas_core(self, tmp_path, capsys, monkeypatch, resolves):
+        if not resolves:
+            monkeypatch.setattr(lti_core, "_openblas_symbol", lambda name: None)
+        out = tmp_path / "mc"
+        assert run_cli(
+            "montecarlo", "--dims", "2,1,1", "--trials", "10", "--epochs", "0",
+            "--out-dir", str(out),
+        ) == 0
+        core = json.loads((out / "summary.json").read_text())["blas_core"]
+        if not resolves:
+            assert core is None
+        elif lti_core._openblas_symbol("scipy_openblas_get_corename64_") is None:
+            assert core is None  # numpy's BLAS is not its bundled OpenBLAS
+        else:
+            # OpenBLAS's name for the core it picked, which OPENBLAS_CORETYPE sets
+            assert isinstance(core, str) and core.isalnum()
+            wanted = os.environ.get("OPENBLAS_CORETYPE")
+            assert wanted is None or core.lower() == wanted.lower()
 
     def test_too_few_trials_rejected(self, tmp_path, capsys):
         out = tmp_path / "mc"

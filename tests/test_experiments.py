@@ -466,16 +466,24 @@ class TestNominalRegeneration:
             )
 
     def test_one_observability_decision_per_pair(self, monkeypatch):
-        # the draw's own check, the nominal placement and the enhanced one
+        # the draw's own check, the nominal placement and the enhanced one;
+        # the C placement pass, where it loads, decides inside its call
         original = leo.lti_core._observable
+        place = leo.observer._load_c_place()  # loaded first: its probe decides too
         calls = []
 
         def counted(A, C):
             calls.append(len(A))
             return original(A, C)
 
+        def counted_place(A, C, desired):
+            calls.append(len(A))
+            return place(A, C, desired)
+
         for module in (leo.lti_core, leo.observer):
             monkeypatch.setattr(module, "_observable", counted)
+        if place:
+            monkeypatch.setattr(leo.observer, "_load_c_place", lambda: counted_place)
         execute_trial(self.SPEC, TrainConfig(epochs=0))
         assert calls == [1, 1, 1]
 

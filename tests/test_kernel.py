@@ -1,5 +1,5 @@
-"""The C time-step loop and loss pass against the numpy code they replace,
-and their loaders.
+"""The C time-step loop, loss pass and placement pass against the numpy
+code they replace, and their loaders.
 
 ``_affine_rollout`` runs the C loop of ``leo/_kernel.c`` where it builds
 and passes its load-time check, and ``_numpy_rollout`` otherwise;
@@ -8,7 +8,9 @@ its numpy reference. Training amplifies last-bit differences, so the two must
 agree bit for bit, including on the non-finite rows that divergence
 detection reads. On a host without a C compiler the properties compare the
 numpy loop with itself. The same holds for the loss pass of
-``learning._stacked_loss`` against ``learning._numpy_loss``.
+``learning._stacked_loss`` against ``learning._numpy_loss``, and for the
+placement pass of ``observer._place_poles`` against
+``observer._numpy_place``.
 """
 
 import os
@@ -16,15 +18,17 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leo import learning, lti_core
+from leo import learning, lti_core, observer
 from leo.learning import TrainConfig, _numpy_loss, _stacked_loss
 from leo.lti_core import _affine_adjoint, _affine_rollout, _numpy_rollout
+from leo.observer import _checked_poles, _numpy_place, _place_poles, default_observer_poles
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -89,15 +93,6 @@ def stacks(draw):
     return M, x0, forcing, direct
 
 
-@pytest.fixture
-def fresh(monkeypatch, tmp_path):
-    """Loaders that have not run yet, with their cache under tmp_path."""
-    monkeypatch.setattr(lti_core, "_c_loop", None)
-    monkeypatch.setattr(learning, "_c_pass", None)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    return tmp_path / "leo"
-
-
 class TestCLoopMatchesNumpyLoop:
     @PROPERTY_SETTINGS
     @given(stack=stacks())
@@ -117,7 +112,7 @@ class TestCLoopMatchesNumpyLoop:
         assert lti_core.kernel_name() == "c"
 
     @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, tmp_path):
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
         # OpenBLAS picks its dgemv kernel by core at run time; each order
         # family must match the cores it names, not only this host's own
         if shutil.which("cc") is None:
@@ -142,7 +137,7 @@ class TestCLoopMatchesNumpyLoop:
             "        back = lc._numpy_rollout(S.transpose(0, 2, 1), d[:, -1], d[:, -2::-1])\n"
             "        assert lc._affine_adjoint(S, d).tobytes() == back[:, ::-1].tobytes()\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path),
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
                    OPENBLAS_CORETYPE=core)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=240)
@@ -180,14 +175,14 @@ class TestLoader:
         monkeypatch.setattr(lti_core, "_c_loop", False)
         self.check_numpy_fallback()
 
-    def test_no_compiler(self, fresh, monkeypatch):
+    def test_no_compiler(self, unbuilt, monkeypatch):
         monkeypatch.setenv("PATH", "")
         self.check_numpy_fallback()
-        assert list(fresh.iterdir()) == []  # no temp file left behind
+        assert list(unbuilt.iterdir()) == []  # no temp file left behind
 
-    def test_unwritable_cache(self, fresh, monkeypatch):
-        fresh.parent.joinpath("not-a-dir").write_text("")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh.parent / "not-a-dir"))
+    def test_unwritable_cache(self, unbuilt, monkeypatch):
+        unbuilt.parent.joinpath("not-a-dir").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(unbuilt.parent / "not-a-dir"))
         self.check_numpy_fallback()
 
     def test_probe_mismatch(self, fresh, monkeypatch):
@@ -217,30 +212,35 @@ class TestLoader:
     def test_probe_rejects_a_loop_that_does_not_run(self, fresh):
         assert not lti_core._matches_numpy(lambda S, x0, f, out: False)
 
-    def test_concurrent_first_builds_share_one_library(self, fresh):
+    def test_concurrent_first_builds_share_one_library(self, unbuilt):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on this host")
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(fresh.parent))
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(unbuilt.parent))
         code = "from leo.lti_core import kernel_name; print(kernel_name())"
         procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
                                   text=True) for _ in range(3)]
         outputs = [proc.communicate(timeout=240)[0].strip() for proc in procs]
         assert outputs == ["c"] * 3
-        assert [p.suffix for p in fresh.iterdir()] == [".so"]
+        assert [p.suffix for p in unbuilt.iterdir()] == [".so"]
 
 
-def test_import_loads_neither_scipy_linalg_nor_the_kernel(tmp_path):
-    # and loading the kernel later imports no scipy.linalg either
+def test_import_loads_neither_scipy_linalg_nor_the_kernel(kernel_cache):
+    # no loader runs and the cache is untouched on import, and loading the
+    # kernel and the passes later imports no scipy.linalg either
+    cache = kernel_cache / "leo"
     code = (
         "import os, sys, leo\n"
         "loaded = [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "assert leo.lti_core._c_loop is None\n"
-        f"assert os.listdir({str(tmp_path)!r}) == []\n"
+        "assert leo.lti_core._c_loop is None and leo.learning._c_pass is None\n"
+        "assert leo.observer._c_place is None and leo.lti_core._openblas_handle is None\n"
+        f"assert os.listdir({str(cache)!r}) == {os.listdir(cache)!r}\n"
         "leo.lti_core.kernel_name()\n"
+        "leo.learning._load_c_pass()\n"
+        "leo.observer._load_c_place()\n"
         "assert 'scipy.linalg' not in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -316,7 +316,7 @@ class TestLossPassMatchesNumpyPass:
         assert learning._load_c_pass()
 
     @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, tmp_path):
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
         # the pass's products follow the BLAS core's own orders, so each
         # family must match the cores it names, not only this host's own
         if shutil.which("cc") is None:
@@ -343,7 +343,7 @@ class TestLossPassMatchesNumpyPass:
             "        got, want = loss_pass(*args, True), lg._numpy_loss(*args, True)\n"
             "        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path),
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
                    OPENBLAS_CORETYPE=core)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=240)
@@ -390,3 +390,150 @@ class TestLossPassLoader:
         assert learning._load_c_pass() is False
         for got, want in zip(_stacked_loss(*args), _numpy_loss(*args)):
             assert same_bits(got, want)
+
+
+# Entry magnitudes of the extreme rows of ``placement_stacks``: subnormal,
+# tiny, ordinary and huge.
+EXTREMES = (0.0, 5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e150, 1e300, 1.7e308)
+
+
+@st.composite
+def placement_stacks(draw):
+    """Arguments of ``_place_poles``, with a scale for the G draws: B pairs
+    of one (n, q), among them rows of every rare kind."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 5))
+    q, batch = draw(st.integers(1, n)), draw(st.integers(1, 12))
+    gen = np.random.default_rng(seed)
+    A = gen.standard_normal((batch, n, n)) * draw(st.sampled_from([0.3, 1.0, 3.0]))
+    C = gen.standard_normal((batch, q, n))
+    poles = np.sort(gen.uniform(-0.9, 0.9, n)).astype(complex)
+    if n >= 2 and draw(st.booleans()):
+        radius, angle = gen.uniform(0.1, 0.9), gen.uniform(0.1, 3.0)
+        poles[:2] = radius * np.exp(1j * angle), radius * np.exp(-1j * angle)
+    kinds = st.sampled_from(["ordinary", "unobservable", "shared eigenvalue", "in place",
+                             "singular operator", "subnormal C", "extreme"])
+    for b, kind in enumerate(draw(st.lists(kinds, min_size=batch, max_size=batch))):
+        if kind == "unobservable":
+            C[b] = 0.0
+        elif kind == "shared eigenvalue":
+            # triangular, with a requested real pole or an eigenvalue that
+            # misses it by less than 1e-9 on its diagonal
+            A[b] = np.triu(A[b], 1) + np.diag(gen.uniform(-0.9, 0.9, n))
+            A[b, 0, 0] = poles[-1].real + draw(st.sampled_from([0.0, 5e-10]))
+        elif kind == "in place":
+            A[b] = np.diag(poles.real) if not poles.imag.any() else A[b]
+        elif kind == "singular operator" and n == 2:
+            # K exactly singular, with no eigenvalue within 1e-9 of a pole
+            A[b], C[b] = [[1e-310, -0.5], [1e160, 1e160]], [1e250, -1e-300][:q]
+        elif kind == "subnormal C":
+            # with G scaled by 1e10, X is normal and the gain overflows
+            C[b] *= 1e-309
+        elif kind == "extreme":
+            for M in (A[b], C[b]):
+                M[...] = gen.choice([-1.0, 1.0], M.shape) * gen.choice(EXTREMES, M.shape)
+    scale = draw(st.sampled_from([1.0, 1.0, 0.0, 1e10]))
+    return A, C, _checked_poles(poles, n), scale
+
+
+class TestPlacementPassMatchesNumpyPlacement:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(args=placement_stacks())
+    def test_bitwise(self, args):
+        A, C, poles, scale = args
+        place = observer._load_c_place()  # before the patch: the probe runs unpatched
+        neg_kron, targets, draws = observer._placement_constants(tuple(poles), C.shape[1])
+        scaled = lambda *_: (neg_kron, targets, scale * draws)  # noqa: E731
+        with mock.patch.object(observer, "_placement_constants", scaled):
+            got, want = _place_poles(A, C, poles), _numpy_place(A, C, poles)
+            assert all(map(same_bits_nan_aside, got, want))
+            if place and 2 <= A.shape[1] <= 4:
+                assert place(A, C, poles) is not None  # the pass ran
+
+    def test_pass_runs_where_a_compiler_is(self, fresh):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        assert observer._load_c_place()
+
+    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
+        # the pass's products follow the BLAS core's own orders, so the
+        # family it loads must be the one the core names, and match there
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        if not openblas_can_run_avx2_cores():
+            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
+        code = (
+            "import numpy as np\n"
+            "from leo import lti_core as lc, observer as ob\n"
+            "place = ob._load_c_place()\n"
+            "print(lc._FAMILIES[place.family])\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n, q in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 4)):\n"
+            "    poles = ob._checked_poles(ob.default_observer_poles(n), n)\n"
+            "    A, C = gen.standard_normal((40, n, n)), gen.standard_normal((40, q, n))\n"
+            "    got, want = place(A, C, poles), ob._numpy_place(A, C, poles)\n"
+            "    assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
+                   OPENBLAS_CORETYPE=core)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [family]
+
+
+class TestPlacementPassLoader:
+    def loaded_pass(self):
+        place = observer._load_c_place()
+        if not place:
+            pytest.skip("the C placement pass does not load on this host")
+        return place
+
+    @pytest.mark.parametrize("where", ["gains", "reason", "best"])
+    def test_probe_rejects_a_pass_that_moves_a_bit(self, fresh, where):
+        place = self.loaded_pass()
+
+        def moved(A, C, desired):
+            gains, reason, best = (a.copy() for a in place(A, C, desired))
+            if where == "gains":
+                gains[0, 0, 0] = np.nextafter(gains[0, 0, 0], np.inf)
+            elif where == "reason":
+                reason[-1] = observer.NOT_PLACED if reason[-1] else observer.PLACED
+            else:
+                best[0] = np.nextafter(best[0], np.inf)
+            return gains, reason, best
+
+        assert observer._place_matches_numpy(place)
+        assert not observer._place_matches_numpy(moved)
+
+    def test_probe_rejects_a_pass_that_does_not_run(self, fresh):
+        assert not observer._place_matches_numpy(lambda A, C, desired: None)
+
+    @pytest.mark.parametrize("failure", ["probe", "symbol"])
+    def test_rejected_pass_leaves_the_numpy_placement(self, fresh, monkeypatch, failure):
+        if failure == "probe":
+            monkeypatch.setattr(observer, "_place_matches_numpy", lambda place: False)
+        else:
+            monkeypatch.setattr(observer, "_LAPACK", ("scipy_dgesdd_64_", "no_such_routine_"))
+        gen = np.random.default_rng(5)
+        A, C = gen.standard_normal((4, 3, 3)), gen.standard_normal((4, 1, 3))
+        C[2] = 0.0
+        poles = _checked_poles(default_observer_poles(3), 3)
+        assert observer._load_c_place() is False
+        for got, want in zip(_place_poles(A, C, poles), _numpy_place(A, C, poles)):
+            assert same_bits_nan_aside(got, want)
+
+    def test_sizes_the_pass_does_not_take(self, monkeypatch):
+        # n = 1 and n >= 5 never call the pass; q > n makes it decline
+        def refuse(A, C, desired):
+            raise AssertionError("the C placement pass ran")
+
+        place = self.loaded_pass()
+        monkeypatch.setattr(observer, "_c_place", refuse)
+        gen = np.random.default_rng(6)
+        for n in (1, 5):
+            A, C = gen.standard_normal((3, n, n)), gen.standard_normal((3, 2, n))
+            _place_poles(A, C, _checked_poles(default_observer_poles(n), n))
+        A, C = gen.standard_normal((3, 2, 2)), gen.standard_normal((3, 3, 2))
+        assert place(A, C, _checked_poles(default_observer_poles(2), 2)) is None

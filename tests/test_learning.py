@@ -1159,9 +1159,10 @@ class TestBatchTraining:
                    if i != failing)
 
     def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch):
-        # ten runs of one problem: each epoch's observability decision and
-        # loss pass (or, where the C pass does not load, rollout and
-        # adjoint) are one call over all ten
+        # ten runs of one problem: each epoch's placement with its
+        # observability decision (or, where the C placement pass does not
+        # load, the observability stack) and loss pass (or, where the C
+        # pass does not load, rollout and adjoint) are one call over all ten
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -1178,8 +1179,9 @@ class TestBatchTraining:
 
             monkeypatch.setattr(module, name, count)
 
-        # loaded first: the loader's probe makes calls of its own
+        # loaded first: the loaders' probes make calls of their own
         loss_pass = leo.learning._load_c_pass()
+        place = leo.observer._load_c_place()
         for module in (leo.lti_core, leo.observer, leo.learning):
             for name in ("_affine_rollout", "_affine_adjoint", "_observability_stack"):
                 if hasattr(module, name):
@@ -1191,6 +1193,13 @@ class TestBatchTraining:
                 return loss_pass(dims, cfg, theta, *rest)
 
             monkeypatch.setattr(leo.learning, "_load_c_pass", lambda: count_pass)
+        if place:
+
+            def count_place(A, *rest):
+                batches["C placement pass"].append(len(A))
+                return place(A, *rest)
+
+            monkeypatch.setattr(leo.observer, "_load_c_place", lambda: count_place)
         together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
         for got in together:
             assert len(got.log) == epochs
@@ -1198,7 +1207,8 @@ class TestBatchTraining:
         # each observability stack is factorized by exactly one SVD, and
         # the loss and its gradient take one C call per epoch
         per_epoch = ["C loss pass"] if loss_pass else ["_affine_rollout", "_affine_adjoint"]
-        assert batches == {name: [10] * epochs for name in per_epoch + ["_observability_stack"]}
+        per_epoch += ["C placement pass"] if place else ["_observability_stack"]
+        assert batches == {name: [10] * epochs for name in per_epoch}
 
     @pytest.mark.parametrize("outcome", ["rollback", "abort"])
     def test_a_diverged_run_costs_no_extra_call(self, monkeypatch, outcome):

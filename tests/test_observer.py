@@ -49,6 +49,13 @@ BENCH_DIMS = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def placement_pass_loaded():
+    """The C placement pass loaded before a test patches the placement's
+    constants or tolerance: its loader's probe runs unpatched."""
+    leo.observer._load_c_place()
+
+
 def attained(A, C, L):
     return np.linalg.eigvals(np.asarray(A) - L @ np.asarray(C))
 
@@ -498,12 +505,18 @@ class TestStackedPlacement:
         F, _ = _spectrum_block_diag(poles)
         assert np.linalg.matrix_rank(np.kron(np.eye(3), A[4].T) - np.kron(F.T, np.eye(3))) < 9
         # unobservable rows and a spectrum already in place never reach
-        # the Sylvester solve
-        monkeypatch.setattr(leo.observer, "_placement_constants", None)
-        rows = placement_rows(A[[0, 3, 4, 5]], C[[0, 3, 4, 5]], poles)
-        assert [type(row) for row in rows] == [
-            PolePlacementInfeasible, np.ndarray, PolePlacementInfeasible, PolePlacementInfeasible
-        ]
+        # the Sylvester solve: the numpy placement builds no constants for
+        # them, and the C pass, which takes them whole, reads none of them
+        constants = _placement_constants(tuple(poles), C.shape[1])
+        loaded = leo.observer._load_c_place()
+        for c_place, patched in ((False, None), (loaded, lambda *_: [np.nan * c for c in constants])):
+            monkeypatch.setattr(leo.observer, "_c_place", c_place)
+            monkeypatch.setattr(leo.observer, "_placement_constants", patched)
+            rows = placement_rows(A[[0, 3, 4, 5]], C[[0, 3, 4, 5]], poles)
+            assert [type(row) for row in rows] == [
+                PolePlacementInfeasible, np.ndarray, PolePlacementInfeasible,
+                PolePlacementInfeasible,
+            ]
 
     # Column j of X scales with column j of G, as F is diagonal here: a zero
     # first draw gives X = 0, a tiny last column a nearly singular X.
