@@ -1,6 +1,7 @@
 /* The affine time-step loop of leo.lti_core, one call per stack of runs,
- * the loss pass of leo.learning built on it, and the gain placement pass
- * of leo.observer (at the end of the file).
+ * the loss pass of leo.learning built on it, the gain placement pass of
+ * leo.observer, and the training pass of leo.learning that runs every
+ * epoch of a batch on the two (at the end of the file).
  *
  * Forward:  out_0 = x0,  out_{k+1} = S out_k + f_k      for k = 0..K-1,
  * backward: out_K = f_K, out_k     = S out_{k+1} + f_k  for k = K-1..0.
@@ -24,6 +25,7 @@
  * functions, and refuse to run (return 0) on a CPU without it.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -54,13 +56,15 @@ enum { SKX, HSW, SEQ };
     ((N) == 1 ? T(0) : (N) == 2 ? T(0) + T(1) : (N) == 3 ? (T(0) + T(1)) + T(2) \
                                               : F(2, T(0)) + F(3, T(1)))
 
-/* The loop for constant N and layout: S_ij = P[b][i * rs + j * cs]. Step
- * outer, run inner, so the runs' independent recursions overlap. */
+/* The loop for constant N and layout: S_ij = P[b][i * rs + j * cs], over
+ * the runs b = idx[0..nb), or 0..nb where idx is NULL. Step outer, run
+ * inner, so the runs' independent recursions overlap. */
 #define LOOP(N, TRANS, ROW)                                                 \
     do {                                                                    \
         const long rs = (TRANS) ? (N) : 1, cs = (TRANS) ? 1 : (N);          \
         for (long j = 0; j < K; j++)                                        \
-            for (long b = 0; b < nb; b++) {                                 \
+            for (long bi = 0; bi < nb; bi++) {                              \
+                const long b = idx ? idx[bi] : bi;                          \
                 const long k = backward ? K - 1 - j : j;                    \
                 const double *x = out + (b * (K + 1) + (backward ? k + 1 : k)) * (N); \
                 const double *g = f + (b * frows + k) * (N);                \
@@ -73,8 +77,9 @@ enum { SKX, HSW, SEQ };
     } while (0)
 
 #define FAMILY(NAME, ATTR, T_ROW, N_ROW)                                     \
-    ATTR static void NAME(int trans, int backward, long nb, long K, int n,  \
-                          const double *P, const double *f, double *out)     \
+    ATTR static void NAME(int trans, int backward, const long *idx, long nb, \
+                          long K, int n, const double *P, const double *f,  \
+                          double *out)                                      \
     {                                                                       \
         const long frows = backward ? K + 1 : K;                            \
         switch (n * 2 + trans) {                                            \
@@ -106,11 +111,11 @@ int leo_affine(int family, int trans, int backward, long nb, long K, int n,
         memcpy(out + (b * (K + 1) + (backward ? K : 0)) * n, start, n * sizeof(double));
     }
     if (family == SKX)
-        skx_loop(trans, backward, nb, K, n, P, f, out);
+        skx_loop(trans, backward, 0, nb, K, n, P, f, out);
     else if (family == HSW)
-        hsw_loop(trans, backward, nb, K, n, P, f, out);
+        hsw_loop(trans, backward, 0, nb, K, n, P, f, out);
     else
-        seq_loop(trans, backward, nb, K, n, P, f, out);
+        seq_loop(trans, backward, 0, nb, K, n, P, f, out);
     return 1;
 }
 
@@ -122,11 +127,60 @@ int leo_affine(int family, int trans, int backward, long nb, long K, int n,
  * BLAS dgemm, or that has one term per entry, is a chain in ascending
  * term order, c = 0; c = c + a b (fused in the FMA families), and then
  * 0.0 + c (PRODUCT). A short dgemv product (q = 1, n terms) takes the
- * family's row order above. A long dgemv product, whose order is not
- * known here, is left to the caller: the gradient of B at p = 1 and the
- * S^T states term of the gradient of C at q = 1 (see leo_loss). Sums are
- * numpy's pairwise summation, and elementwise steps keep numpy's order.
+ * family's row order above. A long product whose order is not known here
+ * is numpy's own CBLAS call, made with the arguments np.matmul gives it:
+ * the gradient of B at p = 1 (dgemv), and the S^T states term of the
+ * gradient of C at q = 1 (dgemv) and on Haswell at n = 4, q = 3 (dgemm).
+ * Sums are numpy's pairwise summation, and elementwise steps keep numpy's
+ * order.
  */
+
+/* The CBLAS dgemv and dgemm of numpy's OpenBLAS, with its ILP64 integers */
+typedef void dgemv_fn(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
+                      int64_t lda, const double *x, int64_t incx, double beta, double *y,
+                      int64_t incy);
+typedef void dgemm_fn(int order, int transa, int transb, int64_t m, int64_t n, int64_t k,
+                      double alpha, const double *a, int64_t lda, const double *b, int64_t ldb,
+                      double beta, double *c, int64_t ldc);
+enum { CBLAS_ROW_MAJOR = 101, CBLAS_NO_TRANS = 111, CBLAS_TRANS = 112 };
+
+/* A batch of runs that share dims (n, p, q), the window [k0, k0 + K] and
+ * the horizon T = k0 + K: their anchors (nb, P) with P = n (n + p + q + 1),
+ * inputs u (nb, T, p) and measured outputs y (nb, T + 1, q), C-contiguous */
+struct problem {
+    int n, p, q;
+    long k0, K;
+    double lam_A, lam_B, lam_C;
+    const double *anchor, *u, *y;
+    dgemv_fn *gemv;
+    dgemm_fn *gemm;
+};
+
+/* The loss pass's work space on a batch of nb rows, each at its own index
+ * b: states and adj (nb, T + 1, n), S (nb, T + 1, q), M (nb, n, n), the
+ * forcing (nb, T, n) and later the adjoint's direct terms (nb, T + 1, n),
+ * and the window's row means (K + 1) */
+struct loss_space {
+    double *states, *adj, *S, *M, *f, *means;
+};
+
+/* Allocates the work space of nb rows into w; returns the block to free,
+ * or NULL where it cannot be allocated */
+static double *loss_space(const struct problem *pr, long nb, struct loss_space *w)
+{
+    const long T = pr->k0 + pr->K, rows = (T + 1) * pr->n;
+    double *block = malloc(sizeof(double)
+                           * (nb * (3 * rows + (T + 1) * pr->q + pr->n * pr->n) + pr->K + 1));
+    if (block) {
+        w->states = block;
+        w->adj = w->states + nb * rows;
+        w->S = w->adj + nb * rows;
+        w->M = w->S + nb * (T + 1) * pr->q;
+        w->f = w->M + nb * pr->n * pr->n;
+        w->means = w->f + nb * rows;
+    }
+    return block;
+}
 
 /* Inlined into each family, so that no call leaves its instruction set. */
 #define INLINE static inline __attribute__((always_inline))
@@ -189,15 +243,16 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
         (out) = 0.0 + c_;                                                   \
     } while (0)
 
-/* The buffer of a stack of nb rows, in this order: terms (nb, 5), grads
- * (nb, P), diverged (nb), states and adj (nb, T + 1, n), S (nb, T + 1, q),
- * extra (nb, q, n), then the work space: M (nb, n, n), the forcing (nb, T,
- * n) and later the adjoint's direct terms (nb, T + 1, n), and the window's
- * row means (K + 1). The forcing and the sweep take n as a constant, so
- * that their loops over it unroll; each sum keeps its own accumulator, and
- * at n = 3 they run in four lanes, of which the fourth is thrown away (in
- * the sweep it reads the next entry of the buffer). */
-#define LOSS_PASS(NAME, ATTR, LOOP, ACC, T_ROW, TAIL_ROW, N_ROW)             \
+/* The pass over the rows b = idx[0..nb), or 0..nb where idx is NULL, of
+ * the thetas (., P) and gains L (., n, q), or NULL for the open loop: per
+ * row b, the terms (data, reg_A, reg_B, reg_C, total) into terms[b],
+ * with the gradient the gradient into grads[b], and the first step at
+ * which the rollout left the finite numbers, or 0, into diverged[b]. The
+ * forcing and the sweep take n as a constant, so that their loops over
+ * it unroll; each sum keeps its own accumulator, and at n = 3 they run in
+ * four lanes, of which the fourth is thrown away (in the sweep it reads
+ * the next entry of the buffer). */
+#define LOSS_PASS(NAME, ATTR, LOOP, ACC, T_ROW, TAIL_ROW, N_ROW, GEMM_43)    \
     /* One row's forcing f_t = (0.0 + B u_t) + (0.0 + L y_t), t < T, with \
      * Bt = B^T and Lt = L^T (zero past column n): its n sums side by side */ \
     ATTR INLINE void NAME##_forcing_n(const int n, int p, int q, long T,    \
@@ -266,18 +321,20 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
         else                                                                \
             NAME##_sweep_n(4, p, T, lb, xb, ub, pa, pb);                    \
     }                                                                       \
-    ATTR static int NAME(int c_known, long nb, int n, int p, int q, long k0, \
-                         long K, int gradient, double lam_A, double lam_B,   \
-                         double lam_C, const double *theta,                  \
-                         const double *anchor, const double *u,             \
-                         const double *y, const double *L, double *buf)      \
+    ATTR static void NAME(const struct problem *pr, const long *idx, long nb,  \
+                          int gradient, const double *theta, const double *L, \
+                          double *terms, double *grads, double *diverged,   \
+                          const struct loss_space *w)                       \
     {                                                                       \
-        const long T = k0 + K, P = n * (n + p + q + 1), rows = (T + 1) * n; \
-        double *terms = buf, *grads = terms + nb * 5, *diverged = grads + nb * P; \
-        double *states = diverged + nb, *adj = states + nb * rows;          \
-        double *S = adj + nb * rows, *extra = S + nb * (T + 1) * q;        \
-        double *M = extra + nb * q * n, *f = M + nb * n * n, *means = f + nb * rows; \
-        for (long b = 0; b < nb; b++) {                                     \
+        const int n = pr->n, p = pr->p, q = pr->q;                          \
+        const long k0 = pr->k0, K = pr->K, T = k0 + K;                      \
+        const long P = n * (n + p + q + 1), rows = (T + 1) * n;            \
+        const double lam_A = pr->lam_A, lam_B = pr->lam_B, lam_C = pr->lam_C; \
+        const double *anchor = pr->anchor, *u = pr->u, *y = pr->y;          \
+        double *states = w->states, *adj = w->adj, *S = w->S, *M = w->M;    \
+        double *f = w->f, *means = w->means;                                \
+        for (long bi = 0; bi < nb; bi++) {                                  \
+            const long b = idx ? idx[bi] : bi;                              \
             const double *A = theta + b * P, *B = A + n * n, *C = B + n * p; \
             const double *Lb = L ? L + b * n * q : 0, *ub = u + b * T * p;  \
             const double *yb = y + b * (T + 1) * q;                         \
@@ -299,8 +356,9 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
             NAME##_forcing(n, p, q, T, Bt, Lt, Lb != 0, ub, yb, f + b * T * n); \
             memcpy(states + b * rows, C + q * n, n * sizeof(double));       \
         }                                                                   \
-        LOOP(1, 0, nb, T, n, M, f, states);                                 \
-        for (long b = 0; b < nb; b++) {                                     \
+        LOOP(1, 0, idx, nb, T, n, M, f, states);                            \
+        for (long bi = 0; bi < nb; bi++) {                                  \
+            const long b = idx ? idx[bi] : bi;                              \
             const double *A = theta + b * P, *C = A + n * (n + p);          \
             const double *an = anchor + b * P, *xb = states + b * rows;     \
             const double *yb = y + b * (T + 1) * q;                         \
@@ -340,9 +398,10 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
             tb[4] = ((tb[0] + lam_A * tb[1]) + lam_B * tb[2]) + lam_C * tb[3]; \
         }                                                                   \
         if (!gradient)                                                      \
-            return 1;                                                       \
+            return;                                                         \
         /* The adjoint's direct terms -S C, which are +0.0 before the window */ \
-        for (long b = 0; b < nb; b++) {                                     \
+        for (long bi = 0; bi < nb; bi++) {                                  \
+            const long b = idx ? idx[bi] : bi;                              \
             const double *C = theta + b * P + n * (n + p);                  \
             double *Sb = S + b * (T + 1) * q, *db = f + b * rows;           \
             memset(Sb, 0, k0 * q * sizeof(double));                         \
@@ -356,8 +415,9 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
                 }                                                           \
             memcpy(adj + b * rows + T * n, db + T * n, n * sizeof(double)); \
         }                                                                   \
-        LOOP(0, 1, nb, T, n, M, f, adj);                                    \
-        for (long b = 0; b < nb; b++) {                                     \
+        LOOP(0, 1, idx, nb, T, n, M, f, adj);                               \
+        for (long bi = 0; bi < nb; bi++) {                                  \
+            const long b = idx ? idx[bi] : bi;                              \
             const double *A = theta + b * P, *C = A + n * (n + p);          \
             const double *an = anchor + b * P, *Lb = L ? L + b * n * q : 0; \
             const double *xb = states + b * rows, *lb = adj + b * rows;     \
@@ -366,11 +426,21 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
             double pa[4][4] = {{0}}, pb[4][4] = {{0}}, pc[4][4] = {{0}};    \
             double X[16], R;                                                \
             NAME##_sweep(n, p, T, lb + n, xb, ub, pa, pb);                  \
-            /* S is 0 before the window: a finite row's terms there add 0 */ \
-            for (long t = diverged[b] ? 0 : k0; c_known && t <= T; t++)     \
-                for (int j = 0; j < q; j++)                                 \
-                    for (int i = 0; i < n; i++)                             \
-                        ACC(Sb[t * q + j], xb[t * n + i], pc[j][i]);        \
+            if (p == 1) /* adj[1:]^T u */                                   \
+                pr->gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, T, n, 1.0, lb + n, n, ub, 1, 0.0, \
+                         pb[0], 1);                                         \
+            if (q == 1) /* S^T states */                                    \
+                pr->gemv(CBLAS_ROW_MAJOR, CBLAS_TRANS, T + 1, n, 1.0, xb, n, Sb, 1, 0.0, \
+                         pc[0], 1);                                         \
+            else if (GEMM_43 && n == 4 && q == 3)                           \
+                pr->gemm(CBLAS_ROW_MAJOR, CBLAS_TRANS, CBLAS_NO_TRANS, q, n, T + 1, 1.0, \
+                         Sb, q, xb, n, 0.0, pc[0], 4);                      \
+            else                                                            \
+                /* S is 0 before the window: a finite row's terms there add 0 */ \
+                for (long t = diverged[b] ? 0 : k0; t <= T; t++)            \
+                    for (int j = 0; j < q; j++)                             \
+                        for (int i = 0; i < n; i++)                         \
+                            ACC(Sb[t * q + j], xb[t * n + i], pc[j][i]);    \
             for (int i = 0; i < 4; i++)                                     \
                 for (int j = 0; j < 4; j++) {                               \
                     pa[i][j] = 0.0 + pa[i][j];                              \
@@ -389,62 +459,73 @@ INLINE double mean_abs_diff(const double *a, const double *b, int size)
                 g[i] = pa[i / n][i % n] + (lam_A * sign(A[i] - an[i])) / (n * n); \
             for (int i = 0; i < n * p; i++) {                               \
                 R = (lam_B * sign(A[n * n + i] - an[n * n + i])) / (n * p); \
-                gB[i] = p > 1 ? pb[i % p][i / p] + R : R;                   \
+                gB[i] = pb[i % p][i / p] + R;                               \
             }                                                               \
             for (int i = 0; i < q * n; i++) {                               \
                 R = (lam_C * sign(C[i] - an[n * (n + p) + i])) / (q * n);   \
-                if (c_known)                                                \
-                    gC[i] = Lb ? (-pc[i / n][i % n] - X[i]) + R : -pc[i / n][i % n] + R; \
-                else {                                                      \
-                    gC[i] = Lb ? -X[i] : -0.0;                              \
-                    extra[b * q * n + i] = R;                               \
-                }                                                           \
+                gC[i] = Lb ? (-pc[i / n][i % n] - X[i]) + R : -pc[i / n][i % n] + R; \
             }                                                               \
             memcpy(g + n * (n + p + q), lb, n * sizeof(double));            \
         }                                                                   \
-        return 1 | (p == 1) << 1 | !c_known << 2;                           \
     }
 
 /* Sandybridge's dgemv 'T' adds the rows past the last multiple of four
  * (the residuals at the window's end) pairwise at n = 4. */
 #define SEQ_TAIL_ROW(N) ((N) == 4 ? (T(0) + T(2)) + (T(1) + T(3)) : SEQ_ROW(N))
 
-LOSS_PASS(skx_loss, FMA_TARGET, skx_loop, FMA_ACC, FMA_T_ROW, FMA_T_ROW, SKX_N_ROW)
-LOSS_PASS(hsw_loss, FMA_TARGET, hsw_loop, FMA_ACC, FMA_T_ROW, FMA_T_ROW, HSW_N_ROW)
-LOSS_PASS(seq_loss, , seq_loop, SEQ_ACC, SEQ_ROW, SEQ_TAIL_ROW, SEQ_ROW)
+LOSS_PASS(skx_loss, FMA_TARGET, skx_loop, FMA_ACC, FMA_T_ROW, FMA_T_ROW, SKX_N_ROW, 0)
+LOSS_PASS(hsw_loss, FMA_TARGET, hsw_loop, FMA_ACC, FMA_T_ROW, FMA_T_ROW, HSW_N_ROW, 1)
+LOSS_PASS(seq_loss, , seq_loop, SEQ_ACC, SEQ_ROW, SEQ_TAIL_ROW, SEQ_ROW, 0)
+
+/* Whether the loss pass of family `family` takes the problem: n in 2..4,
+ * p and q in 1..n, T in 2..256 (at T = 1 numpy's products make other BLAS
+ * calls, and past 256 steps OpenBLAS's dgemm splits its sums on Haswell
+ * and Sandybridge), both CBLAS routines given, and an FMA family only on
+ * a CPU with FMA */
+static int loss_takes(int family, const struct problem *pr)
+{
+    const long T = pr->k0 + pr->K;
+    return pr->n >= 2 && pr->n <= 4 && pr->p >= 1 && pr->p <= pr->n && pr->q >= 1
+           && pr->q <= pr->n && pr->k0 >= 0 && pr->K >= 1 && T >= 2 && T <= 256
+           && pr->gemv && pr->gemm && family >= SKX && family <= SEQ
+           && (family == SEQ || HAS_FMA());
+}
+
+static void loss_pass(int family, const struct problem *pr, const long *idx, long nb,
+                      int gradient, const double *theta, const double *L, double *terms,
+                      double *grads, double *diverged, const struct loss_space *w)
+{
+    if (family == SKX)
+        skx_loss(pr, idx, nb, gradient, theta, L, terms, grads, diverged, w);
+    else if (family == HSW)
+        hsw_loss(pr, idx, nb, gradient, theta, L, terms, grads, diverged, w);
+    else
+        seq_loss(pr, idx, nb, gradient, theta, L, terms, grads, diverged, w);
+}
 
 /* Runs the loss pass of family `family` on a stack of nb rows with dims
  * (n, p, q), window [k0, k0 + K] and horizon T = k0 + K: theta and anchor
  * (nb, P), inputs u (nb, T, p), measured outputs y (nb, T + 1, q), gains
- * L (nb, n, q) or NULL for the open loop, all C-contiguous, into buf laid
- * out as LOSS_PASS says. Returns 0 with nothing written for n outside
- * 2..4, for T outside 2..256 (at T = 1 numpy's products make other BLAS
- * calls, and past 256 steps OpenBLAS's dgemm splits its sums on Haswell
- * and Sandybridge), or for an FMA family on a CPU without FMA. Else it
- * returns 1, plus
- * with the gradient 2 if the gradient of B still lacks the product
- * adj^T u (it holds the regularizer term), and 4 if the gradient of C
- * still lacks -(S^T states): it then holds -(L^T gA) or -0.0, and extra
- * holds the regularizer term to add last. */
+ * L (nb, n, q) or NULL for the open loop, all C-contiguous, with numpy's
+ * cblas_dgemv and cblas_dgemm. Writes into buf the terms (nb, 5), the
+ * gradient (nb, P) and the first divergent steps (nb), and returns 1; or
+ * returns 0 with nothing written where loss_takes does not take the
+ * problem or its work space cannot be allocated. */
 int leo_loss(int family, long nb, int n, int p, int q, long k0, long K, int gradient,
              double lam_A, double lam_B, double lam_C, const double *theta,
              const double *anchor, const double *u, const double *y, const double *L,
-             double *buf)
+             void *gemv, void *gemm, double *buf)
 {
-    if (n < 2 || n > 4 || p < 1 || p > n || q < 1 || q > n || k0 < 0 || K < 1
-        || k0 + K < 2 || k0 + K > 256 || family < SKX || family > SEQ
-        || (family != SEQ && !HAS_FMA()))
+    const struct problem pr = {n, p, q, k0, K, lam_A, lam_B, lam_C, anchor, u, y,
+                               (dgemv_fn *)gemv, (dgemm_fn *)gemm};
+    struct loss_space w;
+    double *block;
+    if (!loss_takes(family, &pr) || !(block = loss_space(&pr, nb, &w)))
         return 0;
-    /* Haswell's dgemm sums S^T states at q = 3, n = 4 in an order not known here */
-    const int c_known = q > 1 && !(family == HSW && n == 4 && q == 3);
-    if (family == SKX)
-        return skx_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
-                        anchor, u, y, L, buf);
-    if (family == HSW)
-        return hsw_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
-                        anchor, u, y, L, buf);
-    return seq_loss(c_known, nb, n, p, q, k0, K, gradient, lam_A, lam_B, lam_C, theta,
-                    anchor, u, y, L, buf);
+    loss_pass(family, &pr, 0, nb, gradient, theta, L, buf, buf + nb * 5,
+              buf + nb * (5 + n * (n + p + q + 1)), &w);
+    free(block);
+    return 1;
 }
 
 /* The gain placement of leo.observer: per row of a stack, in one call,
@@ -755,41 +836,208 @@ static int place_row(const struct products *pr, struct lapack *la, int fused, in
     return 1;
 }
 
+/* Whether the placement takes (n, q) in family `family`: n in 2..4, q in
+ * 1..n, and an FMA family only on a CPU with FMA; if so, fills la with the
+ * routines and the workspace numpy's queries ask for, and returns 0 where
+ * a query fails */
+static int lapack_setup(int family, int n, int q, void *gesdd, void *geev, void *gesv,
+                        struct lapack *la)
+{
+    double a[64], s[4], w[4];
+    if (n < 2 || n > 4 || q < 1 || q > n || family < SKX || family > SEQ
+        || (family != SEQ && !HAS_FMA()))
+        return 0;
+    la->gesdd = (gesdd_fn *)gesdd;
+    la->geev = (geev_fn *)geev;
+    la->gesv = (gesv_fn *)gesv;
+    return (la->lwork_stack = queried(singular_values(la, n * q, n, a, s, -1), la)) >= 0
+           && (la->lwork_x = queried(singular_values(la, n, n, a, s, -1), la)) >= 0
+           && (la->lwork_eig = queried(eigenvalues(la, n, a, s, w, -1), la)) >= 0;
+}
+
+static const struct products *family_products(int family)
+{
+    return family == SKX ? &skx_products : family == HSW ? &hsw_products : &seq_products;
+}
+
 /* Places the poles `requested` (n complex, interleaved) on a stack of nb
  * pairs A (nb, n, n) and C (nb, q, n) in order family `family`, with F's
  * attained spectrum `targets`, -kron(F^T, I) `neg_kron` and the G draws
  * (draws, q, n), all C-contiguous: writes each row's gain into L (nb, n, q),
  * its reason code and its least deviation over the solved draws (NaN if
  * none), as observer._numpy_place does, and returns 1. Returns 0, with the
- * outputs meaningless, for n outside 2..4 or q outside 1..n, for an FMA
- * family on a CPU without FMA, or where a LAPACK call fails (numpy's
- * would raise). */
+ * outputs meaningless, where lapack_setup does not take (n, q) or where a
+ * LAPACK call fails (numpy's would raise). */
 int leo_place(int family, long nb, int n, int q, double rank_rtol, double tol, long draws,
               const double *A, const double *C, const double *requested,
               const double *targets, const double *neg_kron, const double *G, void *gesdd,
               void *geev, void *gesv, double *L, int64_t *reason, double *best)
 {
-    const int nn = n * n, fused = HAS_FMA();
-    const struct products *pr = family == SKX ? &skx_products
-                                : family == HSW ? &hsw_products : &seq_products;
-    struct lapack la; /* not zeroed: its work space is written before it is read */
-    double a[64], s[4], w[4];
-    if (n < 2 || n > 4 || q < 1 || q > n || family < SKX || family > SEQ
-        || (family != SEQ && !fused))
-        return 0;
-    la.gesdd = (gesdd_fn *)gesdd;
-    la.geev = (geev_fn *)geev;
-    la.gesv = (gesv_fn *)gesv;
-    if ((la.lwork_stack = queried(singular_values(&la, n * q, n, a, s, -1), &la)) < 0
-        || (la.lwork_x = queried(singular_values(&la, n, n, a, s, -1), &la)) < 0
-        || (la.lwork_eig = queried(eigenvalues(&la, n, a, s, w, -1), &la)) < 0)
+    struct lapack la; /* its work space is written before it is read */
+    if (!lapack_setup(family, n, q, gesdd, geev, gesv, &la))
         return 0;
     memset(L, 0, nb * n * q * sizeof(double));
     for (long b = 0; b < nb; b++) {
         best[b] = __builtin_nan("");
-        if (!place_row(pr, &la, fused, n, q, rank_rtol, tol, draws, A + b * nn, C + b * q * n,
-                       requested, targets, neg_kron, G, L + b * n * q, reason + b, best + b))
+        if (!place_row(family_products(family), &la, HAS_FMA(), n, q, rank_rtol, tol, draws,
+                       A + b * n * n, C + b * q * n, requested, targets, neg_kron, G,
+                       L + b * n * q, reason + b, best + b))
             return 0;
     }
     return 1;
+}
+
+/* The training pass of leo.learning: every epoch of every run of a batch
+ * in one call, as learning's round loop runs them. A round takes the live
+ * runs, epoch outer and run inner: each one's gain placement (Luenberger
+ * mode, as leo_place), the loss pass over all of them, then each one's
+ * Adam step, which its epoch keeps, or undoes by the round loop's one
+ * rule: a rollback that halves its learning rate, or an abort. */
+
+/* A run's counters, its row of counts */
+enum { EPOCHS_RUN, HALVINGS, REFRESHES, REUSES, OBSERVABLE, ABORT_EPOCH, COUNTS };
+/* A run's log row per epoch run: the five loss terms, lr and refreshed */
+enum { LOG_ROW = 7 };
+
+/* One Adam step of theta, m and v (P entries) by the gradient g into
+ * next (theta, m and v, P each), with the moment decay rates and guard
+ * adam = (beta1, beta2, eps), bias corrections c1 and c2, and decoupled
+ * weight decay: each element as learning._adam_update computes it.
+ * Returns whether g, the new theta and the new v are all finite. */
+static int adam_row(long P, const double *adam, double lr, double decay, double c1, double c2,
+                    const double *g, const double *theta, const double *m, const double *v,
+                    double *next)
+{
+    const double b1 = adam[0], b2 = adam[1], eps = adam[2];
+    double *theta1 = next, *m1 = next + P, *v1 = next + 2 * P;
+    int finite = 1;
+    for (long i = 0; i < P; i++) {
+        m1[i] = b1 * m[i] + (1 - b1) * g[i];
+        v1[i] = b2 * v[i] + (1 - b2) * (g[i] * g[i]);
+        theta1[i] = theta[i] * decay - lr * (m1[i] / c1) / (__builtin_sqrt(v1[i] / c2) + eps);
+        finite &= __builtin_isfinite(g[i]) && __builtin_isfinite(theta1[i])
+                  && __builtin_isfinite(v1[i]);
+    }
+    return finite;
+}
+
+/* Trains nb runs for `epochs` epochs in family `family`, with dims
+ * (n, p, q) and window [k0, k0 + K], in Luenberger mode where `closed`:
+ * hyper holds lam_A, lam_B, lam_C, weight_decay, beta1, beta2, eps, the
+ * rank tolerance and the placement tolerance; schedule (3, epochs) holds
+ * per epoch e the scheduled learning rate and 1 - beta1^(e + 1) and
+ * 1 - beta2^(e + 1); anchor, u and y are as in struct problem; requested
+ * to G are leo_place's; routines are gesdd, geev, gesv, cblas_dgemv and
+ * cblas_dgemm. theta (nb, P) holds the anchors on entry and the trained
+ * parameters on return; L (nb, n, q) gets the last gains, counts (nb,
+ * COUNTS) the counters (ABORT_EPOCH -1 where a run did not abort), and
+ * log (nb, epochs, LOG_ROW) one row per epoch run. Returns 1; or 0, with
+ * the outputs meaningless, where loss_takes or lapack_setup does not take
+ * the batch, where memory cannot be allocated, or where a LAPACK call
+ * fails (the round loop then runs the batch, and numpy raises). */
+int leo_train(int family, long nb, int n, int p, int q, long k0, long K, long epochs, int closed,
+              const double *hyper, const double *schedule, const double *anchor, const double *u,
+              const double *y, long draws, const double *requested, const double *targets,
+              const double *neg_kron, const double *G, void *const *routines, double *theta,
+              double *L, int64_t *counts, double *log)
+{
+    const struct problem pr = {n, p, q, k0, K, hyper[0], hyper[1], hyper[2], anchor, u, y,
+                               (dgemv_fn *)routines[3], (dgemm_fn *)routines[4]};
+    const long P = n * (n + p + q + 1), nq = n * q;
+    struct lapack la;
+    struct loss_space w;
+    double *block, *state;
+    long *rows, live = epochs > 0 ? nb : 0;
+    int ok = 1;
+    if (!loss_takes(family, &pr)
+        || !lapack_setup(family, n, q, routines[0], routines[1], routines[2], &la))
+        return 0;
+    /* per run: m and v, the snapshot of theta, m and v before its last step,
+     * the loss pass's terms, gradient and first divergent step, and its
+     * halvings' factor 0.5^h; then the live runs, and per run whether it
+     * has a snapshot and whether its gain was refreshed this round */
+    block = loss_space(&pr, nb, &w);
+    state = malloc(sizeof(double) * nb * (6 * P + 7));
+    rows = malloc(sizeof(long) * 3 * nb);
+    if (block && state && rows) {
+        double *m = state, *v = m + nb * P, *saved = v + nb * P, *terms = saved + 3 * nb * P;
+        double *grads = terms + 5 * nb, *diverged = grads + nb * P, *scale = diverged + nb;
+        long *has_saved = rows + nb, *fresh = has_saved + nb;
+        memset(m, 0, 2 * nb * P * sizeof(double));
+        memset(L, 0, nb * nq * sizeof(double));
+        memset(counts, 0, nb * COUNTS * sizeof(int64_t));
+        for (long b = 0; b < nb; b++) {
+            rows[b] = b;
+            has_saved[b] = fresh[b] = 0;
+            scale[b] = 1.0;
+            counts[b * COUNTS + ABORT_EPOCH] = -1;
+        }
+        while (live > 0) {
+            long kept = 0;
+            for (long i = 0; closed && i < live; i++) {
+                const long b = rows[i];
+                const double *A = theta + b * P;
+                double gain[16] = {0}, best;
+                int64_t reason, *c = counts + b * COUNTS;
+                if (!(ok = place_row(family_products(family), &la, HAS_FMA(), n, q, hyper[7],
+                                     hyper[8], draws, A, A + n * (n + p), requested, targets,
+                                     neg_kron, G, gain, &reason, &best)))
+                    break;
+                fresh[b] = reason == PLACED;
+                if (fresh[b])
+                    memcpy(L + b * nq, gain, nq * sizeof(double));
+                c[REFRESHES] += fresh[b];
+                c[REUSES] += !fresh[b];
+                c[OBSERVABLE] += reason != UNOBSERVABLE;
+            }
+            if (!ok)
+                break;
+            loss_pass(family, &pr, rows, live, 1, theta, closed ? L : 0, terms, grads, diverged,
+                      &w);
+            for (long i = 0; i < live; i++) {
+                const long b = rows[i];
+                int64_t *c = counts + b * COUNTS;
+                const long e = c[EPOCHS_RUN], t = e - c[HALVINGS];
+                const double lr = schedule[e] * scale[b];
+                double *th = theta + b * P, *mv = m + b * P, *vv = v + b * P;
+                double *snap = saved + 3 * b * P, next[3 * 52], *row;
+                if (!(diverged[b] == 0
+                      && adam_row(P, hyper + 4, lr, 1 - lr * hyper[3], schedule[epochs + t],
+                                  schedule[2 * epochs + t], grads + b * P, th, mv, vv, next))) {
+                    /* a failed epoch undoes the last step, or aborts the run */
+                    if (!has_saved[b]) {
+                        c[ABORT_EPOCH] = e;
+                        continue;
+                    }
+                    memcpy(th, snap, P * sizeof(double));
+                    memcpy(mv, snap + P, P * sizeof(double));
+                    memcpy(vv, snap + 2 * P, P * sizeof(double));
+                    has_saved[b] = 0;
+                    c[HALVINGS] += 1;
+                    scale[b] *= 0.5;
+                    rows[kept++] = b;
+                    continue;
+                }
+                row = log + (b * epochs + e) * LOG_ROW;
+                memcpy(row, terms + 5 * b, 5 * sizeof(double));
+                row[5] = lr;
+                row[6] = fresh[b];
+                memcpy(snap, th, P * sizeof(double));
+                memcpy(snap + P, mv, P * sizeof(double));
+                memcpy(snap + 2 * P, vv, P * sizeof(double));
+                memcpy(th, next, P * sizeof(double));
+                memcpy(mv, next + P, P * sizeof(double));
+                memcpy(vv, next + 2 * P, P * sizeof(double));
+                has_saved[b] = 1;
+                if (++c[EPOCHS_RUN] < epochs)
+                    rows[kept++] = b;
+            }
+            live = kept;
+        }
+    } else
+        ok = 0;
+    free(block);
+    free(state);
+    free(rows);
+    return ok;
 }

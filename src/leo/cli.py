@@ -292,11 +292,13 @@ def cmd_trial(args, config: dict) -> int:
 
 def _c_passes() -> dict:
     """Which C passes load in this process, each loaded if it has not yet
-    been: the time-step loop, the loss pass and the placement pass."""
+    been: the time-step loop, the loss pass, the placement pass and the
+    training pass."""
     return {
         "loop": kernel_name() == "c",
         "loss": bool(learning._load_c_pass()),
         "placement": bool(observer._load_c_place()),
+        "train": bool(learning._load_c_train()),
     }
 
 

@@ -12,19 +12,22 @@ its adjoint is the matching backward affine recursion.
 
 Training runs a batch of runs that share dims and one ``TrainConfig`` (the
 trials of a Monte Carlo batch) as plain arrays with a leading run axis: θ,
-the anchor θ, the Adam moments, per-run counters and masks. Each round runs
-one epoch of every live run with one stacked call per stage: gain
-re-synthesis (``_place_poles``, which first decides which pairs are
-observable: one call of the C placement pass of ``_kernel.c`` where it
-loads, else ``observer._numpy_place``), loss and gradient
+the anchor θ, the Adam moments, per-run counters and a per-epoch log. For
+n = 2..4 the whole batch, every epoch of every run, is one call of the C
+training pass of ``_kernel.c`` where it loads. Elsewhere ``_round_loop``,
+its reference, runs each round (one epoch of every live run) with one
+stacked call per stage: gain re-synthesis (``_place_poles``, which first
+decides which pairs are observable: one call of the C placement pass where
+it loads, else ``observer._numpy_place``), loss and gradient
 (``_stacked_loss``, one call of the C loss pass where it loads, else the
-numpy pass ``_numpy_loss``) and the Adam update. Rollback, abort and gain
-reuse are masked assignments. Every stage gives each finite row a result: a
-pair it cannot place keeps its gain, and a diverged rollout or a gradient,
-Adam step or second moment that leaves the finite numbers fails that run's
-epoch, which one rule rolls back or aborts. A stacked call computes every
-row bitwise as a stack of one would, so a run's result does not depend on
-its batch; ``train``, ``loss`` and ``gradient`` are batches of one.
+numpy pass ``_numpy_loss``) and the Adam update; rollback, abort and gain
+reuse are masked assignments. The training pass runs the same stages in
+the same order, in C. Every stage gives each finite row a result: a pair it
+cannot place keeps its gain, and a diverged rollout or a gradient, Adam
+step or second moment that leaves the finite numbers fails that run's
+epoch, which one rule rolls back or aborts. Every path computes each row
+bitwise as a batch of one would, so a run's result does not depend on its
+batch or path; ``train``, ``loss`` and ``gradient`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -34,17 +37,17 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .exceptions import DivergedRollout, ShapeError
 from .lti_core import (
-    LtiParams, matrix_to_json, _FAMILIES, _affine_adjoint, _affine_rollout, _c_library,
-    _same_bits,
+    RANK_RTOL, LtiParams, matrix_to_json, _FAMILIES, _affine_adjoint, _affine_rollout,
+    _c_library, _load_c_loop, _openblas_symbol, _same_bits,
 )
 from .observer import (
-    PLACED, UNOBSERVABLE, default_observer_poles, _checked_poles, _gain_matrix, _place_poles,
+    PLACED, UNOBSERVABLE, _LAPACK, _PLACEMENT_TOL, default_observer_poles, _checked_poles,
+    _gain_matrix, _load_c_place, _place_poles, _placement_constants,
 )
 
 __all__ = [
@@ -173,7 +176,17 @@ class TrainConfig:
             raise ValueError(f"rollout_mode must be one of {ROLLOUT_MODES}")
 
     def lr_at(self, epoch: int) -> float:
-        return self.lr0 / self.decay_factor ** (epoch // self.decay_every)
+        k = epoch // self.decay_every
+        try:
+            return self.lr0 / self.decay_factor**k
+        except (OverflowError, ZeroDivisionError):
+            import decimal
+
+            # The power left the floats: the quotient, 0.0 or subnormal (or,
+            # for a factor below 1, inf), rounded from 60 digits.
+            ctx = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
+            power = ctx.power(decimal.Decimal(self.decay_factor), k)
+            return float(ctx.divide(decimal.Decimal(self.lr0), power))
 
     def resolved_lambdas(self, n: int, p: int, q: int) -> tuple[float, float, float]:
         la, lb, lc = lambda_coefficients(n, p, q)
@@ -311,6 +324,9 @@ def _numpy_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=None,
 # The C loss pass: None until the first stacked loss loads it, then the
 # loaded pass, or False where it is unavailable and the numpy pass runs.
 _c_pass = None
+# The CBLAS routines of numpy's OpenBLAS that the pass calls for the long
+# products, as np.matmul does: dgemv and dgemm.
+_BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_")
 
 
 def _load_c_pass():
@@ -318,8 +334,9 @@ def _load_c_pass():
 
     The library is the one ``lti_core`` builds for its time-step loop; the
     loader keeps the first order family whose pass gives ``_numpy_loss``'s
-    bits on a fixed stack (``_pass_matches_numpy``). Any failure leaves
-    the numpy pass in place, without a warning.
+    bits on a fixed stack (``_pass_matches_numpy``). Any failure (no
+    library, a CBLAS routine that does not resolve, no family that
+    matches) leaves the numpy pass in place, without a warning.
     """
     global _c_pass
     if _c_pass is None:
@@ -330,8 +347,11 @@ def _load_c_pass():
 
 
 def _family_pass(lib, family: int):
-    """The C loss pass in order family ``family``, as ``_stacked_loss`` calls it."""
+    """The C loss pass in order family ``family``, calling numpy's own
+    CBLAS routines (``_openblas_symbol``; the pass declines every stack
+    where one does not resolve), as ``_stacked_loss`` calls it."""
     leo_loss = lib.leo_loss
+    blas = [_openblas_symbol(name) for name in _BLAS]
 
     def loss_pass(dims, cfg, theta, anchor, inputs, measured, L, want_gradient):
         """``_stacked_loss`` from one C call, or None, with nothing run,
@@ -339,42 +359,22 @@ def _family_pass(lib, family: int):
         its range, an array that is not C-contiguous, or a family this CPU
         cannot run."""
         n, p, q = dims
-        k0, K = cfg.window_start, cfg.window_len
         arrays = (theta, anchor, inputs, measured, L)
         if not all(a.flags.c_contiguous for a in arrays if a is not None):
             return None
-        B, P, T = len(theta), theta.shape[1], k0 + K
-        rows, head = (T + 1) * n, (6 + P) * B
-        # terms, grads, diverged, states, adj, S and extra (see _kernel.c),
-        # then the pass's work space
-        buf = np.empty(head + B * (3 * rows + (T + 1) * q + q * n + n * n) + K + 1)
-        ran = leo_loss(
-            family, B, n, p, q, k0, K, want_gradient, *cfg.resolved_lambdas(n, p, q),
-            theta.ctypes.data, anchor.ctypes.data, inputs.ctypes.data, measured.ctypes.data,
-            None if L is None else L.ctypes.data, buf.ctypes.data,
-        )
-        if not ran:
+        B, P = theta.shape
+        buf = np.empty(B * (6 + P))  # terms, grads and diverged (see _kernel.c)
+        if not leo_loss(
+            family, B, n, p, q, cfg.window_start, cfg.window_len, want_gradient,
+            *cfg.resolved_lambdas(n, p, q), theta.ctypes.data, anchor.ctypes.data,
+            inputs.ctypes.data, measured.ctypes.data, None if L is None else L.ctypes.data,
+            *blas, buf.ctypes.data,
+        ):
             return None
-        terms, grads = buf[: 5 * B].reshape(B, 5), buf[5 * B : head - B].reshape(B, P)
-        diverged_at = buf[head - B : head].astype(np.intp)
-        if not want_gradient:
-            return terms, None, diverged_at
-        if ran & 6:
-            # The long dgemv products, whose BLAS order the pass does not
-            # know, as numpy's own calls on the pass's outputs.
-            ends = list(accumulate((head, B * rows, B * rows, B * (T + 1) * q, B * q * n)))
-            states, adj, S, extra = (
-                buf[a:b].reshape(B, -1, m) for a, b, m in zip(ends, ends[1:], (n, n, q, n))
-            )
-            _, gB, gC, _ = _blocks(grads, n, p, q)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if ran & 2:
-                    gB += adj[:, 1:].transpose(0, 2, 1) @ inputs
-                if ran & 4:
-                    gC -= S.transpose(0, 2, 1) @ states
-                    gC += extra
-        return terms, grads, diverged_at
+        terms, grads = buf[: 5 * B].reshape(B, 5), buf[5 * B : -B].reshape(B, P)
+        return terms, grads if want_gradient else None, buf[-B:].astype(np.intp)
 
+    loss_pass.family = family
     return loss_pass
 
 
@@ -528,14 +528,14 @@ def train(
 ) -> TrainResult:
     """Run the full refinement loop (gain refresh, loss and gradient, Adam).
 
-    Per epoch in Luenberger mode, one ``_place_poles`` call (one call of
-    the C placement pass of ``_kernel.c`` where it loads, for n = 2..4):
-    (a) one SVD of the current matrices' observability stack decides
-    whether the pair is observable; (b) if it is, the observer gain is
-    re-synthesized from the current matrices, otherwise (or if synthesis
-    fails) the previous gain, at first zero, is kept. Then in both modes:
-    (c) loss and gradient with the gain frozen, in one call of the C loss
-    pass where it loads; (d) an Adam step at the scheduled learning rate.
+    Per epoch in Luenberger mode: (a) one SVD of the current matrices'
+    observability stack decides whether the pair is observable; (b) if it
+    is, the observer gain is re-synthesized from the current matrices,
+    otherwise (or if synthesis fails) the previous gain, at first zero, is
+    kept. Then in both modes: (c) loss and gradient with the gain frozen;
+    (d) an Adam step at the scheduled learning rate. For n = 2..4 every
+    epoch runs inside one call of the C training pass of ``_kernel.c``
+    where it loads; else each stage is its own call (``_round_loop``).
 
     An epoch fails when its rollout diverges or its gradient, Adam step or
     second moment leaves the finite numbers (a second moment that
@@ -554,20 +554,40 @@ def train(
 def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainConfig) -> list:
     """``train`` for runs that share dims and ``cfg``, as one batch.
 
-    The runs are held as arrays with a leading run axis, and each round runs
-    one epoch of every live run with one stacked call per stage, the Adam
-    update included; then one mask decides which epochs failed. No run's
-    rollback or abort changes another's result. Every stage gives each
-    finite row a result, so an exception from one is a bug, and it fails
-    the whole batch.
+    The runs are held as arrays with a leading run axis. The C training
+    pass of ``_kernel.c`` runs every epoch of every run in one call where
+    it loads and takes the batch (n = 2..4, p and q at most n, horizons of
+    2..256 steps, as the loss pass); else ``_round_loop`` runs it, one
+    stacked call per stage per round. Both give every run bitwise the same
+    result, and no run's rollback or abort changes another's. Every stage
+    gives each finite row a result, so an exception from one is a bug, and
+    it fails the whole batch.
     """
     dims = inits[0].dims
-    n, p, q = dims
-    runs = len(inits)
     data = [_window_data(u, y, dims, cfg) for u, y in zip(inputs, measured_outputs)]
     u = np.stack([d[0] for d in data])
     y = np.stack([d[1] for d in data])
     anchor = np.stack([init.theta for init in inits])
+    train_pass = 2 <= dims[0] <= 4 and _load_c_train()
+    got = train_pass and train_pass(dims, cfg, anchor, u, y)
+    return _train_results(dims, cfg, *(got or _round_loop(dims, cfg, anchor, u, y)))
+
+
+def _round_loop(dims, cfg: TrainConfig, anchor, u, y):
+    """The training of a batch in rounds of numpy calls: the reference
+    and the fallback of the C training pass.
+
+    Each round runs one epoch of every live run with one stacked call per
+    stage (placement, loss and gradient, the Adam update); then one mask
+    decides which epochs failed. Takes the anchors (runs, P) and the
+    window data u and y as ``_stacked_loss`` does; returns θ (runs, P),
+    the last gains L (runs, n, q), the counters (runs, 6) (epochs run,
+    halvings, refreshes, reuses, observable epochs and the abort epoch or
+    -1) and the log (runs, epochs, 7) (the five loss terms, lr and
+    refreshed per epoch run), as ``_train_results`` reads them.
+    """
+    n, p, q = dims
+    runs = len(anchor)
     theta = anchor.copy()
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     epoch, halvings = (np.zeros(runs, dtype=int) for _ in range(2))
@@ -580,7 +600,7 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     L = np.zeros((runs, n, q))
     refreshes, reuses, observable_epochs = (np.zeros(runs, dtype=int) for _ in range(3))
     abort_epoch = np.full(runs, -1)
-    logs: list[list] = [[] for _ in range(runs)]
+    log = np.zeros((runs, cfg.epochs, 7))
     live = np.full(runs, cfg.epochs > 0)
 
     while live.any():
@@ -625,14 +645,7 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
         halvings[back] += 1
 
         good = rows[ok]
-        for r, e, (data_term, reg_A, reg_B, reg_C, total), lr, fresh in zip(
-            good.tolist(), epoch[good].tolist(), terms[ok].tolist(), lrs[ok].tolist(),
-            refreshed[ok].tolist(),
-        ):
-            logs[r].append({
-                "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
-                "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh,
-            })
+        log[good, epoch[good]] = np.column_stack((terms[ok], lrs[ok], refreshed[ok]))
         if len(good) == runs:
             # Every run steps: the state before the step is the snapshot.
             saved, state = state, (stepped, m_new, v_new)
@@ -645,20 +658,149 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
         epoch[good] += 1
         live[good] = epoch[good] < cfg.epochs
 
-    results: list = []
-    for r in range(runs):
-        aborted = bool(abort_epoch[r] >= 0)
+    counts = np.stack((epoch, halvings, refreshes, reuses, observable_epochs, abort_epoch), axis=1)
+    return theta, L, counts, log
+
+
+def _train_results(dims, cfg: TrainConfig, theta, L, counts, log) -> list:
+    """One ``TrainResult`` per run from the outputs of ``_round_loop`` or
+    of the C training pass."""
+    luenberger = cfg.rollout_mode == "luenberger"
+    results = []
+    for r, (epochs_run, halvings, refreshes, reuses, observable, abort_epoch) in enumerate(
+        counts.tolist()
+    ):
+        entries = [
+            {
+                "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
+                "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh == 1.0,
+            }
+            for e, (data_term, reg_A, reg_B, reg_C, total, lr, fresh) in enumerate(
+                log[r, :epochs_run].tolist()
+            )
+        ]
         diagnostics = {
             "transforms_applied": 0,
-            "gain_refreshes": int(refreshes[r]),
-            "gain_reuses": int(reuses[r]),
-            "observable_epochs": int(observable_epochs[r]) if luenberger else None,
-            "never_observable": bool(luenberger and logs[r] and observable_epochs[r] == 0),
-            "aborted": aborted,
-            "abort_epoch": int(abort_epoch[r]) if aborted else None,
-            "lr_halvings": int(halvings[r]),
+            "gain_refreshes": refreshes,
+            "gain_reuses": reuses,
+            "observable_epochs": observable if luenberger else None,
+            "never_observable": bool(luenberger and epochs_run and observable == 0),
+            "aborted": abort_epoch >= 0,
+            "abort_epoch": abort_epoch if abort_epoch >= 0 else None,
+            "lr_halvings": halvings,
             "final_gain": L[r].copy() if luenberger and cfg.epochs > 0 else None,
         }
         params = LearnableParams(*_blocks(theta[r], *dims))
-        results.append(TrainResult(params=params, log=logs[r], diagnostics=diagnostics))
+        results.append(TrainResult(params=params, log=entries, diagnostics=diagnostics))
     return results
+
+
+def _schedule(cfg: TrainConfig) -> np.ndarray:
+    """Per epoch e: ``cfg.lr_at(e)`` and Adam's bias corrections 1 - β1^(e+1)
+    and 1 - β2^(e+1), as (3, epochs), each the float the round loop uses."""
+    e = range(cfg.epochs)
+    return np.array([
+        [cfg.lr_at(k) for k in e],
+        [1 - ADAM_BETA1 ** (k + 1) for k in e],
+        [1 - ADAM_BETA2 ** (k + 1) for k in e],
+    ]).reshape(3, cfg.epochs)
+
+
+# The C training pass: None until the first batch it could take loads it,
+# then the loaded pass, or False where it is unavailable and the round
+# loop runs.
+_c_train = None
+
+
+def _load_c_train():
+    """The C training pass, checked on first use, or False.
+
+    It runs the loss and placement passes inside, so it loads only where
+    both load, in the time-step loop's order family; it is kept only if it
+    gives ``_round_loop``'s bits on a fixed batch
+    (``_train_matches_round_loop``). Any failure leaves the round loop in
+    place, without a warning.
+    """
+    global _c_train
+    if _c_train is None:
+        family = getattr(_load_c_loop(), "family", None)
+        same = family is not None and all(
+            getattr(run, "family", None) == family for run in (_load_c_pass(), _load_c_place())
+        )
+        routines = [_openblas_symbol(name) for name in (*_LAPACK, *_BLAS)]
+        train_pass = same and _family_train(_c_library(), family, routines)
+        _c_train = train_pass if train_pass and _train_matches_round_loop(train_pass) else False
+    return _c_train
+
+
+def _family_train(lib, family: int, routines: list):
+    """The C training pass in order family ``family``, calling the LAPACK
+    and CBLAS routines at the addresses ``routines`` (``observer._LAPACK``,
+    then ``_BLAS``), as ``_train_batch`` calls it."""
+    import ctypes
+
+    leo_train = lib.leo_train
+    addresses = (ctypes.c_void_p * 5)(*routines)
+
+    def train_pass(dims, cfg, anchor, u, y):
+        """``_round_loop``'s outputs from one C call, or None where the
+        pass does not run: dims or a horizon outside its range, a family
+        this CPU cannot run, or a LAPACK call that fails."""
+        n, p, q = dims
+        runs = len(anchor)
+        poles = tuple(_checked_poles(default_observer_poles(n), n))
+        neg_kron, targets, draws = (
+            np.ascontiguousarray(a) for a in _placement_constants(poles, q)
+        )
+        requested = np.ascontiguousarray(poles, dtype=complex)
+        hyper = np.array([*cfg.resolved_lambdas(n, p, q), cfg.weight_decay, ADAM_BETA1,
+                          ADAM_BETA2, ADAM_EPS, RANK_RTOL, _PLACEMENT_TOL])
+        schedule = _schedule(cfg)
+        theta, L = anchor.copy(), np.empty((runs, n, q))
+        counts, log = np.empty((runs, 6), dtype=np.int64), np.zeros((runs, cfg.epochs, 7))
+        ran = leo_train(
+            family, runs, n, p, q, cfg.window_start, cfg.window_len, cfg.epochs,
+            cfg.rollout_mode == "luenberger", hyper.ctypes.data, schedule.ctypes.data,
+            anchor.ctypes.data, u.ctypes.data, y.ctypes.data, len(draws), requested.ctypes.data,
+            targets.ctypes.data, neg_kron.ctypes.data, draws.ctypes.data,
+            ctypes.addressof(addresses), theta.ctypes.data, L.ctypes.data, counts.ctypes.data,
+            log.ctypes.data,
+        )
+        return (theta, L, counts, log) if ran else None
+
+    train_pass.family = family
+    return train_pass
+
+
+def _train_matches_round_loop(train_pass) -> bool:
+    """True iff ``train_pass`` runs and gives ``_round_loop``'s outputs bit
+    for bit, with any NaN for a NaN, on a fixed seeded batch per dims, in
+    both rollout modes, over learning-rate decays.
+
+    Besides ordinary runs, row 1 starts unobservable (C = 0). Row 2 stays
+    unobservable, so its gain stays zero: every entry of its A, C and x0
+    is positive and its outputs are far above the model's, so that each
+    step grows its A in every entry, until the second moment of its
+    gradient overflows (a rollback). Row 3's rollout overflows at once (an
+    abort). Row 4 has a zero start and data of 0.0 and -0.0.
+    """
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261021)))
+    k0, K = 3, 9
+    for dims in ((2, 1, 1), (3, 2, 1), (3, 3, 3), (4, 3, 2), (4, 4, 4)):
+        n, p, q = dims
+        anchor = 0.4 * gen.standard_normal((6, n * (n + p + q + 1)))
+        u = gen.standard_normal((6, k0 + K, p))
+        y = gen.standard_normal((6, k0 + K + 1, q))
+        A, B, C, x0 = _blocks(anchor, n, p, q)
+        C[1] = 0.0
+        A[2], B[2], C[2], x0[2], u[2], y[2] = 0.5 / n, 0.0, 1.0, 1e148, 0.0, 1e165
+        A[3] *= 1e3
+        x0[3] = 1e300
+        x0[4], u[4], y[4, ::2], y[4, 1::2] = 0.0, -0.0, -0.0, 0.0
+        for mode in ROLLOUT_MODES:
+            cfg = TrainConfig(lr0=1.0, epochs=7, decay_every=3, rollout_mode=mode,
+                              window_start=k0, window_len=K)
+            got, want = train_pass(dims, cfg, anchor, u, y), _round_loop(dims, cfg, anchor, u, y)
+            if got is None or not all(map(_same_bits, got, want)):
+                return False
+    return True

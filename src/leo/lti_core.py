@@ -427,9 +427,11 @@ def _build_c_library():
     c_int, c_long, c_double, pointer = ctypes.c_int, ctypes.c_long, ctypes.c_double, ctypes.c_void_p
     lib.leo_affine.argtypes = [c_int, c_int, c_int, c_long, c_long, c_int] + [pointer] * 4
     lib.leo_loss.argtypes = [c_int, c_long, c_int, c_int, c_int, c_long, c_long, c_int,
-                             c_double, c_double, c_double] + [pointer] * 6
+                             c_double, c_double, c_double] + [pointer] * 8
     lib.leo_place.argtypes = [c_int, c_long, c_int, c_int, c_double, c_double,
                               c_long] + [pointer] * 12
+    lib.leo_train.argtypes = ([c_int, c_long, c_int, c_int, c_int, c_long, c_long, c_long, c_int]
+                              + [pointer] * 5 + [c_long] + [pointer] * 9)
     return lib
 
 

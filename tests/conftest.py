@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules: the C kernel library, built once
-per session, and loaders that have not run yet."""
+per session, loaders that have not run yet, and the round loop of batch
+training."""
 
 import shutil
 
@@ -26,6 +27,7 @@ def unbuilt(monkeypatch, tmp_path):
     monkeypatch.setattr(lti_core, "_c_loop", None)
     monkeypatch.setattr(learning, "_c_pass", None)
     monkeypatch.setattr(observer, "_c_place", None)
+    monkeypatch.setattr(learning, "_c_train", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     return tmp_path / "leo"
 
@@ -39,3 +41,11 @@ def fresh(unbuilt, kernel_cache):
     if built.is_dir():
         shutil.copytree(built, unbuilt)
     return unbuilt
+
+
+@pytest.fixture
+def round_loop(monkeypatch):
+    """Batch training in ``learning._round_loop``, whatever loads: the C
+    training pass runs every stage inside one call, so a test that patches
+    a stage (``_place_poles``, ``_stacked_loss``) reaches it only there."""
+    monkeypatch.setattr(learning, "_c_train", False)

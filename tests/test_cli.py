@@ -111,6 +111,7 @@ class TestMonteCarlo:
             monkeypatch.setattr(lti_core, "_c_loop", False)
             monkeypatch.setattr(learning, "_c_pass", False)
             monkeypatch.setattr(observer, "_c_place", False)
+            monkeypatch.setattr(learning, "_c_train", False)
         out = tmp_path / "mc"
         assert run_cli(
             "montecarlo", "--dims", "2,1,1", "--trials", "10", "--epochs", "2",
@@ -124,6 +125,7 @@ class TestMonteCarlo:
             "loop": kernel == "c",
             "loss": bool(learning._load_c_pass()),
             "placement": bool(observer._load_c_place()),
+            "train": bool(learning._load_c_train()),
         }
         if forced:
             assert not any(summary["c_passes"].values())

@@ -524,7 +524,7 @@ class TestFailingTrialInBatch:
         assert bad.flags == {"divergence": True, "error": "GenerationError: injected"}
         assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0
 
-    def test_failure_inside_batch_training(self, monkeypatch):
+    def test_failure_inside_batch_training(self, monkeypatch, round_loop):
         # The trial's gradient turns non-finite for good: its first failed
         # epoch rolls back, the next one, with no step left to undo, aborts.
         clean = self.batch()

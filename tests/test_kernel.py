@@ -1,5 +1,5 @@
-"""The C time-step loop, loss pass and placement pass against the numpy
-code they replace, and their loaders.
+"""The C time-step loop, loss pass, placement pass and training pass
+against the numpy code they replace, and their loaders.
 
 ``_affine_rollout`` runs the C loop of ``leo/_kernel.c`` where it builds
 and passes its load-time check, and ``_numpy_rollout`` otherwise;
@@ -10,9 +10,11 @@ detection reads. On a host without a C compiler the properties compare the
 numpy loop with itself. The same holds for the loss pass of
 ``learning._stacked_loss`` against ``learning._numpy_loss``, and for the
 placement pass of ``observer._place_poles`` against
-``observer._numpy_place``.
+``observer._numpy_place``, and for the training pass of
+``learning._train_batch`` against its round loop and the all-numpy path.
 """
 
+import ctypes
 import os
 import shutil
 import subprocess
@@ -26,7 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leo import learning, lti_core, observer
-from leo.learning import TrainConfig, _numpy_loss, _stacked_loss
+from leo.learning import (
+    LearnableParams, TrainConfig, _blocks, _numpy_loss, _round_loop, _stacked_loss, _train_batch,
+    log_to_jsonl,
+)
 from leo.lti_core import _affine_adjoint, _affine_rollout, _numpy_rollout
 from leo.observer import _checked_poles, _numpy_place, _place_poles, default_observer_poles
 
@@ -234,10 +239,12 @@ def test_import_loads_neither_scipy_linalg_nor_the_kernel(kernel_cache):
         "assert not loaded, loaded\n"
         "assert leo.lti_core._c_loop is None and leo.learning._c_pass is None\n"
         "assert leo.observer._c_place is None and leo.lti_core._openblas_handle is None\n"
+        "assert leo.learning._c_train is None\n"
         f"assert os.listdir({str(cache)!r}) == {os.listdir(cache)!r}\n"
         "leo.lti_core.kernel_name()\n"
         "leo.learning._load_c_pass()\n"
         "leo.observer._load_c_place()\n"
+        "leo.learning._load_c_train()\n"
         "assert 'scipy.linalg' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache))
@@ -537,3 +544,247 @@ class TestPlacementPassLoader:
             _place_poles(A, C, _checked_poles(default_observer_poles(n), n))
         A, C = gen.standard_normal((3, 2, 2)), gen.standard_normal((3, 3, 2))
         assert place(A, C, _checked_poles(default_observer_poles(2), 2)) is None
+
+
+# Kinds of run in ``train_batches``: as in the loader's probe batch, a run
+# that stays unobservable while each step grows its A until the second
+# moment of its gradient overflows (it rolls back), one whose rollout
+# overflows at once (it aborts), one that starts unobservable, one whose A
+# shares an eigenvalue with the requested poles, and one with a zero start
+# and data of 0.0 and -0.0.
+TRAIN_ROWS = ("ordinary", "rollback", "abort", "unobservable", "shared eigenvalue", "zeros")
+
+
+@st.composite
+def train_batches(draw):
+    """Arguments of ``_train_batch``: runs of one dims and ``TrainConfig``,
+    among them runs of every kind in ``TRAIN_ROWS``; and the number of the
+    gesdd call that fails in a LAPACK failure, or 0 for none."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    # mostly sizes the pass takes; a rollback row rolls back at lr0 = 1
+    n = draw(st.sampled_from([1, 2, 3, 4, 2, 3, 4, 5]))
+    p, q = draw(st.integers(1, n)), draw(st.integers(1, n + 1))
+    batch = draw(st.integers(1, 8))
+    k0, K = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    cfg = TrainConfig(
+        lr0=draw(st.sampled_from([1e-3, 0.05, 1.0, 1.0])), epochs=draw(st.integers(0, 30)),
+        decay_every=draw(st.integers(1, 8)),
+        rollout_mode=draw(st.sampled_from(["luenberger", "open_loop"])),
+        window_start=k0, window_len=K,
+    )
+    gen = np.random.default_rng(seed)
+    T = k0 + K + int(gen.integers(0, 3))
+    theta = 0.4 * gen.standard_normal((batch, n * (n + p + q + 1)))
+    A, B, C, x0 = _blocks(theta, n, p, q)
+    u, y = gen.standard_normal((batch, T, p)), gen.standard_normal((batch, T + 1, q))
+    pole = default_observer_poles(n)[-1].real
+    for b, kind in enumerate(draw(st.lists(st.sampled_from(TRAIN_ROWS), min_size=batch,
+                                           max_size=batch))):
+        if kind == "rollback":
+            A[b], B[b], C[b], x0[b], u[b], y[b] = 0.5 / n, 0.0, 1.0, 1e148, 0.0, 1e165
+        elif kind == "abort":
+            A[b] *= 1e3
+            x0[b] = 1e300
+        elif kind == "unobservable":
+            C[b] = 0.0
+        elif kind == "shared eigenvalue":
+            A[b] = np.triu(A[b], 1) + np.diag(gen.uniform(-0.9, 0.9, n))
+            A[b, 0, 0] = pole
+        elif kind == "zeros":
+            x0[b], u[b] = 0.0, -0.0
+            y[b] = np.where(gen.random(y[b].shape) < 0.5, 0.0, -0.0)
+    inits = [LearnableParams(*_blocks(row, n, p, q)) for row in theta]
+    fail_at = draw(st.sampled_from([0, 0, draw(st.integers(1, 12))]))
+    return inits, list(u), list(y), cfg, fail_at
+
+
+def failing_train_pass(fail_at):
+    """The loaded training pass, with a gesdd whose call number ``fail_at``
+    (counting the workspace queries) reports no convergence (info = 1)
+    without running, as a LAPACK that does not converge does; its
+    ``calls`` counts gesdd's calls."""
+    gesdd_type = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)
+    routines = [lti_core._openblas_symbol(name) for name in (*observer._LAPACK, *learning._BLAS)]
+    real = gesdd_type(routines[0])
+    calls = []
+
+    def gesdd(*args):
+        calls.append(1)
+        if len(calls) == fail_at:
+            ctypes.c_int64.from_address(args[13]).value = 1
+        else:
+            real(*args)
+
+    fake = gesdd_type(gesdd)
+    routines[0] = ctypes.cast(fake, ctypes.c_void_p).value
+    failing = learning._family_train(lti_core._c_library(), learning._load_c_train().family,
+                                     routines)
+    failing.calls, failing.keep_alive = calls, fake
+    return failing
+
+
+def assert_same_results(got, want):
+    """Bitwise-equal parameters, logs, diagnostics and final gains of two
+    lists of train results, NaN payloads aside."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert same_bits(a.params.theta, b.params.theta)
+        assert log_to_jsonl(a.log) == log_to_jsonl(b.log)
+        diag_a, diag_b = dict(a.diagnostics), dict(b.diagnostics)
+        gain_a, gain_b = diag_a.pop("final_gain"), diag_b.pop("final_gain")
+        assert diag_a == diag_b
+        assert same_bits_nan_aside(gain_a, gain_b)
+
+
+class TestTrainPassMatchesRoundLoop:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(args=train_batches())
+    def test_bitwise(self, args):
+        inits, inputs, outputs, cfg, fail_at = args
+        train_pass = learning._load_c_train()
+        n, p, q = inits[0].dims
+        horizon = cfg.window_start + cfg.window_len
+        takes = max(p, q) <= n and 2 <= horizon <= 256
+        if train_pass and fail_at:
+            train_pass = failing_train_pass(fail_at)
+        ran = []
+
+        def recorded(*args):
+            got = train_pass(*args)
+            ran.append(got is not None)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learning, "_c_train", recorded if train_pass else False)
+            got = _train_batch(inits, inputs, outputs, cfg)
+            mp.setattr(learning, "_c_train", False)
+            loop = _train_batch(inits, inputs, outputs, cfg)
+            for module, name in ((lti_core, "_c_loop"), (learning, "_c_pass"),
+                                 (observer, "_c_place")):
+                mp.setattr(module, name, False)
+            numpy_only = _train_batch(inits, inputs, outputs, cfg)
+        assert_same_results(got, loop)
+        assert_same_results(got, numpy_only)
+        # the pass runs for n = 2..4, where it declines a batch it does not
+        # take, and one whose LAPACK fails
+        failed = bool(fail_at) and len(getattr(train_pass, "calls", [])) >= fail_at
+        assert ran == ([takes and not failed] if train_pass and 2 <= n <= 4 else [])
+
+    def test_pass_runs_where_a_compiler_is(self, fresh):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        assert learning._load_c_train()
+
+    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
+        # the pass runs the loss and placement passes inside, so it loads in
+        # the core's own family and matches the round loop there
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        if not openblas_can_run_avx2_cores():
+            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
+        code = (
+            "import numpy as np\n"
+            "from leo import learning as lg, lti_core as lc\n"
+            "from leo.learning import TrainConfig\n"
+            "train_pass = lg._load_c_train()\n"
+            "print(lc._FAMILIES[train_pass.family])\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3)):\n"
+            "    for mode in ('luenberger', 'open_loop'):\n"
+            "        anchor = 0.3 * gen.standard_normal((5, n * (n + p + q + 1)))\n"
+            "        u, y = gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q))\n"
+            "        cfg = TrainConfig(rollout_mode=mode, epochs=12, lr0=0.01, decay_every=5)\n"
+            "        args = ((n, p, q), cfg, anchor, u, y)\n"
+            "        got, want = train_pass(*args), lg._round_loop(*args)\n"
+            "        assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
+                   OPENBLAS_CORETYPE=core)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [family]
+
+
+def ordinary_batch(dims=(3, 2, 1), runs=4, T=260):
+    """Anchors and window data of runs of one problem, for TrainConfig()."""
+    n, p, q = dims
+    gen = np.random.default_rng(8)
+    anchor = 0.3 * gen.standard_normal((runs, n * (n + p + q + 1)))
+    return dims, anchor, gen.standard_normal((runs, 251, p)), gen.standard_normal((runs, 252, q))
+
+
+class TestTrainPassLoader:
+    def loaded_pass(self):
+        train_pass = learning._load_c_train()
+        if not train_pass:
+            pytest.skip("the C training pass does not load on this host")
+        return train_pass
+
+    @pytest.mark.parametrize("where", ["theta", "gain", "counts", "log"])
+    def test_probe_rejects_a_pass_that_moves_a_bit(self, fresh, where):
+        train_pass = self.loaded_pass()
+
+        def moved(*args):
+            got = train_pass(*args)
+            if got is None:
+                return None
+            theta, L, counts, log = (a.copy() for a in got)
+            if where == "counts":
+                counts[-1, 1] += 1
+            else:
+                a = {"theta": theta, "gain": L, "log": log}[where]
+                a.flat[0] = np.nextafter(a.flat[0], np.inf)
+            return theta, L, counts, log
+
+        assert learning._train_matches_round_loop(train_pass)
+        assert not learning._train_matches_round_loop(moved)
+
+    def test_probe_rejects_a_pass_that_does_not_run(self, fresh):
+        assert not learning._train_matches_round_loop(lambda *args: None)
+
+    def test_probe_batch_takes_every_branch(self, fresh):
+        # rollbacks, aborts and reused gains in every dims and mode it checks
+        self.loaded_pass()
+        calls = []
+        learning._train_matches_round_loop(lambda *args: calls.append(args) or _round_loop(*args))
+        for dims, cfg, anchor, u, y in calls:
+            counts = _round_loop(dims, cfg, anchor, u, y)[2]
+            assert counts[2, 1] >= 1 and counts[3, 5] == 0  # halvings; abort epoch
+            if cfg.rollout_mode == "luenberger":
+                assert counts[1, 3] >= 1 and counts[2, 2] == 0  # reuses; refreshes
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("failure", ["probe", "family"])
+    def test_rejected_pass_leaves_the_round_loop(self, fresh, monkeypatch, failure):
+        if failure == "probe":
+            monkeypatch.setattr(learning, "_train_matches_round_loop", lambda train_pass: False)
+        else:
+            # a loss pass of another family than the time-step loop's
+            family = getattr(lti_core._load_c_loop(), "family", 0)
+            other = learning._family_pass(lti_core._c_library(), (family + 1) % 3)
+            monkeypatch.setattr(learning, "_load_c_pass", lambda: other)
+        assert learning._load_c_train() is False
+        dims, anchor, u, y = ordinary_batch()
+        inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
+        cfg = TrainConfig(epochs=3)
+        got = _train_batch(inits, list(u), list(y), cfg)
+        monkeypatch.setattr(learning, "_c_train", False)
+        assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))
+
+    @pytest.mark.parametrize("fail_at", [1, 3, 7])
+    def test_lapack_failure_leaves_the_batch_to_the_round_loop(self, monkeypatch, fail_at):
+        # a query (call 1) or a factorization mid-run fails: the pass
+        # declines the whole batch, and the round loop runs it from the start
+        self.loaded_pass()
+        failing = failing_train_pass(fail_at)
+        dims, anchor, u, y = ordinary_batch()
+        cfg = TrainConfig(epochs=3)
+        assert failing(dims, cfg, anchor, u, y) is None
+        assert len(failing.calls) == fail_at
+        inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
+        monkeypatch.setattr(learning, "_c_train", failing)
+        got = _train_batch(inits, list(u), list(y), cfg)
+        monkeypatch.setattr(learning, "_c_train", False)
+        assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))

@@ -520,6 +520,24 @@ class TestTrainConfig:
         with pytest.raises(TypeError, match="conditioning_threshold"):
             TrainConfig(conditioning_threshold=1e8)
 
+    def test_learning_rate_where_the_decay_leaves_the_floats(self):
+        # 10.0 ** 309 overflows: the rate is the quotient, subnormal, then 0.0
+        cfg = TrainConfig(decay_every=1)
+        assert cfg.lr_at(308) == 1e-4 / 10.0**308
+        assert cfg.lr_at(309) == 1e-313
+        assert cfg.lr_at(330) == 0.0
+        # 0.5 ** 1075 underflows to 0.0: a rising rate overflows instead
+        assert TrainConfig(decay_every=1, decay_factor=0.5).lr_at(1075) == np.inf
+
+    @pytest.mark.parametrize("path", ["train pass", "round loop"])
+    def test_training_past_the_decay_float_range(self, monkeypatch, path):
+        if path == "round loop":
+            monkeypatch.setattr(leo.learning, "_c_train", False)
+        _, inputs, traj, init = make_instance(3, (2, 1, 1))
+        res = train(init, inputs, traj.outputs, TrainConfig(decay_every=1, epochs=400))
+        assert len(res.log) == 400
+        assert res.log[309]["lr"] == 1e-313 and res.log[-1]["lr"] == 0.0
+
 
 class TestTrain:
     def test_fixed_point_without_weight_decay(self):
@@ -958,6 +976,8 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
 
     monkeypatch.setattr(leo.learning, "_stacked_loss", faulty_loss)
     monkeypatch.setattr(leo.learning, "_place_poles", faulty_placement)
+    # the stages run one by one only in the round loop
+    monkeypatch.setattr(leo.learning, "_c_train", False)
     return counts
 
 
@@ -1125,7 +1145,7 @@ class TestBatchTraining:
             assert placement.diagnostics["gain_reuses"] == 0
             assert placement.diagnostics["observable_epochs"] is None
 
-    def test_failed_placement_reuses_the_gain_of_that_run_only(self, monkeypatch):
+    def test_failed_placement_reuses_the_gain_of_that_run_only(self, monkeypatch, round_loop):
         # The run of seed 4 fails its first placement, as if no G had
         # placed the poles; every other run's placement is the real one.
         cfg = TrainConfig(epochs=6)
@@ -1158,11 +1178,12 @@ class TestBatchTraining:
         assert all(got.diagnostics["gain_reuses"] == 0 for i, got in enumerate(together)
                    if i != failing)
 
-    def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch):
-        # ten runs of one problem: each epoch's placement with its
-        # observability decision (or, where the C placement pass does not
-        # load, the observability stack) and loss pass (or, where the C
-        # pass does not load, rollout and adjoint) are one call over all ten
+    def test_one_stacked_call_per_epoch_and_stage(self, monkeypatch, round_loop):
+        # ten runs of one problem in the round loop: each epoch's placement
+        # with its observability decision (or, where the C placement pass
+        # does not load, the observability stack) and loss pass (or, where
+        # the C pass does not load, rollout and adjoint) are one call over
+        # all ten
         epochs = 4
         runs = []
         for seed in range(40, 50):
@@ -1210,6 +1231,35 @@ class TestBatchTraining:
         per_epoch += ["C placement pass"] if place else ["_observability_stack"]
         assert batches == {name: [10] * epochs for name in per_epoch}
 
+    def test_one_c_call_per_batch(self, monkeypatch):
+        # ten runs of one problem: every epoch of every run, each stage
+        # included, is one call of the C training pass
+        train_pass = leo.learning._load_c_train()
+        if not train_pass:
+            pytest.skip("the C training pass does not load on this host")
+        epochs = 4
+        runs = []
+        for seed in range(40, 50):
+            _, inputs, traj, init = make_instance(seed, (3, 2, 1))
+            runs.append((init, inputs, traj.outputs))
+        batches = []
+
+        def count(dims, cfg, anchor, *rest):
+            batches.append(len(anchor))
+            return train_pass(dims, cfg, anchor, *rest)
+
+        def refuse(*args):
+            raise AssertionError("a stage ran outside the C training pass")
+
+        monkeypatch.setattr(leo.learning, "_c_train", count)
+        for name in ("_place_poles", "_stacked_loss", "_adam_update"):
+            monkeypatch.setattr(leo.learning, name, refuse)
+        together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
+        assert batches == [10]
+        for got in together:
+            assert len(got.log) == epochs
+            assert got.diagnostics["lr_halvings"] == 0
+
     @pytest.mark.parametrize("outcome", ["rollback", "abort"])
     def test_a_diverged_run_costs_no_extra_call(self, monkeypatch, outcome):
         # Ten runs of one problem; run 3's rollout diverges at epoch 1 (it
@@ -1250,7 +1300,7 @@ class TestBatchTraining:
             assert_same_training(got, train_reference(*run, cfg))
 
     @pytest.mark.parametrize("stage", ["_place_poles", "_stacked_loss"])
-    def test_a_stage_that_raises_fails_the_batch(self, monkeypatch, stage):
+    def test_a_stage_that_raises_fails_the_batch(self, monkeypatch, round_loop, stage):
         # Every stage gives each finite row a result, so an exception from
         # one is a bug: it reaches the caller of the batch and of train.
         cfg = TrainConfig(epochs=6)
