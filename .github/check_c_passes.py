@@ -11,24 +11,19 @@ training would hide the kernel's speed, and tier-1 passes on either path.
 import numpy as np
 
 from leo import learning, observer
-from leo.lti_core import _affine_rollout, kernel_name
+from leo.lti_core import _load_kernel
 
-_affine_rollout(np.eye(2)[None], np.ones((1, 2)), np.zeros((1, 3, 2)))
-assert kernel_name() == "c", kernel_name()
+kernel = _load_kernel()
+off = [name for name, binding in vars(kernel).items() if not binding]
+assert not off, f"C passes off: {off}"
 
+assert kernel.loop(np.eye(2)[None], np.ones((1, 2)), np.zeros((1, 3, 2)), np.empty((1, 4, 2)))
 args = ((2, 1, 1), learning.TrainConfig(), np.ones((1, 10)), np.ones((1, 10)),
         np.ones((1, 251, 1)), np.ones((1, 252, 1)), np.ones((1, 2, 1)), True)
-learning._stacked_loss(*args)
-assert learning._c_pass and learning._c_pass(*args) is not None, "numpy loss pass"
-
+assert kernel.loss(*args) is not None, "numpy loss pass"
 A, C, poles = np.eye(2)[None], np.ones((1, 1, 2)), observer._checked_poles([0.3, 0.4], 2)
-observer._place_poles(A, C, poles)
-assert observer._c_place and observer._c_place(A, C, poles) is not None, "numpy placement"
-
-init = learning.LearnableParams(A_hat=0.5 * np.eye(2), B_hat=np.ones((2, 1)),
-                                C_hat=np.ones((1, 2)), x0_hat=np.zeros(2))
-cfg = learning.TrainConfig(epochs=2)
-learning._train_batch([init], [np.ones((251, 1))], [np.ones((252, 1))], cfg)
-batch = ((2, 1, 1), cfg, init.theta[None].copy(), np.ones((1, 251, 1)), np.ones((1, 252, 1)))
-assert learning._c_train and learning._c_train(*batch) is not None, "round loop"
+assert kernel.place(A, C, poles) is not None, "numpy placement"
+batch = ((2, 1, 1), learning.TrainConfig(epochs=2), np.ones((1, 10)), np.ones((1, 251, 1)),
+         np.ones((1, 252, 1)))
+assert kernel.train(*batch) is not None, "round loop"
 print("C passes active: loop, loss, placement, train")

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, learning, observer
+from . import __version__
 from .exceptions import LeoError
 from .experiments import (
     DEFAULT_DIMENSION_GRID,
@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .learning import TrainConfig
 from .local_lti import run_theory_checks
-from .lti_core import LtiParams, TrueSystem, kernel_name, _blas_core
+from .lti_core import LtiParams, TrueSystem, kernel_name, _blas_core, _load_kernel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -291,14 +291,15 @@ def cmd_trial(args, config: dict) -> int:
 
 
 def _c_passes() -> dict:
-    """Which C passes load in this process, each loaded if it has not yet
-    been: the time-step loop, the loss pass, the placement pass and the
-    training pass."""
+    """Which C passes load in this process (the kernel loads if no kernel
+    call has yet): the time-step loop, the loss pass, the placement pass
+    and the training pass."""
+    kernel = _load_kernel()
     return {
-        "loop": kernel_name() == "c",
-        "loss": bool(learning._load_c_pass()),
-        "placement": bool(observer._load_c_place()),
-        "train": bool(learning._load_c_train()),
+        "loop": bool(kernel.loop),
+        "loss": bool(kernel.loss),
+        "placement": bool(kernel.place),
+        "train": bool(kernel.train),
     }
 
 

@@ -496,10 +496,13 @@ def _guarded_result(spec: TrialSpec, outcome) -> TrialResult:
 
 
 def trimmed_mean_reduction(values, trim_frac: float = 0.10) -> float:
-    """Mean after dropping floor(trim_frac * len) values from each end."""
+    """Mean after dropping floor(trim_frac * len) values from each end;
+    NaN is rejected."""
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size < 3:
         raise ValueError("need at least 3 values to trim")
+    if np.isnan(vals).any():
+        raise ValueError("values must not contain NaN")
     if not (0.0 <= trim_frac < 0.5):
         raise ValueError("trim fraction must be in [0, 0.5)")
     k = int(trim_frac * vals.size)
@@ -507,11 +510,14 @@ def trimmed_mean_reduction(values, trim_frac: float = 0.10) -> float:
 
 
 def success_rate(e_nominal, e_enhanced) -> float:
-    """Fraction of trials where the enhanced error is strictly smaller."""
+    """Fraction of trials where the enhanced error is strictly smaller;
+    NaN is rejected."""
     a = np.asarray(e_nominal, dtype=float)
     b = np.asarray(e_enhanced, dtype=float)
     if a.shape != b.shape or a.size < 1:
         raise ValueError("error lists must be non-empty and aligned")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("paired samples must not contain NaN")
     return float((b < a).mean())
 
 

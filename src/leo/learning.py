@@ -22,12 +22,15 @@ it loads, else ``observer._numpy_place``), loss and gradient
 (``_stacked_loss``, one call of the C loss pass where it loads, else the
 numpy pass ``_numpy_loss``) and the Adam update; rollback, abort and gain
 reuse are masked assignments. The training pass runs the same stages in
-the same order, in C. Every stage gives each finite row a result: a pair it
-cannot place keeps its gain, and a diverged rollout or a gradient, Adam
-step or second moment that leaves the finite numbers fails that run's
-epoch, which one rule rolls back or aborts. Every path computes each row
-bitwise as a batch of one would, so a run's result does not depend on its
-batch or path; ``train``, ``loss`` and ``gradient`` are batches of one.
+the same order, in C. The C passes load together, in one order family,
+on the first call of any (``lti_core._load_kernel``), and the training
+pass only where the loss and placement passes load. Every stage gives
+each finite row a result: a pair it cannot place keeps its gain, and a
+diverged rollout or a gradient, Adam step or second moment that leaves
+the finite numbers fails that run's epoch, which one rule rolls back or
+aborts. Every path computes each row bitwise as a batch of one would, so
+a run's result does not depend on its batch or path; ``train``, ``loss``
+and ``gradient`` are batches of one.
 
 The subgradient of ``|r|`` at ``r = 0`` is taken to be 0 throughout.
 """
@@ -42,12 +45,12 @@ import numpy as np
 
 from .exceptions import DivergedRollout, ShapeError
 from .lti_core import (
-    RANK_RTOL, LtiParams, matrix_to_json, _FAMILIES, _affine_adjoint, _affine_rollout,
-    _c_library, _load_c_loop, _openblas_symbol, _same_bits,
+    RANK_RTOL, LtiParams, matrix_to_json, _affine_adjoint, _affine_rollout, _load_kernel,
+    _same_bits,
 )
 from .observer import (
-    PLACED, UNOBSERVABLE, _LAPACK, _PLACEMENT_TOL, default_observer_poles, _checked_poles,
-    _gain_matrix, _load_c_place, _place_poles, _placement_constants,
+    PLACED, UNOBSERVABLE, _PLACEMENT_TOL, default_observer_poles, _checked_poles, _gain_matrix,
+    _place_poles, _placement_constants,
 )
 
 __all__ = [
@@ -257,7 +260,7 @@ def _stacked_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=Non
     on some cores.
     """
     horizon = cfg.window_start + cfg.window_len
-    loss_pass = 2 <= dims[0] <= 4 and 2 <= horizon <= 256 and _load_c_pass()
+    loss_pass = 2 <= dims[0] <= 4 and 2 <= horizon <= 256 and _load_kernel().loss
     got = loss_pass and loss_pass(dims, cfg, theta, anchor, inputs, measured, L, want_gradient)
     return got or _numpy_loss(dims, cfg, theta, anchor, inputs, measured, L, want_gradient)
 
@@ -321,37 +324,11 @@ def _numpy_loss(dims, cfg: TrainConfig, theta, anchor, inputs, measured, L=None,
     return terms, grads, diverged_at
 
 
-# The C loss pass: None until the first stacked loss loads it, then the
-# loaded pass, or False where it is unavailable and the numpy pass runs.
-_c_pass = None
-# The CBLAS routines of numpy's OpenBLAS that the pass calls for the long
-# products, as np.matmul does: dgemv and dgemm.
-_BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_")
-
-
-def _load_c_pass():
-    """The C loss pass, checked on first use, or False.
-
-    The library is the one ``lti_core`` builds for its time-step loop; the
-    loader keeps the first order family whose pass gives ``_numpy_loss``'s
-    bits on a fixed stack (``_pass_matches_numpy``). Any failure (no
-    library, a CBLAS routine that does not resolve, no family that
-    matches) leaves the numpy pass in place, without a warning.
-    """
-    global _c_pass
-    if _c_pass is None:
-        lib = _c_library()
-        passes = [] if lib is None else [_family_pass(lib, f) for f in range(len(_FAMILIES))]
-        _c_pass = next((run for run in passes if _pass_matches_numpy(run)), False)
-    return _c_pass
-
-
-def _family_pass(lib, family: int):
-    """The C loss pass in order family ``family``, calling numpy's own
-    CBLAS routines (``_openblas_symbol``; the pass declines every stack
-    where one does not resolve), as ``_stacked_loss`` calls it."""
+def _family_pass(lib, family: int, blas: list):
+    """The C loss pass in order family ``family``, calling the CBLAS
+    routines at the addresses ``blas`` (``lti_core._BLAS``; the pass
+    declines every stack where one is None), as ``_stacked_loss`` calls it."""
     leo_loss = lib.leo_loss
-    blas = [_openblas_symbol(name) for name in _BLAS]
 
     def loss_pass(dims, cfg, theta, anchor, inputs, measured, L, want_gradient):
         """``_stacked_loss`` from one C call, or None, with nothing run,
@@ -374,7 +351,6 @@ def _family_pass(lib, family: int):
         terms, grads = buf[: 5 * B].reshape(B, 5), buf[5 * B : -B].reshape(B, P)
         return terms, grads if want_gradient else None, buf[-B:].astype(np.intp)
 
-    loss_pass.family = family
     return loss_pass
 
 
@@ -568,7 +544,7 @@ def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainCo
     u = np.stack([d[0] for d in data])
     y = np.stack([d[1] for d in data])
     anchor = np.stack([init.theta for init in inits])
-    train_pass = 2 <= dims[0] <= 4 and _load_c_train()
+    train_pass = 2 <= dims[0] <= 4 and _load_kernel().train
     got = train_pass and train_pass(dims, cfg, anchor, u, y)
     return _train_results(dims, cfg, *(got or _round_loop(dims, cfg, anchor, u, y)))
 
@@ -706,36 +682,9 @@ def _schedule(cfg: TrainConfig) -> np.ndarray:
     ]).reshape(3, cfg.epochs)
 
 
-# The C training pass: None until the first batch it could take loads it,
-# then the loaded pass, or False where it is unavailable and the round
-# loop runs.
-_c_train = None
-
-
-def _load_c_train():
-    """The C training pass, checked on first use, or False.
-
-    It runs the loss and placement passes inside, so it loads only where
-    both load, in the time-step loop's order family; it is kept only if it
-    gives ``_round_loop``'s bits on a fixed batch
-    (``_train_matches_round_loop``). Any failure leaves the round loop in
-    place, without a warning.
-    """
-    global _c_train
-    if _c_train is None:
-        family = getattr(_load_c_loop(), "family", None)
-        same = family is not None and all(
-            getattr(run, "family", None) == family for run in (_load_c_pass(), _load_c_place())
-        )
-        routines = [_openblas_symbol(name) for name in (*_LAPACK, *_BLAS)]
-        train_pass = same and _family_train(_c_library(), family, routines)
-        _c_train = train_pass if train_pass and _train_matches_round_loop(train_pass) else False
-    return _c_train
-
-
 def _family_train(lib, family: int, routines: list):
     """The C training pass in order family ``family``, calling the LAPACK
-    and CBLAS routines at the addresses ``routines`` (``observer._LAPACK``,
+    and CBLAS routines at the addresses ``routines`` (``lti_core._LAPACK``,
     then ``_BLAS``), as ``_train_batch`` calls it."""
     import ctypes
 
@@ -768,7 +717,6 @@ def _family_train(lib, family: int, routines: list):
         )
         return (theta, L, counts, log) if ran else None
 
-    train_pass.family = family
     return train_pass
 
 

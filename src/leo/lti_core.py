@@ -312,7 +312,7 @@ def _affine_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nd
     if M.shape != (B, n, n) or x0.shape != (B, n):
         raise ShapeError(f"rollout of M {M.shape} from x0 {x0.shape} with forcing {forcing.shape}")
     states = np.empty((B, K + 1, n))
-    loop = _load_c_loop()
+    loop = _load_kernel().loop
     if loop and loop(M, x0, forcing, states):
         return states
     return _numpy_rollout(M, x0, forcing)
@@ -331,7 +331,7 @@ def _affine_adjoint(M: np.ndarray, direct: np.ndarray) -> np.ndarray:
     if M.shape != (B, n, n) or K1 < 1:
         raise ShapeError(f"adjoint of M {M.shape} with direct terms {direct.shape}")
     adjoint = np.empty((B, K1, n))
-    loop = _load_c_loop()
+    loop = _load_kernel().loop
     if loop and loop(M.transpose(0, 2, 1), None, direct, adjoint):
         return adjoint
     backwards = _numpy_rollout(M.transpose(0, 2, 1), direct[:, -1], direct[:, -2::-1])
@@ -357,38 +357,78 @@ def _numpy_rollout(M: np.ndarray, x0: np.ndarray, forcing: np.ndarray) -> np.nda
     return np.ascontiguousarray(states[..., 0].transpose(1, 0, 2))
 
 
-# The C time-step loop: None until the first kernel call loads it, then the
-# loaded loop, or False where it is unavailable and the numpy loop runs.
-_c_loop = None
+# The C kernel: None until the first call of any of its passes loads it,
+# then its ``_Kernel`` record.
+_kernel = None
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # The order families of _kernel.c, in the order the loader tries them.
 _FAMILIES = ("skx", "hsw", "seq")
+# The routines of numpy's OpenBLAS that the passes call, as numpy does:
+# LAPACK's svd, eigvals and solve, and CBLAS's dgemv and dgemm.
+_LAPACK = ("scipy_dgesdd_64_", "scipy_dgeev_64_", "scipy_dgesv_64_")
+_BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_")
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """The passes of ``_kernel.c``, each a callable, or False where it does
+    not load and the numpy path runs: the time-step loop of
+    ``_affine_rollout`` and ``_affine_adjoint``, the loss pass of
+    ``learning._stacked_loss``, the placement pass of
+    ``observer._place_poles`` and the training pass of
+    ``learning._train_batch``."""
+
+    loop: object = False
+    loss: object = False
+    place: object = False
+    train: object = False
 
 
 def kernel_name() -> str:
     """``"c"`` if the rollout and adjoint run in the C loop, else
-    ``"numpy"``; the first call loads the loop if no kernel call has yet."""
-    return "c" if _load_c_loop() else "numpy"
+    ``"numpy"``; the first call loads the kernel if no kernel call has yet."""
+    return "c" if _load_kernel().loop else "numpy"
 
 
-def _load_c_loop():
-    """The C loop, built and checked on first use, or False.
+def _load_kernel() -> _Kernel:
+    """The C passes, built and checked on the first call of any.
 
     The library is compiled once per source and flag set into
-    ``$XDG_CACHE_HOME/leo`` (default ``~/.cache/leo``). Its steps compute
-    each mat-vec in the operation order of one of OpenBLAS's dgemv
-    kernels for n <= 4, which numpy's matmul calls; the loader keeps the
-    first order family that matches the numpy loop bitwise on a fixed
-    stack (``_matches_numpy``). Any failure (no compiler, an unwritable
-    cache, no family that matches) leaves the numpy loop in place, without
-    a warning.
+    ``$XDG_CACHE_HOME/leo`` (default ``~/.cache/leo``). Its passes compute
+    in the operation order of one of OpenBLAS's kernel families; the
+    loader picks the first family whose time-step loop gives the numpy
+    loop's bits on a fixed stack (``_matches_numpy``). In that family it
+    keeps the loss, placement and training passes each only if its probe
+    (``learning._pass_matches_numpy``, ``observer._place_matches_numpy``,
+    ``learning._train_matches_round_loop``) gives the numpy path's bits;
+    the training pass runs the other two inside, so it loads only where
+    both do. The LAPACK and CBLAS routines are numpy's own
+    (``_openblas_symbol``); the placement pass needs every LAPACK routine
+    to resolve. Any failure (no compiler, an unwritable cache, no family
+    whose loop matches) leaves the numpy path of each pass in place,
+    without a warning.
     """
-    global _c_loop
-    if _c_loop is None:
+    global _kernel
+    if _kernel is None:
+        from . import learning, observer  # they import this module
+
+        # Every pass runs its numpy path while the probes run: each probe
+        # compares with the all-numpy path.
+        _kernel = _Kernel()
         lib = _c_library()
-        loops = [] if lib is None else [_family_loop(lib, f) for f in range(len(_FAMILIES))]
-        _c_loop = next((loop for loop in loops if _matches_numpy(loop)), False)
-    return _c_loop
+        families = () if lib is None else range(len(_FAMILIES))
+        family = next((f for f in families if _matches_numpy(_family_loop(lib, f))), None)
+        if family is not None:
+            lapack = [_openblas_symbol(name) for name in _LAPACK]
+            blas = [_openblas_symbol(name) for name in _BLAS]
+            loss = learning._family_pass(lib, family, blas)
+            loss = learning._pass_matches_numpy(loss) and loss
+            place = None not in lapack and observer._family_place(lib, family, lapack)
+            place = place and observer._place_matches_numpy(place) and place
+            train = loss and place and learning._family_train(lib, family, lapack + blas)
+            train = train and learning._train_matches_round_loop(train) and train
+            _kernel = _Kernel(_family_loop(lib, family), loss, place, train)
+    return _kernel
 
 
 def _c_library():
@@ -501,7 +541,6 @@ def _family_loop(lib, family: int):
                            None if start is None else start.ctypes.data, f.ctypes.data,
                            out.ctypes.data))
 
-    loop.family = family
     return loop
 
 

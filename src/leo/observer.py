@@ -33,15 +33,13 @@ from .lti_core import (
     RANK_RTOL,
     LtiParams,
     Trajectory,
-    _FAMILIES,
     _affine_rollout,
     _as_matrix,
     _as_square,
-    _c_library,
+    _checked_count,
     _checked_horizon,
-    _load_c_loop,
+    _load_kernel,
     _observable,
-    _openblas_symbol,
     _same_bits,
 )
 
@@ -63,8 +61,9 @@ PLACED, UNOBSERVABLE, SHARED_EIGENVALUE, NOT_PLACED = range(4)
 
 
 def default_observer_poles(n: int) -> np.ndarray:
-    """n real poles evenly spaced on [0.1, 0.5]: stable and reasonably fast."""
-    return np.linspace(0.1, 0.5, n)
+    """n real poles evenly spaced on [0.1, 0.5]: stable and reasonably fast;
+    an n that is not an integer >= 1 raises ``ShapeError``."""
+    return np.linspace(0.1, 0.5, _checked_count(n, "n", 1))
 
 
 def _group_poles(poles: np.ndarray) -> tuple[list[float], list[tuple[float, float]]]:
@@ -266,7 +265,7 @@ def _place_poles(A: np.ndarray, C: np.ndarray, desired):
     linalg calls; else ``_numpy_place``, which is also where any LAPACK
     failure is raised as numpy raises it.
     """
-    place = 2 <= A.shape[1] <= 4 and _load_c_place()
+    place = 2 <= A.shape[1] <= 4 and _load_kernel().place
     got = place and place(A, C, desired)
     return got or _numpy_place(A, C, desired)
 
@@ -354,43 +353,10 @@ def _numpy_place(A: np.ndarray, C: np.ndarray, desired):
     return gains, reason, best
 
 
-# The C placement pass: None until the first placement with 2 <= n <= 4
-# loads it, then the loaded pass, or False where it is unavailable and
-# ``_numpy_place`` runs.
-_c_place = None
-# The LAPACK routines of numpy's OpenBLAS that the pass calls, as numpy's
-# linalg does: svd, eigvals and solve.
-_LAPACK = ("scipy_dgesdd_64_", "scipy_dgeev_64_", "scipy_dgesv_64_")
-
-
-def _load_c_place():
-    """The C placement pass, checked on first use, or False.
-
-    The library is the one ``lti_core`` builds for its time-step loop, and
-    the LAPACK routines are numpy's own (``_openblas_symbol``). The loader
-    keeps the first order family whose pass gives ``_numpy_place``'s bits
-    on a fixed stack (``_place_matches_numpy``), trying the time-step
-    loop's family first: the pass's one dgemv product, the q = 1
-    observability stack, only decides ranks, so the probe's outputs seldom
-    tell the FMA families apart, and the loop's probe does. Any failure (no
-    library, a routine that does not resolve, no family that matches)
-    leaves ``_numpy_place`` in place, without a warning.
-    """
-    global _c_place
-    if _c_place is None:
-        lib = _c_library()
-        routines = [_openblas_symbol(name) for name in _LAPACK]
-        first = getattr(_load_c_loop(), "family", 0)
-        families = [first] + [f for f in range(len(_FAMILIES)) if f != first]
-        places = ([] if lib is None or None in routines
-                  else [_family_place(lib, f, routines) for f in families])
-        _c_place = next((place for place in places if _place_matches_numpy(place)), False)
-    return _c_place
-
-
 def _family_place(lib, family: int, routines: list):
     """The C placement pass in order family ``family``, calling the LAPACK
-    routines at the addresses ``routines``, as ``_place_poles`` calls it."""
+    routines at the addresses ``routines`` (``lti_core._LAPACK``), as
+    ``_place_poles`` calls it."""
     leo_place = lib.leo_place
 
     def place(A, C, desired):
@@ -412,7 +378,6 @@ def _family_place(lib, family: int, routines: list):
         )
         return (gains, reason, best) if ran else None
 
-    place.family = family
     return place
 
 

@@ -1,12 +1,13 @@
 """Fixtures shared by the test modules: the C kernel library, built once
-per session, loaders that have not run yet, and the round loop of batch
+per session, a kernel that has not loaded yet, and the round loop of batch
 training."""
 
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from leo import learning, lti_core, observer
+from leo import lti_core
 
 
 @pytest.fixture(scope="session")
@@ -22,12 +23,10 @@ def kernel_cache(tmp_path_factory):
 
 @pytest.fixture
 def unbuilt(monkeypatch, tmp_path):
-    """Loaders that have not run yet, with an empty cache under tmp_path:
-    the first kernel call compiles ``_kernel.c``."""
-    monkeypatch.setattr(lti_core, "_c_loop", None)
-    monkeypatch.setattr(learning, "_c_pass", None)
-    monkeypatch.setattr(observer, "_c_place", None)
-    monkeypatch.setattr(learning, "_c_train", None)
+    """A kernel that has not loaded yet (``lti_core._load_kernel`` runs
+    again on the first kernel call), with an empty cache under tmp_path:
+    that call compiles ``_kernel.c``."""
+    monkeypatch.setattr(lti_core, "_kernel", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     return tmp_path / "leo"
 
@@ -35,7 +34,7 @@ def unbuilt(monkeypatch, tmp_path):
 @pytest.fixture
 def fresh(unbuilt, kernel_cache):
     """``unbuilt``, with the session's library already in the cache under
-    the name the build gives it: the loaders load and check it, and no
+    the name the build gives it: the loader loads and probes it, and no
     test but those of building itself pays for a compile."""
     built = kernel_cache / "leo"
     if built.is_dir():
@@ -45,7 +44,9 @@ def fresh(unbuilt, kernel_cache):
 
 @pytest.fixture
 def round_loop(monkeypatch):
-    """Batch training in ``learning._round_loop``, whatever loads: the C
-    training pass runs every stage inside one call, so a test that patches
-    a stage (``_place_poles``, ``_stacked_loss``) reaches it only there."""
-    monkeypatch.setattr(learning, "_c_train", False)
+    """Batch training in ``learning._round_loop``, whatever loads: the
+    kernel loaded, then its training pass turned off. That pass runs every
+    stage inside one call, so a test that patches a stage
+    (``_place_poles``, ``_stacked_loss``) reaches it only in the round
+    loop; loaded first, the kernel's probes run unpatched."""
+    monkeypatch.setattr(lti_core, "_kernel", replace(lti_core._load_kernel(), train=False))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import leo
-from leo import learning, local_lti, lti_core, observer
+from leo import local_lti, lti_core
 from leo.cli import build_parser, main
 
 
@@ -108,10 +108,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("forced", [False, True])
     def test_summary_records_the_kernel(self, tmp_path, capsys, monkeypatch, forced):
         if forced:
-            monkeypatch.setattr(lti_core, "_c_loop", False)
-            monkeypatch.setattr(learning, "_c_pass", False)
-            monkeypatch.setattr(observer, "_c_place", False)
-            monkeypatch.setattr(learning, "_c_train", False)
+            monkeypatch.setattr(lti_core, "_kernel", lti_core._Kernel())
         out = tmp_path / "mc"
         assert run_cli(
             "montecarlo", "--dims", "2,1,1", "--trials", "10", "--epochs", "2",
@@ -121,11 +118,12 @@ class TestMonteCarlo:
         kernel = summary["kernel"]
         assert kernel == ("numpy" if forced else lti_core.kernel_name())
         assert kernel in ("c", "numpy")
+        loaded = lti_core._load_kernel()
         assert summary["c_passes"] == {
             "loop": kernel == "c",
-            "loss": bool(learning._load_c_pass()),
-            "placement": bool(observer._load_c_place()),
-            "train": bool(learning._load_c_train()),
+            "loss": bool(loaded.loss),
+            "placement": bool(loaded.place),
+            "train": bool(loaded.train),
         }
         if forced:
             assert not any(summary["c_passes"].values())

@@ -193,6 +193,11 @@ class TestWilcoxon:
         (a if side == "nominal" else b)[4] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             wilcoxon_signed_rank(a, b)
+        # the summary's other statistics reject the same samples
+        with pytest.raises(ValueError, match="NaN"):
+            success_rate(a, b)
+        with pytest.raises(ValueError, match="NaN"):
+            trimmed_mean_reduction(a if side == "nominal" else b)
 
     @pytest.mark.parametrize("zero_differences", [False, True])
     def test_unknown_method_is_rejected(self, zero_differences):
@@ -469,7 +474,8 @@ class TestNominalRegeneration:
         # the draw's own check, the nominal placement and the enhanced one;
         # the C placement pass, where it loads, decides inside its call
         original = leo.lti_core._observable
-        place = leo.observer._load_c_place()  # loaded first: its probe decides too
+        kernel = leo.lti_core._load_kernel()  # loaded first: its probes decide too
+        place = kernel.place
         calls = []
 
         def counted(A, C):
@@ -483,7 +489,7 @@ class TestNominalRegeneration:
         for module in (leo.lti_core, leo.observer):
             monkeypatch.setattr(module, "_observable", counted)
         if place:
-            monkeypatch.setattr(leo.observer, "_load_c_place", lambda: counted_place)
+            monkeypatch.setattr(leo.lti_core, "_kernel", replace(kernel, place=counted_place))
         execute_trial(self.SPEC, TrainConfig(epochs=0))
         assert calls == [1, 1, 1]
 

@@ -1,5 +1,6 @@
 """The C time-step loop, loss pass, placement pass and training pass
-against the numpy code they replace, and their loaders.
+against the numpy code they replace, and their one loader,
+``lti_core._load_kernel``.
 
 ``_affine_rollout`` runs the C loop of ``leo/_kernel.c`` where it builds
 and passes its load-time check, and ``_numpy_rollout`` otherwise;
@@ -19,6 +20,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -116,39 +118,6 @@ class TestCLoopMatchesNumpyLoop:
             pytest.skip("no C compiler on this host")
         assert lti_core.kernel_name() == "c"
 
-    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
-        # OpenBLAS picks its dgemv kernel by core at run time; each order
-        # family must match the cores it names, not only this host's own
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler on this host")
-        if not openblas_can_run_avx2_cores():
-            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
-        code = (
-            "import numpy as np\n"
-            "from leo import lti_core as lc\n"
-            "assert lc.kernel_name() == 'c'\n"
-            "lib = lc._build_c_library()\n"
-            "print(*(name for f, name in enumerate(lc._FAMILIES)\n"
-            "        if lc._matches_numpy(lc._family_loop(lib, f))))\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n in range(1, 5):\n"
-            "    M, x0 = gen.standard_normal((7, n, n)), gen.standard_normal((7, n))\n"
-            "    f, d = gen.standard_normal((7, 300, n)), gen.standard_normal((7, 301, n))\n"
-            "    M[0], x0[0] = -0.0, -0.0\n"
-            "    for S in (M, M.transpose(0, 2, 1)):\n"
-            "        ref = lc._numpy_rollout(S, x0, f)\n"
-            "        assert lc._affine_rollout(S, x0, f).tobytes() == ref.tobytes()\n"
-            "        back = lc._numpy_rollout(S.transpose(0, 2, 1), d[:, -1], d[:, -2::-1])\n"
-            "        assert lc._affine_adjoint(S, d).tobytes() == back[:, ::-1].tobytes()\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
-                   OPENBLAS_CORETYPE=core)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [family]
-
 
 def openblas_can_run_avx2_cores():
     """True iff numpy's BLAS is an OpenBLAS that picks its kernels at run
@@ -166,18 +135,32 @@ def openblas_can_run_avx2_cores():
     return bool(openblas and dynamic and cpu.get("AVX2") and cpu.get("FMA3"))
 
 
+def off_after(monkeypatch, *patches):
+    """The fields of the kernel record that are off once it loads again
+    with ``patches`` (module, name, value) applied; the test is skipped
+    where not every pass loads without them."""
+    if not all(vars(lti_core._load_kernel()).values()):
+        pytest.skip("not every C pass loads on this host")
+    monkeypatch.setattr(lti_core, "_kernel", None)
+    for patch in patches:
+        monkeypatch.setattr(*patch)
+    return [name for name, binding in vars(lti_core._load_kernel()).items() if not binding]
+
+
 class TestLoader:
     def check_numpy_fallback(self):
-        # pytest turns warnings into errors: the fallback must emit none
+        # every pass is off; pytest turns warnings into errors: the
+        # fallback must emit none
         gen = np.random.default_rng(5)
         M, x0 = gen.standard_normal((3, 2, 2)), gen.standard_normal((3, 2))
         forcing, direct = gen.standard_normal((3, 9, 2)), gen.standard_normal((3, 10, 2))
         assert lti_core.kernel_name() == "numpy"
+        assert lti_core._load_kernel() == lti_core._Kernel()
         assert same_bits(_affine_rollout(M, x0, forcing), _numpy_rollout(M, x0, forcing))
         assert same_bits(_affine_adjoint(M, direct), numpy_adjoint(M, direct))
 
     def test_forced_fallback(self, monkeypatch):
-        monkeypatch.setattr(lti_core, "_c_loop", False)
+        monkeypatch.setattr(lti_core, "_kernel", lti_core._Kernel())
         self.check_numpy_fallback()
 
     def test_no_compiler(self, unbuilt, monkeypatch):
@@ -195,7 +178,7 @@ class TestLoader:
         self.check_numpy_fallback()
 
     def test_probe_rejects_a_loop_that_moves_bits(self, fresh):
-        loop = lti_core._load_c_loop()
+        loop = lti_core._load_kernel().loop
         if not loop:
             pytest.skip("the C loop does not load on this host")
 
@@ -228,23 +211,80 @@ class TestLoader:
         assert outputs == ["c"] * 3
         assert [p.suffix for p in unbuilt.iterdir()] == [".so"]
 
+    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
+        # OpenBLAS picks its kernels by core at run time: on each core, only
+        # the family it names matches, every pass loads in that family, and
+        # each matches its reference on samples larger than its probe's
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        if not openblas_can_run_avx2_cores():
+            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
+        code = (
+            "import numpy as np\n"
+            "from leo import learning as lg, lti_core as lc, observer as ob\n"
+            "from leo.learning import TrainConfig\n"
+            "lib = lc._c_library()\n"
+            "print(*(name for f, name in enumerate(lc._FAMILIES)\n"
+            "        if lc._matches_numpy(lc._family_loop(lib, f))))\n"
+            "kernel = lc._load_kernel()\n"
+            "assert all(vars(kernel).values()), kernel\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n in range(1, 5):\n"
+            "    M, x0 = gen.standard_normal((7, n, n)), gen.standard_normal((7, n))\n"
+            "    f, d = gen.standard_normal((7, 300, n)), gen.standard_normal((7, 301, n))\n"
+            "    M[0], x0[0] = -0.0, -0.0\n"
+            "    for S in (M, M.transpose(0, 2, 1)):\n"
+            "        ref = lc._numpy_rollout(S, x0, f)\n"
+            "        assert lc._affine_rollout(S, x0, f).tobytes() == ref.tobytes()\n"
+            "        back = lc._numpy_rollout(S.transpose(0, 2, 1), d[:, -1], d[:, -2::-1])\n"
+            "        assert lc._affine_adjoint(S, d).tobytes() == back[:, ::-1].tobytes()\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3), (4, 4, 4)):\n"
+            "    for mode in ('luenberger', 'open_loop'):\n"
+            "        size = n * (n + p + q + 1)\n"
+            "        theta = 0.3 * gen.standard_normal((5, size))\n"
+            "        args = ((n, p, q), TrainConfig(rollout_mode=mode), theta,\n"
+            "                theta + 0.01 * gen.standard_normal((5, size)),\n"
+            "                gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q)),\n"
+            "                0.1 * gen.standard_normal((5, n, q)) if mode == 'luenberger' else None)\n"
+            "        got, want = kernel.loss(*args, True), lg._numpy_loss(*args, True)\n"
+            "        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n, q in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 4)):\n"
+            "    poles = ob._checked_poles(ob.default_observer_poles(n), n)\n"
+            "    A, C = gen.standard_normal((40, n, n)), gen.standard_normal((40, q, n))\n"
+            "    got, want = kernel.place(A, C, poles), ob._numpy_place(A, C, poles)\n"
+            "    assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
+            "gen = np.random.default_rng(3)\n"
+            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3)):\n"
+            "    for mode in ('luenberger', 'open_loop'):\n"
+            "        anchor = 0.3 * gen.standard_normal((5, n * (n + p + q + 1)))\n"
+            "        u, y = gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q))\n"
+            "        cfg = TrainConfig(rollout_mode=mode, epochs=12, lr0=0.01, decay_every=5)\n"
+            "        args = ((n, p, q), cfg, anchor, u, y)\n"
+            "        got, want = kernel.train(*args), lg._round_loop(*args)\n"
+            "        assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
+                   OPENBLAS_CORETYPE=core)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [family]
+
 
 def test_import_loads_neither_scipy_linalg_nor_the_kernel(kernel_cache):
-    # no loader runs and the cache is untouched on import, and loading the
-    # kernel and the passes later imports no scipy.linalg either
+    # the loader does not run and the cache is untouched on import, and
+    # loading the kernel, all four passes, later imports no scipy.linalg either
     cache = kernel_cache / "leo"
     code = (
         "import os, sys, leo\n"
         "loaded = [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "assert leo.lti_core._c_loop is None and leo.learning._c_pass is None\n"
-        "assert leo.observer._c_place is None and leo.lti_core._openblas_handle is None\n"
-        "assert leo.learning._c_train is None\n"
+        "assert leo.lti_core._kernel is None and leo.lti_core._openblas_handle is None\n"
         f"assert os.listdir({str(cache)!r}) == {os.listdir(cache)!r}\n"
-        "leo.lti_core.kernel_name()\n"
-        "leo.learning._load_c_pass()\n"
-        "leo.observer._load_c_place()\n"
-        "leo.learning._load_c_train()\n"
+        "leo.lti_core._load_kernel()\n"
         "assert 'scipy.linalg' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache))
@@ -312,7 +352,7 @@ class TestLossPassMatchesNumpyPass:
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = _stacked_loss(*args), _numpy_loss(*args)
         assert all(map(same_bits_nan_aside, got, want))
-        loss_pass = learning._load_c_pass()
+        loss_pass = lti_core._load_kernel().loss
         horizon = cfg.window_start + cfg.window_len
         if loss_pass and 2 <= dims[0] <= 4 and 2 <= horizon <= 256:
             assert loss_pass(*args) is not None  # the pass ran
@@ -320,47 +360,12 @@ class TestLossPassMatchesNumpyPass:
     def test_pass_runs_where_a_compiler_is(self, fresh):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on this host")
-        assert learning._load_c_pass()
-
-    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
-        # the pass's products follow the BLAS core's own orders, so each
-        # family must match the cores it names, not only this host's own
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler on this host")
-        if not openblas_can_run_avx2_cores():
-            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
-        code = (
-            "import numpy as np\n"
-            "from leo import learning as lg, lti_core as lc\n"
-            "from leo.learning import TrainConfig\n"
-            "lib = lc._build_c_library()\n"
-            "print(*(name for f, name in enumerate(lc._FAMILIES)\n"
-            "        if lg._pass_matches_numpy(lg._family_pass(lib, f))))\n"
-            "loss_pass = lg._load_c_pass()\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3), (4, 4, 4)):\n"
-            "    for mode in ('luenberger', 'open_loop'):\n"
-            "        size = n * (n + p + q + 1)\n"
-            "        theta = 0.3 * gen.standard_normal((5, size))\n"
-            "        args = ((n, p, q), TrainConfig(rollout_mode=mode), theta,\n"
-            "                theta + 0.01 * gen.standard_normal((5, size)),\n"
-            "                gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q)),\n"
-            "                0.1 * gen.standard_normal((5, n, q)) if mode == 'luenberger' else None)\n"
-            "        got, want = loss_pass(*args, True), lg._numpy_loss(*args, True)\n"
-            "        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
-                   OPENBLAS_CORETYPE=core)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [family]
+        assert lti_core._load_kernel().loss
 
 
 class TestLossPassLoader:
     def loaded_pass(self):
-        loss_pass = learning._load_c_pass()
+        loss_pass = lti_core._load_kernel().loss
         if not loss_pass:
             pytest.skip("the C loss pass does not load on this host")
         return loss_pass
@@ -389,12 +394,13 @@ class TestLossPassLoader:
         assert not learning._pass_matches_numpy(lambda *args: None)
 
     def test_rejected_pass_leaves_the_numpy_pass(self, fresh, monkeypatch):
-        monkeypatch.setattr(learning, "_pass_matches_numpy", lambda loss_pass: False)
+        # the training pass runs the loss pass inside: it is off too
+        rejected = (learning, "_pass_matches_numpy", lambda loss_pass: False)
+        assert off_after(monkeypatch, rejected) == ["loss", "train"]
         gen = np.random.default_rng(4)
         args = ((2, 1, 1), TrainConfig(), gen.standard_normal((3, 10)),
                 gen.standard_normal((3, 10)), gen.standard_normal((3, 251, 1)),
                 gen.standard_normal((3, 252, 1)), 0.1 * gen.standard_normal((3, 2, 1)))
-        assert learning._load_c_pass() is False
         for got, want in zip(_stacked_loss(*args), _numpy_loss(*args)):
             assert same_bits(got, want)
 
@@ -448,7 +454,7 @@ class TestPlacementPassMatchesNumpyPlacement:
     @given(args=placement_stacks())
     def test_bitwise(self, args):
         A, C, poles, scale = args
-        place = observer._load_c_place()  # before the patch: the probe runs unpatched
+        place = lti_core._load_kernel().place  # before the patch: the probe runs unpatched
         neg_kron, targets, draws = observer._placement_constants(tuple(poles), C.shape[1])
         scaled = lambda *_: (neg_kron, targets, scale * draws)  # noqa: E731
         with mock.patch.object(observer, "_placement_constants", scaled):
@@ -460,39 +466,12 @@ class TestPlacementPassMatchesNumpyPlacement:
     def test_pass_runs_where_a_compiler_is(self, fresh):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on this host")
-        assert observer._load_c_place()
-
-    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
-        # the pass's products follow the BLAS core's own orders, so the
-        # family it loads must be the one the core names, and match there
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler on this host")
-        if not openblas_can_run_avx2_cores():
-            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
-        code = (
-            "import numpy as np\n"
-            "from leo import lti_core as lc, observer as ob\n"
-            "place = ob._load_c_place()\n"
-            "print(lc._FAMILIES[place.family])\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n, q in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 4)):\n"
-            "    poles = ob._checked_poles(ob.default_observer_poles(n), n)\n"
-            "    A, C = gen.standard_normal((40, n, n)), gen.standard_normal((40, q, n))\n"
-            "    got, want = place(A, C, poles), ob._numpy_place(A, C, poles)\n"
-            "    assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
-                   OPENBLAS_CORETYPE=core)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [family]
+        assert lti_core._load_kernel().place
 
 
 class TestPlacementPassLoader:
     def loaded_pass(self):
-        place = observer._load_c_place()
+        place = lti_core._load_kernel().place
         if not place:
             pytest.skip("the C placement pass does not load on this host")
         return place
@@ -519,15 +498,17 @@ class TestPlacementPassLoader:
 
     @pytest.mark.parametrize("failure", ["probe", "symbol"])
     def test_rejected_pass_leaves_the_numpy_placement(self, fresh, monkeypatch, failure):
+        # the training pass runs the placement pass inside: it is off too
         if failure == "probe":
-            monkeypatch.setattr(observer, "_place_matches_numpy", lambda place: False)
+            rejected = (observer, "_place_matches_numpy", lambda place: False)
         else:
-            monkeypatch.setattr(observer, "_LAPACK", ("scipy_dgesdd_64_", "no_such_routine_"))
+            routines = ("scipy_dgesdd_64_", "no_such_routine_", "scipy_dgesv_64_")
+            rejected = (lti_core, "_LAPACK", routines)
+        assert off_after(monkeypatch, rejected) == ["place", "train"]
         gen = np.random.default_rng(5)
         A, C = gen.standard_normal((4, 3, 3)), gen.standard_normal((4, 1, 3))
         C[2] = 0.0
         poles = _checked_poles(default_observer_poles(3), 3)
-        assert observer._load_c_place() is False
         for got, want in zip(_place_poles(A, C, poles), _numpy_place(A, C, poles)):
             assert same_bits_nan_aside(got, want)
 
@@ -537,7 +518,7 @@ class TestPlacementPassLoader:
             raise AssertionError("the C placement pass ran")
 
         place = self.loaded_pass()
-        monkeypatch.setattr(observer, "_c_place", refuse)
+        monkeypatch.setattr(lti_core, "_kernel", replace(lti_core._load_kernel(), place=refuse))
         gen = np.random.default_rng(6)
         for n in (1, 5):
             A, C = gen.standard_normal((3, n, n)), gen.standard_normal((3, 2, n))
@@ -598,13 +579,20 @@ def train_batches(draw):
     return inits, list(u), list(y), cfg, fail_at
 
 
+def loop_family():
+    """The order family of the time-step loop that the kernel loads."""
+    lib = lti_core._c_library()
+    families = range(len(lti_core._FAMILIES))
+    return next(f for f in families if lti_core._matches_numpy(lti_core._family_loop(lib, f)))
+
+
 def failing_train_pass(fail_at):
     """The loaded training pass, with a gesdd whose call number ``fail_at``
     (counting the workspace queries) reports no convergence (info = 1)
     without running, as a LAPACK that does not converge does; its
     ``calls`` counts gesdd's calls."""
     gesdd_type = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)
-    routines = [lti_core._openblas_symbol(name) for name in (*observer._LAPACK, *learning._BLAS)]
+    routines = [lti_core._openblas_symbol(name) for name in (*lti_core._LAPACK, *lti_core._BLAS)]
     real = gesdd_type(routines[0])
     calls = []
 
@@ -617,8 +605,7 @@ def failing_train_pass(fail_at):
 
     fake = gesdd_type(gesdd)
     routines[0] = ctypes.cast(fake, ctypes.c_void_p).value
-    failing = learning._family_train(lti_core._c_library(), learning._load_c_train().family,
-                                     routines)
+    failing = learning._family_train(lti_core._c_library(), loop_family(), routines)
     failing.calls, failing.keep_alive = calls, fake
     return failing
 
@@ -641,7 +628,8 @@ class TestTrainPassMatchesRoundLoop:
     @given(args=train_batches())
     def test_bitwise(self, args):
         inits, inputs, outputs, cfg, fail_at = args
-        train_pass = learning._load_c_train()
+        kernel = lti_core._load_kernel()
+        train_pass = kernel.train
         n, p, q = inits[0].dims
         horizon = cfg.window_start + cfg.window_len
         takes = max(p, q) <= n and 2 <= horizon <= 256
@@ -655,13 +643,11 @@ class TestTrainPassMatchesRoundLoop:
             return got
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learning, "_c_train", recorded if train_pass else False)
+            mp.setattr(lti_core, "_kernel", replace(kernel, train=train_pass and recorded))
             got = _train_batch(inits, inputs, outputs, cfg)
-            mp.setattr(learning, "_c_train", False)
+            mp.setattr(lti_core, "_kernel", replace(kernel, train=False))
             loop = _train_batch(inits, inputs, outputs, cfg)
-            for module, name in ((lti_core, "_c_loop"), (learning, "_c_pass"),
-                                 (observer, "_c_place")):
-                mp.setattr(module, name, False)
+            mp.setattr(lti_core, "_kernel", lti_core._Kernel())
             numpy_only = _train_batch(inits, inputs, outputs, cfg)
         assert_same_results(got, loop)
         assert_same_results(got, numpy_only)
@@ -673,38 +659,7 @@ class TestTrainPassMatchesRoundLoop:
     def test_pass_runs_where_a_compiler_is(self, fresh):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on this host")
-        assert learning._load_c_train()
-
-    @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
-        # the pass runs the loss and placement passes inside, so it loads in
-        # the core's own family and matches the round loop there
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler on this host")
-        if not openblas_can_run_avx2_cores():
-            pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
-        code = (
-            "import numpy as np\n"
-            "from leo import learning as lg, lti_core as lc\n"
-            "from leo.learning import TrainConfig\n"
-            "train_pass = lg._load_c_train()\n"
-            "print(lc._FAMILIES[train_pass.family])\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3)):\n"
-            "    for mode in ('luenberger', 'open_loop'):\n"
-            "        anchor = 0.3 * gen.standard_normal((5, n * (n + p + q + 1)))\n"
-            "        u, y = gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q))\n"
-            "        cfg = TrainConfig(rollout_mode=mode, epochs=12, lr0=0.01, decay_every=5)\n"
-            "        args = ((n, p, q), cfg, anchor, u, y)\n"
-            "        got, want = train_pass(*args), lg._round_loop(*args)\n"
-            "        assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
-                   OPENBLAS_CORETYPE=core)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [family]
+        assert lti_core._load_kernel().train
 
 
 def ordinary_batch(dims=(3, 2, 1), runs=4, T=260):
@@ -717,7 +672,7 @@ def ordinary_batch(dims=(3, 2, 1), runs=4, T=260):
 
 class TestTrainPassLoader:
     def loaded_pass(self):
-        train_pass = learning._load_c_train()
+        train_pass = lti_core._load_kernel().train
         if not train_pass:
             pytest.skip("the C training pass does not load on this host")
         return train_pass
@@ -756,21 +711,14 @@ class TestTrainPassLoader:
                 assert counts[1, 3] >= 1 and counts[2, 2] == 0  # reuses; refreshes
         assert len(calls) == 10
 
-    @pytest.mark.parametrize("failure", ["probe", "family"])
-    def test_rejected_pass_leaves_the_round_loop(self, fresh, monkeypatch, failure):
-        if failure == "probe":
-            monkeypatch.setattr(learning, "_train_matches_round_loop", lambda train_pass: False)
-        else:
-            # a loss pass of another family than the time-step loop's
-            family = getattr(lti_core._load_c_loop(), "family", 0)
-            other = learning._family_pass(lti_core._c_library(), (family + 1) % 3)
-            monkeypatch.setattr(learning, "_load_c_pass", lambda: other)
-        assert learning._load_c_train() is False
+    def test_rejected_pass_leaves_the_round_loop(self, fresh, monkeypatch):
+        rejected = (learning, "_train_matches_round_loop", lambda train_pass: False)
+        assert off_after(monkeypatch, rejected) == ["train"]
         dims, anchor, u, y = ordinary_batch()
         inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
         cfg = TrainConfig(epochs=3)
         got = _train_batch(inits, list(u), list(y), cfg)
-        monkeypatch.setattr(learning, "_c_train", False)
+        monkeypatch.setattr(lti_core, "_kernel", lti_core._Kernel())
         assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))
 
     @pytest.mark.parametrize("fail_at", [1, 3, 7])
@@ -784,7 +732,8 @@ class TestTrainPassLoader:
         assert failing(dims, cfg, anchor, u, y) is None
         assert len(failing.calls) == fail_at
         inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
-        monkeypatch.setattr(learning, "_c_train", failing)
+        kernel = lti_core._load_kernel()
+        monkeypatch.setattr(lti_core, "_kernel", replace(kernel, train=failing))
         got = _train_batch(inits, list(u), list(y), cfg)
-        monkeypatch.setattr(learning, "_c_train", False)
+        monkeypatch.setattr(lti_core, "_kernel", replace(kernel, train=False))
         assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))

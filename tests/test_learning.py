@@ -530,9 +530,9 @@ class TestTrainConfig:
         assert TrainConfig(decay_every=1, decay_factor=0.5).lr_at(1075) == np.inf
 
     @pytest.mark.parametrize("path", ["train pass", "round loop"])
-    def test_training_past_the_decay_float_range(self, monkeypatch, path):
+    def test_training_past_the_decay_float_range(self, request, path):
         if path == "round loop":
-            monkeypatch.setattr(leo.learning, "_c_train", False)
+            request.getfixturevalue("round_loop")
         _, inputs, traj, init = make_instance(3, (2, 1, 1))
         res = train(init, inputs, traj.outputs, TrainConfig(decay_every=1, epochs=400))
         assert len(res.log) == 400
@@ -974,10 +974,11 @@ def inject_faults(monkeypatch, loss_faults=(), placement_faults=()):
                 counts["placement"][marker] += 1
         return gains, reason, best
 
+    # the stages run one by one only in the round loop; the kernel's
+    # probes run before the stages are patched
+    monkeypatch.setattr(leo.lti_core, "_kernel", replace(leo.lti_core._load_kernel(), train=False))
     monkeypatch.setattr(leo.learning, "_stacked_loss", faulty_loss)
     monkeypatch.setattr(leo.learning, "_place_poles", faulty_placement)
-    # the stages run one by one only in the round loop
-    monkeypatch.setattr(leo.learning, "_c_train", False)
     return counts
 
 
@@ -1200,27 +1201,24 @@ class TestBatchTraining:
 
             monkeypatch.setattr(module, name, count)
 
-        # loaded first: the loaders' probes make calls of their own
-        loss_pass = leo.learning._load_c_pass()
-        place = leo.observer._load_c_place()
+        # loaded first (the round_loop fixture): the probes make calls of their own
+        kernel = leo.lti_core._load_kernel()
+        loss_pass, place = kernel.loss, kernel.place
         for module in (leo.lti_core, leo.observer, leo.learning):
             for name in ("_affine_rollout", "_affine_adjoint", "_observability_stack"):
                 if hasattr(module, name):
                     counted(module, name)
-        if loss_pass:
 
-            def count_pass(dims, cfg, theta, *rest):
-                batches["C loss pass"].append(len(theta))
-                return loss_pass(dims, cfg, theta, *rest)
+        def count_pass(dims, cfg, theta, *rest):
+            batches["C loss pass"].append(len(theta))
+            return loss_pass(dims, cfg, theta, *rest)
 
-            monkeypatch.setattr(leo.learning, "_load_c_pass", lambda: count_pass)
-        if place:
+        def count_place(A, *rest):
+            batches["C placement pass"].append(len(A))
+            return place(A, *rest)
 
-            def count_place(A, *rest):
-                batches["C placement pass"].append(len(A))
-                return place(A, *rest)
-
-            monkeypatch.setattr(leo.observer, "_load_c_place", lambda: count_place)
+        monkeypatch.setattr(leo.lti_core, "_kernel", replace(
+            kernel, loss=loss_pass and count_pass, place=place and count_place))
         together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
         for got in together:
             assert len(got.log) == epochs
@@ -1234,7 +1232,8 @@ class TestBatchTraining:
     def test_one_c_call_per_batch(self, monkeypatch):
         # ten runs of one problem: every epoch of every run, each stage
         # included, is one call of the C training pass
-        train_pass = leo.learning._load_c_train()
+        kernel = leo.lti_core._load_kernel()
+        train_pass = kernel.train
         if not train_pass:
             pytest.skip("the C training pass does not load on this host")
         epochs = 4
@@ -1251,7 +1250,7 @@ class TestBatchTraining:
         def refuse(*args):
             raise AssertionError("a stage ran outside the C training pass")
 
-        monkeypatch.setattr(leo.learning, "_c_train", count)
+        monkeypatch.setattr(leo.lti_core, "_kernel", replace(kernel, train=count))
         for name in ("_place_poles", "_stacked_loss", "_adam_update"):
             monkeypatch.setattr(leo.learning, name, refuse)
         together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))

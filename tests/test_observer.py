@@ -1,5 +1,6 @@
 import math
 import operator
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -50,10 +51,10 @@ BENCH_DIMS = [
 
 
 @pytest.fixture(autouse=True)
-def placement_pass_loaded():
-    """The C placement pass loaded before a test patches the placement's
-    constants or tolerance: its loader's probe runs unpatched."""
-    leo.observer._load_c_place()
+def kernel_loaded():
+    """The C kernel loaded before a test patches the placement's constants
+    or tolerance: the placement pass's probe runs unpatched."""
+    leo.lti_core._load_kernel()
 
 
 def attained(A, C, L):
@@ -99,6 +100,10 @@ class TestPlaceObserverPoles:
     def test_unstable_request_rejected(self):
         with pytest.raises(ValueError):
             place_observer_poles(A_DEMO, C_DEMO, [0.2, 1.1])
+        # nor is there a default request for a pole count below 1 or not an integer
+        for n in (0, -1, 2.5):
+            with pytest.raises(ShapeError, match="n must be an integer >= 1"):
+                default_observer_poles(n)
 
     @pytest.mark.parametrize("pole", [np.nan, complex(0.2, np.nan)])
     def test_nan_request_rejected(self, pole):
@@ -508,9 +513,9 @@ class TestStackedPlacement:
         # the Sylvester solve: the numpy placement builds no constants for
         # them, and the C pass, which takes them whole, reads none of them
         constants = _placement_constants(tuple(poles), C.shape[1])
-        loaded = leo.observer._load_c_place()
-        for c_place, patched in ((False, None), (loaded, lambda *_: [np.nan * c for c in constants])):
-            monkeypatch.setattr(leo.observer, "_c_place", c_place)
+        kernel = leo.lti_core._load_kernel()
+        for place, patched in ((False, None), (kernel.place, lambda *_: [np.nan * c for c in constants])):
+            monkeypatch.setattr(leo.lti_core, "_kernel", replace(kernel, place=place))
             monkeypatch.setattr(leo.observer, "_placement_constants", patched)
             rows = placement_rows(A[[0, 3, 4, 5]], C[[0, 3, 4, 5]], poles)
             assert [type(row) for row in rows] == [
