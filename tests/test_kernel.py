@@ -16,6 +16,7 @@ placement pass of ``observer._place_poles`` against
 """
 
 import ctypes
+import json
 import os
 import shutil
 import subprocess
@@ -119,6 +120,80 @@ class TestCLoopMatchesNumpyLoop:
         assert lti_core.kernel_name() == "c"
 
 
+# Results of ON_CORE_CHECKS under each OPENBLAS_CORETYPE, run once per core.
+ON_CORE = {}
+# Prints, as JSON, the families whose loop matches, the passes that load,
+# and for each check "" or the traceback of its failure.
+ON_CORE_CHECKS = """
+import json, traceback
+import numpy as np
+from leo import learning as lg, lti_core as lc, observer as ob
+from leo.learning import TrainConfig
+lib = lc._c_library()
+kernel = lc._load_kernel()
+
+def check_family():
+    assert lib is not None
+
+def check_loop():
+    gen = np.random.default_rng(3)
+    for n in range(1, 5):
+        M, x0 = gen.standard_normal((7, n, n)), gen.standard_normal((7, n))
+        f, d = gen.standard_normal((7, 300, n)), gen.standard_normal((7, 301, n))
+        M[0], x0[0] = -0.0, -0.0
+        for S in (M, M.transpose(0, 2, 1)):
+            ref = lc._numpy_rollout(S, x0, f)
+            assert lc._affine_rollout(S, x0, f).tobytes() == ref.tobytes()
+            back = lc._numpy_rollout(S.transpose(0, 2, 1), d[:, -1], d[:, -2::-1])
+            assert lc._affine_adjoint(S, d).tobytes() == back[:, ::-1].tobytes()
+
+def check_loss():
+    gen = np.random.default_rng(3)
+    for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3), (4, 4, 4)):
+        for mode in ("luenberger", "open_loop"):
+            size = n * (n + p + q + 1)
+            theta = 0.3 * gen.standard_normal((5, size))
+            args = ((n, p, q), TrainConfig(rollout_mode=mode), theta,
+                    theta + 0.01 * gen.standard_normal((5, size)),
+                    gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q)),
+                    0.1 * gen.standard_normal((5, n, q)) if mode == "luenberger" else None)
+            got, want = kernel.loss(*args, True), lg._numpy_loss(*args, True)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+def check_place():
+    gen = np.random.default_rng(3)
+    for n, q in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 4)):
+        poles = ob._checked_poles(ob.default_observer_poles(n), n)
+        A, C = gen.standard_normal((40, n, n)), gen.standard_normal((40, q, n))
+        got, want = kernel.place(A, C, poles), ob._numpy_place(A, C, poles)
+        assert all(lc._same_bits(a, b) for a, b in zip(got, want))
+
+def check_train():
+    gen = np.random.default_rng(3)
+    for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3)):
+        for mode in ("luenberger", "open_loop"):
+            anchor = 0.3 * gen.standard_normal((5, n * (n + p + q + 1)))
+            u, y = gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q))
+            cfg = TrainConfig(rollout_mode=mode, epochs=12, lr0=0.01, decay_every=5)
+            args = ((n, p, q), cfg, anchor, u, y)
+            got, want = kernel.train(*args), lg._round_loop(*args)
+            assert all(lc._same_bits(a, b) for a, b in zip(got, want))
+
+def failure(check):
+    try:
+        check()
+    except Exception:
+        return traceback.format_exc()
+    return ""
+
+out = {name[6:]: failure(check) for name, check in list(globals().items())
+       if name.startswith("check_")}
+out["matching"] = [] if lib is None else [
+    name for f, name in enumerate(lc._FAMILIES) if lc._matches_numpy(lc._family_loop(lib, f))]
+out["loaded"] = [name for name, binding in vars(kernel).items() if binding]
+print(json.dumps(out))
+"""
+
 def openblas_can_run_avx2_cores():
     """True iff numpy's BLAS is an OpenBLAS that picks its kernels at run
     time, on a CPU with AVX2 and FMA."""
@@ -211,68 +286,29 @@ class TestLoader:
         assert outputs == ["c"] * 3
         assert [p.suffix for p in unbuilt.iterdir()] == [".so"]
 
+    @pytest.mark.parametrize("check", ["family", "loop", "loss", "place", "train"])
     @pytest.mark.parametrize("core, family", [("Haswell", "hsw"), ("Sandybridge", "seq")])
-    def test_each_family_on_the_openblas_core_it_names(self, core, family, kernel_cache):
+    def test_each_family_on_the_openblas_core_it_names(self, core, family, check, kernel_cache):
         # OpenBLAS picks its kernels by core at run time: on each core, only
-        # the family it names matches, every pass loads in that family, and
-        # each matches its reference on samples larger than its probe's
+        # the family it names matches and every pass loads in that family
+        # ("family"), and each pass matches its reference on samples larger
+        # than its probe's; one run per core checks all five
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on this host")
         if not openblas_can_run_avx2_cores():
             pytest.skip("numpy's BLAS cannot run OpenBLAS's AVX2 cores here")
-        code = (
-            "import numpy as np\n"
-            "from leo import learning as lg, lti_core as lc, observer as ob\n"
-            "from leo.learning import TrainConfig\n"
-            "lib = lc._c_library()\n"
-            "print(*(name for f, name in enumerate(lc._FAMILIES)\n"
-            "        if lc._matches_numpy(lc._family_loop(lib, f))))\n"
-            "kernel = lc._load_kernel()\n"
-            "assert all(vars(kernel).values()), kernel\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n in range(1, 5):\n"
-            "    M, x0 = gen.standard_normal((7, n, n)), gen.standard_normal((7, n))\n"
-            "    f, d = gen.standard_normal((7, 300, n)), gen.standard_normal((7, 301, n))\n"
-            "    M[0], x0[0] = -0.0, -0.0\n"
-            "    for S in (M, M.transpose(0, 2, 1)):\n"
-            "        ref = lc._numpy_rollout(S, x0, f)\n"
-            "        assert lc._affine_rollout(S, x0, f).tobytes() == ref.tobytes()\n"
-            "        back = lc._numpy_rollout(S.transpose(0, 2, 1), d[:, -1], d[:, -2::-1])\n"
-            "        assert lc._affine_adjoint(S, d).tobytes() == back[:, ::-1].tobytes()\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3), (4, 4, 4)):\n"
-            "    for mode in ('luenberger', 'open_loop'):\n"
-            "        size = n * (n + p + q + 1)\n"
-            "        theta = 0.3 * gen.standard_normal((5, size))\n"
-            "        args = ((n, p, q), TrainConfig(rollout_mode=mode), theta,\n"
-            "                theta + 0.01 * gen.standard_normal((5, size)),\n"
-            "                gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q)),\n"
-            "                0.1 * gen.standard_normal((5, n, q)) if mode == 'luenberger' else None)\n"
-            "        got, want = kernel.loss(*args, True), lg._numpy_loss(*args, True)\n"
-            "        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n, q in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 4)):\n"
-            "    poles = ob._checked_poles(ob.default_observer_poles(n), n)\n"
-            "    A, C = gen.standard_normal((40, n, n)), gen.standard_normal((40, q, n))\n"
-            "    got, want = kernel.place(A, C, poles), ob._numpy_place(A, C, poles)\n"
-            "    assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
-            "gen = np.random.default_rng(3)\n"
-            "for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 3, 2), (4, 4, 3)):\n"
-            "    for mode in ('luenberger', 'open_loop'):\n"
-            "        anchor = 0.3 * gen.standard_normal((5, n * (n + p + q + 1)))\n"
-            "        u, y = gen.standard_normal((5, 251, p)), gen.standard_normal((5, 252, q))\n"
-            "        cfg = TrainConfig(rollout_mode=mode, epochs=12, lr0=0.01, decay_every=5)\n"
-            "        args = ((n, p, q), cfg, anchor, u, y)\n"
-            "        got, want = kernel.train(*args), lg._round_loop(*args)\n"
-            "        assert all(lc._same_bits(a, b) for a, b in zip(got, want))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
-                   OPENBLAS_CORETYPE=core)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [family]
-
+        if core not in ON_CORE:
+            env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(kernel_cache),
+                       OPENBLAS_CORETYPE=core)
+            proc = subprocess.run([sys.executable, "-c", ON_CORE_CHECKS], env=env,
+                                  capture_output=True, text=True, timeout=240)
+            assert proc.returncode == 0, proc.stderr
+            ON_CORE[core] = json.loads(proc.stdout)
+        got = ON_CORE[core]
+        assert got[check] == "", got[check]
+        if check == "family":
+            assert got["matching"] == [family]
+            assert got["loaded"] == ["loop", "loss", "place", "train"]
 
 def test_import_loads_neither_scipy_linalg_nor_the_kernel(kernel_cache):
     # the loader does not run and the cache is untouched on import, and
