@@ -533,10 +533,11 @@ int leo_loss(int family, long nb, int n, int p, int q, long k0, long K, int grad
  * LAPACK routines, passed in as function pointers (dgesdd for the
  * singular values, dgeev for the eigenvalues, dgesv for the solves) and
  * called as numpy's linalg calls them: on column-major copies, with the
- * workspace its lwork = -1 query asks for. The few products take the
- * orders above: C A^j is a dgemv 'N' row at q = 1 and a dgemm chain
- * above, C^T G and L C are dgemm chains (at q = 1 numpy's own loop forms
- * each entry as 0.0 + a b, which a chain of one term equals). */
+ * workspace its lwork = -1 query asks for; a call whose only use is a
+ * yes/no test is skipped where a certificate decides it (below). The few
+ * products take the orders above: C A^j is a dgemv 'N' row at q = 1 and a
+ * dgemm chain above, C^T G and L C are dgemm chains (at q = 1 numpy's own
+ * loop forms each entry as 0.0 + a b, which a chain of one term equals). */
 
 /* The ILP64 integers of the LAPACK that numpy's OpenBLAS bundles */
 typedef int64_t lapack_int;
@@ -692,6 +693,240 @@ static double deviation(int n, const double *wr, const double *wi, const double 
     return worst;
 }
 
+/* Certificates of place_row's decision-only LAPACK calls. Of its LAPACK
+ * calls, four feed nothing but a yes/no test: the SVD of the observability
+ * stack O (full rank), the eigenvalues of A (one within 1e-9 of a pole or
+ * a target), the SVD of X (well conditioned) and, where the caller does
+ * not read the best deviation, the eigenvalues of A - LC (deviation below
+ * tol). Where a bound of a few dozen flops decides such a test by a wide
+ * margin, place_row takes the decision from it and skips the call; else it
+ * makes the call as before. Every float that reaches an output comes from
+ * the same calls in the same order either way. The bounds, with u the
+ * unit roundoff (DBL_EPSILON here, twice the true one):
+ *
+ * - dgesdd's singular values are exact for a + E, and dgeev's eigenvalues
+ *   for its balanced matrix b + E, with ||E||_F <= BACKWARD ||.||_F:
+ *   1e3 u, a thousand times the p(n) = 1 that LAPACK's own error bounds
+ *   take (Users' Guide, 4.7 and 4.8), for n <= 4 and 16 rows.
+ * - sigma_min(M) >= 1 / ||M^-1||_F, with M^-1 by Gauss-Jordan elimination
+ *   with partial pivoting, whose computed inverse Y has a residual
+ *   ||M Y - I||_F <= GJ ||M||_F ||Y||_F, GJ = 1e4 u (Higham, Accuracy and
+ *   Stability of Numerical Algorithms, 14.4: 8 n u |L||U||Y|, with growth
+ *   at most 2^(n - 1) = 8). sigma_min_bound answers only where
+ *   ||M||_F ||Y||_F <= 1e8, so 1 / ||Y||_F is then within 0.03% of a true
+ *   lower bound; every margin below is 1e3. */
+#define BACKWARD (1e3 * __DBL_EPSILON__)
+#define GJ (1e4 * __DBL_EPSILON__)
+
+static double frobenius(int len, const double *a)
+{
+    double sum = 0.0;
+    for (int i = 0; i < len; i++)
+        sum += a[i] * a[i];
+    return __builtin_sqrt(sum);
+}
+
+/* A lower bound on the least singular value of the n x n row-major m,
+ * n <= 4, with m's inverse into y (row-major): 1 / ||y||_F; 0 where it
+ * cannot tell (||m||_F not in [1e-100, 1e100], a zero pivot, or
+ * ||m||_F ||y||_F above 1e8 or not finite). */
+static double sigma_min_bound(int n, const double *m, double *y)
+{
+    const double norm = frobenius(n * n, m);
+    double a[4][8], t;
+    if (!(norm >= 1e-100 && norm <= 1e100))
+        return 0.0;
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            a[i][j] = m[i * n + j];
+            a[i][n + j] = i == j;
+        }
+    for (int k = 0; k < n; k++) {
+        int p = k;
+        for (int i = k + 1; i < n; i++)
+            if (__builtin_fabs(a[i][k]) > __builtin_fabs(a[p][k]))
+                p = i;
+        if (a[p][k] == 0)
+            return 0.0;
+        for (int j = 0; j < 2 * n; j++)
+            t = a[k][j], a[k][j] = a[p][j], a[p][j] = t;
+        t = a[k][k];
+        for (int j = 0; j < 2 * n; j++)
+            a[k][j] /= t;
+        for (int i = 0; i < n; i++) {
+            const double f = a[i][k];
+            for (int j = 0; j < 2 * n && i != k; j++)
+                a[i][j] -= f * a[k][j];
+        }
+    }
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++)
+            y[i * n + j] = a[i][n + j];
+    t = frobenius(n * n, y);
+    return t * norm <= 1e8 ? 1.0 / t : 0.0;
+}
+
+/* m balanced as dgeev balances it before its QR iterations (dgebal, job
+ * 'B'): writes b = D^-1 m D and D's diagonal d, and returns BACKWARD
+ * ||b||_F, so dgeev's eigenvalues of m are exact for b + E_b with ||E_b||_F
+ * at most that; returns +inf where it cannot tell.
+ *
+ * This replays dgebal's sweeps (LAPACK 3.5 on), which scale a row by 1/f
+ * and its column by f, f a power of 2 (exact), while the column and row
+ * 2-norms c and r have c < r / 2, or c / 2 >= r, and keep a scaling only
+ * if c + r then falls below 0.95 of its start. Replayed with other
+ * roundings of c and r, every comparison takes the same branch unless it
+ * is within 1e-12 of a tie, so it answers only without such a tie; without
+ * a row or column whose off-diagonal entries are all zero (dgebal would
+ * permute); with every entry 0 or in [1e-100, 1e100], and D within
+ * 2^(+-40), so that no scaling rounds and no guard of dgebal's nor dgeev's
+ * own scaling acts. */
+static double balanced(int n, const double *m, double *b, double *d)
+{
+    int sweeps = 0, scaled = 1;
+#define TIE(x, y) (__builtin_fabs((x) - (y)) <= 1e-12 * (y))
+    for (int i = 0; i < n * n; i++) {
+        const double a = __builtin_fabs(b[i] = m[i]);
+        if (!(a == 0 || (a >= 1e-100 && a <= 1e100)))
+            return __builtin_inf();
+    }
+    for (int i = 0; i < n; i++) {
+        int row = 0, col = 0;
+        for (int j = 0; j < n; j++)
+            if (j != i)
+                row |= b[i * n + j] != 0, col |= b[j * n + i] != 0;
+        if (!row || !col)
+            return __builtin_inf();
+        d[i] = 1;
+    }
+    while (scaled) {
+        if (++sweeps > 64)
+            return __builtin_inf();
+        scaled = 0;
+        for (int i = 0; i < n; i++) {
+            double c = 0, r = 0, f = 1, g, s;
+            for (int j = 0; j < n; j++) {
+                c += b[j * n + i] * b[j * n + i];
+                r += b[i * n + j] * b[i * n + j];
+            }
+            c = __builtin_sqrt(c), r = __builtin_sqrt(r), s = c + r;
+            for (g = r / 2; !TIE(c, g) && c < g && f < 0x1p40; g /= 2, r /= 2)
+                f *= 2, c *= 2;
+            if (TIE(c, g) || c < g)
+                return __builtin_inf();
+            for (g = c / 2; !TIE(g, r) && g >= r && f > 0x1p-40; g /= 2, c /= 2)
+                f /= 2, r *= 2;
+            if (TIE(g, r) || g >= r || TIE(c + r, 0.95 * s)
+                || !(d[i] * f >= 0x1p-40 && d[i] * f <= 0x1p40))
+                return __builtin_inf();
+            if (c + r >= 0.95 * s)
+                continue;
+            d[i] *= f;
+            scaled = 1;
+            for (int j = 0; j < n; j++) {
+                b[i * n + j] /= f;
+                b[j * n + i] *= f;
+            }
+        }
+    }
+#undef TIE
+    return BACKWARD * frobenius(n * n, b);
+}
+
+/* Whether dgeev's eigenvalues of A all lie 1e-9 or more from every
+ * requested pole and every target (then place_row's test finds no
+ * eigenvalue near a pole and none shared), certified: each is exact for
+ * b + E_b, b = D^-1 A D, so |lambda - z| >= sigma_min(b - zI) - ||E_b||,
+ * which must exceed 1e3 * 1e-9 beyond the rounding of b - zI. Only real z
+ * are tried. */
+static int clear_of_poles(int n, const double *A, const double *requested,
+                          const double *targets)
+{
+    double b[16], d[4], m[16], y[16];
+    const double err = balanced(n, A, b, d);
+    if (!(err < __builtin_inf()))
+        return 0;
+    const double norm = frobenius(n * n, b);
+    for (int k = 0; k < 2 * n; k++) {
+        const double *z = k < n ? requested + 2 * k : targets + 2 * (k - n);
+        int seen = 0;
+        for (int j = 0; j < n && k >= n; j++)
+            seen |= requested[2 * j] == z[0] && requested[2 * j + 1] == z[1];
+        if (seen)
+            continue;
+        if (z[1] != 0)
+            return 0;
+        memcpy(m, b, n * n * sizeof(double));
+        for (int i = 0; i < n; i++)
+            m[i * n + i] -= z[0];
+        if (!(sigma_min_bound(n, m, y) - (err + __DBL_EPSILON__ * (norm + __builtin_fabs(z[0])))
+              > 1e-6))
+            return 0;
+    }
+    return 1;
+}
+
+/* Whether dgeev's eigenvalues of M = A - LC deviate by less than tol from
+ * the real targets f, certified. P = X^T (row-major) solves the Sylvester
+ * system, so P M P^-1 = F + Delta, Delta = (P M - F P) P^-1, F = diag(f);
+ * py is P^-1 by sigma_min_bound. The eigenvalues dgeev gives are exact for
+ * b + E_b, b = D^-1 M D, so those of F + Delta + Q E_b Q^-1, Q = P D. By
+ * Gershgorin, they lie in the discs about f_i whose radii are the row sums
+ * of |Delta~| plus 2 eta (sqrt(n) <= 2 times a Frobenius norm), where
+ * Delta~ is Delta as computed and eta bounds, in Frobenius norm, the
+ * rounding of P M - F P (gamma_(n+2) (|P||M| + |F||P|)), the error of py
+ * (its residual delta), the rounding of the product (gamma_(n+1)
+ * |R||py|), and Q E_b Q^-1. Disjoint discs (checked with a factor 2) hold
+ * one eigenvalue each, so the matching by disc has each distance within
+ * its radius; with every radius at most tol / 100, the least-sum
+ * matching's largest distance is at most the sum of the radii, below tol. */
+static int placed_within(int n, const double *P, const double *py, const double *M,
+                         const double *targets, double tol)
+{
+    const double u = __DBL_EPSILON__, nP = frobenius(n * n, P), ny = frobenius(n * n, py);
+    const double delta = GJ * nP * ny;
+    double R[16], D[16], b[16], d[4], Q[16], Qi[16], radius[4], fmax = 0, eta, nR;
+    const double err = balanced(n, M, b, d);
+    if (!(err < __builtin_inf() && delta <= 0.5))
+        return 0;
+    for (int i = 0; i < n; i++) {
+        if (targets[2 * i + 1] != 0)
+            return 0;
+        fmax = __builtin_fmax(fmax, __builtin_fabs(targets[2 * i]));
+    }
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            double s = -targets[2 * i] * P[i * n + j];
+            for (int k = 0; k < n; k++)
+                s += P[i * n + k] * M[k * n + j];
+            R[i * n + j] = s;
+        }
+    for (int i = 0; i < n; i++)
+        for (int j = 0; j < n; j++) {
+            double s = 0;
+            for (int k = 0; k < n; k++)
+                s += R[i * n + k] * py[k * n + j];
+            D[i * n + j] = s;
+            Q[i * n + j] = P[i * n + j] * d[j];
+            Qi[i * n + j] = py[i * n + j] / d[i];
+        }
+    nR = frobenius(n * n, R);
+    const double eR = (n + 2) * u * nP * (frobenius(n * n, M) + fmax);
+    eta = delta / (1 - delta) * ny * (nR + eR) + ny * eR + (n + 1) * u * nR * ny
+          + frobenius(n * n, Q) * frobenius(n * n, Qi) / (1 - delta) * err;
+    for (int i = 0; i < n; i++) {
+        radius[i] = 2 * eta;
+        for (int j = 0; j < n; j++)
+            radius[i] += __builtin_fabs(D[i * n + j]);
+        if (!(radius[i] <= tol / 100))
+            return 0;
+        for (int j = 0; j < i; j++)
+            if (!(__builtin_fabs(targets[2 * i] - targets[2 * j]) > 2 * (radius[i] + radius[j])))
+                return 0;
+    }
+    return 1;
+}
+
 /* The products of one row, in the order of one family */
 struct products {
     /* the observability stack O (n q, n): blocks C A^j, j < n */
@@ -746,7 +981,8 @@ PLACE_PRODUCTS(seq_products, , SEQ_ACC, SEQ_ROW)
 enum { PLACED, UNOBSERVABLE, SHARED_EIGENVALUE, NOT_PLACED };
 
 /* One row of leo_place; returns 0 where a LAPACK call fails, as numpy's
- * would raise. */
+ * would raise. best may be NULL where the caller does not read the best
+ * deviation; only then may a certified placement skip its dgeev. */
 static int place_row(const struct products *pr, struct lapack *la, int fused, int n, int q,
                      double rank_rtol, double tol, long draws, const double *A, const double *C,
                      const double *requested, const double *targets,
@@ -754,37 +990,44 @@ static int place_row(const struct products *pr, struct lapack *la, int fused, in
                      double *best)
 {
     const int nq = n * q, nn = n * n;
-    double O[64], K[256], work[256], x[16], s[4], wr[4], wi[4], M[16], gain[16], dev;
+    double O[64], K[256], work[256], x[16], s[4], wr[4], wi[4], M[16], gain[16], y[16], dev;
     int near = 0, shared = 0, nan = 0;
 
-    /* observable: the stack has full column rank; an overflowed one does not */
+    /* observable: the stack has full column rank; an overflowed one does
+     * not. sigma_min(O) >= sigma_min(O_1), O_1 its first n rows, and
+     * sigma_max(O) <= ||O||_F, so s_min > rank_rtol s_max holds where
+     * sigma_min(O_1) exceeds 1e3 (rank_rtol + BACKWARD) ||O||_F */
     pr->stack(n, q, A, C, O);
     if (!all_finite(nq * n, O))
         return *reason = UNOBSERVABLE, 1;
-    column_major(nq, n, O, work);
-    if (singular_values(la, nq, n, work, s, la->lwork_stack))
-        return 0;
-    if (!(s[n - 1] > rank_rtol * s[0]))
-        return *reason = UNOBSERVABLE, 1;
+    if (!(sigma_min_bound(n, O, y) > 1e3 * (rank_rtol + BACKWARD) * frobenius(nq * n, O))) {
+        column_major(nq, n, O, work);
+        if (singular_values(la, nq, n, work, s, la->lwork_stack))
+            return 0;
+        if (!(s[n - 1] > rank_rtol * s[0]))
+            return *reason = UNOBSERVABLE, 1;
+    }
 
     /* a spectrum already in place keeps the zero gain; a shared eigenvalue
      * fails before any draw (1e-9: observer._numpy_place's cutoffs) */
-    column_major(n, n, A, work);
-    if (eigenvalues(la, n, work, wr, wi, la->lwork_eig))
-        return 0;
-    double cost[4][4];
-    distances(n, wr, wi, requested, fused, cost);
-    for (int i = 0; i < nn; i++)
-        near |= !(cost[i / n][i % n] >= 1e-9);
-    if (near && !(deviation(n, wr, wi, requested, fused) >= 1e-9))
-        return *reason = PLACED, 1;
-    distances(n, wr, wi, targets, fused, cost);
-    for (int i = 0; i < nn; i++) {
-        nan |= cost[i / n][i % n] != cost[i / n][i % n];
-        shared |= cost[i / n][i % n] < 1e-9;
+    if (!clear_of_poles(n, A, requested, targets)) {
+        column_major(n, n, A, work);
+        if (eigenvalues(la, n, work, wr, wi, la->lwork_eig))
+            return 0;
+        double cost[4][4];
+        distances(n, wr, wi, requested, fused, cost);
+        for (int i = 0; i < nn; i++)
+            near |= !(cost[i / n][i % n] >= 1e-9);
+        if (near && !(deviation(n, wr, wi, requested, fused) >= 1e-9))
+            return *reason = PLACED, 1;
+        distances(n, wr, wi, targets, fused, cost);
+        for (int i = 0; i < nn; i++) {
+            nan |= cost[i / n][i % n] != cost[i / n][i % n];
+            shared |= cost[i / n][i % n] < 1e-9;
+        }
+        if (shared && !nan)
+            return *reason = SHARED_EIGENVALUE, 1;
     }
-    if (shared && !nan)
-        return *reason = SHARED_EIGENVALUE, 1;
 
     /* K = kron(I, A^T) - kron(F^T, I), column-major: -kron(F^T, I) plus
      * A^T on the diagonal blocks */
@@ -804,12 +1047,20 @@ static int place_row(const struct products *pr, struct lapack *la, int fused, in
             return 0;
         dev = __builtin_nan(""); /* X singular: exactly, or not finite, or by its SVD */
         if (info == 0 && all_finite(nn, x)) {
-            /* x is X^T row-major, so X column-major */
-            memcpy(work, x, nn * sizeof(double));
-            if (singular_values(la, n, n, work, s, la->lwork_x))
-                return 0;
-            const double floor = 1e-10 * s[0];
-            if (s[n - 1] >= (floor > __DBL_MIN__ ? floor : __DBL_MIN__)) {
+            /* x is X^T row-major, so X column-major. s_min >= max(1e-10
+             * s_max, DBL_MIN) holds where sigma_min(X) = sigma_min(X^T)
+             * exceeds 1e3 max((1e-10 + BACKWARD) ||X||_F, DBL_MIN) */
+            const double bound = sigma_min_bound(n, x, y);
+            int regular = bound > 1e3 * __builtin_fmax((1e-10 + BACKWARD) * frobenius(nn, x),
+                                                       __DBL_MIN__);
+            if (!regular) {
+                memcpy(work, x, nn * sizeof(double));
+                if (singular_values(la, n, n, work, s, la->lwork_x))
+                    return 0;
+                const double floor = 1e-10 * s[0];
+                regular = s[n - 1] >= (floor > __DBL_MIN__ ? floor : __DBL_MIN__);
+            }
+            if (regular) {
                 /* L from X^T L = G^T: G row-major is G^T column-major */
                 column_major(n, n, x, work);
                 memcpy(M, Gg, nq * sizeof(double));
@@ -818,7 +1069,10 @@ static int place_row(const struct products *pr, struct lapack *la, int fused, in
                 column_major(q, n, M, gain);
                 pr->closed(n, q, A, gain, C, M);
                 dev = __builtin_inf();
-                if (all_finite(nn, M)) {
+                if (all_finite(nn, M) && !best && bound > 0
+                    && placed_within(n, x, y, M, targets, tol))
+                    dev = 0.0; /* below tol, certified; its value is not read */
+                else if (all_finite(nn, M)) {
                     column_major(n, n, M, work);
                     if (eigenvalues(la, n, work, wr, wi, la->lwork_eig))
                         return 0;
@@ -826,7 +1080,8 @@ static int place_row(const struct products *pr, struct lapack *la, int fused, in
                 }
             }
         }
-        *best = __builtin_fmin(*best, dev);
+        if (best)
+            *best = __builtin_fmin(*best, dev);
         if (dev < tol) {
             memcpy(L, gain, nq * sizeof(double));
             *reason = PLACED;
@@ -977,11 +1232,11 @@ int leo_train(int family, long nb, int n, int p, int q, long k0, long K, long ep
             for (long i = 0; closed && i < live; i++) {
                 const long b = rows[i];
                 const double *A = theta + b * P;
-                double gain[16] = {0}, best;
+                double gain[16] = {0};
                 int64_t reason, *c = counts + b * COUNTS;
                 if (!(ok = place_row(family_products(family), &la, HAS_FMA(), n, q, hyper[7],
                                      hyper[8], draws, A, A + n * (n + p), requested, targets,
-                                     neg_kron, G, gain, &reason, &best)))
+                                     neg_kron, G, gain, &reason, 0)))
                     break;
                 fresh[b] = reason == PLACED;
                 if (fresh[b])

@@ -610,6 +610,15 @@ def wilcoxon_signed_rank(
     return float(min(1.0, upper))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one (``taskset`` and cpusets narrow it below the host's count),
+    else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(
     dims_list,
     trials: int = 100,
@@ -625,8 +634,8 @@ def run_monte_carlo(
     index), so the summaries depend only on the seed and configuration, not
     on execution order, batch grouping or the number of workers. The trials
     of one triple train as one batch; with ``parallel`` worker
-    processes (at most the CPU count, one pool for the whole run) each
-    triple's trials are split into that many contiguous batches.
+    processes (at most ``_usable_cpus()``, one pool for the whole run)
+    each triple's trials are split into that many contiguous batches.
     """
     for name, value in (("trials", trials), ("parallel", parallel)):
         if not isinstance(value, numbers.Integral):
@@ -635,7 +644,7 @@ def run_monte_carlo(
         raise ValueError("need at least 10 trials for meaningful statistics")
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
-    workers = min(parallel, os.cpu_count() or 1)
+    workers = min(parallel, _usable_cpus())
     cfg = train_cfg or TrainConfig()
     base_spec = trial_spec or TrialSpec(dims=(2, 1, 1))
     dims_list = [replace(base_spec, dims=dims).dims for dims in dims_list]

@@ -5,7 +5,6 @@ complete. The Monte Carlo criteria (1 and 2) share a single session run of
 100 trials per configuration and take a few minutes combined.
 """
 
-import os
 import time
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 from leo.cli import main as cli_main
 from leo.experiments import (
+    _usable_cpus,
     run_monte_carlo,
     wilcoxon_signed_rank,
 )
@@ -56,7 +56,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def monte_carlo_summaries():
-    workers = min(2, os.cpu_count() or 1)
+    workers = min(2, _usable_cpus())
     start = time.time()
     summaries, _ = run_monte_carlo(
         MC_DIMS,

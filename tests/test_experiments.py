@@ -411,6 +411,16 @@ class TestRunMonteCarlo:
         assert len(r1) == len(r2) == 22
         assert [r.to_json() for r in r1] == [r.to_json() for r in r2]
 
+    def test_workers_capped_by_usable_cpus(self, monkeypatch):
+        # one CPU in the affinity mask: no pool, whatever the host counts
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+        assert experiments._usable_cpus() == 1
+        run_monte_carlo([(2, 1, 1)], trials=10, master_seed=0, train_cfg=FAST_CFG, parallel=2)
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        assert experiments._usable_cpus() == 64
+
     def test_batch_matches_single_trials(self):
         _, results = run_monte_carlo(
             [(3, 2, 1)], trials=10, master_seed=17, train_cfg=FAST_CFG

@@ -444,6 +444,26 @@ class TestLossPassLoader:
 # Entry magnitudes of the extreme rows of ``placement_stacks``: subnormal,
 # tiny, ordinary and huge.
 EXTREMES = (0.0, 5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e150, 1e300, 1.7e308)
+# Kinds of row near the thresholds of the placement's decision-only tests,
+# where its certificates give way to LAPACK's calls.
+NEAR_THRESHOLD = ("weakly observable", "near pole")
+
+
+def near_threshold(gen, kind, A, C, pole):
+    """Makes the pair (A, C) a row of ``kind`` in place: "weakly observable",
+    where the last state barely reaches the output (sigma_min / sigma_max
+    of the observability stack about 1e-12 to 1e-5 for n >= 2), or "near
+    pole", a diagonalizable A with an eigenvalue 1e-12 to 1e-4 from the
+    real ``pole``, which also makes X ill-conditioned."""
+    n = len(A)
+    if kind == "weakly observable" and n >= 2:
+        A[:-1, -1] = 0.0
+        C[:, -1] *= 10.0 ** -gen.uniform(4, 12)
+    elif kind == "near pole":
+        eig = gen.uniform(-0.9, 0.9, n)
+        eig[0] = pole + gen.choice([-1.0, 1.0]) * 10.0 ** -gen.uniform(4, 12)
+        V = gen.standard_normal((n, n))
+        A[...] = V @ np.diag(eig) @ np.linalg.inv(V)
 
 
 @st.composite
@@ -460,11 +480,18 @@ def placement_stacks(draw):
     if n >= 2 and draw(st.booleans()):
         radius, angle = gen.uniform(0.1, 0.9), gen.uniform(0.1, 3.0)
         poles[:2] = radius * np.exp(1j * angle), radius * np.exp(-1j * angle)
+    if n >= 2 and not poles.imag.any() and draw(st.booleans()):
+        # two poles 1e-11.5 to 1e-7 apart: at q = 1, X's condition number
+        # reaches 1e8 to 1e12, and the deviations fall on both sides of 1e-7
+        poles[1] = poles[0] + 10.0 ** -gen.uniform(7, 11.5)
     kinds = st.sampled_from(["ordinary", "unobservable", "shared eigenvalue", "in place",
-                             "singular operator", "subnormal C", "extreme"])
+                             "singular operator", "subnormal C", "extreme",
+                             "weakly observable", "near pole"])
     for b, kind in enumerate(draw(st.lists(kinds, min_size=batch, max_size=batch))):
         if kind == "unobservable":
             C[b] = 0.0
+        elif kind in NEAR_THRESHOLD:
+            near_threshold(gen, kind, A[b], C[b], poles[-1].real)
         elif kind == "shared eigenvalue":
             # triangular, with a requested real pole or an eigenvalue that
             # misses it by less than 1e-9 on its diagonal
@@ -569,14 +596,16 @@ class TestPlacementPassLoader:
 # overflows at once (it aborts), one that starts unobservable, one whose A
 # shares an eigenvalue with the requested poles, and one with a zero start
 # and data of 0.0 and -0.0.
-TRAIN_ROWS = ("ordinary", "rollback", "abort", "unobservable", "shared eigenvalue", "zeros")
+TRAIN_ROWS = ("ordinary", "rollback", "abort", "unobservable", "shared eigenvalue", "zeros",
+              *NEAR_THRESHOLD)
 
 
 @st.composite
 def train_batches(draw):
     """Arguments of ``_train_batch``: runs of one dims and ``TrainConfig``,
-    among them runs of every kind in ``TRAIN_ROWS``; and the number of the
-    gesdd call that fails in a LAPACK failure, or 0 for none."""
+    among them runs of every kind in ``TRAIN_ROWS``; and the LAPACK
+    routine and the number of its call that fails in a LAPACK failure
+    (``counted_train_pass``), or None and 0 for none."""
     seed = draw(st.integers(0, 2**32 - 1))
     # mostly sizes the pass takes; a rollback row rolls back at lr0 = 1
     n = draw(st.sampled_from([1, 2, 3, 4, 2, 3, 4, 5]))
@@ -610,9 +639,11 @@ def train_batches(draw):
         elif kind == "zeros":
             x0[b], u[b] = 0.0, -0.0
             y[b] = np.where(gen.random(y[b].shape) < 0.5, 0.0, -0.0)
+        elif kind in NEAR_THRESHOLD:
+            near_threshold(gen, kind, A[b], C[b], pole)
     inits = [LearnableParams(*_blocks(row, n, p, q)) for row in theta]
-    fail_at = draw(st.sampled_from([0, 0, draw(st.integers(1, 12))]))
-    return inits, list(u), list(y), cfg, fail_at
+    fail = draw(st.sampled_from([None, None, *ROUTINES[:3]]))
+    return inits, list(u), list(y), cfg, fail, draw(st.integers(1, 12)) if fail else 0
 
 
 def loop_family():
@@ -622,28 +653,40 @@ def loop_family():
     return next(f for f in families if lti_core._matches_numpy(lti_core._family_loop(lib, f)))
 
 
-def failing_train_pass(fail_at):
-    """The loaded training pass, with a gesdd whose call number ``fail_at``
-    (counting the workspace queries) reports no convergence (info = 1)
-    without running, as a LAPACK that does not converge does; its
-    ``calls`` counts gesdd's calls."""
-    gesdd_type = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)
-    routines = [lti_core._openblas_symbol(name) for name in (*lti_core._LAPACK, *lti_core._BLAS)]
-    real = gesdd_type(routines[0])
-    calls = []
+# The routines the C passes call (``lti_core._LAPACK``, then ``_BLAS``)
+# and their C signatures: LAPACK's take pointers only, CBLAS's take the
+# layout, the sizes and the scalars by value.
+ROUTINES = ("gesdd", "geev", "gesv", "gemv", "gemm")
+_P, _I, _L, _D = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double
+SIGNATURES = ((_P,) * 14, (_P,) * 14, (_P,) * 8,
+              (_I, _I, _L, _L, _D, _P, _L, _P, _L, _D, _P, _L),
+              (_I, _I, _I, _L, _L, _L, _D, _P, _L, _P, _L, _D, _P, _L))
 
-    def gesdd(*args):
-        calls.append(1)
-        if len(calls) == fail_at:
-            ctypes.c_int64.from_address(args[13]).value = 1
-        else:
-            real(*args)
 
-    fake = gesdd_type(gesdd)
-    routines[0] = ctypes.cast(fake, ctypes.c_void_p).value
-    failing = learning._family_train(lti_core._c_library(), loop_family(), routines)
-    failing.calls, failing.keep_alive = calls, fake
-    return failing
+def counted_train_pass(fail=None, at=0):
+    """The loaded training pass on numpy's routines, each wrapped to count
+    its calls, workspace queries included, into the pass's ``calls`` (by
+    name). Call number ``at`` of the LAPACK routine ``fail`` reports a
+    failure without running: info = 1 (no convergence) from gesdd or geev,
+    and info = -1 (an illegal argument) from gesv, whose info = 1 (an
+    exactly singular matrix) the pass handles as numpy's placement does."""
+    calls, wrappers = dict.fromkeys(ROUTINES, 0), []
+    for name, symbol, signature in zip(ROUTINES, (*lti_core._LAPACK, *lti_core._BLAS),
+                                       SIGNATURES):
+        kind = ctypes.CFUNCTYPE(None, *signature)
+
+        def wrapper(*args, name=name, real=kind(lti_core._openblas_symbol(symbol))):
+            calls[name] += 1
+            if name == fail and calls[name] == at:
+                ctypes.c_int64.from_address(args[-1]).value = -1 if name == "gesv" else 1
+            else:
+                real(*args)
+
+        wrappers.append(kind(wrapper))
+    addresses = [ctypes.cast(wrapper, ctypes.c_void_p).value for wrapper in wrappers]
+    counted = learning._family_train(lti_core._c_library(), loop_family(), addresses)
+    counted.calls, counted.keep_alive = calls, wrappers
+    return counted
 
 
 def assert_same_results(got, want):
@@ -663,14 +706,14 @@ class TestTrainPassMatchesRoundLoop:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(args=train_batches())
     def test_bitwise(self, args):
-        inits, inputs, outputs, cfg, fail_at = args
+        inits, inputs, outputs, cfg, fail, at = args
         kernel = lti_core._load_kernel()
         train_pass = kernel.train
         n, p, q = inits[0].dims
         horizon = cfg.window_start + cfg.window_len
         takes = max(p, q) <= n and 2 <= horizon <= 256
-        if train_pass and fail_at:
-            train_pass = failing_train_pass(fail_at)
+        if train_pass and fail:
+            train_pass = counted_train_pass(fail, at)
         ran = []
 
         def recorded(*args):
@@ -689,7 +732,7 @@ class TestTrainPassMatchesRoundLoop:
         assert_same_results(got, numpy_only)
         # the pass runs for n = 2..4, where it declines a batch it does not
         # take, and one whose LAPACK fails
-        failed = bool(fail_at) and len(getattr(train_pass, "calls", [])) >= fail_at
+        failed = bool(fail and train_pass) and train_pass.calls[fail] >= at
         assert ran == ([takes and not failed] if train_pass and 2 <= n <= 4 else [])
 
     def test_pass_runs_where_a_compiler_is(self, fresh):
@@ -757,19 +800,61 @@ class TestTrainPassLoader:
         monkeypatch.setattr(lti_core, "_kernel", lti_core._Kernel())
         assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))
 
-    @pytest.mark.parametrize("fail_at", [1, 3, 7])
-    def test_lapack_failure_leaves_the_batch_to_the_round_loop(self, monkeypatch, fail_at):
-        # a query (call 1) or a factorization mid-run fails: the pass
-        # declines the whole batch, and the round loop runs it from the start
+    @pytest.mark.parametrize("fail, at, unobservable", [
+        pytest.param("gesdd", 1, False, id="gesdd-query"),
+        # the first run's stack, whose certificate defers to LAPACK
+        pytest.param("gesdd", 3, True, id="gesdd-deferred"),
+        # the first run's solve for its gain in epoch 2
+        pytest.param("gesv", 10, False, id="gesv-mid-run"),
+    ])
+    def test_lapack_failure_leaves_the_batch_to_the_round_loop(self, monkeypatch, fail, at,
+                                                               unobservable):
+        # a query or a factorization mid-run fails: the pass declines the
+        # whole batch, and the round loop runs it from the start
         self.loaded_pass()
-        failing = failing_train_pass(fail_at)
+        failing = counted_train_pass(fail, at)
         dims, anchor, u, y = ordinary_batch()
+        if unobservable:
+            _blocks(anchor, *dims)[2][0] = 0.0
         cfg = TrainConfig(epochs=3)
         assert failing(dims, cfg, anchor, u, y) is None
-        assert len(failing.calls) == fail_at
+        assert failing.calls[fail] == at
         inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
         kernel = lti_core._load_kernel()
         monkeypatch.setattr(lti_core, "_kernel", replace(kernel, train=failing))
         got = _train_batch(inits, list(u), list(y), cfg)
         monkeypatch.setattr(lti_core, "_kernel", replace(kernel, train=False))
         assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))
+
+    def test_certified_tests_skip_their_lapack_calls(self):
+        # ordinary runs: every observability and conditioning test is
+        # certified, so gesdd runs only its two workspace queries, and most
+        # placements are certified too, each without its geev of A - LC
+        self.loaded_pass()
+        counted = counted_train_pass()
+        dims, anchor, u, y = ordinary_batch()
+        cfg = TrainConfig(epochs=3)
+        got = counted(dims, cfg, anchor, u, y)
+        assert all(map(lti_core._same_bits, got, _round_loop(dims, cfg, anchor, u, y)))
+        assert counted.calls["gesdd"] == 2
+        assert counted.calls["geev"] - 1 < len(anchor) * cfg.epochs  # one query
+        assert counted.calls["gesv"] == 2 * len(anchor) * cfg.epochs
+
+    def test_rows_near_the_thresholds_take_both_paths(self):
+        # runs of each kind near a threshold, bitwise the round loop's, and
+        # among their tests some that certificates decide and some they leave
+        # to LAPACK
+        self.loaded_pass()
+        gen = np.random.default_rng(12)
+        dims, anchor, u, y = ordinary_batch(runs=12)
+        A, _, C, _ = _blocks(anchor, *dims)
+        pole = default_observer_poles(dims[0])[-1]
+        for b in range(len(anchor)):
+            near_threshold(gen, NEAR_THRESHOLD[b % 2], A[b], C[b], pole)
+        cfg = TrainConfig(epochs=5)
+        counted = counted_train_pass()
+        got = counted(dims, cfg, anchor, u, y)
+        assert all(map(lti_core._same_bits, got, _round_loop(dims, cfg, anchor, u, y)))
+        placements = len(anchor) * cfg.epochs
+        assert 2 < counted.calls["gesdd"] < 2 + placements
+        assert 1 < counted.calls["geev"] < 1 + 2 * placements
