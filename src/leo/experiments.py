@@ -18,23 +18,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DegenerateReferenceError, LeoError, PolePlacementInfeasible
-from .learning import LearnableParams, TrainConfig, _train_batch
+from .exceptions import DegenerateReferenceError, LeoError, ShapeError
+from .learning import LearnableParams, TrainConfig, _blocks, _train_batch
 from .lti_core import (
-    LtiParams,
     NoiseRealization,
     RngStream,
     SystemGenConfig,
     TrueSystem,
     Trajectory,
+    _affine_rollout,
     _simulate_stack,
     random_system,
 )
 from .observer import (
+    PLACED,
+    UNOBSERVABLE,
+    _checked_poles,
+    _failure,
+    _place_poles,
     default_observer_poles,
-    place_observer_poles,
-    run_luenberger,
-    run_open_loop,
 )
 
 __all__ = [
@@ -180,14 +182,13 @@ def normalized_error(
     """Mean absolute componentwise ratio (x_hat - x) / x over a window.
 
     The window is rows ``window_start`` .. ``window_start + window_len``;
-    both must be non-negative. Components whose reference magnitude is
-    below ``ZERO_REFERENCE_TOL`` are excluded; if nothing remains the
-    reference is degenerate.
+    both must be non-negative integers. Components whose reference
+    magnitude is below ``ZERO_REFERENCE_TOL`` are excluded; if nothing
+    remains the reference is degenerate.
     """
-    if window_start < 0 or window_len < 0:
-        raise ValueError(
-            f"window start {window_start} and length {window_len} must be non-negative"
-        )
+    for name, value in (("window_start", window_start), ("window_len", window_len)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     xs = x_hat.states if isinstance(x_hat, Trajectory) else np.asarray(x_hat, dtype=float)
     xr = x.states if isinstance(x, Trajectory) else np.asarray(x, dtype=float)
     lo, hi = window_start, window_start + window_len + 1
@@ -245,191 +246,210 @@ def execute_trial(
     """Run one seeded trial end to end, keeping the full trajectories.
 
     A draw whose nominal pair is unobservable is regenerated on the next
-    sub-seed (counted in the flags). Training failures do not raise: the
-    enhanced errors fall back to the nominal ones with a zero reduction, so
-    failed trials count as non-successes instead of disappearing from the
-    statistics. A horizon too short for the training window is a
-    configuration error and raises ``ValueError`` before any work. The trial
-    trains as a batch of one, and gives bitwise what it gives inside a
-    Monte Carlo batch.
+    sub-seed (counted in the flags); an override never is. Training
+    failures do not raise: the enhanced errors fall back to the nominal
+    ones with a zero reduction, so failed trials count as non-successes
+    instead of disappearing from the statistics. A horizon too short for
+    the training window is a configuration error and raises ``ValueError``
+    before any work; so do, as a ``ShapeError``, an override whose dims are
+    not ``spec.dims`` and an ``x0_hat_override`` that is not n finite
+    numbers. The trial is a batch of one of the Monte Carlo pipeline, and
+    gives bitwise what it gives inside a batch.
     """
     cfg = train_cfg or TrainConfig()
-    trial = _prepare_trial(spec, cfg, system_override, x0_hat_override)
-    (trained,) = _train_batch([trial.init], [trial.truth.inputs], [trial.truth.outputs], cfg)
-    return _score_trial(trial, trained, cfg)
+    (outcome,) = _run_trials([spec], cfg, system_override, x0_hat_override)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-@dataclass(frozen=True)
-class _PreparedTrial:
-    """A trial drawn, simulated and given its nominal gain, ready to train.
+def _run_trials(
+    specs: list[TrialSpec],
+    cfg: TrainConfig,
+    system_override: TrueSystem | None = None,
+    x0_hat_override: np.ndarray | None = None,
+) -> list:
+    """The trial pipeline: trials that share dims, horizon and
+    ``max_regenerations``, run as one batch.
 
-    ``_draw_trial`` makes it with ``truth`` None, and the true system's
-    simulation fills it in.
+    Each draw attempt places the nominal gains of the trials still drawing
+    in one call; only a trial whose nominal pair is unobservable draws
+    again, on its next substream. The drawn trials are simulated as one
+    stack and train as one batch. One call places the enhanced gains of
+    the runs that did not abort, and the four observers roll out as one
+    stack; each trial's errors are then scored on its own. Returns per
+    trial its ``TrialExecution``, or the ``LeoError`` or ``LinAlgError``
+    that failed it. Each trial draws from its own stream and every stacked
+    call computes each row as a call of its own would, so a trial's
+    outcome does not depend on its batch.
     """
-
-    spec: TrialSpec
-    system: TrueSystem
-    inputs: np.ndarray
-    noise: NoiseRealization
-    truth: Trajectory | None
-    nominal: LtiParams
-    gain_nominal: np.ndarray
-    init: LearnableParams
-    flags: dict
-
-
-def _prepare_trial(
-    spec: TrialSpec,
-    cfg: TrainConfig,
-    system_override: TrueSystem | None = None,
-    x0_hat_override: np.ndarray | None = None,
-) -> _PreparedTrial:
-    """Draw the system, place its nominal gain and simulate it."""
-    trial = _draw_trial(spec, cfg, system_override, x0_hat_override)
-    states, outputs = _simulate_trials([trial])
-    return _with_truth(trial, states[0], outputs[0])
-
-
-def _draw_trial(
-    spec: TrialSpec,
-    cfg: TrainConfig,
-    system_override: TrueSystem | None = None,
-    x0_hat_override: np.ndarray | None = None,
-) -> _PreparedTrial:
-    """Draw the system, its inputs, noise and initial estimate, and place
-    its nominal gain; the simulation, which draws nothing, comes after."""
-    n, p, q = spec.dims
-    T = spec.horizon
-    if T < cfg.window_start + cfg.window_len:
+    n, p, q = dims = specs[0].dims
+    T, k0, K = specs[0].horizon, cfg.window_start, cfg.window_len
+    if T < k0 + K:
         raise ValueError(
             f"trial horizon {T} ends before the training window's last step"
-            f" {cfg.window_start + cfg.window_len} (window_start + window_len)"
+            f" {k0 + K} (window_start + window_len)"
         )
-    flags: dict = {"regenerations": 0, "divergence": False, "placement_fallback": False}
-
-    base = RngStream(spec.seed, (n, p, q, spec.trial_index))
-    for attempt in range(spec.max_regenerations):
-        gen = base.substream(attempt).generator()
-        sysm = system_override or random_system(
-            n, p, q, gen, SystemGenConfig(perturbation_std=spec.perturbation_std)
+    if system_override is not None and system_override.real.dims != dims:
+        raise ShapeError(
+            f"system_override has dims {system_override.real.dims}, spec.dims are {dims}"
         )
-        nominal = sysm.nominal()
+    if x0_hat_override is not None:
+        x0_hat_override = np.asarray(x0_hat_override, dtype=float).reshape(-1)
+        if x0_hat_override.size != n or not np.isfinite(x0_hat_override).all():
+            raise ShapeError(
+                f"x0_hat_override must be {n} finite numbers, got {x0_hat_override.tolist()}"
+            )
+    poles = _checked_poles(default_observer_poles(n), n)
+    outcomes: list = [None] * len(specs)  # a trial's error, at the end its execution
+    flags = [{"regenerations": 0, "divergence": False, "placement_fallback": False} for _ in specs]
+    drawn = [None] * len(specs)  # per trial: its stream, system and nominal model
+    gain_nominal = np.zeros((len(specs), n, q))
+    rows = list(range(len(specs)))
+    for attempt in range(specs[0].max_regenerations):
+        for i in rows:
+            drawn[i] = _guarded(_draw_system, specs[i], attempt, system_override)
+        rows = _surviving(rows, drawn, outcomes)
+        if not rows:
+            break
         # Placement consumes no random numbers; its observability gate
         # decides a regeneration, and an override is never regenerated.
-        try:
-            gain_nominal = place_observer_poles(nominal.A, nominal.C, default_observer_poles(n))
-            break
-        except PolePlacementInfeasible:
-            if system_override is not None:
-                raise
-        flags["regenerations"] += 1
-    else:
-        raise LeoError(
-            f"could not draw an observable nominal pair in {spec.max_regenerations} attempts"
+        nominal = [drawn[i][2] for i in rows]
+        gains, reason, best = _place_poles(
+            np.stack([m.A for m in nominal]), np.stack([m.C for m in nominal]), poles
+        )
+        gain_nominal[rows] = gains
+        for i, why, deviation in zip(rows, reason.tolist(), best.tolist()):
+            if why == UNOBSERVABLE and system_override is None:
+                flags[i]["regenerations"] += 1
+            elif why != PLACED:
+                outcomes[i] = _failure(why, deviation)
+        rows = [i for i, why in zip(rows, reason) if why == UNOBSERVABLE and outcomes[i] is None]
+    for i in rows:
+        outcomes[i] = LeoError(
+            f"could not draw an observable nominal pair in {specs[0].max_regenerations} attempts"
         )
 
+    rows = [i for i in range(len(specs)) if outcomes[i] is None]
+    data = [None] * len(specs)  # per trial: inputs, noise, initial model, truth
+    for i in rows:
+        data[i] = _guarded(_trial_data, specs[i], *drawn[i], x0_hat_override)
+    rows = _surviving(rows, data, outcomes)
+    if rows:
+        states, outputs = _simulate_stack(*(np.stack(a) for a in zip(*(
+            (s.real.A, s.real.B, s.real.C, s.x0_real, u, noise.w, noise.v)
+            for (_, s, _), (u, noise, _) in ((drawn[i], data[i]) for i in rows)
+        ))))
+        for i, x, y in zip(rows, states, outputs):
+            truth = _guarded(Trajectory, data[i][0], x, y)
+            data[i] = truth if isinstance(truth, Exception) else (*data[i], truth)
+        rows = _surviving(rows, data, outcomes)
+    if not rows:
+        return outcomes
+
+    anchor = np.stack([data[i][2].theta for i in rows])
+    u = np.stack([data[i][0] for i in rows])
+    y = np.stack([data[i][3].outputs for i in rows])
+    theta, final_gain, counts, _ = _train_batch(
+        dims, cfg, anchor, u[:, : k0 + K], y[:, : k0 + K + 1]
+    )
+    # An aborted run keeps its start and the nominal gain; the others'
+    # enhanced gains are placed in one call, and a run's last training
+    # gain stands in where that fails.
+    aborted = counts[:, 5] >= 0
+    theta = np.where(aborted[:, None], anchor, theta)
+    A, B, C, x0 = (np.stack(pair) for pair in zip(_blocks(anchor, *dims), _blocks(theta, *dims)))
+    L = np.stack((gain_nominal[rows], gain_nominal[rows]))
+    trained = np.flatnonzero(~aborted)
+    if len(trained):
+        placed, reason, _ = _place_poles(A[1, trained], C[1, trained], poles)
+        fallback = reason != PLACED
+        last = final_gain if cfg.rollout_mode == "luenberger" and cfg.epochs > 0 else L[1]
+        placed[fallback] = last[trained[fallback]]
+        L[1, trained] = placed
+        for r in trained[fallback]:
+            flags[rows[r]]["placement_fallback"] = True
+    for r in np.flatnonzero(aborted):
+        flags[rows[r]]["divergence"] = True
+
+    # Nominal and enhanced, open then closed loop; an unstable refined
+    # model can overflow its rollout, which scoring reads as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = u @ B.swapaxes(-1, -2)
+        M = np.concatenate((A, A - L @ C))
+        forcing = np.concatenate((drive, drive + y[:, :T] @ L.swapaxes(-1, -2)))
+        x0 = np.concatenate((x0, x0))
+        rolled = _affine_rollout(M.reshape(-1, n, n), x0.reshape(-1, n), forcing.reshape(-1, T, n))
+    rolled = rolled.reshape(4, len(rows), T + 1, n).swapaxes(0, 1)
+    for i, x, row in zip(rows, rolled, theta):
+        enhanced = LearnableParams(*_blocks(row, *dims))
+        outcomes[i] = _guarded(_scored, specs[i], *data[i], enhanced, x, flags[i], cfg)
+    return outcomes
+
+
+def _surviving(rows: list, values: list, outcomes: list) -> list:
+    """The rows whose value is not an exception; each other row's outcome
+    becomes its exception."""
+    for i in rows:
+        if isinstance(values[i], Exception):
+            outcomes[i] = values[i]
+    return [i for i in rows if outcomes[i] is None]
+
+
+def _draw_system(spec: TrialSpec, attempt: int, system_override: TrueSystem | None):
+    """A trial's stream for a draw attempt, the system drawn from it (or
+    the override) and the system's nominal model."""
+    gen = RngStream(spec.seed, (*spec.dims, spec.trial_index)).substream(attempt).generator()
+    system = system_override or random_system(
+        *spec.dims, gen, SystemGenConfig(perturbation_std=spec.perturbation_std)
+    )
+    return gen, system, system.nominal()
+
+
+def _trial_data(spec: TrialSpec, gen, system: TrueSystem, nominal, x0_hat):
+    """A trial's inputs, noise and initial model, drawn from its stream
+    after its system; the initial state estimate too, where ``x0_hat`` is
+    None."""
+    n, p, q = spec.dims
+    T = spec.horizon
     inputs = gen.normal(0.0, spec.input_std, (T, p))
     noise = NoiseRealization(
         w=gen.normal(0.0, spec.process_noise_std, (T, n)),
         v=gen.normal(0.0, spec.measurement_noise_std, (T + 1, q)),
     )
-    if x0_hat_override is not None:
-        x0_hat = np.asarray(x0_hat_override, dtype=float).reshape(n)
-    else:
-        x0_hat = sysm.x0_real + gen.normal(0.0, spec.x0_offset_std, n)
-    return _PreparedTrial(
-        spec=spec,
-        system=sysm,
-        inputs=inputs,
-        noise=noise,
-        truth=None,
-        nominal=nominal,
-        gain_nominal=gain_nominal,
-        init=LearnableParams.from_lti(nominal, x0_hat),
-        flags=flags,
-    )
+    if x0_hat is None:
+        x0_hat = system.x0_real + gen.normal(0.0, spec.x0_offset_std, n)
+    return inputs, noise, LearnableParams.from_lti(nominal, x0_hat)
 
 
-def _simulate_trials(trials: list[_PreparedTrial]) -> tuple[np.ndarray, np.ndarray]:
-    """States and outputs of the drawn trials' true systems, which share
-    dims and horizon, from one stacked simulation."""
-    A, B, C, x0, inputs, w, v = (np.stack(a) for a in zip(*(
-        (t.system.real.A, t.system.real.B, t.system.real.C, t.system.x0_real, t.inputs,
-         t.noise.w, t.noise.v) for t in trials
-    )))
-    return _simulate_stack(A, B, C, x0, inputs, w, v)
+def _scored(spec, inputs, noise, init, truth, enhanced, states, flags, cfg) -> TrialExecution:
+    """A trial's execution from the states of its four rollouts (nominal
+    and enhanced, open then closed loop).
 
-
-def _with_truth(trial: _PreparedTrial, states: np.ndarray, outputs: np.ndarray) -> _PreparedTrial:
-    """The trial with its simulated trajectory; a ``ShapeError`` if that
-    left the finite numbers."""
-    return replace(trial, truth=Trajectory(inputs=trial.inputs, states=states, outputs=outputs))
-
-
-def _score_trial(trial: _PreparedTrial, trained, cfg: TrainConfig) -> TrialExecution:
-    """Place the enhanced gain and score the four observers of a trial.
-
-    ``trained`` is the trial's ``TrainResult``; an aborted run counts as
-    divergence.
+    An enhanced rollout that leaves the finite numbers, or whose error
+    does, counts as divergence: the enhanced observer falls back to the
+    nominal one.
     """
-    spec, flags, traj, nominal = trial.spec, trial.flags, trial.truth, trial.nominal
-    inputs, x0_hat, T = traj.inputs, trial.init.x0_hat, spec.horizon
-    enhanced = trial.init
-    gain_enhanced = trial.gain_nominal
-    if trained.diagnostics["aborted"]:
-        flags["divergence"] = True
-    else:
-        enhanced = trained.params
-        try:
-            gain_enhanced = place_observer_poles(
-                enhanced.A_hat, enhanced.C_hat, default_observer_poles(spec.dims[0])
-            )
-        except LeoError:
-            flags["placement_fallback"] = True
-            fallback = trained.diagnostics["final_gain"]
-            if fallback is not None:
-                gain_enhanced = fallback
-
-    enhanced_lti = enhanced.as_lti()
-    k0, K = cfg.window_start, cfg.window_len
     rolls = {
-        "nom_open": run_open_loop(nominal, inputs, x0_hat, T),
-        "nom_closed": run_luenberger(nominal, trial.gain_nominal, inputs, traj.outputs, x0_hat, T),
+        key: Trajectory(inputs, x, x @ init.C_hat.T)
+        for key, x in (("nom_open", states[0]), ("nom_closed", states[2]))
     }
-    # An unstable refined model can overflow its rollout; that counts as a
-    # failed trial (enhanced falls back to nominal), never as a crash.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            rolls["enh_open"] = run_open_loop(enhanced_lti, inputs, enhanced.x0_hat, T)
-        except LeoError:
-            rolls["enh_open"] = rolls["nom_open"]
-            flags["divergence"] = True
-        try:
-            rolls["enh_closed"] = run_luenberger(
-                enhanced_lti, gain_enhanced, inputs, traj.outputs, enhanced.x0_hat, T
-            )
-        except LeoError:
-            rolls["enh_closed"] = rolls["nom_closed"]
-            flags["divergence"] = True
+        for side, x in (("open", states[1]), ("closed", states[3])):
+            roll = _guarded(Trajectory, inputs, x, x @ enhanced.C_hat.T)
+            if isinstance(roll, Exception):
+                roll = rolls[f"nom_{side}"]
+                flags["divergence"] = True
+            rolls[f"enh_{side}"] = roll
     errors = {}
     for key, roll in rolls.items():
-        e = normalized_error(roll, traj, k0, K)
+        e = normalized_error(roll, truth, cfg.window_start, cfg.window_len)
         errors[key] = e if math.isfinite(e) else math.inf
-    # A non-finite enhanced error likewise falls back to the nominal one.
     for side in ("open", "closed"):
         if not math.isfinite(errors[f"enh_{side}"]):
             errors[f"enh_{side}"] = errors[f"nom_{side}"]
             flags["divergence"] = True
-
-    return TrialExecution(
-        spec=spec,
-        truth=traj,
-        noise=trial.noise,
-        rollouts=rolls,
-        errors=errors,
-        enhanced=enhanced,
-        flags=flags,
-    )
+    return TrialExecution(spec, truth, noise, rolls, errors, enhanced, flags)
 
 
 def run_trial(
@@ -442,28 +462,19 @@ def run_trial(
     return execute_trial(spec, train_cfg, system_override, x0_hat_override).result()
 
 
-def _run_trials_guarded(specs: list[TrialSpec], cfg: TrainConfig) -> list[TrialResult]:
-    """A batch of trials for the harness: each trial is drawn, the drawn
-    ones are simulated as one stack and train as one batch, then each is
-    scored. A trial that fails a stage gets its failure's result alone."""
-    prepared = [_guarded(_draw_trial, spec, cfg) for spec in specs]
-    drawn = [i for i, trial in enumerate(prepared) if isinstance(trial, _PreparedTrial)]
-    if drawn:
-        states, outputs = _simulate_trials([prepared[i] for i in drawn])
-        for i, s, y in zip(drawn, states, outputs):
-            prepared[i] = _guarded(_with_truth, prepared[i], s, y)
-    ready = [trial for trial in prepared if isinstance(trial, _PreparedTrial)]
-    truths = [t.truth for t in ready]
-    trained = iter(
-        _train_batch([t.init for t in ready], [t.inputs for t in truths],
-                     [t.outputs for t in truths], cfg) if ready else ()
-    )
-    results = []
-    for spec, trial in zip(specs, prepared):
-        if isinstance(trial, _PreparedTrial):
-            trial = _guarded(_score_trial, trial, next(trained), cfg)
-        results.append(_guarded_result(spec, trial))
-    return results
+def _batch_results(specs: list[TrialSpec], cfg: TrainConfig) -> list[TrialResult]:
+    """The results of a batch of trials (``_run_trials``) for the harness.
+
+    A trial that failed records matching zero errors so it counts as a
+    non-success everywhere (and as a dropped zero difference in the
+    signed-rank test) instead of aborting the whole run.
+    """
+    return [
+        TrialResult(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                    {"divergence": True, "error": f"{type(outcome).__name__}: {outcome}"})
+        if isinstance(outcome, Exception) else outcome.result()
+        for spec, outcome in zip(specs, _run_trials(specs, cfg))
+    ]
 
 
 def _guarded(fn, *args):
@@ -472,27 +483,6 @@ def _guarded(fn, *args):
         return fn(*args)
     except (LeoError, np.linalg.LinAlgError) as exc:
         return exc
-
-
-def _guarded_result(spec: TrialSpec, outcome) -> TrialResult:
-    """A trial's result, or a zero-reduction result for a trial that failed.
-
-    A trial that cannot be scored at all records matching zero errors so it
-    counts as a non-success everywhere (and as a dropped zero difference in
-    the signed-rank test) instead of aborting the whole run.
-    """
-    if isinstance(outcome, TrialExecution):
-        return outcome.result()
-    return TrialResult(
-        spec=spec,
-        e_nominal_open=0.0,
-        e_enhanced_open=0.0,
-        e_nominal_closed=0.0,
-        e_enhanced_closed=0.0,
-        reduction_open_pct=0.0,
-        reduction_closed_pct=0.0,
-        flags={"divergence": True, "error": f"{type(outcome).__name__}: {outcome}"},
-    )
 
 
 def trimmed_mean_reduction(values, trim_frac: float = 0.10) -> float:
@@ -659,9 +649,9 @@ def run_monte_carlo(
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batch_results = list(pool.map(_run_trials_guarded, batches, [cfg] * len(batches)))
+            batch_results = list(pool.map(_batch_results, batches, [cfg] * len(batches)))
     else:
-        batch_results = [_run_trials_guarded(batch, cfg) for batch in batches]
+        batch_results = [_batch_results(batch, cfg) for batch in batches]
     all_results = [r for results in batch_results for r in results]
     summaries: list[McSummary] = []
     for i, dims in enumerate(dims_list):

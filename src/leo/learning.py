@@ -524,29 +524,67 @@ def train(
     batch of one of the Monte Carlo trainer and gives bitwise the same
     result.
     """
-    return _train_batch([init], [inputs], [measured_outputs], cfg)[0]
+    return _train_runs([init], [inputs], [measured_outputs], cfg)[0]
 
 
-def _train_batch(inits: list, inputs: list, measured_outputs: list, cfg: TrainConfig) -> list:
-    """``train`` for runs that share dims and ``cfg``, as one batch.
-
-    The runs are held as arrays with a leading run axis. The C training
-    pass of ``_kernel.c`` runs every epoch of every run in one call where
-    it loads and takes the batch (n = 2..4, p and q at most n, horizons of
-    2..256 steps, as the loss pass); else ``_round_loop`` runs it, one
-    stacked call per stage per round. Both give every run bitwise the same
-    result, and no run's rollback or abort changes another's. Every stage
-    gives each finite row a result, so an exception from one is a bug, and
-    it fails the whole batch.
-    """
+def _train_runs(inits: list, inputs: list, measured_outputs: list, cfg: TrainConfig) -> list:
+    """``train`` for runs that share dims and ``cfg``: one batch of
+    ``_train_batch``, and one ``TrainResult`` per run, log included."""
     dims = inits[0].dims
     data = [_window_data(u, y, dims, cfg) for u, y in zip(inputs, measured_outputs)]
-    u = np.stack([d[0] for d in data])
-    y = np.stack([d[1] for d in data])
-    anchor = np.stack([init.theta for init in inits])
+    theta, L, counts, log = _train_batch(
+        dims, cfg, np.stack([init.theta for init in inits]), np.stack([d[0] for d in data]),
+        np.stack([d[1] for d in data]),
+    )
+    luenberger = cfg.rollout_mode == "luenberger"
+    results = []
+    for r, (epochs_run, halvings, refreshes, reuses, observable, abort_epoch) in enumerate(
+        counts.tolist()
+    ):
+        entries = [
+            {
+                "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
+                "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh == 1.0,
+            }
+            for e, (data_term, reg_A, reg_B, reg_C, total, lr, fresh) in enumerate(
+                log[r, :epochs_run].tolist()
+            )
+        ]
+        diagnostics = {
+            "transforms_applied": 0,
+            "gain_refreshes": refreshes,
+            "gain_reuses": reuses,
+            "observable_epochs": observable if luenberger else None,
+            "never_observable": bool(luenberger and epochs_run and observable == 0),
+            "aborted": abort_epoch >= 0,
+            "abort_epoch": abort_epoch if abort_epoch >= 0 else None,
+            "lr_halvings": halvings,
+            "final_gain": L[r].copy() if luenberger and cfg.epochs > 0 else None,
+        }
+        params = LearnableParams(*_blocks(theta[r], *dims))
+        results.append(TrainResult(params=params, log=entries, diagnostics=diagnostics))
+    return results
+
+
+def _train_batch(dims, cfg: TrainConfig, anchor, u, y):
+    """The training of runs that share dims and ``cfg``, as one batch of
+    arrays: the anchors (runs, P) and the finite window data u and y as
+    ``_window_data`` cuts them, stacked. Returns θ (runs, P), the last
+    gains L (runs, n, q), the counters (runs, 6) and the log (runs,
+    epochs, 7), as ``_round_loop`` does.
+
+    The C training pass of ``_kernel.c`` runs every epoch of every run in
+    one call where it loads and takes the batch (n = 2..4, p and q at most
+    n, horizons of 2..256 steps, as the loss pass); else ``_round_loop``
+    runs it, one stacked call per stage per round. Both give every run
+    bitwise the same result, and no run's rollback or abort changes
+    another's. Every stage gives each finite row a result, so an exception
+    from one is a bug, and it fails the whole batch.
+    """
+    anchor, u, y = (np.ascontiguousarray(a, dtype=float) for a in (anchor, u, y))
     train_pass = 2 <= dims[0] <= 4 and _load_kernel().train
     got = train_pass and train_pass(dims, cfg, anchor, u, y)
-    return _train_results(dims, cfg, *(got or _round_loop(dims, cfg, anchor, u, y)))
+    return got or _round_loop(dims, cfg, anchor, u, y)
 
 
 def _round_loop(dims, cfg: TrainConfig, anchor, u, y):
@@ -560,7 +598,7 @@ def _round_loop(dims, cfg: TrainConfig, anchor, u, y):
     the last gains L (runs, n, q), the counters (runs, 6) (epochs run,
     halvings, refreshes, reuses, observable epochs and the abort epoch or
     -1) and the log (runs, epochs, 7) (the five loss terms, lr and
-    refreshed per epoch run), as ``_train_results`` reads them.
+    refreshed per epoch run).
     """
     n, p, q = dims
     runs = len(anchor)
@@ -636,39 +674,6 @@ def _round_loop(dims, cfg: TrainConfig, anchor, u, y):
 
     counts = np.stack((epoch, halvings, refreshes, reuses, observable_epochs, abort_epoch), axis=1)
     return theta, L, counts, log
-
-
-def _train_results(dims, cfg: TrainConfig, theta, L, counts, log) -> list:
-    """One ``TrainResult`` per run from the outputs of ``_round_loop`` or
-    of the C training pass."""
-    luenberger = cfg.rollout_mode == "luenberger"
-    results = []
-    for r, (epochs_run, halvings, refreshes, reuses, observable, abort_epoch) in enumerate(
-        counts.tolist()
-    ):
-        entries = [
-            {
-                "epoch": e, "loss_total": total, "loss_data": data_term, "reg_A": reg_A,
-                "reg_B": reg_B, "reg_C": reg_C, "lr": lr, "L_refreshed": fresh == 1.0,
-            }
-            for e, (data_term, reg_A, reg_B, reg_C, total, lr, fresh) in enumerate(
-                log[r, :epochs_run].tolist()
-            )
-        ]
-        diagnostics = {
-            "transforms_applied": 0,
-            "gain_refreshes": refreshes,
-            "gain_reuses": reuses,
-            "observable_epochs": observable if luenberger else None,
-            "never_observable": bool(luenberger and epochs_run and observable == 0),
-            "aborted": abort_epoch >= 0,
-            "abort_epoch": abort_epoch if abort_epoch >= 0 else None,
-            "lr_halvings": halvings,
-            "final_gain": L[r].copy() if luenberger and cfg.epochs > 0 else None,
-        }
-        params = LearnableParams(*_blocks(theta[r], *dims))
-        results.append(TrainResult(params=params, log=entries, diagnostics=diagnostics))
-    return results
 
 
 def _schedule(cfg: TrainConfig) -> np.ndarray:

@@ -14,6 +14,8 @@ from leo.exceptions import (
     GenerationError,
     LeoError,
     PolePlacementInfeasible,
+    ShapeError,
+    SynthesisFailureError,
 )
 from leo.experiments import (
     DEFAULT_DIMENSION_GRID,
@@ -28,7 +30,14 @@ from leo.experiments import (
     trimmed_mean_reduction,
     wilcoxon_signed_rank,
 )
-from leo.learning import TrainConfig
+from leo.learning import LearnableParams, TrainConfig, train
+from leo.lti_core import (
+    NoiseRealization, RngStream, SystemGenConfig, random_system, simulate_true,
+)
+from leo.observer import (
+    PLACED, UNOBSERVABLE, default_observer_poles, place_observer_poles, run_luenberger,
+    run_open_loop,
+)
 
 
 class TestNormalizedError:
@@ -63,11 +72,15 @@ class TestNormalizedError:
         with pytest.raises(DegenerateReferenceError):
             normalized_error(x, x, 0, 4)
 
-    @pytest.mark.parametrize("start, length", [(-5, 3), (-1, 0), (0, -1), (2, -3)])
-    def test_negative_window_is_a_configuration_error(self, start, length):
-        # not a window counted from the end, and not a degenerate reference
+    @pytest.mark.parametrize("start, length, name", [
+        (-5, 3, "window_start"), (-1, 0, "window_start"), (0, -1, "window_len"),
+        (2, -3, "window_len"), (1.5, 2, "window_start"), (0, 2.5, "window_len"),
+    ])
+    def test_negative_window_is_a_configuration_error(self, start, length, name):
+        # not a window counted from the end, not a degenerate reference, and
+        # not a slice with a float bound
         x = np.arange(1.0, 21.0).reshape(10, 2)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
             normalized_error(2 * x, x, start, length)
 
     def test_zero_length_window_scores_one_state(self):
@@ -342,6 +355,26 @@ class TestRunTrial:
         )
         assert r.reduction_closed_pct > 0.0
 
+    @pytest.mark.parametrize("dims, x0_hat, message", [
+        ((2, 1, 2), None, r"system_override has dims \(2, 1, 1\), spec.dims are \(2, 1, 2\)"),
+        ((3, 2, 1), None, r"system_override has dims \(2, 1, 1\), spec.dims are \(3, 2, 1\)"),
+        ((2, 1, 1), [1.0, 2.0, 3.0], r"x0_hat_override must be 2 finite numbers, got \[1.0, 2"),
+        ((2, 1, 1), [np.nan, 0.0], r"x0_hat_override must be 2 finite numbers, got \[nan, 0.0\]"),
+        ((2, 1, 1), [0.0, -np.inf], r"x0_hat_override must be 2 finite numbers, got \[0.0, -inf\]"),
+    ])
+    def test_override_that_does_not_fit_is_rejected(self, monkeypatch, dims, x0_hat, message):
+        # a shape error naming the override, raised before any work
+        from leo.cli import demo_system
+
+        def refuse(*args):
+            raise AssertionError("work began before the overrides were checked")
+
+        for name in ("random_system", "_place_poles", "_simulate_stack", "_train_batch"):
+            monkeypatch.setattr(experiments, name, refuse)
+        with pytest.raises(ShapeError, match=message):
+            run_trial(TrialSpec(dims=dims), FAST_CFG, system_override=demo_system(),
+                      x0_hat_override=x0_hat)
+
     def test_horizon_shorter_than_window_rejected(self):
         # a configuration error, reported before any simulation or training
         with pytest.raises(ValueError, match=r"horizon 100 .* step 251"):
@@ -448,28 +481,53 @@ class TestNominalRegeneration:
     SPEC = TrialSpec(dims=(3, 2, 1), seed=5)
 
     def test_unobservable_first_draw_is_regenerated(self, monkeypatch):
+        # a batch of three whose middle trial's first draw is blind: only it
+        # draws again, on its next substream, and each draw attempt places
+        # the nominal gains of its trials in one call
         draw = experiments.random_system
         draws = []
 
-        def blind_first(*args):
+        def blind_second(*args):
             draws.append(draw(*args))
-            return blind_nominal(draws[-1]) if len(draws) == 1 else draws[-1]
+            return blind_nominal(draws[-1]) if len(draws) == 2 else draws[-1]
 
-        monkeypatch.setattr(experiments, "random_system", blind_first)
-        trial = experiments._prepare_trial(self.SPEC, TrainConfig(epochs=0))
-        assert trial.flags["regenerations"] == 1
-        assert len(draws) == 2
-        assert np.array_equal(trial.nominal.A, draws[1].nominal().A)
-        assert np.array_equal(trial.nominal.C, draws[1].nominal().C)
-        assert trial.gain_nominal.any()
+        place = experiments._place_poles
+        placements = []
+
+        def recorded(A, C, desired):
+            placements.append(place(A, C, desired))
+            return placements[-1]
+
+        monkeypatch.setattr(experiments, "random_system", blind_second)
+        monkeypatch.setattr(experiments, "_place_poles", recorded)
+        cfg = TrainConfig(epochs=0)
+        specs = [replace(self.SPEC, trial_index=t) for t in range(3)]
+        got = experiments._run_trials(specs, cfg)
+        # two draw attempts, then the enhanced gains of all three
+        assert [len(reason) for _, reason, _ in placements] == [3, 1, 3]
+        assert list(placements[0][1]) == [PLACED, UNOBSERVABLE, PLACED]
+        assert [ex.flags["regenerations"] for ex in got] == [0, 1, 0]
+        assert len(draws) == 4
+        redraw = draw(3, 2, 1, RngStream(5, (3, 2, 1, 1)).substream(1).generator(),
+                      SystemGenConfig(perturbation_std=self.SPEC.perturbation_std))
+        assert np.array_equal(draws[3].real.A, redraw.real.A)
+        # with no epoch run, the enhanced model is the nominal one
+        assert np.array_equal(got[1].enhanced.A_hat, draws[3].nominal().A)
+        assert np.array_equal(got[1].enhanced.C_hat, draws[3].nominal().C)
+        assert placements[1][0].any()
+        for t in (0, 2):
+            assert got[t].result().to_json() == run_trial(specs[t], cfg).to_json()
 
     def test_every_draw_unobservable(self, monkeypatch):
         draw = experiments.random_system
         monkeypatch.setattr(experiments, "random_system", lambda *a: blind_nominal(draw(*a)))
+        spec = replace(self.SPEC, max_regenerations=2)
         with pytest.raises(LeoError, match="observable nominal pair in 2 attempts"):
-            experiments._prepare_trial(
-                replace(self.SPEC, max_regenerations=2), TrainConfig(epochs=0)
-            )
+            execute_trial(spec, TrainConfig(epochs=0))
+        failed = experiments._run_trials([spec, replace(spec, trial_index=1)], TrainConfig())
+        assert [str(error) for error in failed] == [
+            "could not draw an observable nominal pair in 2 attempts"
+        ] * 2
 
     def test_unobservable_override_raises(self):
         from leo.cli import demo_system
@@ -522,20 +580,21 @@ class TestFailingTrialInBatch:
         for i, (a, b) in enumerate(zip(clean, failing)):
             if i != self.BAD:
                 assert a.to_json() == b.to_json()
-        alone = experiments._run_trials_guarded([self.bad_spec()], FAST_CFG)[0]
+        alone = experiments._batch_results([self.bad_spec()], FAST_CFG)[0]
         assert failing[self.BAD].to_json() == alone.to_json()
         return failing[self.BAD]
 
     def test_draw_failure(self, monkeypatch):
         clean = self.batch()
-        original = experiments._draw_trial
+        original = experiments.random_system
 
-        def failing_draw(spec, *args):
-            if spec.trial_index == self.BAD:
+        def failing_draw(n, p, q, gen, *rest):
+            # the stream's path is (n, p, q, trial index, attempt)
+            if gen.bit_generator.seed_seq.spawn_key[3] == self.BAD:
                 raise GenerationError("injected")
-            return original(spec, *args)
+            return original(n, p, q, gen, *rest)
 
-        monkeypatch.setattr(experiments, "_draw_trial", failing_draw)
+        monkeypatch.setattr(experiments, "random_system", failing_draw)
         bad = self.check(clean, self.batch())
         assert bad.flags == {"divergence": True, "error": "GenerationError: injected"}
         assert bad.e_nominal_open == bad.e_enhanced_closed == 0.0
@@ -565,3 +624,104 @@ class TestFailingTrialInBatch:
         assert bad.flags["divergence"] and "error" not in bad.flags
         assert bad.e_enhanced_open == bad.e_nominal_open
         assert bad.to_json() == run_trial(self.bad_spec(), FAST_CFG).to_json()
+
+
+def reference_trial(spec, cfg):
+    """A trial through the public single-trial functions, stage by stage:
+    the differential reference of the stacked pipeline. Returns its flags,
+    the states of its four rollouts (nominal and enhanced, open then
+    closed loop) and their errors."""
+    n, p, q = spec.dims
+    T, poles = spec.horizon, default_observer_poles(n)
+    flags = {"regenerations": 0, "divergence": False, "placement_fallback": False}
+    for attempt in range(spec.max_regenerations):
+        gen = RngStream(spec.seed, (n, p, q, spec.trial_index)).substream(attempt).generator()
+        system = random_system(n, p, q, gen,
+                               SystemGenConfig(perturbation_std=spec.perturbation_std))
+        nominal = system.nominal()
+        try:
+            gain_nominal = place_observer_poles(nominal.A, nominal.C, poles)
+            break
+        except PolePlacementInfeasible:
+            flags["regenerations"] += 1
+    inputs = gen.normal(0.0, spec.input_std, (T, p))
+    noise = NoiseRealization(w=gen.normal(0.0, spec.process_noise_std, (T, n)),
+                             v=gen.normal(0.0, spec.measurement_noise_std, (T + 1, q)))
+    x0_hat = system.x0_real + gen.normal(0.0, spec.x0_offset_std, n)
+    init = LearnableParams.from_lti(nominal, x0_hat)
+    truth = simulate_true(system, inputs, noise)
+    trained = train(init, truth.inputs, truth.outputs, cfg)
+    enhanced, gain = init, gain_nominal
+    if trained.diagnostics["aborted"]:
+        flags["divergence"] = True
+    else:
+        enhanced = trained.params
+        try:
+            gain = place_observer_poles(enhanced.A_hat, enhanced.C_hat, poles)
+        except LeoError:
+            flags["placement_fallback"] = True
+            if trained.diagnostics["final_gain"] is not None:
+                gain = trained.diagnostics["final_gain"]
+    rolls = [
+        run_open_loop(nominal, inputs, init.x0_hat),
+        run_open_loop(enhanced.as_lti(), inputs, enhanced.x0_hat),
+        run_luenberger(nominal, gain_nominal, inputs, truth.outputs, init.x0_hat),
+        run_luenberger(enhanced.as_lti(), gain, inputs, truth.outputs, enhanced.x0_hat),
+    ]
+    errors = [normalized_error(r, truth, cfg.window_start, cfg.window_len) for r in rolls]
+    return flags, [r.states for r in rolls], errors
+
+
+class TestStackedTrials:
+    """The one trial pipeline against the single-trial reference above."""
+
+    KEYS = ("nom_open", "enh_open", "nom_closed", "enh_closed")
+
+    @pytest.mark.parametrize("dims, trials, cfg", [
+        ((3, 2, 1), range(10), FAST_CFG),
+        ((2, 1, 1), range(10), TrainConfig(epochs=8, rollout_mode="open_loop")),
+        ((4, 3, 2), range(5), TrainConfig(epochs=0)),
+        # n = 5: every stage on its numpy path
+        ((5, 3, 2), range(3), FAST_CFG),
+    ])
+    def test_each_row_is_its_reference_trial(self, dims, trials, cfg):
+        specs = [TrialSpec(dims=dims, seed=2, trial_index=t) for t in trials]
+        for spec, ex in zip(specs, experiments._run_trials(specs, cfg)):
+            flags, states, errors = reference_trial(spec, cfg)
+            assert ex.flags == flags
+            for key, want in zip(self.KEYS, states):
+                assert ex.rollouts[key].states.tobytes() == want.tobytes()
+            assert [ex.errors[key] for key in self.KEYS] == errors
+
+
+class TestPlacementFallback:
+    """The paper grid's one trial whose enhanced pair cannot be placed:
+    (4, 4, 1), seed 0, trial 46, at the default ``TrainConfig``."""
+
+    SPEC = TrialSpec(dims=(4, 4, 1), seed=0, trial_index=46)
+
+    def test_last_training_gain_stands_in(self, monkeypatch):
+        train_batch = experiments._train_batch
+        trained = []
+
+        def recorded(*args):
+            trained.append(train_batch(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(experiments, "_train_batch", recorded)
+        ex = execute_trial(self.SPEC, TrainConfig())
+        assert ex.flags == {"regenerations": 0, "divergence": False, "placement_fallback": True}
+        with pytest.raises(SynthesisFailureError, match="did not converge"):
+            place_observer_poles(ex.enhanced.A_hat, ex.enhanced.C_hat, default_observer_poles(4))
+        # the enhanced closed loop ran on the run's last training gain
+        (_, last_gain, _, _), = trained
+        want = run_luenberger(ex.enhanced.as_lti(), last_gain[0], ex.truth.inputs,
+                              ex.truth.outputs, ex.enhanced.x0_hat)
+        assert want.states.tobytes() == ex.rollouts["enh_closed"].states.tobytes()
+        assert ex.errors["enh_closed"] == reference_trial(self.SPEC, TrainConfig())[2][3]
+
+    def test_same_alone_and_in_a_batch(self):
+        specs = [replace(self.SPEC, trial_index=t) for t in range(40, 50)]
+        batch = experiments._batch_results(specs, TrainConfig())
+        assert [r.flags["placement_fallback"] for r in batch] == [t == 46 for t in range(40, 50)]
+        assert batch[6].to_json() == run_trial(self.SPEC, TrainConfig()).to_json()

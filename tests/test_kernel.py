@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from leo import learning, lti_core, observer
 from leo.learning import (
-    LearnableParams, TrainConfig, _blocks, _numpy_loss, _round_loop, _stacked_loss, _train_batch,
+    LearnableParams, TrainConfig, _blocks, _numpy_loss, _round_loop, _stacked_loss, _train_runs,
     log_to_jsonl,
 )
 from leo.lti_core import _affine_adjoint, _affine_rollout, _numpy_rollout
@@ -602,7 +602,7 @@ TRAIN_ROWS = ("ordinary", "rollback", "abort", "unobservable", "shared eigenvalu
 
 @st.composite
 def train_batches(draw):
-    """Arguments of ``_train_batch``: runs of one dims and ``TrainConfig``,
+    """Arguments of ``_train_runs``: runs of one dims and ``TrainConfig``,
     among them runs of every kind in ``TRAIN_ROWS``; and the LAPACK
     routine and the number of its call that fails in a LAPACK failure
     (``counted_train_pass``), or None and 0 for none."""
@@ -723,11 +723,11 @@ class TestTrainPassMatchesRoundLoop:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lti_core, "_kernel", replace(kernel, train=train_pass and recorded))
-            got = _train_batch(inits, inputs, outputs, cfg)
+            got = _train_runs(inits, inputs, outputs, cfg)
             mp.setattr(lti_core, "_kernel", replace(kernel, train=False))
-            loop = _train_batch(inits, inputs, outputs, cfg)
+            loop = _train_runs(inits, inputs, outputs, cfg)
             mp.setattr(lti_core, "_kernel", lti_core._Kernel())
-            numpy_only = _train_batch(inits, inputs, outputs, cfg)
+            numpy_only = _train_runs(inits, inputs, outputs, cfg)
         assert_same_results(got, loop)
         assert_same_results(got, numpy_only)
         # the pass runs for n = 2..4, where it declines a batch it does not
@@ -796,9 +796,9 @@ class TestTrainPassLoader:
         dims, anchor, u, y = ordinary_batch()
         inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
         cfg = TrainConfig(epochs=3)
-        got = _train_batch(inits, list(u), list(y), cfg)
+        got = _train_runs(inits, list(u), list(y), cfg)
         monkeypatch.setattr(lti_core, "_kernel", lti_core._Kernel())
-        assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))
+        assert_same_results(got, _train_runs(inits, list(u), list(y), cfg))
 
     @pytest.mark.parametrize("fail, at, unobservable", [
         pytest.param("gesdd", 1, False, id="gesdd-query"),
@@ -822,9 +822,9 @@ class TestTrainPassLoader:
         inits = [LearnableParams(*_blocks(row, *dims)) for row in anchor]
         kernel = lti_core._load_kernel()
         monkeypatch.setattr(lti_core, "_kernel", replace(kernel, train=failing))
-        got = _train_batch(inits, list(u), list(y), cfg)
+        got = _train_runs(inits, list(u), list(y), cfg)
         monkeypatch.setattr(lti_core, "_kernel", replace(kernel, train=False))
-        assert_same_results(got, _train_batch(inits, list(u), list(y), cfg))
+        assert_same_results(got, _train_runs(inits, list(u), list(y), cfg))
 
     def test_certified_tests_skip_their_lapack_calls(self):
         # ordinary runs: every observability and conditioning test is

@@ -30,7 +30,7 @@ from leo.learning import (
     _adam_update,
     _blocks,
     _stacked_loss,
-    _train_batch,
+    _train_runs,
     _window_data,
 )
 from leo.lti_core import (
@@ -637,7 +637,7 @@ class TestTrain:
     def test_loss_usually_decreases(self):
         # one batch: each row is bitwise its own train run (TestBatchTraining)
         instances = [make_instance(1000 + t, (2, 1, 1)) for t in range(50)]
-        results = _train_batch(
+        results = _train_runs(
             [init for *_, init in instances], [inputs for _, inputs, _, _ in instances],
             [traj.outputs for _, _, traj, _ in instances], TrainConfig(),
         )
@@ -1030,7 +1030,7 @@ def train_faulty_batch(runs, cfg, loss_faults, placement_faults):
     the same faults injected: the two lists of outcomes."""
     with pytest.MonkeyPatch.context() as mp:
         counts = inject_faults(mp, loss_faults, placement_faults)
-        batch = _train_batch(*map(list, zip(*runs)), cfg)
+        batch = _train_runs(*map(list, zip(*runs)), cfg)
         for count in counts.values():
             count.clear()
         alone = [reference_outcome(*run, cfg) for run in runs]
@@ -1168,7 +1168,7 @@ class TestBatchTraining:
             return gains, reason, best
 
         monkeypatch.setattr(leo.learning, "_place_poles", first_placement_fails)
-        together = _train_batch(*map(list, zip(*runs)), cfg)
+        together = _train_runs(*map(list, zip(*runs)), cfg)
         assert max(batch_sizes) > 1
         for run, got in zip(runs, together):
             assert_same_training(got, train_reference(*run, cfg))
@@ -1219,7 +1219,7 @@ class TestBatchTraining:
 
         monkeypatch.setattr(leo.lti_core, "_kernel", replace(
             kernel, loss=loss_pass and count_pass, place=place and count_place))
-        together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
+        together = _train_runs(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
         for got in together:
             assert len(got.log) == epochs
             assert got.diagnostics["lr_halvings"] == 0
@@ -1253,7 +1253,7 @@ class TestBatchTraining:
         monkeypatch.setattr(leo.lti_core, "_kernel", replace(kernel, train=count))
         for name in ("_place_poles", "_stacked_loss", "_adam_update"):
             monkeypatch.setattr(leo.learning, name, refuse)
-        together = _train_batch(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
+        together = _train_runs(*map(list, zip(*runs)), TrainConfig(epochs=epochs))
         assert batches == [10]
         for got in together:
             assert len(got.log) == epochs
@@ -1284,7 +1284,7 @@ class TestBatchTraining:
             return out
 
         monkeypatch.setattr(leo.learning, "_stacked_loss", recorded)
-        together = _train_batch(*map(list, zip(*runs)), cfg)
+        together = _train_runs(*map(list, zip(*runs)), cfg)
         if outcome == "rollback":
             # run 3 repeats epoch 1 with the others' epoch 2, and its last epoch alone
             want = [(10, 0), (10, 1)] + [(10, 0)] * (epochs - 2) + [(1, 0)]
@@ -1318,7 +1318,7 @@ class TestBatchTraining:
 
         monkeypatch.setattr(leo.learning, stage, raises_on_its_third_call)
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
-            _train_batch(*map(list, zip(*runs)), cfg)
+            _train_runs(*map(list, zip(*runs)), cfg)
         assert len(calls) == 3
         calls.clear()
         with pytest.raises(np.linalg.LinAlgError, match="injected"):
